@@ -5,14 +5,11 @@ from .perm import (
     PermGroup,
     Permutation,
     SubgroupRef,
-    contains,
     derived_subgroup,
     element_of_order,
-    group_order,
     intersection_small,
     is_k_transitive,
     minimal_block_systems,
-    orbit,
     point_stabilizer,
     random_subgroup_of_order,
     small_generating_set,

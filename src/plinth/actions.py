@@ -15,7 +15,7 @@ from .errors import (
     IndexTooLarge,
     NotDecompositionPreserving,
 )
-from .perm import _DTYPE, Permutation, PermGroup
+from .perm import _DTYPE, Permutation, PermGroup, _as_group, element_of_order
 
 COSET_INDEX_CAP = 10**5
 PRODUCT_DEGREE_CAP = 10**6
@@ -51,7 +51,7 @@ class EncodedProductAction:
         return tuple(reversed(out))
 
 
-def product_action_wreath(K, ell, top, cap=PRODUCT_DEGREE_CAP):
+def product_action_wreath(K, ell, top):
     """The product action of K wr top on tuples over K's point set.
 
     Base copies of K act coordinatewise; top elements h move the value
@@ -63,8 +63,8 @@ def product_action_wreath(K, ell, top, cap=PRODUCT_DEGREE_CAP):
         raise ValueError("top group degree must equal the arity")
     d = K.degree
     n = d**ell
-    if n > cap:
-        raise DegreeOverflow(f"degree {n} exceeds cap {cap}")
+    if n > PRODUCT_DEGREE_CAP:
+        raise DegreeOverflow(f"degree {n} exceeds cap {PRODUCT_DEGREE_CAP}")
     strides = [d ** (ell - 1 - j) for j in range(ell)]
     points = np.arange(n, dtype=_DTYPE)
     coords = [(points // strides[j]) % d for j in range(ell)]
@@ -107,9 +107,6 @@ class CosetAction:
         self.group = group
         self.reps = reps
 
-    def rep(self, i):
-        return Permutation(self.reps[i], _checked=True)
-
 
 def _canonical_coset_images(chain, arr):
     """Canonical element of H*g given H's chain and g's image array.
@@ -130,12 +127,15 @@ def _canonical_coset_images(chain, arr):
     return arr
 
 
-def coset_action(G, H, cap=COSET_INDEX_CAP):
-    """Action of G on the right cosets of H by right multiplication."""
+def coset_action(G, H):
+    """Action of G on the right cosets of H by right multiplication.
+
+    ``H`` is a SubgroupRef or a PermGroup on G's points.
+    """
     index = G.order() // H.order()
-    if index > cap:
-        raise IndexTooLarge(f"index {index} exceeds cap {cap}")
-    chain = H.group.chain()
+    if index > COSET_INDEX_CAP:
+        raise IndexTooLarge(f"index {index} exceeds cap {COSET_INDEX_CAP}")
+    chain = _as_group(H).chain()
     identity = np.arange(G.degree, dtype=_DTYPE)
     start = _canonical_coset_images(chain, identity)
     reps = [start]
@@ -186,9 +186,6 @@ class SubgroupClassAction:
         self.key_index = key_index
         self.group = group
 
-    def rep(self, i):
-        return Permutation(self.reps[i], _checked=True)
-
     def key_of(self, arr):
         best = arr
         power = arr
@@ -216,9 +213,7 @@ def cyclic_class_action(G, socle, p, seed=1):
     expanded under socle generators, giving a point labeling that any
     overgroup of the socle shares.
     """
-    from .perm import element_of_order
-
-    socle_group = socle.group if hasattr(socle, "group") else socle
+    socle_group = _as_group(socle)
     order = socle_group.order()
     if order % p or (order // p) % p == 0:
         raise ValueError(f"{p} must divide the socle order exactly once")
@@ -260,17 +255,36 @@ def cyclic_class_action(G, socle, p, seed=1):
 # partitions preserved by a group: top projection and components
 
 
-def _block_min_signature(labels):
-    """Per-point minimum of the point's block; canonical partition form."""
+def _normalize_labels(labels):
+    """Relabel blocks 0..b-1 in order of their minimum point."""
+    labels = np.asarray(labels, dtype=_DTYPE)
     n = len(labels)
-    mins = np.full(int(labels.max()) + 1, n, dtype=_DTYPE)
+    nblocks = int(labels.max()) + 1
+    mins = np.full(nblocks, n, dtype=_DTYPE)
     np.minimum.at(mins, labels, np.arange(n, dtype=_DTYPE))
-    return mins[labels]
+    order = np.argsort(mins, kind="stable")
+    rank = np.empty(nblocks, dtype=_DTYPE)
+    rank[order] = np.arange(nblocks, dtype=_DTYPE)
+    return rank[labels]
+
+
+def _block_reps(E, j):
+    """Minimum point of each block of partition j, indexed by block id."""
+    lab = E.partitions[j]
+    b = int(lab.max()) + 1
+    first = np.full(b, -1, dtype=_DTYPE)
+    for p in range(len(lab) - 1, -1, -1):
+        first[lab[p]] = p
+    return first
 
 
 def _top_images(G, E):
-    """For each generator of G, its permutation of E's partitions."""
-    sigs = [_block_min_signature(lab).tobytes() for lab in E.partitions]
+    """For each generator of G, its permutation of E's partitions.
+
+    E's partitions are normalized, so a permuted partition is matched
+    by the bytes of its normalized labels.
+    """
+    sigs = [lab.tobytes() for lab in E.partitions]
     sig_index = {s: j for j, s in enumerate(sigs)}
     if len(sig_index) != len(sigs):
         raise ValueError("decomposition lists a partition twice")
@@ -281,7 +295,7 @@ def _top_images(G, E):
         for j, lab in enumerate(E.partitions):
             permuted = np.empty(n, dtype=_DTYPE)
             permuted[g.images] = lab
-            target = sig_index.get(_block_min_signature(permuted).tobytes())
+            target = sig_index.get(_normalize_labels(permuted).tobytes())
             if target is None:
                 raise NotDecompositionPreserving(
                     f"a generator moves partition {j} off the decomposition"
@@ -334,19 +348,13 @@ def partition_stabilizer_generators(G, E, j):
     return gens
 
 
-def component(G, E, j, with_stabilizer=False):
+def component(G, E, j):
     """Action induced on the blocks of partition j by its stabilizer."""
     gens = partition_stabilizer_generators(G, E, j)
     lab = E.partitions[j]
-    b = int(lab.max()) + 1
-    first = np.full(b, -1, dtype=_DTYPE)
-    for p in range(len(lab) - 1, -1, -1):
-        first[lab[p]] = p
+    first = _block_reps(E, j)
     block_gens = []
     for s in gens:
         images = lab[s.images[first]]
         block_gens.append(Permutation(images))
-    comp = PermGroup(block_gens, degree=b)
-    if with_stabilizer:
-        return comp, gens
-    return comp
+    return PermGroup(block_gens, degree=len(first))

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import GeneratorNotAutomorphism, SearchBudgetExceeded, TooLarge
 from .graphs import Graph, is_automorphism
-from .perm import _DTYPE, Permutation, PermGroup
+from .perm import _DTYPE, Permutation, PermGroup, fast_orbit
 
 NODE_BUDGET = 10**7
 
@@ -51,10 +51,9 @@ def incidence_graph(geom):
 
 
 class _Engine:
-    def __init__(self, cg, budget):
+    def __init__(self, cg):
         self.graph = cg.graph
         self.n = cg.n
-        self.budget = budget
         self.nodes = 0
         if self.graph.is_regular():
             self._nbr = cg.graph.indices.reshape(self.n, self.graph.valency())
@@ -64,8 +63,8 @@ class _Engine:
 
     def _tick(self):
         self.nodes += 1
-        if self.nodes > self.budget:
-            raise SearchBudgetExceeded(f"node budget {self.budget} exhausted")
+        if self.nodes > NODE_BUDGET:
+            raise SearchBudgetExceeded(f"node budget {NODE_BUDGET} exhausted")
 
     @staticmethod
     def _canonical(colors):
@@ -181,15 +180,7 @@ class _Engine:
             self._individualize(colors, v)
         )
         gens = list(stab_gens)
-        orbit = {v}
-        frontier = [v]
-        while frontier:
-            p = frontier.pop()
-            for g in gens:
-                q = int(g.images[p])
-                if q not in orbit:
-                    orbit.add(q)
-                    frontier.append(q)
+        orbit = set(fast_orbit([h.images for h in gens], v, self.n).tolist())
         for w in cell[1:]:
             if w in orbit:
                 continue
@@ -199,18 +190,11 @@ class _Engine:
             if g is None:
                 continue
             gens.append(g)
-            frontier = list(orbit)
-            while frontier:
-                p = frontier.pop()
-                for h in gens:
-                    q = int(h.images[p])
-                    if q not in orbit:
-                        orbit.add(q)
-                        frontier.append(q)
+            orbit = set(fast_orbit([h.images for h in gens], v, self.n).tolist())
         return gens, len(orbit) * stab_order
 
 
-def graph_automorphism_group(cg, budget=NODE_BUDGET):
+def graph_automorphism_group(cg):
     """Full automorphism group of a colored graph.
 
     Every generator is verified to preserve colors and adjacency; the
@@ -219,7 +203,7 @@ def graph_automorphism_group(cg, budget=NODE_BUDGET):
     """
     if cg.n > 10**4:
         raise TooLarge("engine is limited to 10^4 vertices")
-    engine = _Engine(cg, budget)
+    engine = _Engine(cg)
     gens, order = engine.automorphisms(engine.base_colors)
     for g in gens:
         if not engine._check(g):

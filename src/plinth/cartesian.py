@@ -11,12 +11,23 @@ the PSL(2,q) factorization tables that feed the classification.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from random import Random
 
 import numpy as np
 
+from .actions import (
+    EncodedProductAction,
+    _block_reps,
+    _normalize_labels,
+    _top_images,
+    component,
+    coset_action,
+    top_projection,
+)
 from .errors import (
     ConstructionFailed,
     Mismatch,
+    NotDecompositionPreserving,
     NotXSubgroup,
     NotInvariant,
     NotTransitive,
@@ -30,6 +41,8 @@ from .perm import (
     PermGroup,
     Permutation,
     SubgroupRef,
+    _as_group,
+    _orbit_labels,
     derived_subgroup,
     element_of_order,
     intersection_small,
@@ -37,19 +50,6 @@ from .perm import (
     point_stabilizer,
     random_subgroup_of_order,
 )
-
-
-def _normalize_labels(labels):
-    """Relabel blocks 0..b-1 in order of their minimum point."""
-    labels = np.asarray(labels, dtype=_DTYPE)
-    n = len(labels)
-    nblocks = int(labels.max()) + 1
-    mins = np.full(nblocks, n, dtype=_DTYPE)
-    np.minimum.at(mins, labels, np.arange(n, dtype=_DTYPE))
-    order = np.argsort(mins, kind="stable")
-    rank = np.empty(nblocks, dtype=_DTYPE)
-    rank[order] = np.arange(nblocks, dtype=_DTYPE)
-    return rank[labels]
 
 
 class CartesianDecomposition:
@@ -111,53 +111,27 @@ def index2_subgroups(G, derived=None):
     example a simple normal subgroup), skipping the derived-subgroup
     computation.
     """
-    from .actions import _canonical_coset_images
-
     if G.order() % 2:
         return []
     D = derived if derived is not None else derived_subgroup(G)
-    D_group = D.group if hasattr(D, "group") else D
+    D_group = _as_group(D)
     index = G.order() // D_group.order()
     if index % 2:
         return []
     if index > INDEX2_QUOTIENT_CAP:
         raise TooLarge(f"quotient order {index} exceeds {INDEX2_QUOTIENT_CAP}")
-    chain = D_group.chain()
-    identity = np.arange(G.degree, dtype=_DTYPE)
-    reps = [_canonical_coset_images(chain, identity)]
-    key_index = {reps[0].tobytes(): 0}
-    gen_images = [[] for _ in G.generators]
-    cursor = 0
-    while cursor < len(reps):
-        arr = reps[cursor]
-        cursor += 1
-        for gi, g in enumerate(G.generators):
-            nxt = _canonical_coset_images(chain, g.images[arr])
-            key = nxt.tobytes()
-            j = key_index.get(key)
-            if j is None:
-                j = len(reps)
-                key_index[key] = j
-                reps.append(nxt)
-            gen_images[gi].append(j)
-    if len(reps) != index:
-        raise RuntimeError(
-            f"coset scan found {len(reps)} cosets, expected {index}"
-        )
-    qgens = [
-        Permutation(np.array(imgs, dtype=_DTYPE), _checked=True)
-        for imgs in gen_images
-    ]
-    Q = PermGroup(qgens, degree=index, claimed_order=index)
+    quotient = coset_action(G, D_group)
     found = []
     seen = set()
-    for qk in _index2_point_sets(Q):
+    for qk in _index2_point_sets(quotient.group):
         key = frozenset(qk)
         if key in seen:
             continue
         seen.add(key)
         gens = list(D_group.generators)
-        gens.extend(Permutation(reps[i], _checked=True) for i in sorted(qk))
+        gens.extend(
+            Permutation(quotient.reps[i], _checked=True) for i in sorted(qk)
+        )
         # the lifted order is exact: the kernel contains D and maps
         # onto an index-2 subgroup of the regular quotient
         K = PermGroup(
@@ -293,11 +267,9 @@ def _subsets(n, kmax):
 
 
 def _group_permutes_partitions(G, E):
-    from .actions import _top_images
-
     try:
         _top_images(G, E)
-    except Exception:
+    except NotDecompositionPreserving:
         return False
     return True
 
@@ -317,29 +289,12 @@ class InclusionType:
     details: dict = field(default_factory=dict)
 
 
-def _as_group(g):
-    return g.group if isinstance(g, SubgroupRef) else g
-
-
 def _factor_moves_partition(factor, E, j, first):
     lab = E.partitions[j]
     for g in factor.generators:
         if (lab[g.images[first]] != np.arange(len(first))).any():
             return True
     return False
-
-
-def _block_reps(E, j):
-    lab = E.partitions[j]
-    b = int(lab.max()) + 1
-    first = np.full(b, -1, dtype=_DTYPE)
-    for p in range(len(lab) - 1, -1, -1):
-        first[lab[p]] = p
-    return first
-
-
-def _order_spectrum(group, limit=50000):
-    return tuple(sorted({g.order() for g in group.elements(limit=limit)}))
 
 
 def _orbit_length_multiset(group):
@@ -354,8 +309,6 @@ def classify_inclusion(G, M, E, omega=0, factors=None):
     per simple factor, the number s of partitions the factor moves;
     s must be the same for every factor and at most 3.
     """
-    from .actions import component, top_projection
-
     M_group = _as_group(M)
     if factors is None:
         factor_groups = [M_group]
@@ -430,7 +383,7 @@ def classify_inclusion(G, M, E, omega=0, factors=None):
     a, b = (p.group for _, p in projections)
     same = (
         a.order() == b.order()
-        and _order_spectrum(a) == _order_spectrum(b)
+        and a.element_order_spectrum() == b.element_order_spectrum()
         and _orbit_length_multiset(a) == _orbit_length_multiset(b)
     )
     details["isomorphism_test"] = (
@@ -443,8 +396,11 @@ def classify_inclusion(G, M, E, omega=0, factors=None):
 # ---------------------------------------------------------------------------
 # blow-up embedding
 
+#: Points checked per embedding certificate, spread over G's generators.
+BLOWUP_SAMPLES = 100
 
-def blowup_embedding(G, factors, omega=0, samples=100, seed=1):
+
+def blowup_embedding(G, factors, omega=0, seed=1):
     """Re-embed G into a product action along a direct decomposition of
     its plinth whose point stabilizer splits across the factors.
 
@@ -452,10 +408,6 @@ def blowup_embedding(G, factors, omega=0, samples=100, seed=1):
     of the induced grid are the orbit partitions of the complements
     of each factor; the point bijection is the grid code.
     """
-    from random import Random
-
-    from .actions import EncodedProductAction, _top_images
-
     factor_groups = [_as_group(f) for f in factors]
     n = G.degree
     # the decomposition must be G-invariant: conjugation permutes factors
@@ -491,8 +443,6 @@ def blowup_embedding(G, factors, omega=0, samples=100, seed=1):
         )
 
     # partition i: orbits of the product of all factors except i
-    from .perm import fast_orbit
-
     partitions = []
     for i in range(len(factor_groups)):
         others = [
@@ -501,13 +451,7 @@ def blowup_embedding(G, factors, omega=0, samples=100, seed=1):
             if k != i
             for g in f.generators
         ]
-        labels = np.full(n, -1, dtype=_DTYPE)
-        nxt = 0
-        for p in range(n):
-            if labels[p] == -1:
-                labels[fast_orbit(others, p, n)] = nxt
-                nxt += 1
-        partitions.append(labels)
+        partitions.append(_orbit_labels(others, n)[0])
     E = CartesianDecomposition(partitions)
     _top_images(G, E)  # raises when G fails to permute the partitions
 
@@ -530,7 +474,7 @@ def blowup_embedding(G, factors, omega=0, samples=100, seed=1):
     rng = Random(seed)
     checked = 0
     for g, h in zip(G.generators, relabeled):
-        for _ in range(max(1, samples // max(1, len(G.generators)))):
+        for _ in range(max(1, BLOWUP_SAMPLES // max(1, len(G.generators)))):
             p = rng.randrange(n)
             if int(code[g.images[p]]) != int(h.images[code[p]]):
                 raise RuntimeError("embedding certificate failed")
@@ -549,7 +493,7 @@ def blowup_embedding(G, factors, omega=0, samples=100, seed=1):
 # factorization checks
 
 
-def strong_factorization_check(T, subgroups, bound=10**6):
+def strong_factorization_check(T, subgroups):
     """Whether A_1, ..., A_s form a strong multiple factorization of T.
 
     For every r the product condition A_r * (meet of the others) = T is
@@ -565,8 +509,8 @@ def strong_factorization_check(T, subgroups, bound=10**6):
         rest = [g for i, g in enumerate(groups) if i != r]
         meet = rest[0]
         for other in rest[1:]:
-            meet = _as_group(intersection_small(meet, other, bound=bound))
-        inner = _as_group(intersection_small(groups[r], meet, bound=bound))
+            meet = _as_group(intersection_small(meet, other))
+        inner = _as_group(intersection_small(groups[r], meet))
         holds = groups[r].order() * meet.order() == t_order * inner.order()
         detail["conditions"].append(
             {
@@ -594,7 +538,11 @@ class FactorizationRecord:
     attempts: int = 1
 
 
-def dihedral_subgroup(T, order, seed=1, max_iter=None):
+#: Random draws per element of the cyclic half in ``dihedral_subgroup``.
+INVOLUTION_TRIES = 400
+
+
+def dihedral_subgroup(T, order, seed=1):
     """A dihedral subgroup of the given (even) order: a cyclic half
     plus a seeded-random search for an inverting involution."""
     if order % 2:
@@ -604,12 +552,9 @@ def dihedral_subgroup(T, order, seed=1, max_iter=None):
     if a is None:
         raise ConstructionFailed(f"no element of order {half}")
     a_inv = a.inverse()
-    from random import Random
-
     rng = Random(seed)
     chain = T.chain()
-    cap = max_iter if max_iter is not None else 400 * max(4, half)
-    for _ in range(cap):
+    for _ in range(INVOLUTION_TRIES * max(4, half)):
         g = chain.random_element(rng)
         o = g.order()
         if o % 2:

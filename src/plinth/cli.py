@@ -31,7 +31,13 @@ from .cartesian import (
     load_factorization_table,
     verify_psl2_factorization_row,
 )
-from .errors import IoError, NotBijection, ParseError, PlinthError
+from .errors import (
+    ConstructionFailed,
+    IoError,
+    NotBijection,
+    ParseError,
+    PlinthError,
+)
 from .graphs import (
     Graph,
     direct_power,
@@ -46,12 +52,13 @@ from .perm import (
     _DTYPE,
     PermGroup,
     Permutation,
+    SubgroupRef,
     derived_subgroup,
-    induced_action,
     intersection_small,
     point_stabilizer,
     random_subgroup_of_order,
     small_generating_set,
+    stabilizer_orbit_sizes,
 )
 
 SCHEMA_VERSION = 1
@@ -414,7 +421,7 @@ def _sp44_grid_context(seed):
     return ctx
 
 
-def _scan_suborbits(G, od, deep=False):
+def _scan_suborbits(G, od):
     """Per nontrivial self-paired suborbit: (length, connected,
     stabilizer-2-transitive) triples in deterministic order."""
     results = []
@@ -431,26 +438,6 @@ def _scan_suborbits(G, od, deep=False):
             {"length": s.length, "connected": connected, "two_at": two_at}
         )
     return results
-
-
-def _is_dihedral(group, order, seed=1):
-    """Whether the group is dihedral of the given order: a cyclic index-2
-    subgroup plus an inverting involution."""
-    if group.order() != order or order % 2:
-        return False
-    half = order // 2
-    from .perm import element_of_order
-
-    a = element_of_order(group, half, seed=seed)
-    if a is None:
-        return False
-    a_inv = a.inverse()
-    cyc = PermGroup([a], degree=group.degree)
-    for g in group.elements():
-        if g.order() == 2 and not cyc.contains(g):
-            if (g.inverse() * a * g).images.tobytes() == a_inv.images.tobytes():
-                return True
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -694,24 +681,10 @@ def _case_m12(opts):
         )
     with _Phase(report, "validate"):
         # sharp 5-transitivity: iterated stabilizer orbit sizes 12..8
-        sizes = []
-        cur = G
-        fixed = []
-        for i in range(5):
-            start = min(set(range(12)) - set(fixed))
-            pts, _ = cur.orbit(start)
-            sizes.append(len(pts))
-            ref = point_stabilizer(cur, start)
-            cur = (
-                PermGroup(list(ref.generators), degree=12)
-                if ref.generators
-                else PermGroup.trivial(12)
-            )
-            fixed.append(start)
         report.add(
             "five_transitive_orbit_sizes",
             [12, 11, 10, 9, 8],
-            sizes,
+            stabilizer_orbit_sizes(G, 5),
             'Theorem 4.1 proof, "T = M12 and |Omega| = 144"',
         )
     with _Phase(report, "coset_action"):
@@ -787,15 +760,14 @@ def _case_o8plus2(opts):
             'Theorem 4.1 proof, "has no suborbit of size 28"',
         )
         in_parent = all(G.contains(g) for g in sf.generators)
-        report.add(
+        if not report.add(
             "subgroup_contained",
             True,
             in_parent,
             'Theorem 4.1 proof, "has no suborbit of size 28"',
-        )
-        from .perm import SubgroupRef
-
-        H = SubgroupRef(G, list(sf.generators))
+        ):
+            return report
+        H = SubgroupRef(G, list(sf.generators), verify=False)
         report.add(
             "subgroup_order",
             12096,
@@ -973,10 +945,17 @@ def _case_classify_a6(opts):
             stab.order(),
             'Table 1, "Table for Theorem" (A6 row: dihedral stabilizer)',
         )
+        # dihedral: order 10 and a witnessed dihedral subgroup of order 10
+        dihedral = stab.order() == 10
+        if dihedral:
+            try:
+                dihedral_subgroup(stab.group, 10, seed=opts["seed"])
+            except ConstructionFailed:
+                dihedral = False
         report.add(
             "plinth_stabilizer_dihedral",
             True,
-            _is_dihedral(stab.group, 10, seed=opts["seed"]),
+            dihedral,
             'Table 1, "Table for Theorem" (A6 row: dihedral stabilizer)',
         )
     with _Phase(report, "a5wr2"):
@@ -1135,12 +1114,6 @@ def main(argv=None):
     verify.add_argument("--seed", type=int, default=1)
     verify.add_argument("--json", dest="json_path", default=None)
     verify.add_argument("--data", default=None)
-    verify.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="accepted for interface stability; execution is single-threaded",
-    )
     verify.add_argument("--max-iter", type=int, default=None)
     verify.add_argument(
         "--deep",

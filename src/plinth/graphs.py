@@ -19,7 +19,7 @@ from .errors import (
     NotTransitive,
     NotVertexTransitive,
 )
-from .perm import _DTYPE, fast_orbit, is_k_transitive, point_stabilizer
+from .perm import _DTYPE, _orbit_labels, is_k_transitive, point_stabilizer
 
 ARC_ENUMERATION_CAP = 10**6
 
@@ -91,29 +91,6 @@ class Graph:
         i = np.searchsorted(row, v)
         return i < len(row) and row[i] == v
 
-    def check_simple(self):
-        """Verify symmetry, sortedness and absence of loops."""
-        for v in range(self.n):
-            row = self.neighbors(v)
-            if (np.diff(row) <= 0).any():
-                return False
-            if (row == v).any():
-                return False
-            for u in row:
-                if not self.has_edge(int(u), v):
-                    return False
-        return True
-
-    def export_edge_list(self, path):
-        """Write `graph <n> <m>` then one 1-based `u v` line per edge."""
-        lines = [f"graph {self.n} {self.num_edges}"]
-        for u in range(self.n):
-            for v in self.neighbors(u):
-                if u < v:
-                    lines.append(f"{u + 1} {int(v) + 1}")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-
 
 def is_connected(graph):
     """(connected flag, component count) by breadth-first search."""
@@ -173,17 +150,7 @@ def suborbits(G, alpha=0):
         raise NotTransitive("suborbits need a transitive group")
     n = G.degree
     stab = point_stabilizer(G, alpha)
-    stab_images = [g.images for g in stab.generators]
-    labels = np.full(n, -1, dtype=_DTYPE)
-    reps = []
-    labels[alpha] = 0
-    reps.append(alpha)
-    for p in range(n):
-        if labels[p] != -1:
-            continue
-        idx = len(reps)
-        labels[fast_orbit(stab_images, p, n)] = idx
-        reps.append(p)
+    labels, reps = _orbit_labels([g.images for g in stab.generators], n, alpha)
     _, tree = G.orbit(alpha)
     subs = []
     for idx, rep in enumerate(reps):
@@ -292,7 +259,6 @@ def count_s_arcs(graph, s):
     """Number of s-arcs (paths with v_i != v_{i+2})."""
     if s == 0:
         return graph.n
-    counts = None
     total = 0
     for v in range(graph.n):
         for u in graph.neighbors(v):
@@ -310,11 +276,11 @@ def _count_arcs_from(graph, prev, cur, remaining):
     return total
 
 
-def _arc_orbit_covers_all(G, graph, arc, total, cap):
+def _arc_orbit_covers_all(G, graph, arc, total):
     seen = {arc}
     frontier = [arc]
     while frontier:
-        if len(seen) > cap:
+        if len(seen) > ARC_ENUMERATION_CAP:
             raise DegreeOverflow("arc orbit exceeds the enumeration cap")
         nxt = []
         for a in frontier:
@@ -336,7 +302,7 @@ def _first_s_arc(graph, s):
     return tuple(arc)
 
 
-def s_arc_transitivity_max(G, graph, s_cap=3, arc_cap=ARC_ENUMERATION_CAP):
+def s_arc_transitivity_max(G, graph, s_cap=3):
     """Largest s <= s_cap with G transitive on s-arcs.
 
     Uses brute-force arc-orbit counting while the arc count stays under
@@ -353,9 +319,9 @@ def s_arc_transitivity_max(G, graph, s_cap=3, arc_cap=ARC_ENUMERATION_CAP):
         total = count_s_arcs(graph, s)
         if total == 0:
             break
-        if total <= arc_cap:
+        if total <= ARC_ENUMERATION_CAP:
             arc = _first_s_arc(graph, s)
-            if not _arc_orbit_covers_all(G, graph, arc, total, arc_cap):
+            if not _arc_orbit_covers_all(G, graph, arc, total):
                 break
         else:
             if s == 1:
@@ -376,14 +342,14 @@ def s_arc_transitivity_max(G, graph, s_cap=3, arc_cap=ARC_ENUMERATION_CAP):
 # products
 
 
-def direct_power(graph, ell, cap=ARC_ENUMERATION_CAP):
+def direct_power(graph, ell):
     """Direct (tensor) power: tuples adjacent iff adjacent coordinatewise.
 
     The vertex codec matches the product-action codec: coordinate 1 is
     most significant.
     """
     n = graph.n ** ell
-    if n > cap:
+    if n > ARC_ENUMERATION_CAP:
         raise DegreeOverflow(f"{n} vertices exceed the cap")
     if not graph.is_regular():
         raise ValueError("direct powers are built for regular graphs")

@@ -3,7 +3,7 @@
 Everything downstream (derived actions, orbital graphs, the inclusion
 classifier) is built on the primitives in this module: image-array
 permutations, deterministic Schreier-Sims chains with an optional
-verified known-order early exit, orbits with Schreier vectors, and a
+known-order early exit, orbits with Schreier vectors, and a
 handful of subgroup utilities (derived subgroups, small intersections,
 seeded random subgroup search).
 
@@ -19,12 +19,18 @@ from random import Random
 
 import numpy as np
 
-from .errors import DegreeMismatch, NotTransitive, TooLarge
+from .errors import DegreeMismatch, NotInvariant, NotTransitive, TooLarge
 
 _DTYPE = np.int64
 
 #: Default element-enumeration bound for intersections and canonical forms.
 ENUMERATION_BOUND = 10**6
+
+#: Random draws made by ``element_of_order`` before it gives up.
+ELEMENT_SEARCH_TRIES = 512
+
+#: Random draws per size (2 and 3) made by ``small_generating_set``.
+GENERATING_SET_TRIES = 20
 
 
 class Permutation:
@@ -101,8 +107,8 @@ class Permutation:
     def is_identity(self):
         return bool((self.images == np.arange(len(self.images))).all())
 
-    def cycles(self, include_fixed=False):
-        """Cycle decomposition as a list of tuples of points."""
+    def cycles(self):
+        """Nontrivial cycles as a list of tuples of points."""
         seen = np.zeros(self.degree, dtype=bool)
         out = []
         images = self.images
@@ -116,7 +122,7 @@ class Permutation:
                 seen[p] = True
                 cyc.append(p)
                 p = int(images[p])
-            if len(cyc) > 1 or include_fixed:
+            if len(cyc) > 1:
                 out.append(tuple(cyc))
         return out
 
@@ -126,13 +132,13 @@ class Permutation:
             result = math.lcm(result, len(cyc))
         return result
 
-    def cycle_string(self, one_based=True):
-        shift = 1 if one_based else 0
+    def cycle_string(self):
+        """1-based disjoint-cycle notation, ``()`` for the identity."""
         cycs = self.cycles()
         if not cycs:
             return "()"
         return "".join(
-            "(" + ",".join(str(p + shift) for p in cyc) + ")" for cyc in cycs
+            "(" + ",".join(str(p + 1) for p in cyc) + ")" for cyc in cycs
         )
 
     def tobytes(self):
@@ -154,8 +160,24 @@ class Permutation:
         return f"Permutation({self.cycle_string()}, degree={self.degree})"
 
 
-def _compose_images(first, then):
-    return then[first]
+def _schreier_path_images(tree, point, gens, degree):
+    """Image array of the generator product along a Schreier tree.
+
+    ``tree`` maps each point to (parent, index into ``gens``) and the
+    root to (-1, -1); the product maps the root to ``point``.
+    """
+    path = []
+    p = point
+    while True:
+        parent, gi = tree[p]
+        if parent < 0:
+            break
+        path.append(gi)
+        p = parent
+    arr = np.arange(degree, dtype=_DTYPE)
+    for gi in reversed(path):
+        arr = gens[gi].images[arr]
+    return arr
 
 
 class _ChainLevel:
@@ -178,10 +200,13 @@ class StabChain:
 
     ``upper_bound`` enables the known-order early exit: the product of
     fundamental orbit lengths is always a lower bound for the group
-    order, so processing can stop once it reaches a trusted upper bound
-    (for example the order of a group this one is a homomorphic image
-    of).  A claimed order is therefore verified, never trusted: if the
-    bound is wrong the chain quietly completes the full computation.
+    order, so processing stops as soon as the product equals the bound.
+    The bound must be a true upper bound on the order (for example the
+    order of a group this one is a homomorphic image of); it is not
+    verified.  A bound the product overshoots is dropped and the chain
+    completes, but a bound below the order that the product happens to
+    hit is returned as the order: the S6 generators with bound 60, 30 or
+    360 report exactly that, while 24, 40 or 240 fall back to 720.
     """
 
     def __init__(self, degree, generators, base_hint=(), upper_bound=None):
@@ -299,22 +324,9 @@ class StabChain:
 
     def _transversal_images(self, i, point):
         """Image array of the transversal element mapping base[i] to point."""
-        lev = self.levels[i]
-        path = []
-        p = point
-        while True:
-            parent, gid = lev.tree[p]
-            if parent < 0:
-                break
-            path.append(gid)
-            p = parent
-        arr = np.arange(self.degree, dtype=_DTYPE)
-        for gid in reversed(path):
-            arr = self.gens[gid].images[arr]
-        return arr
-
-    def transversal(self, i, point):
-        return Permutation(self._transversal_images(i, point), _checked=True)
+        return _schreier_path_images(
+            self.levels[i].tree, point, self.gens, self.degree
+        )
 
     def _sift_images(self, images, start=0):
         """Sift an image array; return the residue array or None if identity."""
@@ -333,11 +345,6 @@ class StabChain:
         if (arr == np.arange(self.degree)).all():
             return None
         return arr
-
-    def sift(self, g):
-        """Return the residue of g, or None when g is a member."""
-        res = self._sift_images(g.images)
-        return None if res is None else Permutation(res, _checked=True)
 
     def contains(self, g):
         return self._sift_images(g.images) is None
@@ -370,7 +377,11 @@ class StabChain:
 
 
 class PermGroup:
-    """A finitely generated permutation group with a lazily built chain."""
+    """A finitely generated permutation group with a lazily built chain.
+
+    ``claimed_order`` is passed to the chain as its early-exit bound and
+    must be a true upper bound on the order (see ``StabChain``).
+    """
 
     def __init__(self, generators, degree=None, claimed_order=None):
         generators = list(generators)
@@ -481,18 +492,10 @@ class PermGroup:
             _, tree = self.orbit(alpha)
         if beta not in tree:
             return None
-        path = []
-        p = beta
-        while True:
-            parent, gi = tree[p]
-            if parent < 0:
-                break
-            path.append(gi)
-            p = parent
-        arr = np.arange(self.degree, dtype=_DTYPE)
-        for gi in reversed(path):
-            arr = self.generators[gi].images[arr]
-        return Permutation(arr, _checked=True)
+        return Permutation(
+            _schreier_path_images(tree, beta, self.generators, self.degree),
+            _checked=True,
+        )
 
     def orbits(self):
         """All orbits, ordered by minimum point."""
@@ -559,19 +562,6 @@ def _as_group(g):
 # module-level operations
 
 
-def orbit(group, alpha):
-    """Orbit of alpha under the group, with its Schreier vector."""
-    return group.orbit(alpha)
-
-
-def group_order(group):
-    return group.order()
-
-
-def contains(group, g):
-    return group.contains(g)
-
-
 def point_stabilizer(group, alpha):
     """Stabilizer of alpha, via a chain based at alpha."""
     chain = group.chain(base_hint=[alpha])
@@ -587,11 +577,11 @@ def point_stabilizer(group, alpha):
     return SubgroupRef(group, gens, claimed_order=sub_order, verify=False)
 
 
-def induced_action(group, points, claimed_order=None, check=True):
+def induced_action(group, points):
     """Restrict the group to an invariant point set, relabelled 0..m-1.
 
-    Returns (PermGroup on m points, point list).  Raises NotTransitive
-    callers' concerns aside, invariance is checked when ``check``.
+    Returns (PermGroup on m points, point list).  Raises NotInvariant
+    when a generator moves a point off the set.
     """
     points = list(points)
     index = {p: i for i, p in enumerate(points)}
@@ -600,65 +590,38 @@ def induced_action(group, points, claimed_order=None, check=True):
         images = np.empty(len(points), dtype=_DTYPE)
         for i, p in enumerate(points):
             q = int(g.images[p])
-            if check and q not in index:
-                from .errors import NotInvariant
-
+            if q not in index:
                 raise NotInvariant(f"generator moves {p} off the point set")
             images[i] = index[q]
         gens.append(Permutation(images, _checked=True))
-    return PermGroup(gens, degree=len(points), claimed_order=claimed_order), points
+    return PermGroup(gens, degree=len(points)), points
 
 
 def is_k_transitive(group, points, k):
     """Whether the action restricted to ``points`` is k-transitive."""
     if k < 1 or k > 3:
         raise ValueError("k must be between 1 and 3")
-    if len(points) < k:
+    m = len(points)
+    if m < k:
         raise ValueError("k exceeds the point set size")
     sub, _ = induced_action(group, points)
-    return _k_transitive_rec(sub, k)
+    return stabilizer_orbit_sizes(sub, k) == list(range(m, m - k, -1))
 
 
-def _k_transitive_rec(group, k):
-    pts, _ = group.orbit(_first_available(group))
-    if len(pts) != _support_size(group):
-        return False
-    if k == 1:
-        return True
-    stab = point_stabilizer(group, pts[0])
-    return _k_transitive_rec_stab(stab.group, pts[0], k - 1)
+def stabilizer_orbit_sizes(group, k):
+    """Orbit sizes along the first k iterated point stabilizers.
 
-
-def _k_transitive_rec_stab(group, fixed, k):
-    remaining = [p for p in range(group.degree) if p != fixed]
-    # all previously fixed points are genuinely fixed by this group
-    pts, tree = group.orbit(remaining[0])
-    moving = [p for p in remaining if p in tree]
-    if len(pts) != len(remaining):
-        return False
-    if k == 1:
-        return True
-    stab = point_stabilizer(group, remaining[0])
-    return _k_transitive_rec_stab2(stab.group, {fixed, remaining[0]}, k - 1)
-
-
-def _k_transitive_rec_stab2(group, fixed, k):
-    remaining = [p for p in range(group.degree) if p not in fixed]
-    pts, tree = group.orbit(remaining[0])
-    if any(p not in tree for p in remaining):
-        return False
-    if k == 1:
-        return True
-    stab = point_stabilizer(group, remaining[0])
-    return _k_transitive_rec_stab2(stab.group, fixed | {remaining[0]}, k - 1)
-
-
-def _first_available(group):
-    return 0
-
-
-def _support_size(group):
-    return group.degree
+    Level i takes the orbit of the smallest point not yet fixed, which
+    is i, in the stabilizer of 0, ..., i-1.  A group of degree m is
+    k-transitive exactly when the sizes are m, m-1, ..., m-k+1.
+    """
+    sizes = []
+    for i in range(k):
+        pts, _ = group.orbit(i)
+        sizes.append(len(pts))
+        if i + 1 < k:
+            group = point_stabilizer(group, i).group
+    return sizes
 
 
 def minimal_block_systems(group):
@@ -678,10 +641,11 @@ def minimal_block_systems(group):
     alpha = 0
     stab = point_stabilizer(group, alpha)
     _, tree = group.orbit(alpha)
-    reps = _suborbit_reps(stab.group, n, alpha)
+    stab_images = [g.images for g in stab.generators]
+    _, reps = _orbit_labels(stab_images, n, alpha)
+    reps = reps[1:]  # skip the trivial suborbit {alpha}
     candidates = {}
     block_of = {}
-    stab_images = [g.images for g in stab.generators]
     for beta in reps:
         u = group.transporter_from_orbit(alpha, beta, tree=tree)
         block = fast_orbit(stab_images + [u.images], alpha, n).tolist()
@@ -708,17 +672,20 @@ def minimal_block_systems(group):
     return systems
 
 
-def _suborbit_reps(stab_group, degree, alpha):
-    images = [g.images for g in stab_group.generators]
-    seen = np.zeros(degree, dtype=bool)
-    seen[alpha] = True
+def _orbit_labels(gen_images, degree, first=0):
+    """Label every point with the index of its orbit.
+
+    The orbit of ``first`` gets label 0 and the others follow in order
+    of their minimum point.  Returns (label array, representatives),
+    where each representative is the point its orbit was labelled from.
+    """
+    labels = np.full(degree, -1, dtype=_DTYPE)
     reps = []
-    for p in range(degree):
-        if seen[p]:
-            continue
-        seen[fast_orbit(images, p, degree)] = True
-        reps.append(p)
-    return reps
+    for p in [first] + list(range(degree)):
+        if labels[p] == -1:
+            labels[fast_orbit(gen_images, p, degree)] = len(reps)
+            reps.append(p)
+    return labels, reps
 
 
 def _block_system_labels(group, block):
@@ -771,7 +738,7 @@ def derived_subgroup(group):
     return ref
 
 
-def element_of_order(group, m, seed=1, max_iter=512):
+def element_of_order(group, m, seed=1):
     """A group element of exact order m, or None after the search cap.
 
     Seeded-random: draws uniform elements from the chain and scans
@@ -781,7 +748,7 @@ def element_of_order(group, m, seed=1, max_iter=512):
         return group.identity()
     rng = Random(seed)
     chain = group.chain()
-    for _ in range(max_iter):
+    for _ in range(ELEMENT_SEARCH_TRIES):
         g = chain.random_element(rng)
         o = g.order()
         if o % m == 0:
@@ -863,14 +830,14 @@ def reduce_generators(group):
     return PermGroup(kept, degree=group.degree, claimed_order=total)
 
 
-def small_generating_set(group, seed=1, tries=20):
+def small_generating_set(group, seed=1):
     """A 2- or 3-element generating set found by seeded random draws,
     falling back to the greedy reduction."""
     total = group.order()
     rng = Random(seed)
     chain = group.chain()
     for k in (2, 3):
-        for _ in range(tries):
+        for _ in range(GENERATING_SET_TRIES):
             cand = [chain.random_element(rng) for _ in range(k)]
             trial = PermGroup(cand, degree=group.degree, claimed_order=total)
             if trial.order() == total:

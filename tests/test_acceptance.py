@@ -206,3 +206,36 @@ def test_criterion_9_o8plus2_gating():
     report, _ = report_for("o8plus2")
     assert report.status == "SKIP"
     assert report.exit_code() == 2
+
+
+# ---------------------------------------------------------------------------
+# golden certificates: the determinism hash is the behaviour contract
+
+GOLDEN_HASHES = {
+    ("sylvester", 1): "30baffa621cb6295f03d06cc1746319861783b064acaf615991382557e523ea1",
+    ("sylvester", 2): "5e67629612d96fcfc47233e9d55dbee9711c9c80faf02e1e84bba716ca4d30d1",
+    ("sylvester", 3): "8b581de7050cece4c2a5a2a92144f698a18a17d0ca50e1b764798eaa84f1d1ca",
+    ("m12", 1): "8954d9f439a32642ea58800174cdcc28c8608c5c948aecfebaf32eb259aa3064",
+    ("m12", 2): "55048795a6cb7e6b354e78da363a4bda79ea984bb15065e301bfc945d95640c4",
+    ("m12", 3): "a6694d8214cebc6ef402e447eeedfd79df69b504ad68cda217470a9555b393d3",
+    ("factorizations", 1): "c3f23a3e632b7de35c56372cdf2013abf8ead18cc48be83d276c3ff25de118ba",
+    ("factorizations", 2): "5b6a92a7a338a3a15b11fdf8bf010deebbbeb311f94a71b4b268d53c723eabf3",
+    ("factorizations", 3): "9da5cc79b3222d7046bda3322836fbaab4779ce6fe32fda94368aa7405d264f2",
+    ("products", 1): "877796d287ca47b06a8388903adf584fa6a4565c965ca735e2ee352648de8bb7",
+    ("products", 2): "31405a6bf94082fb5c53c9b8441b55e3fd872eb68cf65bc0fff4b2ec0632d1c8",
+    ("products", 3): "8979ac1501f5e5ca469c09e3ee36dc53e8d55083781ed3bec1e24e750620df46",
+    ("classify-a6", 1): "8b0f521fd1a6152b085ba4cd07004d4a496acd0020dc729ad6b40bac73221c11",
+    ("classify-a6", 2): "e849add249a0c341c67e00629d6e196c2575b60495120c2f6408224f20f22a1b",
+    ("classify-a6", 3): "7c75f3a1fc1ece9b7057fa723b5a2332f73dd08b4b6f9e0850ac3e4d0bec2a38",
+    # seed 1 only: these share the cached reports of criteria 2 and 6
+    ("sp44", 1): "f2fb9583402d9ec33bc5c304cc8707d873faf45833cbdcc1c0c26ee207f50dc7",
+    ("classify-sp44", 1): "588fdde92aacf11f5c6f88e4cd24069e969d2885606e45a4e75b6fb052540351",
+}
+
+
+@pytest.mark.parametrize("case,seed", sorted(GOLDEN_HASHES))
+def test_golden_certificate_hash(case, seed):
+    # seed 1 is run_case's default, so it reuses the criteria's reports
+    report, _ = report_for(case) if seed == 1 else report_for(case, seed=seed)
+    assert report.status == "PASS"
+    assert report.determinism_hash() == GOLDEN_HASHES[case, seed]

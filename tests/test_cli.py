@@ -162,6 +162,19 @@ def test_cli_o8plus2_skips_without_data(capsys):
     assert "SKIP" in capsys.readouterr().out
 
 
+def test_cli_o8plus2_foreign_subgroup_generator_fails(tmp_path, capsys):
+    # g2_2.gens holds a generator outside the group: a FAIL report, not a crash
+    (tmp_path / "o8plus2.gens").write_text("degree 4\ngen (1,2,3,4)\n")
+    (tmp_path / "g2_2.gens").write_text("degree 4\ngen (1,2)\n")
+    code = main(["verify", "o8plus2", "--data", str(tmp_path)])
+    assert code == 1
+    assert "status: FAIL" in capsys.readouterr().out
+    report = run_case("o8plus2", {"data": str(tmp_path)})
+    assert report.status == "FAIL"
+    contained = next(c for c in report.checks if c["name"] == "subgroup_contained")
+    assert contained["actual"] is False
+
+
 def test_cli_sylvester_deterministic(tmp_path, capsys):
     p1 = tmp_path / "a.json"
     p2 = tmp_path / "b.json"

@@ -101,6 +101,15 @@ def test_known_orders(group, order):
     assert group.order() == order
 
 
+@pytest.mark.parametrize("claim", [24, 40, 240])
+def test_claimed_order_the_product_overshoots_falls_back(claim):
+    # the orbit-length product passes these wrong claims without hitting
+    # them, so the chain completes and reports the true order
+    S6 = PermGroup.symmetric(6)
+    G = PermGroup(S6.generators, degree=6, claimed_order=claim)
+    assert G.order() == 720
+
+
 def test_mathieu_style_big_group():
     g1 = Permutation.from_cycles(11, [(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10)])
     g2 = Permutation.from_cycles(11, [(2, 6, 10, 7), (3, 9, 4, 5)])
