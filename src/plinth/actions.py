@@ -224,13 +224,9 @@ def cyclic_class_action(G, socle, p, seed=1):
         raise ConstructionFailed(f"no element of order {p} found")
 
     action = SubgroupClassAction(G, p, [], {}, None)
-
-    def key_of(arr):
-        return action.key_of(arr)
-
     base = z.images
     reps = [base]
-    key_index = {key_of(base): 0}
+    key_index = {action.key_of(base): 0}
     conj_pairs = [(g.images, g.inverse().images) for g in socle_group.generators]
     cursor = 0
     while cursor < len(reps):
@@ -238,7 +234,7 @@ def cyclic_class_action(G, socle, p, seed=1):
         cursor += 1
         for gimg, ginv in conj_pairs:
             conj = gimg[w[ginv]]
-            key = key_of(conj)
+            key = action.key_of(conj)
             if key not in key_index:
                 key_index[key] = len(reps)
                 reps.append(conj)

@@ -155,9 +155,6 @@ class Field:
             raise ZeroDivisionError("inverse of zero")
         return int(self._exp[(-self._log[a]) % (self.q - 1)])
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def pow(self, a, e):
         if a == 0:
             return 0 if e else 1
@@ -168,11 +165,6 @@ class Field:
 
     def primitive_element(self):
         return int(self._exp[1]) if self.q > 2 else 1
-
-    def is_square(self, a):
-        if a == 0 or self.p == 2:
-            return True
-        return self._log[a] % 2 == 0
 
     def elements(self):
         return range(self.q)
@@ -238,25 +230,21 @@ def psl2_action(q, flavor="PSL"):
         basis.append(F._undigits([0] * i + [1] + [0] * (F.k - 1 - i)))
     gens = [translation(a) for a in basis] + [inversion()]
     nu = F.primitive_element()
-    psl_order = q * (q * q - 1) // (2 if q % 2 else 1)
 
     if flavor == "PSL":
-        return PermGroup(gens, claimed_order=psl_order)
+        return PermGroup(gens)
     if flavor == "PGL":
-        order = q * (q * q - 1)
-        return PermGroup(gens + [scale(nu)], claimed_order=order)
+        return PermGroup(gens + [scale(nu)])
     if F.k == 1:
         raise UnsupportedFlavor(f"{flavor} needs a proper prime power")
     if flavor == "PSigmaL":
-        order = psl_order * F.k
-        return PermGroup(gens + [frobenius()], claimed_order=order)
+        return PermGroup(gens + [frobenius()])
     if flavor == "PGammaL":
-        order = q * (q * q - 1) * F.k
-        return PermGroup(gens + [scale(nu), frobenius()], claimed_order=order)
+        return PermGroup(gens + [scale(nu), frobenius()])
     if flavor == "M10":
         if q != 9:
             raise UnsupportedFlavor("M10 flavor exists only at q = 9")
-        return PermGroup(gens + [scale_frobenius(nu)], claimed_order=720)
+        return PermGroup(gens + [scale_frobenius(nu)])
     raise UnsupportedFlavor(flavor)
 
 
@@ -298,16 +286,6 @@ def _form(F, x, y):
     total = F.add(total, F.mul(x[2], y[3]))
     total = F.add(total, F.mul(x[3], y[2]))
     return total
-
-
-def _mat_mul(F, a, b):
-    return tuple(
-        tuple(
-            _dot(F, a[i], tuple(b[r][j] for r in range(4)))
-            for j in range(4)
-        )
-        for i in range(4)
-    )
 
 
 def _dot(F, u, v):
@@ -413,7 +391,7 @@ def sp4(q):
                 raise ConstructionFailed("transvection breaks the form")
             gens.append(perm_of(m))
             mats.append(m)
-        group = PermGroup(gens, claimed_order=target)
+        group = PermGroup(gens)
         if group.order() == target:
             return MatrixActionGroup(F, points, group, mats)
     raise ConstructionFailed(

@@ -198,8 +198,8 @@ def graph_automorphism_group(cg):
     """Full automorphism group of a colored graph.
 
     Every generator is verified to preserve colors and adjacency; the
-    recursion's orbit-times-stabilizer order must match the chain order
-    of the generated group.
+    recursion's orbit-times-stabilizer order must match the order of
+    the generated group, which the chain computes without a claim.
     """
     if cg.n > 10**4:
         raise TooLarge("engine is limited to 10^4 vertices")
@@ -210,7 +210,7 @@ def graph_automorphism_group(cg):
             raise GeneratorNotAutomorphism("engine produced a bad generator")
     if not gens:
         return PermGroup.trivial(cg.n)
-    group = PermGroup(gens, degree=cg.n, claimed_order=order)
+    group = PermGroup(gens, degree=cg.n)
     if group.order() != order:
         raise RuntimeError(
             f"orbit-stabilizer order {order} != chain order {group.order()}"

@@ -49,6 +49,7 @@ from .perm import (
     minimal_block_systems,
     point_stabilizer,
     random_subgroup_of_order,
+    reduce_generators,
 )
 
 
@@ -105,11 +106,11 @@ def index2_subgroups(G, derived=None):
 
     Every index-2 subgroup contains the derived subgroup D, so the
     quotient G/D is enumerated explicitly (G acts regularly on the
-    cosets of the normal subgroup D) and its index-2 subgroups are
-    found by exhaustion and lifted back.  ``derived`` may supply a
-    normal subgroup known to lie in every index-2 subgroup (for
-    example a simple normal subgroup), skipping the derived-subgroup
-    computation.
+    cosets of the normal subgroup D), its index-2 subgroups are read
+    off the signs of its generators, and each is lifted back.
+    ``derived`` may supply a normal subgroup known to lie in every
+    index-2 subgroup (for example a simple normal subgroup), skipping
+    the derived-subgroup computation.
     """
     if G.order() % 2:
         return []
@@ -122,16 +123,10 @@ def index2_subgroups(G, derived=None):
         raise TooLarge(f"quotient order {index} exceeds {INDEX2_QUOTIENT_CAP}")
     quotient = coset_action(G, D_group)
     found = []
-    seen = set()
+    # distinct sign vectors on a generating set give distinct kernels
     for qk in _index2_point_sets(quotient.group):
-        key = frozenset(qk)
-        if key in seen:
-            continue
-        seen.add(key)
         gens = list(D_group.generators)
-        gens.extend(
-            Permutation(quotient.reps[i], _checked=True) for i in sorted(qk)
-        )
+        gens.extend(Permutation(quotient.reps[i], _checked=True) for i in qk)
         # the lifted order is exact: the kernel contains D and maps
         # onto an index-2 subgroup of the regular quotient
         K = PermGroup(
@@ -147,73 +142,35 @@ def _index2_point_sets(Q):
     """Index-2 subgroups of a regular group Q, as sets of points.
 
     Q acts regularly, so point p stands for the unique element sending
-    0 to p.  Every index-2 subgroup contains the set N generated by
-    squares and commutators, and Q/N is elementary abelian of order
-    2^r, so the subgroups are exactly the preimages of its 2^r - 1
-    hyperplanes.
+    0 to p, and a homomorphism Q -> C2 is fixed by its signs on a
+    generating set.  Each generator kept by ``reduce_generators`` at
+    least doubles the order, so there are at most log2 |Q| of them.  For
+    each nonzero sign vector the points are labelled from 0 by parity
+    along the generators; a labelling without conflict is a
+    homomorphism, and its kernel is the set of points labelled 0.
     """
     n = Q.degree
-    by_point = {int(g.images[0]): g for g in Q.elements()}
-
-    def mul(a, b):
-        return int(by_point[b].images[a])
-
-    seeds = set()
-    points = list(range(n))
-    for a in points:
-        seeds.add(mul(a, a))
-        a_inv = int(by_point[a].inverse().images[0])
-        for b in points:
-            b_inv = int(by_point[b].inverse().images[0])
-            seeds.add(mul(mul(a, b), mul(a_inv, b_inv)))
-    N = {0}
-    frontier = [0]
-    while frontier:
-        p = frontier.pop()
-        for s in seeds:
-            q = mul(p, s)
-            if q not in N:
-                N.add(q)
-                frontier.append(q)
-    if len(N) == n:
-        return []
-    coset_of = {}
-    cosets = []
-    for p in points:
-        if p in coset_of:
-            continue
-        c = len(cosets)
-        members = sorted(mul(q, p) for q in N)
-        cosets.append(members)
-        for m in members:
-            coset_of[m] = c
-    # greedy basis of the elementary abelian quotient
-    span = {0: ()}
-    basis = []
-    for c in range(len(cosets)):
-        if c in span:
-            continue
-        basis.append(c)
-        rep = cosets[c][0]
-        for known, coords in list(span.items()):
-            new = coset_of[mul(cosets[known][0], rep)]
-            span[new] = coords + (1,)
-        for known in list(span):
-            if len(span[known]) < len(basis):
-                span[known] = span[known] + (0,)
-    r = len(basis)
-    if len(span) != len(cosets) or 2**r != len(cosets):
-        raise RuntimeError("quotient by squares and commutators not 2-elementary")
+    gens = [g.images for g in reduce_generators(Q).generators]
     out = []
-    for mask in range(1, 2**r):
-        kernel = set()
-        for c, coords in span.items():
-            parity = sum(
-                coords[i] for i in range(r) if (mask >> i) & 1
-            )
-            if parity % 2 == 0:
-                kernel.update(cosets[c])
-        out.append(frozenset(kernel))
+    for mask in range(1, 2 ** len(gens)):
+        signs = [(mask >> i) & 1 for i in range(len(gens))]
+        parity = [-1] * n
+        parity[0] = 0
+        frontier = [0]
+        consistent = True
+        while frontier and consistent:
+            p = frontier.pop()
+            for images, sign in zip(gens, signs):
+                q = int(images[p])
+                want = parity[p] ^ sign
+                if parity[q] == -1:
+                    parity[q] = want
+                    frontier.append(q)
+                elif parity[q] != want:
+                    consistent = False
+                    break
+        if consistent:
+            out.append([p for p in range(n) if parity[p] == 0])
     return out
 
 
@@ -396,17 +353,16 @@ def classify_inclusion(G, M, E, omega=0, factors=None):
 # ---------------------------------------------------------------------------
 # blow-up embedding
 
-#: Points checked per embedding certificate, spread over G's generators.
-BLOWUP_SAMPLES = 100
-
-
-def blowup_embedding(G, factors, omega=0, seed=1):
+def blowup_embedding(G, factors, omega=0):
     """Re-embed G into a product action along a direct decomposition of
     its plinth whose point stabilizer splits across the factors.
 
     Returns (EncodedProductAction, certificate dict).  The partitions
     of the induced grid are the orbit partitions of the complements
-    of each factor; the point bijection is the grid code.
+    of each factor; the point bijection is the grid code.  The
+    certificate records ``top_images``, each generator's permutation of
+    the partitions: G permutes them, so its relabelling through the grid
+    code lies in Sym(Xi) wr S_ell.
     """
     factor_groups = [_as_group(f) for f in factors]
     n = G.degree
@@ -453,7 +409,7 @@ def blowup_embedding(G, factors, omega=0, seed=1):
         ]
         partitions.append(_orbit_labels(others, n)[0])
     E = CartesianDecomposition(partitions)
-    _top_images(G, E)  # raises when G fails to permute the partitions
+    tops = _top_images(G, E)  # raises when G fails to permute the partitions
 
     sizes = set(E.block_counts)
     if len(sizes) != 1:
@@ -470,21 +426,12 @@ def blowup_embedding(G, factors, omega=0, seed=1):
     embedded = PermGroup(relabeled, degree=n, claimed_order=G.order())
     action = EncodedProductAction(xi, E.arity, embedded, E)
 
-    # certify the permutational isomorphism on generators and samples
-    rng = Random(seed)
-    checked = 0
-    for g, h in zip(G.generators, relabeled):
-        for _ in range(max(1, BLOWUP_SAMPLES // max(1, len(G.generators)))):
-            p = rng.randrange(n)
-            if int(code[g.images[p]]) != int(h.images[code[p]]):
-                raise RuntimeError("embedding certificate failed")
-            checked += 1
     certificate = {
         "point_bijection": code,
         "xi_size": xi,
         "arity": E.arity,
         "factor_meet_orders": meet_orders,
-        "samples_checked": checked,
+        "top_images": [t.images.tolist() for t in tops],
     }
     return action, certificate
 
@@ -563,7 +510,7 @@ def dihedral_subgroup(T, order, seed=1):
         if a.conjugate(t) == a_inv:
             sub = PermGroup([a, t], degree=T.degree)
             if sub.order() == order:
-                return SubgroupRef(T, [a, t], claimed_order=order, verify=False)
+                return SubgroupRef(T, [a, t], claimed_order=sub.order(), verify=False)
     raise ConstructionFailed(f"no inverting involution found for order {order}")
 
 
@@ -593,7 +540,7 @@ def _build_labeled_subgroup(T, label, order, seed):
         z = element_of_order(T, want, seed=seed)
         if z is None:
             raise ConstructionFailed(f"no element of order {want}")
-        return SubgroupRef(T, [z], claimed_order=want, verify=False)
+        return SubgroupRef(T, [z], claimed_order=z.order(), verify=False)
     if label in _SUBGROUP_PROFILES:
         expect, profile = _SUBGROUP_PROFILES[label]
         if expect != order:

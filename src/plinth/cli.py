@@ -335,24 +335,22 @@ def _sylvester_context(seed):
         "hits": hits,
         "graph": graph,
         "flavor_groups": flavor_groups,
+        "plinth": flavor_groups["PSL"],
     }
     _CONTEXTS[key] = ctx
     return ctx
 
 
-def _a6_grid_context(seed):
-    key = ("a6-grid", seed)
-    if key in _CONTEXTS:
-        return _CONTEXTS[key]
-    base = _sylvester_context(seed)
-    G = base["G"]
-    M = base["flavor_groups"]["PSL"]
-    subs = index2_subgroups(G, derived=M)
-    grids = find_grid_decompositions(G, ell_max=2, extra_groups=subs)
-    verdicts = [classify_inclusion(G, M, E, omega=0) for E in grids]
-    ctx = {"base": base, "M": M, "grids": grids, "verdicts": verdicts}
-    _CONTEXTS[key] = ctx
-    return ctx
+def _grid_context(base):
+    """Grids of the context's group found through its plinth, with
+    their inclusion verdicts; computed once per context."""
+    if "grid" not in base:
+        G, M = base["G"], base["plinth"]
+        subs = index2_subgroups(G, derived=M)
+        grids = find_grid_decompositions(G, ell_max=2, extra_groups=subs)
+        verdicts = [classify_inclusion(G, M, E, omega=0) for E in grids]
+        base["grid"] = {"grids": grids, "verdicts": verdicts}
+    return base["grid"]
 
 
 def _sp44_context(seed):
@@ -386,7 +384,7 @@ def _sp44_context(seed):
     act = cyclic_class_action(aut_small, socle_small, 17, seed=seed)
     G = act.group
     od = suborbits(G)
-    socle_class = PermGroup(
+    plinth = PermGroup(
         [act.action_of(g) for g in socle_small.generators],
         degree=G.degree,
         claimed_order=socle_small.order(),
@@ -400,23 +398,8 @@ def _sp44_context(seed):
         "act": act,
         "G": G,
         "orbital_data": od,
-        "socle_class": socle_class,
+        "plinth": plinth,
     }
-    _CONTEXTS[key] = ctx
-    return ctx
-
-
-def _sp44_grid_context(seed):
-    key = ("sp44-grid", seed)
-    if key in _CONTEXTS:
-        return _CONTEXTS[key]
-    base = _sp44_context(seed)
-    G = base["G"]
-    M = base["socle_class"]
-    subs = index2_subgroups(G, derived=M)
-    grids = find_grid_decompositions(G, ell_max=2, extra_groups=subs)
-    verdicts = [classify_inclusion(G, M, E, omega=0) for E in grids]
-    ctx = {"base": base, "M": M, "grids": grids, "verdicts": verdicts}
     _CONTEXTS[key] = ctx
     return ctx
 
@@ -519,7 +502,7 @@ def _case_sylvester(opts):
                     'Section 1, "a sequence of vertices (v0,...,vs)"',
                 )
     with _Phase(report, "grid"):
-        grid_ctx = _a6_grid_context(opts["seed"])
+        grid_ctx = _grid_context(ctx)
         report.add(
             "grid_count",
             1,
@@ -645,7 +628,7 @@ def _case_sp44(opts):
             'Theorem 4.1 proof, "Z meet Z^x = 1 as claimed"',
         )
     with _Phase(report, "grid"):
-        grid_ctx = _sp44_grid_context(opts["seed"])
+        grid_ctx = _grid_context(ctx)
         report.add(
             "grid_count",
             1,
@@ -692,12 +675,13 @@ def _case_m12(opts):
             G, 660, profile=(11, 2), seed=opts["seed"],
             max_iter=opts.get("max_iter") or 400,
         )
-        report.add(
+        if not report.add(
             "subgroup_order",
             660,
             H.group.order() if H else None,
             'Theorem 4.1 proof, "T = M12 and |Omega| = 144"',
-        )
+        ):
+            return report
         action = coset_action(G, H)
         report.add(
             "coset_degree",
@@ -902,7 +886,8 @@ def _case_products(opts):
 def _case_classify_a6(opts):
     report = VerificationReport("classify-a6", opts["seed"])
     with _Phase(report, "grid"):
-        ctx = _a6_grid_context(opts["seed"])
+        base = _sylvester_context(opts["seed"])
+        ctx = _grid_context(base)
         report.add(
             "grid_count",
             1,
@@ -937,7 +922,7 @@ def _case_classify_a6(opts):
             'Theorem 2.8, "The number s of components"',
         )
     with _Phase(report, "stabilizer"):
-        M = ctx["M"]
+        M = base["plinth"]
         stab = point_stabilizer(M, 0)
         report.add(
             "plinth_stabilizer_order",
@@ -962,22 +947,13 @@ def _case_classify_a6(opts):
         A5 = PermGroup.alternating(5)
         wreath = product_action_wreath(A5, 2, PermGroup.symmetric(2))
         W = wreath.group
-        factor_gens = []
         n = W.degree
-        for j, K_gens in enumerate([A5.generators, A5.generators]):
-            gens = []
-            for g in K_gens:
-                images = np.arange(n, dtype=_DTYPE)
-                for p in range(n):
-                    tup = list(wreath.decode(p))
-                    tup[j] = int(g.images[tup[j]])
-                    images[p] = wreath.encode(tup)
-                gens.append(Permutation(images, _checked=True))
-            factor_gens.append(gens)
-        factors = [PermGroup(gens, degree=n) for gens in factor_gens]
-        M2 = PermGroup(
-            factor_gens[0] + factor_gens[1], degree=n, claimed_order=3600
-        )
+        # the first 2 * k generators are the coordinatewise copies of A5's
+        k = len(A5.generators)
+        factors = [
+            PermGroup(W.generators[j * k:(j + 1) * k], degree=n) for j in range(2)
+        ]
+        M2 = PermGroup(W.generators[:2 * k], degree=n)
         verdict2 = classify_inclusion(
             W, M2, wreath.decomposition, omega=0, factors=factors
         )
@@ -994,13 +970,11 @@ def _case_classify_a6(opts):
             'Proposition 2.5 product formula',
         )
     with _Phase(report, "blowup"):
-        action, cert = blowup_embedding(
-            W, factors, omega=0, seed=opts["seed"]
-        )
+        action, cert = blowup_embedding(W, factors, omega=0)
         report.add(
             "blowup_certificate",
             True,
-            cert["samples_checked"] > 0 and cert["xi_size"] == 5,
+            len(cert["top_images"]) == len(W.generators) and cert["xi_size"] == 5,
             'Theorem 2.6, "Let Xi be the right coset space"',
         )
     return report
@@ -1009,7 +983,8 @@ def _case_classify_a6(opts):
 def _case_classify_sp44(opts):
     report = VerificationReport("classify-sp44", opts["seed"])
     with _Phase(report, "grid"):
-        ctx = _sp44_grid_context(opts["seed"])
+        base = _sp44_context(opts["seed"])
+        ctx = _grid_context(base)
         report.add(
             "grid_count",
             1,
@@ -1045,7 +1020,7 @@ def _case_classify_sp44(opts):
         )
         from .actions import top_projection
 
-        top = top_projection(ctx["base"]["G"], E)
+        top = top_projection(base["G"], E)
         report.add(
             "top_projection_transitive",
             True,
@@ -1053,7 +1028,7 @@ def _case_classify_sp44(opts):
             'Theorem 1.1(2) context (G pi transitive on the two partitions)',
         )
     with _Phase(report, "stabilizer"):
-        M = ctx["M"]
+        M = base["plinth"]
         stab = point_stabilizer(M, 0)
         report.add(
             "plinth_stabilizer_order",

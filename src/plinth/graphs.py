@@ -73,10 +73,6 @@ class Graph:
     def degree(self, v):
         return int(self.indptr[v + 1] - self.indptr[v])
 
-    @property
-    def num_edges(self):
-        return len(self.indices) // 2
-
     def is_regular(self):
         degs = np.diff(self.indptr)
         return bool((degs == degs[0]).all())
@@ -85,11 +81,6 @@ class Graph:
         if not self.is_regular():
             raise ValueError("graph is not regular")
         return self.degree(0)
-
-    def has_edge(self, u, v):
-        row = self.neighbors(u)
-        i = np.searchsorted(row, v)
-        return i < len(row) and row[i] == v
 
 
 def is_connected(graph):

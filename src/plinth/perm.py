@@ -201,12 +201,16 @@ class StabChain:
     ``upper_bound`` enables the known-order early exit: the product of
     fundamental orbit lengths is always a lower bound for the group
     order, so processing stops as soon as the product equals the bound.
-    The bound must be a true upper bound on the order (for example the
-    order of a group this one is a homomorphic image of); it is not
+    The bound must be a true upper bound on the order; it is not
     verified.  A bound the product overshoots is dropped and the chain
     completes, but a bound below the order that the product happens to
     hit is returned as the order: the S6 generators with bound 60, 30 or
     360 report exactly that, while 24, 40 or 240 fall back to 720.
+    Inside the package every bound is the computed order of a group the
+    new one is an image or a subgroup of, never a literal or a formula,
+    so an early exit stops only at the true order and a certificate
+    check of an order against a literal compares it with a computed
+    value.
     """
 
     def __init__(self, degree, generators, base_hint=(), upper_bound=None):
@@ -380,7 +384,13 @@ class PermGroup:
     """A finitely generated permutation group with a lazily built chain.
 
     ``claimed_order`` is passed to the chain as its early-exit bound and
-    must be a true upper bound on the order (see ``StabChain``).
+    must be a true upper bound on the order (see ``StabChain``).  The
+    package claims only orders computed from other chains: the parent's
+    order for an action or relabelling of it and for a generating-set
+    trial inside it, |K|^ell |top| for a wreath product, half the
+    parent's order for a lifted index-2 kernel (``index2_subgroups``
+    gives the proof), and an already computed order for a
+    ``SubgroupRef``.
     """
 
     def __init__(self, generators, degree=None, claimed_order=None):
@@ -408,7 +418,7 @@ class PermGroup:
         gens = [Permutation.from_cycles(n, [tuple(range(n))])]
         if n > 2:
             gens.append(Permutation.from_cycles(n, [(0, 1)]))
-        return cls(gens, claimed_order=math.factorial(n))
+        return cls(gens)
 
     @classmethod
     def alternating(cls, n):
@@ -418,7 +428,7 @@ class PermGroup:
         if n > 3:
             cyc = tuple(range(n)) if n % 2 else tuple(range(1, n))
             gens.append(Permutation.from_cycles(n, [cyc]))
-        return cls(gens, claimed_order=math.factorial(n) // 2)
+        return cls(gens)
 
     @classmethod
     def cyclic(cls, n):
@@ -855,7 +865,7 @@ def random_subgroup_of_order(group, target, profile=None, seed=1, max_iter=400):
     if group.order() % target:
         return None
     if target == 1:
-        return SubgroupRef(group, [], claimed_order=1, verify=False)
+        return SubgroupRef(group, [], verify=False)
     rng = Random(seed)
     chain = group.chain()
 
@@ -880,13 +890,13 @@ def random_subgroup_of_order(group, target, profile=None, seed=1, max_iter=400):
         sub = PermGroup([a, b], degree=group.degree)
         order = sub.order()
         if order == target:
-            return SubgroupRef(group, [a, b], claimed_order=target, verify=False)
+            return SubgroupRef(group, [a, b], claimed_order=order, verify=False)
         if order < target and target % order == 0 and trial % 4 == 3:
             c = draw(None)
             if c is not None:
                 sub3 = PermGroup([a, b, c], degree=group.degree)
                 if sub3.order() == target:
                     return SubgroupRef(
-                        group, [a, b, c], claimed_order=target, verify=False
+                        group, [a, b, c], claimed_order=sub3.order(), verify=False
                     )
     return None

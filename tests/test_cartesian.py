@@ -122,6 +122,47 @@ ORACLE_GROUPS = [
         ),
         id="C4xC2",
     ),
+    pytest.param(
+        PermGroup(
+            [
+                Permutation.from_cycles(4, [(0, 1)]),
+                Permutation.from_cycles(4, [(2, 3)]),
+                Permutation.from_cycles(4, [(0, 1), (2, 3)]),
+            ],
+            degree=4,
+        ),
+        id="V4-a-b-ab",
+    ),
+    pytest.param(
+        PermGroup(
+            [Permutation.from_cycles(6, [(2 * i, 2 * i + 1)]) for i in range(3)],
+            degree=6,
+        ),
+        id="C2^3",
+    ),
+    pytest.param(
+        PermGroup(
+            [
+                Permutation.from_cycles(
+                    6, [(2 * i, 2 * i + 1) for i in range(3) if mask >> i & 1]
+                )
+                for mask in range(1, 8)
+            ],
+            degree=6,
+        ),
+        id="C2^3-all-7",
+    ),
+    pytest.param(
+        # the order-3 generator must take sign 0: two sign vectors conflict
+        PermGroup(
+            [
+                Permutation.from_cycles(5, [(0, 1)]),
+                Permutation.from_cycles(5, [(2, 3, 4)]),
+            ],
+            degree=5,
+        ),
+        id="C2xC3",
+    ),
 ]
 
 
@@ -220,8 +261,9 @@ def test_classify_inclusion_normal_for_a5_wr_2():
 
 def test_blowup_embedding_certificate():
     W, M, factors, E = _a5_wr_2_setup()
-    action, cert = blowup_embedding(W, factors, omega=0, seed=1)
-    assert cert["samples_checked"] > 0
+    action, cert = blowup_embedding(W, factors, omega=0)
+    # the four base generators fix both partitions; the top one swaps them
+    assert cert["top_images"] == [[0, 1]] * 4 + [[1, 0]]
     assert cert["xi_size"] == 5
 
 

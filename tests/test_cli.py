@@ -175,6 +175,17 @@ def test_cli_o8plus2_foreign_subgroup_generator_fails(tmp_path, capsys):
     assert contained["actual"] is False
 
 
+def test_cli_m12_subgroup_search_failure_fails(capsys):
+    # one search iteration finds no subgroup of order 660: a FAIL report
+    code = main(["verify", "m12", "--max-iter", "1"])
+    assert code == 1
+    assert "status: FAIL" in capsys.readouterr().out
+    report = run_case("m12", {"max_iter": 1})
+    assert report.status == "FAIL"
+    assert report.checks[-1]["name"] == "subgroup_order"
+    assert report.checks[-1]["actual"] is None
+
+
 def test_cli_sylvester_deterministic(tmp_path, capsys):
     p1 = tmp_path / "a.json"
     p2 = tmp_path / "b.json"
