@@ -4,7 +4,6 @@ graphs on cartesian decompositions."""
 from .perm import (
     PermGroup,
     Permutation,
-    SubgroupRef,
     derived_subgroup,
     element_of_order,
     intersection_small,

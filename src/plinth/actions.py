@@ -15,7 +15,7 @@ from .errors import (
     IndexTooLarge,
     NotDecompositionPreserving,
 )
-from .perm import _DTYPE, Permutation, PermGroup, _as_group, element_of_order
+from .perm import _DTYPE, Permutation, PermGroup, element_of_order
 
 COSET_INDEX_CAP = 10**5
 PRODUCT_DEGREE_CAP = 10**6
@@ -101,9 +101,7 @@ class CosetAction:
     of coset i (minimal base images through H's stabilizer chain).
     """
 
-    def __init__(self, parent, subgroup, group, reps):
-        self.parent = parent
-        self.subgroup = subgroup
+    def __init__(self, group, reps):
         self.group = group
         self.reps = reps
 
@@ -128,14 +126,12 @@ def _canonical_coset_images(chain, arr):
 
 
 def coset_action(G, H):
-    """Action of G on the right cosets of H by right multiplication.
-
-    ``H`` is a SubgroupRef or a PermGroup on G's points.
-    """
+    """Action of G on the right cosets of its subgroup H by right
+    multiplication."""
     index = G.order() // H.order()
     if index > COSET_INDEX_CAP:
         raise IndexTooLarge(f"index {index} exceeds cap {COSET_INDEX_CAP}")
-    chain = _as_group(H).chain()
+    chain = H.chain()
     identity = np.arange(G.degree, dtype=_DTYPE)
     start = _canonical_coset_images(chain, identity)
     reps = [start]
@@ -163,7 +159,7 @@ def coset_action(G, H):
         for imgs in gen_images
     ]
     group = PermGroup(gens, degree=index, claimed_order=G.order())
-    return CosetAction(G, H, group, reps)
+    return CosetAction(group, reps)
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +175,7 @@ class SubgroupClassAction:
     depend on which generator the expansion happened to find.
     """
 
-    def __init__(self, parent, prime, reps, key_index, group):
-        self.parent = parent
+    def __init__(self, prime, reps, key_index, group):
         self.prime = prime
         self.reps = reps
         self.key_index = key_index
@@ -213,21 +208,20 @@ def cyclic_class_action(G, socle, p, seed=1):
     expanded under socle generators, giving a point labeling that any
     overgroup of the socle shares.
     """
-    socle_group = _as_group(socle)
-    order = socle_group.order()
+    order = socle.order()
     if order % p or (order // p) % p == 0:
         raise ValueError(f"{p} must divide the socle order exactly once")
-    z = element_of_order(socle_group, p, seed=seed)
+    z = element_of_order(socle, p, seed=seed)
     if z is None:
         from .errors import ConstructionFailed
 
         raise ConstructionFailed(f"no element of order {p} found")
 
-    action = SubgroupClassAction(G, p, [], {}, None)
+    action = SubgroupClassAction(p, [], {}, None)
     base = z.images
     reps = [base]
     key_index = {action.key_of(base): 0}
-    conj_pairs = [(g.images, g.inverse().images) for g in socle_group.generators]
+    conj_pairs = [(g.images, g.inverse().images) for g in socle.generators]
     cursor = 0
     while cursor < len(reps):
         w = reps[cursor]

@@ -352,10 +352,8 @@ def _transvection(F, v, lam):
 class MatrixActionGroup:
     """A permutation group together with the matrices behind its generators."""
 
-    def __init__(self, field, points, group, matrices):
+    def __init__(self, field, group, matrices):
         self.field = field
-        self.points = points
-        self.point_index = {p: i for i, p in enumerate(points)}
         self.group = group
         self.matrices = matrices
 
@@ -393,7 +391,7 @@ def sp4(q):
             mats.append(m)
         group = PermGroup(gens)
         if group.order() == target:
-            return MatrixActionGroup(F, points, group, mats)
+            return MatrixActionGroup(F, group, mats)
     raise ConstructionFailed(
         f"transvections reached order {group.order()}, wanted {target}"
     )

@@ -40,8 +40,6 @@ from .perm import (
     _DTYPE,
     PermGroup,
     Permutation,
-    SubgroupRef,
-    _as_group,
     _orbit_labels,
     derived_subgroup,
     element_of_order,
@@ -115,17 +113,16 @@ def index2_subgroups(G, derived=None):
     if G.order() % 2:
         return []
     D = derived if derived is not None else derived_subgroup(G)
-    D_group = _as_group(D)
-    index = G.order() // D_group.order()
+    index = G.order() // D.order()
     if index % 2:
         return []
     if index > INDEX2_QUOTIENT_CAP:
         raise TooLarge(f"quotient order {index} exceeds {INDEX2_QUOTIENT_CAP}")
-    quotient = coset_action(G, D_group)
+    quotient = coset_action(G, D)
     found = []
     # distinct sign vectors on a generating set give distinct kernels
     for qk in _index2_point_sets(quotient.group):
-        gens = list(D_group.generators)
+        gens = list(D.generators)
         gens.extend(Permutation(quotient.reps[i], _checked=True) for i in qk)
         # the lifted order is exact: the kernel contains D and maps
         # onto an index-2 subgroup of the regular quotient
@@ -266,15 +263,11 @@ def classify_inclusion(G, M, E, omega=0, factors=None):
     per simple factor, the number s of partitions the factor moves;
     s must be the same for every factor and at most 3.
     """
-    M_group = _as_group(M)
-    if factors is None:
-        factor_groups = [M_group]
-    else:
-        factor_groups = [_as_group(f) for f in factors]
+    factor_groups = [M] if factors is None else list(factors)
     # normality of M in G, spot-checked on generators
     for g in G.generators:
-        for m in M_group.generators:
-            if not M_group.contains(m.conjugate(g)):
+        for m in M.generators:
+            if not M.contains(m.conjugate(g)):
                 raise ValueError("plinth is not normal in the group")
     top = top_projection(G, E)
     if not top.is_transitive():
@@ -298,9 +291,9 @@ def classify_inclusion(G, M, E, omega=0, factors=None):
     if s == 1:
         # every simple factor lives in one component: normal inclusion
         comp_stab_orders = []
-        M_omega = point_stabilizer(M_group, omega)
+        M_omega = point_stabilizer(M, omega)
         for j in range(ell):
-            comp = component(M_group, E, j)
+            comp = component(M, E, j)
             delta = E.block_of(j, omega)
             comp_stab_orders.append(point_stabilizer(comp, delta).order())
         prod = 1
@@ -330,14 +323,14 @@ def classify_inclusion(G, M, E, omega=0, factors=None):
     j1, j2 = moved[0][:2]
     projections = []
     for j in (j1, j2):
-        comp = component(M_group, E, j)
+        comp = component(M, E, j)
         delta = E.block_of(j, omega)
         projections.append((comp, point_stabilizer(comp, delta)))
     orders = tuple(p.order() for _, p in projections)
     full = any(p.order() == comp.order() for comp, p in projections)
     if full:
         return InclusionType("CD1S", 2, orders, "", details)
-    a, b = (p.group for _, p in projections)
+    a, b = (p for _, p in projections)
     same = (
         a.order() == b.order()
         and a.element_order_spectrum() == b.element_order_spectrum()
@@ -364,7 +357,7 @@ def blowup_embedding(G, factors, omega=0):
     the partitions: G permutes them, so its relabelling through the grid
     code lies in Sym(Xi) wr S_ell.
     """
-    factor_groups = [_as_group(f) for f in factors]
+    factor_groups = list(factors)
     n = G.degree
     # the decomposition must be G-invariant: conjugation permutes factors
     for g in G.generators:
@@ -388,7 +381,7 @@ def blowup_embedding(G, factors, omega=0):
     M_omega = point_stabilizer(M_group, omega)
     meet_orders = []
     for f in factor_groups:
-        meet = intersection_small(M_omega.group, f)
+        meet = intersection_small(M_omega, f)
         meet_orders.append(meet.order())
     prod = 1
     for o in meet_orders:
@@ -451,13 +444,13 @@ def strong_factorization_check(T, subgroups):
     t_order = T.order()
     detail = {"T_order": t_order, "conditions": []}
     ok = True
-    groups = [_as_group(a) for a in subgroups]
+    groups = list(subgroups)
     for r in range(len(groups)):
         rest = [g for i, g in enumerate(groups) if i != r]
         meet = rest[0]
         for other in rest[1:]:
-            meet = _as_group(intersection_small(meet, other))
-        inner = _as_group(intersection_small(groups[r], meet))
+            meet = intersection_small(meet, other)
+        inner = intersection_small(groups[r], meet)
         holds = groups[r].order() * meet.order() == t_order * inner.order()
         detail["conditions"].append(
             {
@@ -510,7 +503,7 @@ def dihedral_subgroup(T, order, seed=1):
         if a.conjugate(t) == a_inv:
             sub = PermGroup([a, t], degree=T.degree)
             if sub.order() == order:
-                return SubgroupRef(T, [a, t], claimed_order=sub.order(), verify=False)
+                return sub
     raise ConstructionFailed(f"no inverting involution found for order {order}")
 
 
@@ -540,7 +533,7 @@ def _build_labeled_subgroup(T, label, order, seed):
         z = element_of_order(T, want, seed=seed)
         if z is None:
             raise ConstructionFailed(f"no element of order {want}")
-        return SubgroupRef(T, [z], claimed_order=z.order(), verify=False)
+        return PermGroup([z], degree=T.degree, claimed_order=z.order())
     if label in _SUBGROUP_PROFILES:
         expect, profile = _SUBGROUP_PROFILES[label]
         if expect != order:
@@ -578,7 +571,7 @@ def verify_psl2_factorization_row(q, row, seed=1, max_attempts=40):
     for attempt in range(max_attempts):
         A = _build_labeled_subgroup(T, a_label, a_order, seed + attempt)
         B = _build_labeled_subgroup(T, b_label, b_order, seed + 10007 * (attempt + 1))
-        meet = intersection_small(A.group, B.group)
+        meet = intersection_small(A, B)
         last = meet.order()
         if last == meet_order:
             return FactorizationRecord(

@@ -243,7 +243,7 @@ def two_arc_transitive(G, graph, alpha=0):
     if len(nbrs) < 2:
         raise ValueError("valency must be at least 2")
     stab = point_stabilizer(G, alpha)
-    return is_k_transitive(stab.group, nbrs, 2)
+    return is_k_transitive(stab, nbrs, 2)
 
 
 def count_s_arcs(graph, s):
@@ -318,7 +318,7 @@ def s_arc_transitivity_max(G, graph, s_cap=3):
             if s == 1:
                 stab = point_stabilizer(G, 0)
                 nbrs = [int(v) for v in graph.neighbors(0)]
-                if not is_k_transitive(stab.group, nbrs, 1):
+                if not is_k_transitive(stab, nbrs, 1):
                     break
             elif s == 2:
                 if not two_arc_transitive(G, graph):

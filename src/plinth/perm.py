@@ -32,6 +32,9 @@ ELEMENT_SEARCH_TRIES = 512
 #: Random draws per size (2 and 3) made by ``small_generating_set``.
 GENERATING_SET_TRIES = 20
 
+#: Generator pairs tried by ``random_subgroup_of_order`` before it gives up.
+SUBGROUP_SEARCH_TRIES = 400
+
 
 class Permutation:
     """A permutation of {0, ..., n-1} stored as an image array.
@@ -389,8 +392,8 @@ class PermGroup:
     order for an action or relabelling of it and for a generating-set
     trial inside it, |K|^ell |top| for a wreath product, half the
     parent's order for a lifted index-2 kernel (``index2_subgroups``
-    gives the proof), and an already computed order for a
-    ``SubgroupRef``.
+    gives the proof), the order read off the parent's chain for a point
+    stabilizer, and an element's order for the cyclic group it generates.
     """
 
     def __init__(self, generators, degree=None, claimed_order=None):
@@ -530,42 +533,13 @@ class PermGroup:
         )
 
 
-class SubgroupRef:
-    """A subgroup given by generators, tied to a parent group.
-
-    Membership of every generator in the parent is verified by sifting.
-    """
-
-    def __init__(self, parent, generators, claimed_order=None, verify=True):
-        self.parent = parent
-        self.generators = list(generators)
-        if verify:
-            for g in self.generators:
-                if not parent.contains(g):
-                    raise ValueError("subgroup generator not in parent")
-        self.group = PermGroup(
-            self.generators, degree=parent.degree, claimed_order=claimed_order
-        )
-
-    def order(self):
-        return self.group.order()
-
-    def __repr__(self):
-        return f"SubgroupRef(degree={self.parent.degree}, ngens={len(self.generators)})"
-
-
 def same_subgroup(a, b):
     """Subgroup equality: equal orders plus mutual generator membership."""
-    ga, gb = _as_group(a), _as_group(b)
-    if ga.order() != gb.order():
+    if a.order() != b.order():
         return False
-    return all(gb.contains(g) for g in ga.generators) and all(
-        ga.contains(g) for g in gb.generators
+    return all(b.contains(g) for g in a.generators) and all(
+        a.contains(g) for g in b.generators
     )
-
-
-def _as_group(g):
-    return g.group if isinstance(g, SubgroupRef) else g
 
 
 # ---------------------------------------------------------------------------
@@ -577,14 +551,12 @@ def point_stabilizer(group, alpha):
     chain = group.chain(base_hint=[alpha])
     if not chain.levels or chain.base[0] != alpha:
         # alpha lies in no generator's support or the group is trivial
-        return SubgroupRef(
-            group, group.generators, claimed_order=chain.order(), verify=False
-        )
+        return group
     gens = [chain.gens[gid] for lev in chain.levels[1:] for gid in lev.gen_ids]
     sub_order = 1
     for lev in chain.levels[1:]:
         sub_order *= len(lev.orbit_list)
-    return SubgroupRef(group, gens, claimed_order=sub_order, verify=False)
+    return PermGroup(gens, degree=group.degree, claimed_order=sub_order)
 
 
 def induced_action(group, points):
@@ -630,7 +602,7 @@ def stabilizer_orbit_sizes(group, k):
         pts, _ = group.orbit(i)
         sizes.append(len(pts))
         if i + 1 < k:
-            group = point_stabilizer(group, i).group
+            group = point_stabilizer(group, i)
     return sizes
 
 
@@ -744,8 +716,7 @@ def derived_subgroup(group):
         dgroup = PermGroup(dgens, degree=group.degree)
         for g in gens:
             queue.append(x.conjugate(g))
-    ref = SubgroupRef(group, dgens, claimed_order=dgroup.order(), verify=False)
-    return ref
+    return dgroup
 
 
 def element_of_order(group, m, seed=1):
@@ -768,14 +739,13 @@ def element_of_order(group, m, seed=1):
 
 def intersection_small(a, b, bound=ENUMERATION_BOUND):
     """Intersection by enumerating the smaller group and sifting in the larger."""
-    ga, gb = _as_group(a), _as_group(b)
-    if ga.degree != gb.degree:
+    if a.degree != b.degree:
         raise DegreeMismatch("intersection of groups of different degree")
-    if min(ga.order(), gb.order()) > bound:
+    if min(a.order(), b.order()) > bound:
         raise TooLarge("both groups exceed the enumeration bound")
-    small, large = (ga, gb) if ga.order() <= gb.order() else (gb, ga)
+    small, large = (a, b) if a.order() <= b.order() else (b, a)
     members = []
-    mem_group = PermGroup.trivial(ga.degree)
+    mem_group = PermGroup.trivial(a.degree)
     for g in small.elements(limit=bound):
         if g.is_identity():
             continue
@@ -783,11 +753,8 @@ def intersection_small(a, b, bound=ENUMERATION_BOUND):
             continue
         if large.contains(g):
             members.append(g)
-            mem_group = PermGroup(members, degree=ga.degree)
-    parent = a.parent if isinstance(a, SubgroupRef) else ga
-    return SubgroupRef(
-        parent, members, claimed_order=mem_group.order(), verify=False
-    )
+            mem_group = PermGroup(members, degree=a.degree)
+    return mem_group
 
 
 def fast_orbit(gen_images, alpha, degree):
@@ -855,17 +822,17 @@ def small_generating_set(group, seed=1):
     return reduce_generators(group)
 
 
-def random_subgroup_of_order(group, target, profile=None, seed=1, max_iter=400):
+def random_subgroup_of_order(group, target, profile=None, seed=1):
     """Seeded search for a subgroup of exactly the target order.
 
     ``profile`` optionally lists element orders to steer the generator
     draw (e.g. (5, 2) to look for A5-style pairs).  Returns None after
-    the iteration cap.
+    ``SUBGROUP_SEARCH_TRIES`` pairs.
     """
     if group.order() % target:
         return None
     if target == 1:
-        return SubgroupRef(group, [], verify=False)
+        return PermGroup.trivial(group.degree)
     rng = Random(seed)
     chain = group.chain()
 
@@ -882,7 +849,7 @@ def random_subgroup_of_order(group, target, profile=None, seed=1, max_iter=400):
 
     want_a = profile[0] if profile else None
     want_b = profile[1] if profile and len(profile) > 1 else None
-    for trial in range(max_iter):
+    for trial in range(SUBGROUP_SEARCH_TRIES):
         a = draw(want_a)
         b = draw(want_b)
         if a is None or b is None:
@@ -890,13 +857,11 @@ def random_subgroup_of_order(group, target, profile=None, seed=1, max_iter=400):
         sub = PermGroup([a, b], degree=group.degree)
         order = sub.order()
         if order == target:
-            return SubgroupRef(group, [a, b], claimed_order=order, verify=False)
+            return sub
         if order < target and target % order == 0 and trial % 4 == 3:
             c = draw(None)
             if c is not None:
                 sub3 = PermGroup([a, b, c], degree=group.degree)
                 if sub3.order() == target:
-                    return SubgroupRef(
-                        group, [a, b, c], claimed_order=sub3.order(), verify=False
-                    )
+                    return sub3
     return None

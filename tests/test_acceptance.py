@@ -54,6 +54,21 @@ def test_criterion_1_sylvester_runtime():
     assert elapsed < 5.0
 
 
+def test_criterion_1_sylvester_s_arc_transitivity_max():
+    # the largest s for which each flavor is s-arc-transitive on the
+    # graph, by brute-force arc-orbit counting: 2 exactly for the
+    # 2-arc-transitive flavors
+    from plinth.cli import _sylvester_context
+    from plinth.graphs import s_arc_transitivity_max
+
+    ctx = _sylvester_context(1)
+    got = {
+        f: s_arc_transitivity_max(group, ctx["graph"])
+        for f, group in ctx["flavor_groups"].items()
+    }
+    assert got == {"PSL": 1, "PGL": 1, "PSigmaL": 2, "M10": 2, "PGammaL": 2}
+
+
 # ---------------------------------------------------------------------------
 # criterion 2: Sp(4,4) case
 

@@ -16,7 +16,6 @@ from plinth.cartesian import CartesianDecomposition
 from plinth.perm import (
     PermGroup,
     Permutation,
-    SubgroupRef,
     point_stabilizer,
     random_subgroup_of_order,
 )
@@ -24,8 +23,7 @@ from plinth.perm import (
 
 def test_coset_action_regular():
     G = PermGroup.symmetric(4)
-    triv = SubgroupRef(G, [], claimed_order=1, verify=False)
-    act = coset_action(G, triv)
+    act = coset_action(G, PermGroup.trivial(4))
     assert act.group.degree == 24
     assert act.group.order() == 24
 
@@ -46,7 +44,7 @@ def test_coset_action_is_homomorphism():
     H = random_subgroup_of_order(G, 12, seed=1)
     act = coset_action(G, H)
     assert act.group.degree == 5
-    chain_H = H.group.chain()
+    chain_H = H.chain()
     key_index = {arr.tobytes(): i for i, arr in enumerate(act.reps)}
 
     def image_of(g):

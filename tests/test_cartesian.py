@@ -271,7 +271,7 @@ def test_a6_stabilizer_dihedral_order_10():
     _, M = a6_setup()
     stab = point_stabilizer(M, 0)
     assert stab.order() == 10
-    dih = dihedral_subgroup(stab.group, 10, seed=1)
+    dih = dihedral_subgroup(stab, 10, seed=1)
     assert dih is not None and dih.order() == 10
 
 
@@ -336,4 +336,9 @@ def test_strong_factorization_check_positive():
 
     A = _build_labeled_subgroup(T, "P1", 12, seed=1)
     B = _build_labeled_subgroup(T, "D10", 10, seed=1)
-    assert strong_factorization_check(T, [A, B])
+    ok, detail = strong_factorization_check(T, [A, B])
+    assert ok, detail
+    # |A|^2 = 144 < 60 |A|: a subgroup does not factorize T with itself
+    ok, detail = strong_factorization_check(T, [A, A])
+    assert not ok
+    assert not any(c["holds"] for c in detail["conditions"])

@@ -175,12 +175,15 @@ def test_cli_o8plus2_foreign_subgroup_generator_fails(tmp_path, capsys):
     assert contained["actual"] is False
 
 
-def test_cli_m12_subgroup_search_failure_fails(capsys):
-    # one search iteration finds no subgroup of order 660: a FAIL report
-    code = main(["verify", "m12", "--max-iter", "1"])
+def test_cli_m12_subgroup_search_failure_fails(monkeypatch, capsys):
+    # a subgroup search that finds nothing gives a FAIL report, not a crash
+    monkeypatch.setattr(
+        "plinth.cli.random_subgroup_of_order", lambda *args, **kwargs: None
+    )
+    code = main(["verify", "m12"])
     assert code == 1
     assert "status: FAIL" in capsys.readouterr().out
-    report = run_case("m12", {"max_iter": 1})
+    report = run_case("m12")
     assert report.status == "FAIL"
     assert report.checks[-1]["name"] == "subgroup_order"
     assert report.checks[-1]["actual"] is None
