@@ -17,7 +17,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .actions import coset_action, cyclic_class_action, product_action_wreath
+from .actions import (
+    PRODUCT_DEGREE_CAP,
+    coset_action,
+    cyclic_class_action,
+    product_action_wreath,
+)
 from .algebra import identify_extension_flavor, psl2_action, sp4, symplectic_gq
 from .autgq import graph_automorphism_group, incidence_graph
 from .cartesian import (
@@ -42,7 +47,6 @@ from .graphs import (
     Graph,
     direct_power,
     edge_orbit_graph,
-    is_connected,
     orbital_graph,
     s_arc_transitivity_max,
     suborbits,
@@ -53,7 +57,9 @@ from .perm import (
     PermGroup,
     Permutation,
     derived_subgroup,
+    fast_orbit,
     intersection_small,
+    is_k_transitive,
     point_stabilizer,
     random_subgroup_of_order,
     small_generating_set,
@@ -153,12 +159,18 @@ def parse_generators(path):
         if not line or line.startswith("#"):
             continue
         if line.startswith("degree "):
+            if degree is not None:
+                raise ParseError("repeated degree line", line=lineno)
             try:
                 degree = int(line.split()[1])
             except (IndexError, ValueError):
                 raise ParseError("bad degree line", line=lineno)
             if degree < 1:
                 raise ParseError("degree must be positive", line=lineno)
+            if degree > PRODUCT_DEGREE_CAP:
+                raise ParseError(
+                    f"degree exceeds cap {PRODUCT_DEGREE_CAP}", line=lineno
+                )
         elif line.startswith("gen "):
             if degree is None:
                 raise ParseError("gen before degree", line=lineno)
@@ -302,14 +314,10 @@ def _sylvester_context(seed):
     act = cyclic_class_action(groups["PGammaL"], groups["PSL"], 5, seed=seed)
     G = act.group
     od = suborbits(G)
-    hits = [
-        s
-        for s in od.suborbits
-        if s.length == 5 and s.self_paired and s.representative != 0
-    ]
+    hits = [r for r in _scan_suborbits(od) if r["length"] == 5]
     graph = None
     if hits:
-        graph = orbital_graph(G, 0, hits[0].representative, orbital_data=od)
+        graph = orbital_graph(G, 0, hits[0]["representative"], od)
     flavor_groups = {}
     for f in FLAVORS:
         gens = [act.action_of(g) for g in groups[f].generators]
@@ -392,26 +400,27 @@ def _sp44_context(seed):
     return ctx
 
 
-def _scan_suborbits(G, od):
-    """Per nontrivial self-paired suborbit, in deterministic order: its
+def _scan_suborbits(od):
+    """Per nontrivial self-paired suborbit of ``od = suborbits(G)``: its
     representative, length, and whether its orbital graph is connected
-    and (G, 2)-arc-transitive."""
+    (the block <G_0, u> generates, u the transporter 0 -> representative,
+    holds every point) and (G, 2)-arc-transitive (G_0 is 2-transitive
+    on the suborbit, which is N(0))."""
+    n = len(od.labels)
+    stab = od.stabilizer
+    gens = [g.images for g in stab.generators]
     results = []
-    for s in od.suborbits:
-        if s.representative == 0 or not s.self_paired:
+    for idx, s in enumerate(od.suborbits[1:], start=1):
+        if not s.self_paired:
             continue
-        graph = orbital_graph(G, 0, s.representative, orbital_data=od)
-        connected, _ = is_connected(graph)
-        if graph.valency() >= 2:
-            two_at = two_arc_transitive(G, graph)
-        else:
-            two_at = False
+        block = fast_orbit(gens + [od.transporters[idx].images], 0, n)
         results.append(
             {
                 "representative": s.representative,
                 "length": s.length,
-                "connected": connected,
-                "two_at": two_at,
+                "connected": len(block) == n,
+                "two_at": s.length >= 2
+                and is_k_transitive(stab, od.points_of(idx).tolist(), 2),
             }
         )
     return results
@@ -470,7 +479,9 @@ def _case_sylvester(opts):
         graph = ctx["graph"]
         report.add("vertices", 36, graph.n, ANCHOR_SYLVESTER)
         report.add("valency", 5, graph.valency(), ANCHOR_SYLVESTER)
-        report.add("connected", True, is_connected(graph)[0], ANCHOR_CONNECTED)
+        report.add(
+            "connected", True, ctx["hits"][0]["connected"], ANCHOR_CONNECTED
+        )
         expected_two_at = {
             "PSL": False,
             "PGL": False,
@@ -558,7 +569,7 @@ def _case_sp44(opts):
             'Theorem 4.1(2), "|ver Gamma| = 14,400 = 120^2"',
         )
     with _Phase(report, "suborbit_scan"):
-        scan = _scan_suborbits(G, ctx["orbital_data"])
+        scan = _scan_suborbits(ctx["orbital_data"])
         winners = [r for r in scan if r["connected"] and r["two_at"]]
         report.add(
             "graph_yielding_suborbits",
@@ -683,7 +694,7 @@ def _case_m12(opts):
             sum(lengths),
             'Theorem 4.1 proof, "no graph arises in this case"',
         )
-        scan = _scan_suborbits(action.group, od)
+        scan = _scan_suborbits(od)
         winners = [r for r in scan if r["connected"] and r["two_at"]]
         report.add(
             "graph_yielding_suborbits",
@@ -1071,12 +1082,12 @@ def main(argv=None):
     options = {"seed": args.seed, "data": args.data}
     try:
         report = run_case(args.case, options)
+        emit_report(report, fmt="text")
+        if args.json_path:
+            emit_report(report, fmt="json", path=args.json_path)
     except PlinthError as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return 1
-    emit_report(report, fmt="text")
-    if args.json_path:
-        emit_report(report, fmt="json", path=args.json_path)
+        return 3
     return report.exit_code()
 
 

@@ -16,10 +16,9 @@ from .errors import (
     DegreeOverflow,
     GeneratorNotAutomorphism,
     NonSelfPaired,
-    NotTransitive,
     NotVertexTransitive,
 )
-from .perm import _DTYPE, _orbit_labels, is_k_transitive, point_stabilizer
+from .perm import _DTYPE, is_k_transitive, point_stabilizer, suborbit_frame
 
 ARC_ENUMERATION_CAP = 10**6
 
@@ -118,10 +117,10 @@ class Suborbit:
 
 @dataclass
 class OrbitalData:
-    group: object
-    alpha: int
     labels: np.ndarray          # point -> suborbit index
     suborbits: list
+    stabilizer: object          # the point stabilizer G_alpha
+    transporters: list          # index -> an element alpha -> representative
 
     def points_of(self, index):
         return np.nonzero(self.labels == index)[0]
@@ -137,23 +136,13 @@ def suborbits(G, alpha=0):
     index 0.  The paired suborbit of beta's suborbit is the one holding
     the preimage of alpha under a transporter to beta.
     """
-    if not G.is_transitive():
-        raise NotTransitive("suborbits need a transitive group")
-    n = G.degree
-    stab = point_stabilizer(G, alpha)
-    labels, reps = _orbit_labels([g.images for g in stab.generators], n, alpha)
-    _, tree = G.orbit(alpha)
+    stab, labels, reps, transporters = suborbit_frame(G, alpha)
     subs = []
-    for idx, rep in enumerate(reps):
+    for idx, (rep, u) in enumerate(zip(reps, transporters)):
         length = int((labels == idx).sum())
-        if rep == alpha:
-            subs.append(Suborbit(rep, length, True, idx))
-            continue
-        u = G.transporter_from_orbit(alpha, rep, tree=tree)
-        back = int(u.inverse().images[alpha])
-        partner = int(labels[back])
+        partner = int(labels[u.inverse().images[alpha]])
         subs.append(Suborbit(rep, length, partner == idx, partner))
-    return OrbitalData(G, alpha, labels, subs)
+    return OrbitalData(labels, subs, stab, transporters)
 
 
 def is_self_paired(G, alpha, beta):
@@ -184,20 +173,20 @@ def is_self_paired(G, alpha, beta):
 # orbital graphs
 
 
-def orbital_graph(G, alpha, beta, orbital_data=None):
+def orbital_graph(G, alpha, beta, orbital_data):
     """Graph whose edges are the G-orbit of {alpha, beta}.
 
-    The base neighborhood (the suborbit of beta) is pushed along the
-    Schreier tree of G's point orbit: N(v.g) = g[N(v)].
+    ``orbital_data`` is ``suborbits(G, alpha)``.  The base neighborhood
+    (the suborbit of beta) is pushed along the Schreier tree of G's
+    point orbit: N(v.g) = g[N(v)].
     """
-    data = orbital_data if orbital_data is not None else suborbits(G, alpha)
-    idx = int(data.labels[beta])
-    sub = data.suborbits[idx]
+    idx = int(orbital_data.labels[beta])
+    sub = orbital_data.suborbits[idx]
     if not sub.self_paired:
         raise NonSelfPaired(
             f"suborbit of {beta} pairs with suborbit {sub.partner}"
         )
-    base = data.points_of(idx)
+    base = orbital_data.points_of(idx)
     n = G.degree
     d = len(base)
     nbrs = np.empty((n, d), dtype=_DTYPE)
@@ -227,7 +216,7 @@ def is_automorphism(graph, g):
     return True
 
 
-def two_arc_transitive(G, graph, alpha=0):
+def two_arc_transitive(G, graph):
     """Whether G acts transitively on the 2-arcs of the graph.
 
     By vertex-transitivity this reduces to 2-transitivity of the point
@@ -236,13 +225,13 @@ def two_arc_transitive(G, graph, alpha=0):
     for g in G.generators:
         if not is_automorphism(graph, g):
             raise GeneratorNotAutomorphism("a generator breaks adjacency")
-    pts, _ = G.orbit(alpha)
+    pts, _ = G.orbit(0)
     if len(pts) != graph.n:
         raise NotVertexTransitive("group is not vertex-transitive")
-    nbrs = [int(v) for v in graph.neighbors(alpha)]
+    nbrs = [int(v) for v in graph.neighbors(0)]
     if len(nbrs) < 2:
         raise ValueError("valency must be at least 2")
-    stab = point_stabilizer(G, alpha)
+    stab = point_stabilizer(G, 0)
     return is_k_transitive(stab, nbrs, 2)
 
 

@@ -615,21 +615,14 @@ def minimal_block_systems(group):
     representatives, which gives exactly the minimal blocks through the
     base point.
     """
-    if not group.is_transitive():
-        raise NotTransitive("block systems require a transitive group")
     n = group.degree
-    if n <= 2:
-        return []
     alpha = 0
-    stab = point_stabilizer(group, alpha)
-    _, tree = group.orbit(alpha)
+    stab, _, reps, transporters = suborbit_frame(group, alpha)
     stab_images = [g.images for g in stab.generators]
-    _, reps = _orbit_labels(stab_images, n, alpha)
     reps = reps[1:]  # skip the trivial suborbit {alpha}
     candidates = {}
     block_of = {}
-    for beta in reps:
-        u = group.transporter_from_orbit(alpha, beta, tree=tree)
+    for beta, u in zip(reps, transporters[1:]):
         block = fast_orbit(stab_images + [u.images], alpha, n).tolist()
         if len(block) == n or len(block) == 1:
             block_of[beta] = frozenset(block) if len(block) < n else None
@@ -652,6 +645,23 @@ def minimal_block_systems(group):
                 systems.append(labels)
     systems.sort(key=lambda lab: (int((lab == lab[0]).sum()), lab.tobytes()))
     return systems
+
+
+def suborbit_frame(group, alpha=0):
+    """G_alpha of a transitive group, its orbits and a transporter to each.
+
+    Returns (stabilizer, labels, representatives, transporters) with the
+    labels of ``_orbit_labels`` (the trivial suborbit is index 0), and
+    transporters[i] mapping alpha to representatives[i].
+    """
+    points, tree = group.orbit(alpha)
+    if len(points) != group.degree:
+        raise NotTransitive("suborbits and blocks need a transitive group")
+    stab = point_stabilizer(group, alpha)
+    gens = [g.images for g in stab.generators]
+    labels, reps = _orbit_labels(gens, group.degree, alpha)
+    moves = [group.transporter_from_orbit(alpha, r, tree=tree) for r in reps]
+    return stab, labels, reps, moves
 
 
 def _orbit_labels(gen_images, degree, first=0):

@@ -245,6 +245,8 @@ GOLDEN_HASHES = {
     # seed 1 only: these share the cached reports of criteria 2 and 6
     ("sp44", 1): "f2fb9583402d9ec33bc5c304cc8707d873faf45833cbdcc1c0c26ee207f50dc7",
     ("classify-sp44", 1): "588fdde92aacf11f5c6f88e4cd24069e969d2885606e45a4e75b6fb052540351",
+    # a second sp44 seed builds its own context (a few seconds)
+    ("sp44", 2): "c3825b0ee8fecf6770e3cf1f852c52cd52dd9ab63f30e95aece235dcd238a95a",
 }
 
 

@@ -77,6 +77,25 @@ def test_comments_and_blank_lines_ignored(tmp_path):
     assert parse_generators(str(p)).degree == 3
 
 
+def test_repeated_degree_line_raises_with_line(tmp_path):
+    # generators parsed before a second degree line would keep the old one
+    p = tmp_path / "t.gens"
+    p.write_text("degree 3\ngen (1,2)\ndegree 4\ngen (1,4)\n")
+    with pytest.raises(ParseError) as exc:
+        parse_generators(str(p))
+    assert exc.value.line == 3
+
+
+def test_degree_above_cap_raises_before_allocating(tmp_path):
+    from plinth.actions import PRODUCT_DEGREE_CAP
+
+    p = tmp_path / "t.gens"
+    p.write_text(f"degree {PRODUCT_DEGREE_CAP + 1}\ngen (1,2)\n")
+    with pytest.raises(ParseError) as exc:
+        parse_generators(str(p))
+    assert exc.value.line == 1
+
+
 def test_shipped_m12_file_validates():
     gf = parse_generators(data_path("m12.gens"))
     assert gf.degree == 12
@@ -187,6 +206,17 @@ def test_cli_m12_subgroup_search_failure_fails(monkeypatch, capsys):
     assert report.status == "FAIL"
     assert report.checks[-1]["name"] == "subgroup_order"
     assert report.checks[-1]["actual"] is None
+
+
+def test_cli_crash_exits_3_not_fail(tmp_path, capsys):
+    # an unreadable input is a crash (exit 3), not a failed check (exit 1)
+    code = main(["verify", "m12", "--data", str(tmp_path / "missing.gens")])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error:")
+    # so is a JSON path that cannot be written
+    code = main(["verify", "sylvester", "--json", str(tmp_path / "no" / "r.json")])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_cli_sylvester_deterministic(tmp_path, capsys):

@@ -248,3 +248,94 @@ def test_edge_orbit_graph_petersen_shape():
     assert _pet.n == 10
     assert _pet.valency() == 3
     assert is_connected(_pet)[0]
+
+
+# ---------------------------------------------------------------------------
+# the suborbit scan, decided from group data, against the graph oracles
+
+
+def _perm_group(n, *cycle_lists):
+    return PermGroup(
+        [Permutation.from_cycles(n, cycles) for cycles in cycle_lists], degree=n
+    )
+
+
+SCAN_CORPUS = [
+    # D12 on a hexagon: beta = 3 gives a matching, beta in {2, 4} two
+    # triangles, beta in {1, 5} the hexagon itself
+    pytest.param(_perm_group(6, [(0, 1, 2, 3, 4, 5)], [(1, 5), (2, 4)]), id="D12"),
+    # S2 wr S3 on 6 points: a matching and the octahedron K_{2,2,2}
+    pytest.param(
+        _perm_group(6, [(0, 1)], [(0, 2, 4), (1, 3, 5)], [(0, 2), (1, 3)]),
+        id="S2wrS3",
+    ),
+    # C6 regular: only beta = 3 is self-paired, a valency-1 matching
+    pytest.param(PermGroup.cyclic(6), id="C6"),
+    # C5 regular: no nontrivial suborbit is self-paired
+    pytest.param(PermGroup.cyclic(5), id="C5"),
+    # the Petersen graph (2-AT) and its complement (connected, not 2-AT)
+    pytest.param(_K_pet, id="S5_on_pairs"),
+    # K8 under PSL(2,7): connected, stabilizer of order 21 not 2-transitive
+    pytest.param(psl2_action(7), id="PSL27_on_8"),
+    pytest.param(PermGroup.symmetric(4), id="S4"),
+    pytest.param(
+        cyclic_class_action(psl2_action(9, "PGammaL"), psl2_action(9, "PSL"), 5).group,
+        id="PGammaL29_on_36",
+    ),
+]
+
+
+@pytest.mark.parametrize("G", SCAN_CORPUS)
+def test_suborbit_scan_matches_graph_oracles(G):
+    from plinth.cli import _scan_suborbits
+
+    od = suborbits(G)
+    scan = _scan_suborbits(od)
+    wanted = [s.representative for s in od.suborbits[1:] if s.self_paired]
+    assert [r["representative"] for r in scan] == wanted
+    for r in scan:
+        graph = orbital_graph(G, 0, r["representative"], orbital_data=od)
+        assert r["length"] == graph.valency()
+        assert r["connected"] == is_connected(graph)[0]
+        assert r["two_at"] == brute_two_arc_transitive(G, graph)
+        if r["length"] >= 2:
+            assert r["two_at"] == two_arc_transitive(G, graph)
+
+
+def test_suborbit_scan_corpus_covers_every_verdict():
+    from plinth.cli import _scan_suborbits
+
+    verdicts = {
+        (r["connected"], r["two_at"])
+        for param in SCAN_CORPUS
+        for r in _scan_suborbits(suborbits(param.values[0]))
+    }
+    # two triangles under D12 are disconnected yet 2-arc-transitive
+    assert verdicts == {(c, t) for c in (False, True) for t in (False, True)}
+
+
+def test_suborbit_scan_builds_no_orbital_graph(monkeypatch):
+    from plinth.actions import coset_action
+    from plinth.cli import _scan_suborbits, data_path, parse_generators
+    from plinth.perm import random_subgroup_of_order
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the scan built an orbital graph")
+
+    G = parse_generators(data_path("m12.gens")).group()
+    H = random_subgroup_of_order(G, 660, profile=(11, 2), seed=1)
+    M = coset_action(G, H).group
+    monkeypatch.setattr("plinth.cli.orbital_graph", refuse)
+    scan = _scan_suborbits(suborbits(M))
+    assert scan
+    assert not any(r["connected"] and r["two_at"] for r in scan)
+
+
+def test_suborbits_carry_stabilizer_and_transporters():
+    G = psl2_action(7)
+    od = suborbits(G)
+    assert od.stabilizer.order() * G.degree == G.order()
+    assert all(int(g.images[0]) == 0 for g in od.stabilizer.generators)
+    assert od.transporters[0].is_identity()
+    for s, u in zip(od.suborbits, od.transporters):
+        assert int(u.images[0]) == s.representative

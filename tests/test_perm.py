@@ -236,6 +236,15 @@ def test_minimal_block_systems_exhaustive_small():
     assert minimal_block_systems(PermGroup.symmetric(4)) == []
 
 
+def test_minimal_block_systems_degree_at_most_two_and_intransitive():
+    from plinth.errors import NotTransitive
+
+    assert minimal_block_systems(PermGroup.trivial(1)) == []
+    assert minimal_block_systems(PermGroup.symmetric(2)) == []
+    with pytest.raises(NotTransitive):
+        minimal_block_systems(PermGroup.trivial(2))
+
+
 def test_minimal_block_systems_vs_exhaustive_degree_leq_12():
     # brute force: a block containing 0 is valid iff images of the block
     # are equal or disjoint under all elements
