@@ -14,6 +14,7 @@ from .errors import (
     DegreeOverflow,
     IndexTooLarge,
     NotDecompositionPreserving,
+    NotInvariant,
 )
 from .perm import _DTYPE, Permutation, PermGroup, element_of_order
 
@@ -169,34 +170,55 @@ def coset_action(G, H):
 class SubgroupClassAction:
     """Conjugation action of G on the class of a cyclic subgroup.
 
-    Each class point is stored as one generating element of the
-    subgroup; the canonical key is the minimal image-array byte string
-    over the subgroup's nontrivial elements, so the labeling does not
-    depend on which generator the expansion happened to find.
+    ``reps`` is an (N x n) int32 array whose row i is one generating
+    element of class point i.  A point is keyed by its canonical
+    generator's images of the socle's base: the canonical generator is
+    the power that sends the least moved point a to the least other
+    point of a's cycle, so the key does not depend on which generator
+    the expansion happened to find.  The key is exact for elements of
+    the socle, which a base determines; ``action_of`` therefore checks
+    that its argument normalises the socle.
     """
 
-    def __init__(self, prime, reps, key_index, group):
+    def __init__(self, prime, socle):
         self.prime = prime
-        self.reps = reps
-        self.key_index = key_index
-        self.group = group
+        self.socle = socle
+        self.base = np.array(socle.chain().base, dtype=np.intp)
+        self.reps = None
+        self.key_index = {}
+        self.group = None
 
-    def key_of(self, arr):
-        best = arr
-        power = arr
+    def key_of(self, rows):
+        """Keys (bytes) of a batch of order-p elements, one per row."""
+        m, n = rows.shape
+        idx = np.arange(m)
+        a = np.argmax(rows != np.arange(n, dtype=rows.dtype), axis=1)
+        cur = rows[idx, a]
+        best = cur
+        pos = rows[idx[:, None], self.base]
+        key = pos
+        # step j holds the images of a and of the base under row^j
         for _ in range(self.prime - 2):
-            power = arr[power]
-            if power.tobytes() < best.tobytes():
-                best = power
-        return best.tobytes()
+            cur = rows[idx, cur]
+            pos = rows[idx[:, None], pos]
+            better = cur < best
+            best = np.where(better, cur, best)
+            key = np.where(better[:, None], pos, key)
+        key = np.ascontiguousarray(key, dtype=np.int32)
+        return key.view(np.dtype((np.void, 4 * key.shape[1]))).ravel().tolist()
 
     def action_of(self, g):
         """Image of an arbitrary parent element in the class action."""
-        ginv = g.inverse()
-        images = np.empty(len(self.reps), dtype=_DTYPE)
-        for i, w in enumerate(self.reps):
-            conj = g.images[w[ginv.images]]
-            images[i] = self.key_index[self.key_of(conj)]
+        for s in self.socle.generators:
+            if not self.socle.contains(s.conjugate(g)):
+                raise NotInvariant("element does not normalise the socle")
+        gimg = g.images.astype(np.int32)
+        ginv = g.inverse().images
+        keys = self.key_of(gimg[self.reps[:, ginv]])
+        index = self.key_index
+        images = np.fromiter(
+            (index[k] for k in keys), dtype=_DTYPE, count=len(keys)
+        )
         return Permutation(images, _checked=True)
 
 
@@ -205,8 +227,9 @@ def cyclic_class_action(G, socle, p, seed=1):
 
     Requires p to divide the socle order exactly once, so the class is
     the full (conjugate) set of Sylow p-subgroups; the orbit is
-    expanded under socle generators, giving a point labeling that any
-    overgroup of the socle shares.
+    expanded under socle generators one breadth-first frontier at a
+    time, keeping first occurrences in (parent, generator) order, which
+    gives a point labeling that any overgroup of the socle shares.
     """
     order = socle.order()
     if order % p or (order // p) % p == 0:
@@ -217,26 +240,30 @@ def cyclic_class_action(G, socle, p, seed=1):
 
         raise ConstructionFailed(f"no element of order {p} found")
 
-    action = SubgroupClassAction(p, [], {}, None)
-    base = z.images
-    reps = [base]
-    key_index = {action.key_of(base): 0}
-    conj_pairs = [(g.images, g.inverse().images) for g in socle.generators]
-    cursor = 0
-    while cursor < len(reps):
-        w = reps[cursor]
-        cursor += 1
-        for gimg, ginv in conj_pairs:
-            conj = gimg[w[ginv]]
-            key = action.key_of(conj)
+    action = SubgroupClassAction(p, socle)
+    frontier = z.images.astype(np.int32)[None, :]
+    key_index = action.key_index
+    key_index[action.key_of(frontier)[0]] = 0
+    blocks = [frontier]
+    conj_pairs = [
+        (g.images.astype(np.int32), g.inverse().images)
+        for g in socle.generators
+    ]
+    while len(frontier):
+        cand = np.stack(
+            [gimg[frontier[:, ginv]] for gimg, ginv in conj_pairs], axis=1
+        ).reshape(-1, frontier.shape[1])
+        fresh = []
+        for row, key in enumerate(action.key_of(cand)):
             if key not in key_index:
-                key_index[key] = len(reps)
-                reps.append(conj)
-    action.reps = reps
-    action.key_index = key_index
+                key_index[key] = len(key_index)
+                fresh.append(row)
+        frontier = cand[fresh]
+        blocks.append(frontier)
+    action.reps = np.concatenate(blocks)
     gens = [action.action_of(g) for g in G.generators]
     action.group = PermGroup(
-        gens, degree=len(reps), claimed_order=G.order()
+        gens, degree=len(action.reps), claimed_order=G.order()
     )
     return action
 

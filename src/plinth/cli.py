@@ -130,18 +130,32 @@ def _parse_cycle_notation(text, degree, lineno):
 
 def _parse_image_notation(text, degree, lineno):
     """One permutation from a 1-based image list like [2,1,3]."""
-    body = text.strip()[1:-1]
+    body = text.strip()
+    if not body.startswith("[") or not body.endswith("]"):
+        raise ParseError("image list must be bracketed", line=lineno)
     try:
-        images = np.array(
-            [int(tok) - 1 for tok in body.split(",")], dtype=_DTYPE
-        )
+        images = [int(tok) - 1 for tok in body[1:-1].split(",")]
     except ValueError:
         raise ParseError("bad image list", line=lineno)
     if len(images) != degree:
         raise ParseError("image list length != degree", line=lineno)
-    if sorted(images.tolist()) != list(range(degree)):
+    for p in images:
+        if p < 0 or p >= degree:
+            raise ParseError(f"image {p + 1} out of range", line=lineno)
+    if sorted(images) != list(range(degree)):
         raise NotBijection(f"image list on line {lineno} is not a bijection")
-    return Permutation(images, _checked=True)
+    return Permutation(np.array(images, dtype=_DTYPE), _checked=True)
+
+
+def _parse_count(line, keyword, lineno):
+    """The integer of a ``keyword N`` line; nothing may follow it."""
+    fields = line.split()
+    if len(fields) == 2:
+        try:
+            return int(fields[1])
+        except ValueError:
+            pass
+    raise ParseError(f"bad {keyword} line", line=lineno)
 
 
 def parse_generators(path):
@@ -150,10 +164,15 @@ def parse_generators(path):
     generators = []
     expected_order = None
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise IoError(str(exc))
+    try:
+        lines = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError("not UTF-8 text", line=line)
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -161,10 +180,7 @@ def parse_generators(path):
         if line.startswith("degree "):
             if degree is not None:
                 raise ParseError("repeated degree line", line=lineno)
-            try:
-                degree = int(line.split()[1])
-            except (IndexError, ValueError):
-                raise ParseError("bad degree line", line=lineno)
+            degree = _parse_count(line, "degree", lineno)
             if degree < 1:
                 raise ParseError("degree must be positive", line=lineno)
             if degree > PRODUCT_DEGREE_CAP:
@@ -180,10 +196,9 @@ def parse_generators(path):
             else:
                 generators.append(_parse_cycle_notation(body, degree, lineno))
         elif line.startswith("order "):
-            try:
-                expected_order = int(line.split()[1])
-            except (IndexError, ValueError):
-                raise ParseError("bad order line", line=lineno)
+            expected_order = _parse_count(line, "order", lineno)
+            if expected_order < 1:
+                raise ParseError("order must be positive", line=lineno)
         else:
             raise ParseError(f"unrecognized line {line!r}", line=lineno)
     if degree is None:

@@ -188,7 +188,9 @@ class _ChainLevel:
     assigned at this level, and the fundamental orbit with its Schreier
     vector (parent point, generator index into the chain's gen table)."""
 
-    __slots__ = ("beta", "gen_ids", "orbit_list", "tree", "pending")
+    __slots__ = (
+        "beta", "gen_ids", "orbit_list", "tree", "pending", "cache"
+    )
 
     def __init__(self, beta):
         self.beta = beta
@@ -196,6 +198,7 @@ class _ChainLevel:
         self.orbit_list = [beta]
         self.tree = {beta: (-1, -1)}
         self.pending = deque()
+        self.cache = None  # point -> read-only transversal image array
 
 
 class StabChain:
@@ -330,10 +333,35 @@ class StabChain:
     # -- queries --------------------------------------------------------
 
     def _transversal_images(self, i, point):
-        """Image array of the transversal element mapping base[i] to point."""
-        return _schreier_path_images(
-            self.levels[i].tree, point, self.gens, self.degree
-        )
+        """Image array of the transversal element mapping base[i] to point.
+
+        A level whose whole transversal fits in ``ENUMERATION_BOUND``
+        entries caches each element (read-only) and builds a new one from
+        its nearest cached ancestor with one gather per tree edge.
+        """
+        lev = self.levels[i]
+        if self.degree * len(lev.orbit_list) > ENUMERATION_BOUND:
+            lev.cache = None  # the orbit may have outgrown the bound
+            return _schreier_path_images(
+                lev.tree, point, self.gens, self.degree
+            )
+        if lev.cache is None:
+            identity = np.arange(self.degree, dtype=_DTYPE)
+            identity.setflags(write=False)
+            lev.cache = {lev.beta: identity}
+        cache = lev.cache
+        path = []
+        p = point
+        while p not in cache:
+            parent, gi = lev.tree[p]
+            path.append((p, gi))
+            p = parent
+        arr = cache[p]
+        for q, gi in reversed(path):
+            arr = self.gens[gi].images[arr]
+            arr.setflags(write=False)
+            cache[q] = arr
+        return arr
 
     def _sift_images(self, images, start=0):
         """Sift an image array; return the residue array or None if identity."""

@@ -247,6 +247,8 @@ GOLDEN_HASHES = {
     ("classify-sp44", 1): "588fdde92aacf11f5c6f88e4cd24069e969d2885606e45a4e75b6fb052540351",
     # a second sp44 seed builds its own context (a few seconds)
     ("sp44", 2): "c3825b0ee8fecf6770e3cf1f852c52cd52dd9ab63f30e95aece235dcd238a95a",
+    # shares the sp44 seed-2 context and pins its class action
+    ("classify-sp44", 2): "027c19c81c4dfdebf25126ec2f718c477614bf0c5cae78afafc584fe8dc9d816",
 }
 
 

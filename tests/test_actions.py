@@ -13,9 +13,11 @@ from plinth.actions import (
 )
 from plinth.algebra import psl2_action
 from plinth.cartesian import CartesianDecomposition
+from plinth.errors import NotInvariant
 from plinth.perm import (
     PermGroup,
     Permutation,
+    element_of_order,
     point_stabilizer,
     random_subgroup_of_order,
 )
@@ -89,6 +91,85 @@ def test_cyclic_class_action_labels_independent_of_generators():
     act = cyclic_class_action(PSL, PSL, 5)
     assert act.group.degree == 36
     assert act.group.order() == 360
+
+
+def _reference_class_action(G, socle, p, seed=1):
+    """The class action as a queue BFS keyed by the minimal image bytes
+    over all nontrivial powers: (reps, action generators)."""
+
+    def key_of(arr):
+        best = power = arr
+        for _ in range(p - 2):
+            power = arr[power]
+            if power.tobytes() < best.tobytes():
+                best = power
+        return best.tobytes()
+
+    z = element_of_order(socle, p, seed=seed)
+    reps = [z.images]
+    key_index = {key_of(z.images): 0}
+    cursor = 0
+    while cursor < len(reps):
+        w = reps[cursor]
+        cursor += 1
+        for g in socle.generators:
+            conj = g.images[w[g.inverse().images]]
+            if key_of(conj) not in key_index:
+                key_index[key_of(conj)] = len(reps)
+                reps.append(conj)
+
+    def action_of(g):
+        ginv = g.inverse().images
+        return [key_index[key_of(g.images[w[ginv]])] for w in reps]
+
+    return reps, [action_of(g) for g in G.generators]
+
+
+CLASS_ACTION_CASES = [
+    (9, "PGammaL", 5),
+    (9, "PSL", 5),
+    (7, "PSL", 7),
+    (7, "PGL", 7),
+    (8, "PSL", 7),
+    (8, "PGammaL", 7),
+    (11, "PSL", 11),
+    (11, "PGL", 11),
+]
+
+
+@pytest.mark.parametrize("q,flavor,p", CLASS_ACTION_CASES)
+def test_cyclic_class_action_matches_queue_reference(q, flavor, p):
+    G, socle = psl2_action(q, flavor), psl2_action(q, "PSL")
+    act = cyclic_class_action(G, socle, p)
+    reps, gens = _reference_class_action(G, socle, p)
+    assert act.reps.dtype == np.int32
+    assert np.array_equal(act.reps, np.array(reps))
+    assert [g.images.tolist() for g in act.group.generators] == gens
+
+
+@pytest.mark.parametrize("q,flavor,p", CLASS_ACTION_CASES[::2])
+@pytest.mark.parametrize("k", [2, 3])
+def test_cyclic_class_action_labels_independent_of_class_generator(
+    monkeypatch, q, flavor, p, k
+):
+    # starting from z^k must give the same labels: the key is canonical
+    G, socle = psl2_action(q, flavor), psl2_action(q, "PSL")
+    act = cyclic_class_action(G, socle, p)
+    monkeypatch.setattr(
+        "plinth.actions.element_of_order",
+        lambda *args, **kwargs: element_of_order(*args, **kwargs) ** k,
+    )
+    powered = cyclic_class_action(G, socle, p)
+    assert powered.group.generators == act.group.generators
+    for row, base_row in zip(powered.reps, act.reps):
+        assert (Permutation(base_row) ** k).images.tolist() == row.tolist()
+
+
+def test_class_action_of_non_normalising_element_raises():
+    PSL = psl2_action(9, "PSL")
+    act = cyclic_class_action(PSL, PSL, 5)
+    with pytest.raises(NotInvariant):
+        act.action_of(Permutation.from_cycles(10, [(0, 1)]))
 
 
 def test_product_action_wreath_degree_and_order():

@@ -2,8 +2,11 @@
 
 import json
 import os
+import tempfile
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from plinth.cli import (
     GeneratorFile,
@@ -14,7 +17,8 @@ from plinth.cli import (
     parse_generators,
     run_case,
 )
-from plinth.errors import NotBijection, ParseError
+from plinth.errors import NotBijection, ParseError, PlinthError
+from plinth.perm import Permutation
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +98,96 @@ def test_degree_above_cap_raises_before_allocating(tmp_path):
     with pytest.raises(ParseError) as exc:
         parse_generators(str(p))
     assert exc.value.line == 1
+
+
+@pytest.mark.parametrize(
+    "text,line",
+    [
+        # an image list without its closing bracket
+        (b"degree 2\ngen [2,1x\n", 2),
+        (b"degree 2\ngen [2,1)\n", 2),
+        # trailing fields after a count
+        (b"degree 3 junk\n", 1),
+        (b"degree 3\norder 5 junk\n", 2),
+        (b"degree 3\norder -5\n", 2),
+        (b"degree 3\norder 0\n", 2),
+        # an image too large for a machine integer
+        (b"degree 2\ngen [99999999999999999999999,1]\n", 2),
+        (b"degree 2\n# ok\n\xff\n", 3),
+    ],
+)
+def test_malformed_lines_raise_parse_error_with_line(tmp_path, text, line):
+    p = tmp_path / "t.gens"
+    p.write_bytes(text)
+    with pytest.raises(ParseError) as exc:
+        parse_generators(str(p))
+    assert exc.value.line == line
+
+
+@pytest.mark.parametrize(
+    "text",
+    [b"degree 2\ngen [99999999999999999999999,1]\n", b"degree 2\n\xff\n"],
+)
+def test_cli_unparsable_generator_file_exits_3(tmp_path, capsys, text):
+    p = tmp_path / "m12.gens"
+    p.write_bytes(text)
+    assert main(["verify", "m12", "--data", str(p)]) == 3
+    assert capsys.readouterr().err.startswith("error: line 2:")
+
+
+@st.composite
+def generator_files(draw):
+    degree = draw(st.integers(1, 9))
+    gens = draw(
+        st.lists(
+            st.permutations(range(degree)).map(
+                lambda t: Permutation(np.array(t, dtype=np.int64))
+            ),
+            max_size=4,
+        )
+    )
+    order = draw(st.none() | st.integers(1, 10**30))
+    return GeneratorFile(degree, gens, order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(generator_files())
+def test_emit_parse_round_trip(gf):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.gens")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(gf.emit())
+        back = parse_generators(path)
+    assert back.emit() == gf.emit()
+    assert back.generators == gf.generators
+    assert back.expected_order == gf.expected_order
+
+
+_FRAGMENTS = st.sampled_from(
+    ["degree ", "gen ", "order ", "(", ")", "[", "]", ",", "#", " ", "\n",
+     "-", "0", "1", "2", "3", "99999999999999999999999", "x"]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.binary(max_size=64),
+        st.text(max_size=64).map(lambda s: s.encode("utf-8")),
+        st.lists(_FRAGMENTS, max_size=24).map(
+            lambda parts: "".join(parts).encode("utf-8")
+        ),
+    )
+)
+def test_arbitrary_input_raises_only_plinth_errors(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.gens")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        try:
+            parse_generators(path)
+        except PlinthError:
+            pass
 
 
 def test_shipped_m12_file_validates():

@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from plinth.algebra import psl2_action
 from plinth.perm import (
     PermGroup,
     Permutation,
+    _schreier_path_images,
     derived_subgroup,
     element_of_order,
     fast_orbit,
@@ -185,6 +187,57 @@ def test_transporter_maps_correctly():
     for beta in pts:
         u = G.transporter_from_orbit(0, int(beta), tree=tree)
         assert u(0) == int(beta)
+
+
+def _w2_incidence_group():
+    from plinth.algebra import symplectic_gq
+    from plinth.autgq import graph_automorphism_group, incidence_graph
+
+    return graph_automorphism_group(incidence_graph(symplectic_gq(2)))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: PermGroup.symmetric(5),
+        lambda: psl2_action(7, "PSL"),
+        _w2_incidence_group,
+    ],
+    ids=["S5", "PSL(2,7)", "W(2) incidence"],
+)
+def test_cached_transversals_match_schreier_paths(make):
+    chain = make().chain()
+    assert chain.order() > 1
+
+    def check_every_level():
+        for i, lev in enumerate(chain.levels):
+            for p in reversed(lev.orbit_list):
+                got = chain._transversal_images(i, p)
+                want = _schreier_path_images(
+                    lev.tree, p, chain.gens, chain.degree
+                )
+                assert np.array_equal(got, want)
+            assert set(lev.cache) == set(lev.orbit_list)
+            for arr in lev.cache.values():
+                with pytest.raises(ValueError):
+                    arr[0] = arr[0]
+
+    check_every_level()  # caches filled while the chain was built
+    for lev in chain.levels:
+        lev.cache = None
+    check_every_level()  # filled from the deepest point upwards
+
+
+def test_transversal_cache_skips_levels_above_the_bound():
+    # degree x orbit length = 1100^2 > ENUMERATION_BOUND
+    chain = PermGroup.cyclic(1100).chain()
+    lev = chain.levels[0]
+    for p in (1099, 550, 1):
+        got = chain._transversal_images(0, p)
+        assert np.array_equal(
+            got, _schreier_path_images(lev.tree, p, chain.gens, 1100)
+        )
+    assert set(lev.cache or ()) <= {lev.beta}
 
 
 def test_fast_orbit_matches_orbit():
