@@ -16,7 +16,13 @@ from .errors import (
     NotDecompositionPreserving,
     NotInvariant,
 )
-from .perm import _DTYPE, Permutation, PermGroup, element_of_order
+from .perm import (
+    _DTYPE,
+    Permutation,
+    PermGroup,
+    _schreier_path_images,
+    element_of_order,
+)
 
 COSET_INDEX_CAP = 10**5
 PRODUCT_DEGREE_CAP = 10**6
@@ -287,12 +293,7 @@ def _normalize_labels(labels):
 
 def _block_reps(E, j):
     """Minimum point of each block of partition j, indexed by block id."""
-    lab = E.partitions[j]
-    b = int(lab.max()) + 1
-    first = np.full(b, -1, dtype=_DTYPE)
-    for p in range(len(lab) - 1, -1, -1):
-        first[lab[p]] = p
-    return first
+    return np.unique(E.partitions[j], return_index=True)[1]
 
 
 def _top_images(G, E):
@@ -333,26 +334,18 @@ def partition_stabilizer_generators(G, E, j):
     Schreier generators of the point stabilizer in the tiny top action,
     evaluated as products of G's generators.
     """
-    tops = _top_images(G, E)
-    ell = len(E.partitions)
+    top = top_projection(G, E)
+    order, tree = top.orbit(j)
     n = G.degree
     identity = np.arange(n, dtype=_DTYPE)
-    transporter = {j: identity}
-    order = [j]
-    cursor = 0
-    while cursor < len(order):
-        p = order[cursor]
-        cursor += 1
-        for t, g in zip(tops, G.generators):
-            q = int(t.images[p])
-            if q not in transporter:
-                transporter[q] = g.images[transporter[p]]
-                order.append(q)
+    transporter = {
+        p: _schreier_path_images(tree, p, G.generators, n) for p in order
+    }
     gens = []
     seen = set()
     for p in order:
         up = transporter[p]
-        for t, g in zip(tops, G.generators):
+        for t, g in zip(top.generators, G.generators):
             q = int(t.images[p])
             uq = transporter[q]
             uq_inv = np.empty(n, dtype=_DTYPE)

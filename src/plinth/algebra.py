@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConstructionFailed, UnsupportedFlavor
-from .perm import Permutation, PermGroup
+from .errors import ConstructionFailed, Unrecognized, UnsupportedFlavor
+from .perm import Permutation, PermGroup, point_stabilizer, stabilizer_orbit_sizes
 
 # Primitive polynomials for the supported extension fields, written as
 # coefficient tuples (c0, c1, ..., c_{k-1}) of x^k = c0 + c1 x + ...
@@ -249,10 +249,12 @@ def psl2_action(q, flavor="PSL"):
 
 
 def identify_extension_flavor(G):
-    """Name a group between PSL(2,9) and PGammaL(2,9) by its order and
-    element-order spectrum."""
-    from .errors import Unrecognized
-
+    """Name a group between PSL(2,9) and PGammaL(2,9) acting on the 10
+    points of PG(1,9).  Of those of order 720, PGL(2,9) and M10 are
+    sharply 3-transitive with two-point stabilizers C8 and Q8, and
+    PSigmaL(2,9) is not 3-transitive."""
+    if G.degree != 10:
+        raise Unrecognized(f"degree {G.degree} is not the 10 points of PG(1,9)")
     order = G.order()
     if order % 360 or 1440 % order:
         raise Unrecognized(f"order {order} outside [PSL, PGammaL] range")
@@ -262,14 +264,14 @@ def identify_extension_flavor(G):
         return "PGammaL"
     if order != 720:
         raise Unrecognized(f"order {order} is not an index-2 extension")
-    spectrum = set(G.element_order_spectrum())
-    if 10 in spectrum:
-        return "PGL"
-    if 8 in spectrum:
-        return "M10"
-    if max(spectrum) == 6:
+    sizes = stabilizer_orbit_sizes(G, 3)
+    if sizes == [10, 9, 4]:
         return "PSigmaL"
-    raise Unrecognized(f"element-order spectrum {sorted(spectrum)} matches no rule")
+    if sizes != [10, 9, 8]:
+        raise Unrecognized(f"stabilizer orbit sizes {sizes} match no rule")
+    gens = point_stabilizer(point_stabilizer(G, 0), 1).generators
+    abelian = all(x * y == y * x for x in gens for y in gens)
+    return "PGL" if abelian else "M10"
 
 
 # ---------------------------------------------------------------------------

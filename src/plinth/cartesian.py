@@ -41,6 +41,7 @@ from .perm import (
     PermGroup,
     Permutation,
     _orbit_labels,
+    _schreier_path_images,
     derived_subgroup,
     element_of_order,
     intersection_small,
@@ -239,7 +240,6 @@ class InclusionType:
     tag: str
     s: int
     projection_orders: tuple = ()
-    iso_verdict: str = ""
     details: dict = field(default_factory=dict)
 
 
@@ -249,10 +249,6 @@ def _factor_moves_partition(factor, E, j, first):
         if (lab[g.images[first]] != np.arange(len(first))).any():
             return True
     return False
-
-
-def _orbit_length_multiset(group):
-    return tuple(sorted(len(o) for o in group.orbits()))
 
 
 def classify_inclusion(G, M, E, omega=0, factors=None):
@@ -268,7 +264,7 @@ def classify_inclusion(G, M, E, omega=0, factors=None):
     for g in G.generators:
         for m in M.generators:
             if not M.contains(m.conjugate(g)):
-                raise ValueError("plinth is not normal in the group")
+                raise NotInvariant("plinth is not normal in the group")
     top = top_projection(G, E)
     if not top.is_transitive():
         return InclusionType("IntransitiveTop", 0)
@@ -282,7 +278,7 @@ def classify_inclusion(G, M, E, omega=0, factors=None):
         )
     s_values = {len(mv) for mv in moved}
     if len(s_values) != 1:
-        raise ValueError(f"components per factor disagree: {moved}")
+        raise Mismatch(f"components per factor disagree: {moved}")
     s = s_values.pop()
     if s > 3:
         raise TooManyComponents(f"factor meets {s} components")
@@ -302,7 +298,7 @@ def classify_inclusion(G, M, E, omega=0, factors=None):
         details["plinth_point_stabilizer_order"] = M_omega.order()
         details["component_block_stabilizer_orders"] = comp_stab_orders
         details["stabilizer_product_formula_holds"] = prod == M_omega.order()
-        return InclusionType("Normal", 1, tuple(comp_stab_orders), "", details)
+        return InclusionType("Normal", 1, tuple(comp_stab_orders), details)
 
     if len(factor_groups) > 1:
         supports = [
@@ -317,7 +313,7 @@ def classify_inclusion(G, M, E, omega=0, factors=None):
                     )
 
     if s == 3:
-        return InclusionType("CD3", 3, (), "", details)
+        return InclusionType("CD3", 3, (), details)
 
     # s = 2: compare the block-stabilizer projections of the plinth
     j1, j2 = moved[0][:2]
@@ -329,18 +325,27 @@ def classify_inclusion(G, M, E, omega=0, factors=None):
     orders = tuple(p.order() for _, p in projections)
     full = any(p.order() == comp.order() for comp, p in projections)
     if full:
-        return InclusionType("CD1S", 2, orders, "", details)
-    a, b = (p for _, p in projections)
-    same = (
-        a.order() == b.order()
-        and a.element_order_spectrum() == b.element_order_spectrum()
-        and _orbit_length_multiset(a) == _orbit_length_multiset(b)
-    )
-    details["isomorphism_test"] = (
-        "order + element-order spectrum + orbit-length multiset"
-    )
-    tag = "CD2Sim" if same else "CD2NotSim"
-    return InclusionType(tag, 2, orders, "heuristic-match" if same else "proven-distinct", details)
+        return InclusionType("CD1S", 2, orders, details)
+    # CD2Sim witness (Praeger-Schneider, Permutation Groups and Cartesian
+    # Decompositions, 2018): M is transitive and fixes every partition, so
+    # G = M G_omega and G_omega moves j1 to j2; such an h normalizes M and
+    # fixes omega, so the block map beta it induces is a permutational
+    # isomorphism from P_j1 onto P_j2, which is checked here
+    stab = point_stabilizer(G, omega)
+    _, tree = top_projection(stab, E).orbit(j1)
+    if j2 not in tree:
+        raise ProjectionUnsupported(f"G_omega never moves partition {j1} to {j2}")
+    h = _schreier_path_images(tree, j2, stab.generators, G.degree)
+    beta = E.partitions[j2][h[_block_reps(E, j1)]]
+    (_, a), (_, b) = projections
+    if sorted(beta.tolist()) != list(range(b.degree)) or orders[0] != orders[1]:
+        raise Mismatch("no block bijection between equal-order projections")
+    inverse = np.argsort(beta)
+    for x in a.generators:
+        if not b.contains(Permutation(beta[x.images[inverse]], _checked=True)):
+            raise Mismatch("the block bijection does not carry P_j1 into P_j2")
+    details["block_bijection"] = beta.tolist()
+    return InclusionType("CD2Sim", 2, orders, details)
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,14 @@ class GeneratorFile:
         return PermGroup(list(self.generators), degree=self.degree)
 
 
+def _parse_int(token, message, lineno):
+    """An integer in ASCII digits; ``int`` also takes 1_0, +5, non-ASCII."""
+    token = token.strip()
+    if token.isascii() and token.isdigit():
+        return int(token)
+    raise ParseError(message, line=lineno)
+
+
 def _parse_cycle_notation(text, degree, lineno):
     """One permutation from 1-based disjoint-cycle notation."""
     images = np.arange(degree, dtype=_DTYPE)
@@ -111,10 +119,8 @@ def _parse_cycle_notation(text, degree, lineno):
         raise ParseError("cycles must be parenthesized", line=lineno)
     seen = set()
     for chunk in body[1:-1].split(")("):
-        try:
-            points = [int(tok) - 1 for tok in chunk.split(",")]
-        except ValueError:
-            raise ParseError(f"bad cycle {chunk!r}", line=lineno)
+        bad = f"bad cycle {chunk!r}"
+        points = [_parse_int(tok, bad, lineno) - 1 for tok in chunk.split(",")]
         if len(points) < 2:
             raise ParseError("cycles need at least two points", line=lineno)
         for p in points:
@@ -133,10 +139,8 @@ def _parse_image_notation(text, degree, lineno):
     body = text.strip()
     if not body.startswith("[") or not body.endswith("]"):
         raise ParseError("image list must be bracketed", line=lineno)
-    try:
-        images = [int(tok) - 1 for tok in body[1:-1].split(",")]
-    except ValueError:
-        raise ParseError("bad image list", line=lineno)
+    tokens = body[1:-1].split(",")
+    images = [_parse_int(tok, "bad image list", lineno) - 1 for tok in tokens]
     if len(images) != degree:
         raise ParseError("image list length != degree", line=lineno)
     for p in images:
@@ -150,12 +154,8 @@ def _parse_image_notation(text, degree, lineno):
 def _parse_count(line, keyword, lineno):
     """The integer of a ``keyword N`` line; nothing may follow it."""
     fields = line.split()
-    if len(fields) == 2:
-        try:
-            return int(fields[1])
-        except ValueError:
-            pass
-    raise ParseError(f"bad {keyword} line", line=lineno)
+    token = fields[1] if len(fields) == 2 else ""
+    return _parse_int(token, f"bad {keyword} line", lineno)
 
 
 def parse_generators(path):

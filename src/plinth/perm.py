@@ -221,6 +221,8 @@ class StabChain:
 
     def __init__(self, degree, generators, base_hint=(), upper_bound=None):
         self.degree = degree
+        self._identity = np.arange(degree, dtype=_DTYPE)
+        self._identity.setflags(write=False)
         self.gens = []  # global strong generator table
         self.levels = []
         self._base_hint = list(base_hint)
@@ -254,7 +256,7 @@ class StabChain:
             self.levels.append(_ChainLevel(hint))
             if g(hint) != hint:
                 return
-        moved = int(np.nonzero(g.images != np.arange(self.degree))[0][0])
+        moved = int(np.nonzero(g.images != self._identity)[0][0])
         self.levels.append(_ChainLevel(moved))
 
     def _assign(self, g):
@@ -324,7 +326,7 @@ class StabChain:
             q = int(s.images[p])
             uq = self._transversal_images(target, q)
             uq_inv = np.empty(self.degree, dtype=_DTYPE)
-            uq_inv[uq] = np.arange(self.degree, dtype=_DTYPE)
+            uq_inv[uq] = self._identity
             schreier = uq_inv[s.images[up]]
             residue = self._sift_images(schreier, target + 1)
             if residue is not None:
@@ -346,9 +348,7 @@ class StabChain:
                 lev.tree, point, self.gens, self.degree
             )
         if lev.cache is None:
-            identity = np.arange(self.degree, dtype=_DTYPE)
-            identity.setflags(write=False)
-            lev.cache = {lev.beta: identity}
+            lev.cache = {lev.beta: self._identity}
         cache = lev.cache
         path = []
         p = point
@@ -375,9 +375,9 @@ class StabChain:
                 return arr
             u = self._transversal_images(i, p)
             uinv = np.empty(self.degree, dtype=_DTYPE)
-            uinv[u] = np.arange(self.degree, dtype=_DTYPE)
+            uinv[u] = self._identity
             arr = uinv[arr]
-        if (arr == np.arange(self.degree)).all():
+        if (arr == self._identity).all():
             return None
         return arr
 
@@ -390,7 +390,7 @@ class StabChain:
 
     def random_element(self, rng):
         """Uniform random element (product of random transversal elements)."""
-        arr = np.arange(self.degree, dtype=_DTYPE)
+        arr = self._identity
         for i, lev in enumerate(self.levels):
             p = lev.orbit_list[rng.randrange(len(lev.orbit_list))]
             arr = arr[self._transversal_images(i, p)]
@@ -400,7 +400,7 @@ class StabChain:
         """Iterate over all group elements (chain transversal products)."""
         if self.order() > limit:
             raise TooLarge(f"order {self.order()} exceeds bound {limit}")
-        stack = [np.arange(self.degree, dtype=_DTYPE)]
+        stack = [self._identity]
         for i, lev in enumerate(self.levels):
             stack = [
                 arr[self._transversal_images(i, p)]
@@ -500,10 +500,6 @@ class PermGroup:
 
     def elements(self, limit=ENUMERATION_BOUND):
         return self.chain().elements(limit=limit)
-
-    def element_order_spectrum(self, limit=ENUMERATION_BOUND):
-        """Sorted set of element orders (full enumeration; small groups)."""
-        return sorted({g.order() for g in self.elements(limit=limit)})
 
     def orbit(self, alpha):
         """Orbit of alpha with a Schreier vector.

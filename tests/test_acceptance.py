@@ -147,6 +147,17 @@ def test_criterion_6_classifier():
     assert check(sp44, "s_at_most_3")["actual"] is True
 
 
+def test_criterion_6_cached_grid_verdicts_carry_block_bijections():
+    from plinth.cli import _CONTEXTS
+
+    for case, blocks in (("sylvester", 6), ("sp44", 120)):
+        report, _ = report_for(case)
+        assert check(report, "inclusion_type")["actual"] == "CD2Sim"
+        verdict = _CONTEXTS[case, 1]["grid"]["verdicts"][0]
+        beta = verdict.details["block_bijection"]
+        assert sorted(beta) == list(range(blocks))
+
+
 # ---------------------------------------------------------------------------
 # criterion 7: envelope spot checks
 
@@ -166,7 +177,9 @@ def test_criterion_7_envelopes():
 
 def test_criterion_8_two_arc_oracle_corpus():
     from plinth.graphs import count_s_arcs, two_arc_transitive
-    from tests.test_graphs import ORACLE_CASES, brute_two_arc_transitive
+    # the tests directory is on sys.path under both ``pytest`` and
+    # ``python -m pytest``; the repository root only under the latter
+    from test_graphs import ORACLE_CASES, brute_two_arc_transitive
 
     assert len(ORACLE_CASES) >= 5
     for param in ORACLE_CASES:

@@ -101,6 +101,14 @@ def test_identify_extension_flavor(flavor):
     assert identify_extension_flavor(G) == flavor
 
 
+def test_identify_extension_flavor_needs_the_projective_line():
+    from plinth.errors import Unrecognized
+
+    # S6 has order 720 but acts on 6 points, not the 10 points of PG(1,9)
+    with pytest.raises(Unrecognized):
+        identify_extension_flavor(PermGroup.symmetric(6))
+
+
 def test_flavor_identification_invariant_under_relabeling():
     import numpy as np
     from plinth.perm import Permutation

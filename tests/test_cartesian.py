@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from random import Random
 
-from plinth.actions import cyclic_class_action, product_action_wreath
+from plinth.actions import component, cyclic_class_action, product_action_wreath
 from plinth.algebra import psl2_action
 from plinth.cartesian import (
     CartesianDecomposition,
@@ -23,6 +23,7 @@ from plinth.cartesian import (
     verify_psl2_factorization_row,
 )
 from plinth.cli import data_path
+from plinth.errors import Mismatch, NotInvariant
 from plinth.perm import (
     PermGroup,
     Permutation,
@@ -228,6 +229,110 @@ def test_classify_inclusion_a6_cd2sim():
     assert verdict.tag == "CD2Sim"
     assert list(verdict.projection_orders) == [60, 60]
     assert verdict.s <= 3
+
+
+def _a6_grid_projections():
+    """The A6 setup, its grid, the verdict, and the block-stabilizer
+    projections P_j1 and P_j2 of the plinth."""
+    G, M = a6_setup()
+    E = find_grid_decompositions(G)[0]
+    verdict = classify_inclusion(G, M, E)
+    j1, j2 = verdict.details["moved_partitions"][0]
+    a, b = (
+        point_stabilizer(component(M, E, j), E.block_of(j, 0)) for j in (j1, j2)
+    )
+    return G, M, E, verdict, (j1, j2), a, b
+
+
+def test_block_reps_are_block_minima():
+    from plinth.actions import _block_reps
+
+    G, _ = a6_setup()
+    E = find_grid_decompositions(G)[0]
+    for j, lab in enumerate(E.partitions):
+        minima = {}
+        for p in range(E.degree):
+            minima.setdefault(int(lab[p]), p)
+        assert _block_reps(E, j).tolist() == [minima[b] for b in range(6)]
+
+
+def test_classify_inclusion_a6_block_bijection_conjugates_projections():
+    _, _, E, verdict, (j1, j2), a, b = _a6_grid_projections()
+    beta = np.array(verdict.details["block_bijection"])
+    assert sorted(beta.tolist()) == list(range(6))
+    assert beta[E.block_of(j1, 0)] == E.block_of(j2, 0)
+    inverse = np.argsort(beta)
+    elements = list(a.elements())
+    assert len(elements) == 60
+    for x in elements:
+        assert b.contains(Permutation(beta[x.images[inverse]]))
+
+
+def test_a6_projections_agree_on_order_spectrum_and_orbit_lengths():
+    # the invariants the block bijection replaced, kept as a cross-check
+    *_, a, b = _a6_grid_projections()
+
+    def spectrum(P):
+        return sorted({g.order() for g in P.elements()})
+
+    def orbit_lengths(P):
+        return sorted(len(o) for o in P.orbits())
+
+    assert spectrum(a) == spectrum(b)
+    assert orbit_lengths(a) == orbit_lengths(b)
+
+
+def test_classify_inclusion_rejects_a_block_map_that_is_no_bijection(
+    monkeypatch,
+):
+    import plinth.cartesian as cartesian
+
+    G, M = a6_setup()
+    E = find_grid_decompositions(G)[0]
+    # the identity leaves partition j1 in place instead of carrying it to
+    # j2, so the block map it induces is not a bijection
+    monkeypatch.setattr(
+        cartesian,
+        "_schreier_path_images",
+        lambda tree, point, gens, degree: np.arange(degree),
+    )
+    with pytest.raises(Mismatch, match="no block bijection"):
+        classify_inclusion(G, M, E)
+
+
+def test_classify_inclusion_rejects_a_shifted_block_bijection(monkeypatch):
+    import plinth.cartesian as cartesian
+
+    G, M = a6_setup()
+    E = find_grid_decompositions(G)[0]
+    j2 = classify_inclusion(G, M, E).details["moved_partitions"][0][1]
+    labels = E.partitions[j2]
+    first = np.unique(labels, return_index=True)[1]
+    transporter = cartesian._schreier_path_images
+
+    def shifted(tree, point, gens, degree):
+        # move every image one block further along partition j2: the
+        # block map stays a bijection but conjugates P_j1 elsewhere
+        h = transporter(tree, point, gens, degree)
+        return first[(labels[h] + 1) % len(first)]
+
+    monkeypatch.setattr(cartesian, "_schreier_path_images", shifted)
+    with pytest.raises(Mismatch, match="does not carry"):
+        classify_inclusion(G, M, E)
+
+
+def test_classify_inclusion_rejects_a_non_normal_plinth():
+    G, _ = a6_setup()
+    E = find_grid_decompositions(G)[0]
+    with pytest.raises(NotInvariant):
+        classify_inclusion(G, point_stabilizer(G, 0), E)
+
+
+def test_classify_inclusion_rejects_factors_meeting_different_counts():
+    G, M = a6_setup()
+    E = find_grid_decompositions(G)[0]
+    with pytest.raises(Mismatch):
+        classify_inclusion(G, M, E, factors=[M, PermGroup.trivial(36)])
 
 
 def _a5_wr_2_setup():

@@ -114,6 +114,12 @@ def test_degree_above_cap_raises_before_allocating(tmp_path):
         # an image too large for a machine integer
         (b"degree 2\ngen [99999999999999999999999,1]\n", 2),
         (b"degree 2\n# ok\n\xff\n", 3),
+        # integers are ASCII digits only: no underscores, signs or other digits
+        (b"degree 1_0\n", 1),
+        (b"degree 3\norder +5\n", 2),
+        (b"degree 3\ngen (+1,2)\n", 2),
+        ("degree 3\ngen (1,\u0663)\n".encode("utf-8"), 2),
+        (b"degree 2\ngen [+2,1]\n", 2),
     ],
 )
 def test_malformed_lines_raise_parse_error_with_line(tmp_path, text, line):
