@@ -13,6 +13,7 @@ import numpy as np
 from .errors import (
     DegreeOverflow,
     IndexTooLarge,
+    Mismatch,
     NotDecompositionPreserving,
     NotInvariant,
 )
@@ -158,7 +159,7 @@ def coset_action(G, H):
                 reps.append(nxt)
             gen_images[gi].append(j)
     if len(reps) != index:
-        raise RuntimeError(
+        raise Mismatch(
             f"coset scan found {len(reps)} cosets, expected {index}"
         )
     gens = [

@@ -12,7 +12,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import GeneratorNotAutomorphism, SearchBudgetExceeded, TooLarge
+from .errors import (
+    GeneratorNotAutomorphism,
+    Mismatch,
+    SearchBudgetExceeded,
+    TooLarge,
+)
 from .graphs import Graph, is_automorphism
 from .perm import _DTYPE, Permutation, PermGroup, fast_orbit
 
@@ -212,7 +217,7 @@ def graph_automorphism_group(cg):
         return PermGroup.trivial(cg.n)
     group = PermGroup(gens, degree=cg.n)
     if group.order() != order:
-        raise RuntimeError(
+        raise Mismatch(
             f"orbit-stabilizer order {order} != chain order {group.order()}"
         )
     return group

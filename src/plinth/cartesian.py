@@ -131,7 +131,7 @@ def index2_subgroups(G, derived=None):
             gens, degree=G.degree, claimed_order=G.order() // 2
         )
         if K.order() != G.order() // 2:
-            raise RuntimeError("lifted kernel missed its certified order")
+            raise Mismatch("lifted kernel missed its certified order")
         found.append(K)
     return found
 

@@ -18,9 +18,8 @@ from .errors import (
     NonSelfPaired,
     NotVertexTransitive,
 )
-from .perm import _DTYPE, is_k_transitive, point_stabilizer, suborbit_frame
-
-ARC_ENUMERATION_CAP = 10**6
+from .actions import PRODUCT_DEGREE_CAP
+from .perm import _DTYPE, point_stabilizer, suborbit_frame
 
 
 class Graph:
@@ -217,76 +216,22 @@ def is_automorphism(graph, g):
 
 
 def two_arc_transitive(G, graph):
-    """Whether G acts transitively on the 2-arcs of the graph.
-
-    By vertex-transitivity this reduces to 2-transitivity of the point
-    stabilizer on the base neighborhood.
-    """
-    for g in G.generators:
-        if not is_automorphism(graph, g):
-            raise GeneratorNotAutomorphism("a generator breaks adjacency")
-    pts, _ = G.orbit(0)
-    if len(pts) != graph.n:
-        raise NotVertexTransitive("group is not vertex-transitive")
-    nbrs = [int(v) for v in graph.neighbors(0)]
-    if len(nbrs) < 2:
+    """Whether G acts transitively on the 2-arcs of the graph."""
+    s = s_arc_transitivity_max(G, graph, s_cap=2)
+    if graph.degree(0) < 2:
         raise ValueError("valency must be at least 2")
-    stab = point_stabilizer(G, 0)
-    return is_k_transitive(stab, nbrs, 2)
-
-
-def count_s_arcs(graph, s):
-    """Number of s-arcs (paths with v_i != v_{i+2})."""
-    if s == 0:
-        return graph.n
-    total = 0
-    for v in range(graph.n):
-        for u in graph.neighbors(v):
-            total += _count_arcs_from(graph, int(v), int(u), s - 1)
-    return total
-
-
-def _count_arcs_from(graph, prev, cur, remaining):
-    if remaining == 0:
-        return 1
-    total = 0
-    for w in graph.neighbors(cur):
-        if w != prev:
-            total += _count_arcs_from(graph, cur, int(w), remaining - 1)
-    return total
-
-
-def _arc_orbit_covers_all(G, graph, arc, total):
-    seen = {arc}
-    frontier = [arc]
-    while frontier:
-        if len(seen) > ARC_ENUMERATION_CAP:
-            raise DegreeOverflow("arc orbit exceeds the enumeration cap")
-        nxt = []
-        for a in frontier:
-            for g in G.generators:
-                img = tuple(int(g.images[v]) for v in a)
-                if img not in seen:
-                    seen.add(img)
-                    nxt.append(img)
-        frontier = nxt
-    return len(seen) == total
-
-
-def _first_s_arc(graph, s):
-    arc = [0, int(graph.neighbors(0)[0])]
-    while len(arc) < s + 1:
-        prev, cur = arc[-2], arc[-1]
-        step = next(int(w) for w in graph.neighbors(cur) if int(w) != prev)
-        arc.append(step)
-    return tuple(arc)
+    return s == 2
 
 
 def s_arc_transitivity_max(G, graph, s_cap=3):
-    """Largest s <= s_cap with G transitive on s-arcs.
+    """Largest s <= s_cap with G transitive on the s-arcs of the graph.
 
-    Uses brute-force arc-orbit counting while the arc count stays under
-    the cap, and the iterated-stabilizer criterion beyond it.
+    Walks one arc v_0, v_1, ... from vertex 0 (Biggs, Algebraic Graph
+    Theory, the chapter on t-transitive graphs): a vertex-transitive G
+    is (i+1)-arc-transitive iff it is i-arc-transitive and the pointwise
+    stabilizer of v_0, ..., v_i is transitive on the nonempty set
+    N(v_i) minus v_(i-1).  That set is invariant under the stabilizer,
+    so one orbit length decides.
     """
     for g in G.generators:
         if not is_automorphism(graph, g):
@@ -294,28 +239,14 @@ def s_arc_transitivity_max(G, graph, s_cap=3):
     pts, _ = G.orbit(0)
     if len(pts) != graph.n:
         raise NotVertexTransitive("group is not vertex-transitive")
-    best = 0
-    for s in range(1, s_cap + 1):
-        total = count_s_arcs(graph, s)
-        if total == 0:
-            break
-        if total <= ARC_ENUMERATION_CAP:
-            arc = _first_s_arc(graph, s)
-            if not _arc_orbit_covers_all(G, graph, arc, total):
-                break
-        else:
-            if s == 1:
-                stab = point_stabilizer(G, 0)
-                nbrs = [int(v) for v in graph.neighbors(0)]
-                if not is_k_transitive(stab, nbrs, 1):
-                    break
-            elif s == 2:
-                if not two_arc_transitive(G, graph):
-                    break
-            else:
-                raise DegreeOverflow("3-arc check above the enumeration cap")
-        best = s
-    return best
+    stab, prev, cur = G, -1, 0
+    for s in range(s_cap):
+        stab = point_stabilizer(stab, cur)
+        ahead = [int(w) for w in graph.neighbors(cur) if w != prev]
+        if not ahead or len(stab.orbit(ahead[0])[0]) != len(ahead):
+            return s
+        prev, cur = cur, ahead[0]
+    return s_cap
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +260,7 @@ def direct_power(graph, ell):
     most significant.
     """
     n = graph.n ** ell
-    if n > ARC_ENUMERATION_CAP:
+    if n > PRODUCT_DEGREE_CAP:
         raise DegreeOverflow(f"{n} vertices exceed the cap")
     if not graph.is_regular():
         raise ValueError("direct powers are built for regular graphs")

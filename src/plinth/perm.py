@@ -19,7 +19,13 @@ from random import Random
 
 import numpy as np
 
-from .errors import DegreeMismatch, NotInvariant, NotTransitive, TooLarge
+from .errors import (
+    DegreeMismatch,
+    Mismatch,
+    NotInvariant,
+    NotTransitive,
+    TooLarge,
+)
 
 _DTYPE = np.int64
 
@@ -167,7 +173,8 @@ def _schreier_path_images(tree, point, gens, degree):
     """Image array of the generator product along a Schreier tree.
 
     ``tree`` maps each point to (parent, index into ``gens``) and the
-    root to (-1, -1); the product maps the root to ``point``.
+    root to (-1, -1); the product maps the root to ``point``.  The
+    result may be a generator's own (read-only) image array.
     """
     path = []
     p = point
@@ -177,7 +184,9 @@ def _schreier_path_images(tree, point, gens, degree):
             break
         path.append(gi)
         p = parent
-    arr = np.arange(degree, dtype=_DTYPE)
+    if not path:
+        return np.arange(degree, dtype=_DTYPE)
+    arr = gens[path.pop()].images
     for gi in reversed(path):
         arr = gens[gi].images[arr]
     return arr
@@ -478,7 +487,7 @@ class PermGroup:
                 upper_bound=self._claimed_order,
             )
             if self._chain is not None and rebuilt.order() != self._chain.order():
-                raise RuntimeError("inconsistent chain rebuild")
+                raise Mismatch("inconsistent chain rebuild")
             self._chain = rebuilt
         return self._chain
 
@@ -800,7 +809,7 @@ def fast_orbit(gen_images, alpha, degree):
     seen = np.zeros(degree, dtype=bool)
     seen[alpha] = True
     frontier = np.array([alpha], dtype=_DTYPE)
-    while frontier.size:
+    while True:
         batches = []
         for images in gen_images:
             img = images[frontier]
@@ -808,10 +817,10 @@ def fast_orbit(gen_images, alpha, degree):
             if fresh.size:
                 seen[fresh] = True
                 batches.append(fresh)
-        if batches:
-            frontier = np.unique(np.concatenate(batches))
-        else:
-            frontier = np.array([], dtype=_DTYPE)
+        if not batches:
+            break
+        # the batches are disjoint: each was filtered through ``seen``
+        frontier = np.concatenate(batches)
     return np.nonzero(seen)[0]
 
 
@@ -837,7 +846,7 @@ def reduce_generators(group):
             kept.append(g)
             current = order
     if current != total:
-        raise RuntimeError("generator reduction lost the group")
+        raise Mismatch("generator reduction lost the group")
     return PermGroup(kept, degree=group.degree, claimed_order=total)
 
 

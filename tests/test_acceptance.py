@@ -55,18 +55,21 @@ def test_criterion_1_sylvester_runtime():
 
 
 def test_criterion_1_sylvester_s_arc_transitivity_max():
-    # the largest s for which each flavor is s-arc-transitive on the
-    # graph, by brute-force arc-orbit counting: 2 exactly for the
-    # 2-arc-transitive flavors
+    # the largest s <= 3 for which each flavor is s-arc-transitive on
+    # the graph, by the arc-stabilizer criterion and by brute-force
+    # arc-orbit counting: 2 exactly for the 2-arc-transitive flavors
     from plinth.cli import _sylvester_context
     from plinth.graphs import s_arc_transitivity_max
+    from test_graphs import brute_s_arc_max
 
     ctx = _sylvester_context(1)
     got = {
-        f: s_arc_transitivity_max(group, ctx["graph"])
+        f: s_arc_transitivity_max(group, ctx["graph"], s_cap=3)
         for f, group in ctx["flavor_groups"].items()
     }
     assert got == {"PSL": 1, "PGL": 1, "PSigmaL": 2, "M10": 2, "PGammaL": 2}
+    for f, group in ctx["flavor_groups"].items():
+        assert brute_s_arc_max(group, ctx["graph"]) == got[f]
 
 
 # ---------------------------------------------------------------------------
@@ -176,16 +179,17 @@ def test_criterion_7_envelopes():
 
 
 def test_criterion_8_two_arc_oracle_corpus():
-    from plinth.graphs import count_s_arcs, two_arc_transitive
+    from plinth.graphs import two_arc_transitive
     # the tests directory is on sys.path under both ``pytest`` and
     # ``python -m pytest``; the repository root only under the latter
-    from test_graphs import ORACLE_CASES, brute_two_arc_transitive
+    from test_graphs import ORACLE_CASES, brute_s_arc_orbit
 
     assert len(ORACLE_CASES) >= 5
     for param in ORACLE_CASES:
         G, graph = param.values
-        assert count_s_arcs(graph, 2) <= 2000
-        assert two_arc_transitive(G, graph) == brute_two_arc_transitive(G, graph)
+        count, transitive = brute_s_arc_orbit(G, graph, 2)
+        assert count <= 2000
+        assert two_arc_transitive(G, graph) == transitive
 
 
 def test_criterion_8_membership_and_intersection_oracles():

@@ -13,7 +13,7 @@ from plinth.actions import (
 )
 from plinth.algebra import psl2_action
 from plinth.cartesian import CartesianDecomposition
-from plinth.errors import NotInvariant
+from plinth.errors import Mismatch, NotInvariant
 from plinth.perm import (
     PermGroup,
     Permutation,
@@ -28,6 +28,14 @@ def test_coset_action_regular():
     act = coset_action(G, PermGroup.trivial(4))
     assert act.group.degree == 24
     assert act.group.order() == 24
+
+
+def test_coset_action_of_non_subgroup_raises_mismatch():
+    # <(1,2)> is not in A4: the scan finds 12 cosets where the index
+    # claims 12 / 2 = 6, an invariant failure rather than a crash
+    with pytest.raises(Mismatch):
+        H = PermGroup([Permutation.from_cycles(4, [(0, 1)])], degree=4)
+        coset_action(PermGroup.alternating(4), H)
 
 
 def test_coset_action_natural():

@@ -308,6 +308,22 @@ def test_cli_m12_subgroup_search_failure_fails(monkeypatch, capsys):
     assert report.checks[-1]["actual"] is None
 
 
+def test_cli_classify_sp44_dihedral_search_failure_fails(monkeypatch, capsys):
+    # a dihedral search that finds nothing gives a FAIL report, not a crash
+    from plinth.errors import ConstructionFailed
+
+    def fail(*args, **kwargs):
+        raise ConstructionFailed("no inverting involution found")
+
+    monkeypatch.setattr("plinth.cli.dihedral_subgroup", fail)
+    code = main(["verify", "classify-sp44"])
+    assert code == 1
+    assert "status: FAIL" in capsys.readouterr().out
+    report = run_case("classify-sp44")
+    failed = [c["name"] for c in report.checks if not c["pass"]]
+    assert failed == ["dihedral_34_index_2"]
+
+
 def test_cli_crash_exits_3_not_fail(tmp_path, capsys):
     # an unreadable input is a crash (exit 3), not a failed check (exit 1)
     code = main(["verify", "m12", "--data", str(tmp_path / "missing.gens")])

@@ -8,7 +8,6 @@ from random import Random
 
 from plinth.graphs import (
     Graph,
-    count_s_arcs,
     direct_power,
     edge_orbit_graph,
     is_automorphism,
@@ -45,16 +44,20 @@ def petersen():
     return K, edge_orbit_graph(K, (index[(0, 1)], index[(2, 3)]))
 
 
-def brute_two_arc_transitive(G, graph):
-    """Oracle: orbit count on actual 2-arcs by full 2-arc enumeration."""
-    arcs = []
-    for v in range(graph.n):
-        for u in graph.neighbors(v):
-            for w in graph.neighbors(int(u)):
-                if int(w) != v:
-                    arcs.append((v, int(u), int(w)))
+def brute_s_arc_orbit(G, graph, s):
+    """Oracle for s <= 3: (number of s-arcs, whether G is transitive on
+    them), by listing every s-arc and walking the orbit of the first."""
+    assert 0 <= s <= 3
+    arcs = [(v,) for v in range(graph.n)]
+    for _ in range(s):
+        arcs = [
+            a + (int(w),)
+            for a in arcs
+            for w in graph.neighbors(a[-1])
+            if len(a) < 2 or int(w) != a[-2]
+        ]
     if not arcs:
-        return False
+        return 0, False
     arc_set = set(arcs)
     start = arcs[0]
     seen = {start}
@@ -67,7 +70,17 @@ def brute_two_arc_transitive(G, graph):
             if b in arc_set and b not in seen:
                 seen.add(b)
                 frontier.append(b)
-    return len(seen) == len(arcs)
+    return len(arcs), len(seen) == len(arcs)
+
+
+def brute_s_arc_max(G, graph, s_cap=3):
+    """Oracle: largest s <= s_cap with G transitive on the s-arcs."""
+    best = 0
+    for s in range(1, s_cap + 1):
+        if not brute_s_arc_orbit(G, graph, s)[1]:
+            break
+        best = s
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +207,14 @@ _oracle_case("K33_aut", PermGroup(_k33_gens, degree=6), _k33)
 
 @pytest.mark.parametrize("G,graph", ORACLE_CASES)
 def test_two_arc_transitive_matches_brute_oracle(G, graph):
-    assert count_s_arcs(graph, 2) <= 2000
-    assert two_arc_transitive(G, graph) == brute_two_arc_transitive(G, graph)
+    count, transitive = brute_s_arc_orbit(G, graph, 2)
+    assert count <= 2000
+    assert two_arc_transitive(G, graph) == transitive
+
+
+@pytest.mark.parametrize("G,graph", ORACLE_CASES)
+def test_s_arc_transitivity_max_matches_brute_oracle(G, graph):
+    assert s_arc_transitivity_max(G, graph, s_cap=3) == brute_s_arc_max(G, graph)
 
 
 def test_two_arc_known_values():
@@ -210,12 +229,27 @@ def test_s_arc_transitivity_max_values():
     assert s_arc_transitivity_max(PermGroup.cyclic(4), cycle_graph(4)) == 0
 
 
+def test_s_arc_transitivity_max_complete_graph_k33():
+    # 33 * 32 * 31 * 31 = 1,014,816 three-arcs: S_33 is transitive on
+    # the 2-arcs, but a 3-arc either returns to v_0 or does not
+    assert s_arc_transitivity_max(PermGroup.symmetric(33), complete_graph(33)) == 2
+
+
+def test_s_arc_transitivity_max_perfect_matching():
+    matching = Graph.from_edges(4, [(0, 1), (2, 3)])
+    G = _perm_group(4, [(0, 1), (2, 3)], [(0, 2), (1, 3)])
+    assert s_arc_transitivity_max(G, matching) == 1 == brute_s_arc_max(G, matching)
+    with pytest.raises(ValueError):
+        two_arc_transitive(G, matching)
+
+
 def test_count_s_arcs():
     # K4: 12 arcs, each extends to 2 two-arcs
-    assert count_s_arcs(_k4, 1) == 12
-    assert count_s_arcs(_k4, 2) == 24
-    assert count_s_arcs(_pet, 1) == 30
-    assert count_s_arcs(_pet, 2) == 60
+    S4 = PermGroup.symmetric(4)
+    assert brute_s_arc_orbit(S4, _k4, 1)[0] == 12
+    assert brute_s_arc_orbit(S4, _k4, 2)[0] == 24
+    assert brute_s_arc_orbit(_K_pet, _pet, 1)[0] == 30
+    assert brute_s_arc_orbit(_K_pet, _pet, 2)[0] == 60
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +331,7 @@ def test_suborbit_scan_matches_graph_oracles(G):
         graph = orbital_graph(G, 0, r["representative"], orbital_data=od)
         assert r["length"] == graph.valency()
         assert r["connected"] == is_connected(graph)[0]
-        assert r["two_at"] == brute_two_arc_transitive(G, graph)
+        assert r["two_at"] == brute_s_arc_orbit(G, graph, 2)[1]
         if r["length"] >= 2:
             assert r["two_at"] == two_arc_transitive(G, graph)
 
