@@ -363,9 +363,10 @@ class MatrixActionGroup:
 def sp4(q):
     """Sp(4,q) for even q, acting on the (q^2+1)(q+1) projective points.
 
-    Built from symplectic transvections added in a fixed order until the
-    chain order reaches q^4 (q^2-1)(q^4-1); the scan failing to get
-    there would be a construction bug.
+    Grown from symplectic transvections taken in a fixed order until the
+    chain order reaches q^4 (q^2-1)(q^4-1), keeping only those that
+    enlarge the group; the scan failing to get there would be a
+    construction bug.
     """
     F = Field(q)
     if F.p != 2:
@@ -380,18 +381,16 @@ def sp4(q):
             images[i] = index[_normalize(F, _vec_mat(F, v, m))]
         return Permutation(images)
 
-    gens = []
+    group = PermGroup.trivial(len(points))
     mats = []
-    group = None
     lams = [1, F.primitive_element()] if q > 2 else [1]
     for v in points:
         for lam in lams:
             m = _transvection(F, v, lam)
             if not preserves_form(F, m):
                 raise ConstructionFailed("transvection breaks the form")
-            gens.append(perm_of(m))
-            mats.append(m)
-        group = PermGroup(gens)
+            if group.extend(perm_of(m)):
+                mats.append(m)
         if group.order() == target:
             return MatrixActionGroup(F, group, mats)
     raise ConstructionFailed(

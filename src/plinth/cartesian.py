@@ -41,6 +41,7 @@ from .perm import (
     PermGroup,
     Permutation,
     _orbit_labels,
+    _power_of_order,
     _schreier_path_images,
     derived_subgroup,
     element_of_order,
@@ -50,6 +51,7 @@ from .perm import (
     random_subgroup_of_order,
     reduce_generators,
 )
+from .textio import parse_int, read_lines
 
 
 class CartesianDecomposition:
@@ -500,12 +502,8 @@ def dihedral_subgroup(T, order, seed=1):
     rng = Random(seed)
     chain = T.chain()
     for _ in range(INVOLUTION_TRIES * max(4, half)):
-        g = chain.random_element(rng)
-        o = g.order()
-        if o % 2:
-            continue
-        t = g ** (o // 2)
-        if a.conjugate(t) == a_inv:
+        t = _power_of_order(chain, rng, 2, 1)
+        if t is not None and a.conjugate(t) == a_inv:
             sub = PermGroup([a, t], degree=T.degree)
             if sub.order() == order:
                 return sub
@@ -600,25 +598,29 @@ def verify_psl2_factorization_row(q, row, seed=1, max_attempts=40):
 # table data
 
 
+def _table_rows(path, nfields):
+    """(line number, fields) of each line of a ``|``-separated table,
+    skipping blank lines and ``#`` comments."""
+    rows = []
+    for lineno, line in enumerate(read_lines(path), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = [p.strip() for p in line.split("|")]
+        if len(parts) != nfields:
+            raise ParseError(f"expected {nfields} fields", line=lineno)
+        rows.append((lineno, parts))
+    return rows
+
+
 def load_factorization_table(path):
     """Rows of `q | A-label | A-order | B-label | B-order | meet | anchor`."""
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = [p.strip() for p in line.split("|")]
-            if len(parts) != 7:
-                raise ParseError("expected 7 fields", line=lineno)
-            try:
-                q = int(parts[0])
-                a_order = int(parts[2])
-                b_order = int(parts[4])
-                meet = int(parts[5])
-            except ValueError:
-                raise ParseError("bad integer field", line=lineno)
-            rows.append((q, (parts[1], a_order, parts[3], b_order, meet, parts[6])))
+    for lineno, parts in _table_rows(path, 7):
+        q, a_order, b_order, meet = (
+            parse_int(parts[i], "bad integer field", lineno) for i in (0, 2, 4, 5)
+        )
+        rows.append((q, (parts[1], a_order, parts[3], b_order, meet, parts[6])))
     return rows
 
 
@@ -630,15 +632,10 @@ def parabolic_order(q):
 def load_examples_table(path):
     """Rows of `example-id | q-condition | label | order-rule | anchor`."""
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = [p.strip() for p in line.split("|")]
-            if len(parts) != 5:
-                raise ParseError("expected 5 fields", line=lineno)
-            rows.append(tuple(parts))
+    for lineno, parts in _table_rows(path, 5):
+        _condition_modulus(parts[1], lineno)
+        _example_order(parts[3], lineno)
+        rows.append(tuple(parts))
     return rows
 
 
@@ -653,13 +650,28 @@ def _is_prime(n):
     return True
 
 
-def _condition_holds(cond, q):
+def _condition_modulus(cond, lineno=None):
+    """None for the q-condition ``any``, m >= 1 for ``prime+-1mod<m>``."""
     if cond == "any":
-        return True
-    if cond.startswith("prime+-1mod"):
-        m = int(cond[len("prime+-1mod"):])
-        return _is_prime(q) and (q % m == 1 or q % m == m - 1)
-    raise ParseError(f"unknown q-condition {cond}")
+        return None
+    head = "prime+-1mod"
+    if cond.startswith(head):
+        m = parse_int(cond[len(head):], f"bad q-condition {cond}", lineno)
+        if m > 0:
+            return m
+    raise ParseError(f"unknown q-condition {cond}", line=lineno)
+
+
+def _example_order(rule, lineno=None):
+    """None for the ``parabolic`` order rule, else its integer."""
+    if rule == "parabolic":
+        return None
+    return parse_int(rule, f"bad order rule {rule}", lineno)
+
+
+def _condition_holds(cond, q):
+    m = _condition_modulus(cond)
+    return m is None or (_is_prime(q) and q % m in (1, m - 1))
 
 
 def cross_check_examples(example_rows, factorization_rows):
@@ -673,7 +685,9 @@ def cross_check_examples(example_rows, factorization_rows):
         for ex_id, cond, label, order_rule, ex_anchor in example_rows:
             if not _condition_holds(cond, q):
                 continue
-            order = parabolic_order(q) if order_rule == "parabolic" else int(order_rule)
+            order = _example_order(order_rule)
+            if order is None:
+                order = parabolic_order(q)
             if order == meet:
                 collisions.append(
                     {

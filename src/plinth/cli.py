@@ -65,6 +65,7 @@ from .perm import (
     small_generating_set,
     stabilizer_orbit_sizes,
 )
+from .textio import parse_int, read_lines
 
 SCHEMA_VERSION = 1
 
@@ -101,14 +102,6 @@ class GeneratorFile:
         return PermGroup(list(self.generators), degree=self.degree)
 
 
-def _parse_int(token, message, lineno):
-    """An integer in ASCII digits; ``int`` also takes 1_0, +5, non-ASCII."""
-    token = token.strip()
-    if token.isascii() and token.isdigit():
-        return int(token)
-    raise ParseError(message, line=lineno)
-
-
 def _parse_cycle_notation(text, degree, lineno):
     """One permutation from 1-based disjoint-cycle notation."""
     images = np.arange(degree, dtype=_DTYPE)
@@ -120,7 +113,7 @@ def _parse_cycle_notation(text, degree, lineno):
     seen = set()
     for chunk in body[1:-1].split(")("):
         bad = f"bad cycle {chunk!r}"
-        points = [_parse_int(tok, bad, lineno) - 1 for tok in chunk.split(",")]
+        points = [parse_int(tok, bad, lineno) - 1 for tok in chunk.split(",")]
         if len(points) < 2:
             raise ParseError("cycles need at least two points", line=lineno)
         for p in points:
@@ -140,7 +133,7 @@ def _parse_image_notation(text, degree, lineno):
     if not body.startswith("[") or not body.endswith("]"):
         raise ParseError("image list must be bracketed", line=lineno)
     tokens = body[1:-1].split(",")
-    images = [_parse_int(tok, "bad image list", lineno) - 1 for tok in tokens]
+    images = [parse_int(tok, "bad image list", lineno) - 1 for tok in tokens]
     if len(images) != degree:
         raise ParseError("image list length != degree", line=lineno)
     for p in images:
@@ -155,7 +148,7 @@ def _parse_count(line, keyword, lineno):
     """The integer of a ``keyword N`` line; nothing may follow it."""
     fields = line.split()
     token = fields[1] if len(fields) == 2 else ""
-    return _parse_int(token, f"bad {keyword} line", lineno)
+    return parse_int(token, f"bad {keyword} line", lineno)
 
 
 def parse_generators(path):
@@ -163,17 +156,7 @@ def parse_generators(path):
     degree = None
     generators = []
     expected_order = None
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise IoError(str(exc))
-    try:
-        lines = data.decode("utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise ParseError("not UTF-8 text", line=line)
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(read_lines(path), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -485,12 +468,13 @@ def _case_sylvester(opts):
             ctx["G"].degree,
             'Theorem 1.1(1), "|Omega| = 6^2"',
         )
-        report.add(
+        if not report.add(
             "self_paired_length5_suborbits",
             1,
             len(ctx["hits"]),
             ANCHOR_SYLVESTER,
-        )
+        ):
+            return report
         graph = ctx["graph"]
         report.add("vertices", 36, graph.n, ANCHOR_SYLVESTER)
         report.add("valency", 5, graph.valency(), ANCHOR_SYLVESTER)
@@ -592,12 +576,13 @@ def _case_sp44(opts):
             len(winners),
             'Theorem 4.1(2), "a graph of valency 17"',
         )
-        report.add(
+        if not report.add(
             "winning_valency",
             [17],
             [r["length"] for r in winners],
             'Theorem 4.1(2), "a graph of valency 17"',
-        )
+        ):
+            return report
     with _Phase(report, "neighborhood"):
         act = ctx["act"]
         od = ctx["orbital_data"]
@@ -900,12 +885,13 @@ def _case_classify_a6(opts):
     with _Phase(report, "grid"):
         base = _sylvester_context(opts["seed"])
         ctx = _grid_context(base)
-        report.add(
+        if not report.add(
             "grid_count",
             1,
             len(ctx["grids"]),
             'Theorem 1.1(1), "|Omega| = 6^2"',
-        )
+        ):
+            return report
         E = ctx["grids"][0]
         report.add(
             "block_counts",
@@ -991,12 +977,13 @@ def _case_classify_sp44(opts):
     with _Phase(report, "grid"):
         base = _sp44_context(opts["seed"])
         ctx = _grid_context(base)
-        report.add(
+        if not report.add(
             "grid_count",
             1,
             len(ctx["grids"]),
             'Theorem 1.1(2), "|Omega| = 120^2"',
-        )
+        ):
+            return report
         E = ctx["grids"][0]
         report.add(
             "block_counts",

@@ -29,7 +29,8 @@ from .errors import (
 
 _DTYPE = np.int64
 
-#: Default element-enumeration bound for intersections and canonical forms.
+#: Cap on the elements ``elements`` enumerates (so on ``intersection_small``)
+#: and on the image entries a chain level caches for its transversal.
 ENUMERATION_BOUND = 10**6
 
 #: Random draws made by ``element_of_order`` before it gives up.
@@ -405,10 +406,10 @@ class StabChain:
             arr = arr[self._transversal_images(i, p)]
         return Permutation(arr, _checked=True)
 
-    def elements(self, limit=ENUMERATION_BOUND):
+    def elements(self):
         """Iterate over all group elements (chain transversal products)."""
-        if self.order() > limit:
-            raise TooLarge(f"order {self.order()} exceeds bound {limit}")
+        if self.order() > ENUMERATION_BOUND:
+            raise TooLarge(f"order {self.order()} exceeds {ENUMERATION_BOUND}")
         stack = [self._identity]
         for i, lev in enumerate(self.levels):
             stack = [
@@ -501,14 +502,31 @@ class PermGroup:
             )
         return self.chain().contains(g)
 
+    def extend(self, g):
+        """Add g to the group in place; False when g is already a member.
+
+        The chain grows by one Schreier-Sims insertion instead of being
+        rebuilt.  The claimed order and the chain's early-exit bound are
+        dropped: neither holds for the bigger group.
+        """
+        if self.contains(g):
+            return False
+        self.generators.append(g)
+        self._claimed_order = None
+        chain = self._chain
+        chain._bound = None
+        chain._assign(g)
+        chain._process()
+        return True
+
     def identity(self):
         return Permutation.identity(self.degree)
 
     def random_element(self, rng):
         return self.chain().random_element(rng)
 
-    def elements(self, limit=ENUMERATION_BOUND):
-        return self.chain().elements(limit=limit)
+    def elements(self):
+        return self.chain().elements()
 
     def orbit(self, alpha):
         """Orbit of alpha with a Schreier vector.
@@ -743,23 +761,17 @@ def _block_system_labels(group, block):
 def derived_subgroup(group):
     """Derived subgroup as the normal closure of generator commutators."""
     gens = group.generators
-    queue = deque()
-    for i, g in enumerate(gens):
-        for h in gens[i + 1:]:
-            c = (g * h).inverse() * (h * g)
-            if not c.is_identity():
-                queue.append(c)
-    dgens = []
-    dgroup = PermGroup.trivial(group.degree)
+    queue = deque(
+        (g * h).inverse() * (h * g)
+        for i, g in enumerate(gens)
+        for h in gens[i + 1:]
+    )
+    derived = PermGroup.trivial(group.degree)
     while queue:
         x = queue.popleft()
-        if x.is_identity() or (dgens and dgroup.contains(x)):
-            continue
-        dgens.append(x)
-        dgroup = PermGroup(dgens, degree=group.degree)
-        for g in gens:
-            queue.append(x.conjugate(g))
-    return dgroup
+        if derived.extend(x):
+            queue.extend(x.conjugate(g) for g in gens)
+    return derived
 
 
 def element_of_order(group, m, seed=1):
@@ -770,9 +782,13 @@ def element_of_order(group, m, seed=1):
     """
     if m == 1:
         return group.identity()
-    rng = Random(seed)
-    chain = group.chain()
-    for _ in range(ELEMENT_SEARCH_TRIES):
+    return _power_of_order(group.chain(), Random(seed), m, ELEMENT_SEARCH_TRIES)
+
+
+def _power_of_order(chain, rng, m, tries):
+    """g^(o/m) for the first of ``tries`` random chain elements g whose
+    order o is a multiple of m, or None; one draw from rng per try."""
+    for _ in range(tries):
         g = chain.random_element(rng)
         o = g.order()
         if o % m == 0:
@@ -780,24 +796,17 @@ def element_of_order(group, m, seed=1):
     return None
 
 
-def intersection_small(a, b, bound=ENUMERATION_BOUND):
-    """Intersection by enumerating the smaller group and sifting in the larger."""
+def intersection_small(a, b):
+    """Intersection by enumerating the smaller group and sifting in the
+    larger; raises TooLarge above ``ENUMERATION_BOUND`` elements."""
     if a.degree != b.degree:
         raise DegreeMismatch("intersection of groups of different degree")
-    if min(a.order(), b.order()) > bound:
-        raise TooLarge("both groups exceed the enumeration bound")
     small, large = (a, b) if a.order() <= b.order() else (b, a)
-    members = []
-    mem_group = PermGroup.trivial(a.degree)
-    for g in small.elements(limit=bound):
-        if g.is_identity():
-            continue
-        if members and mem_group.contains(g):
-            continue
-        if large.contains(g):
-            members.append(g)
-            mem_group = PermGroup(members, degree=a.degree)
-    return mem_group
+    meet = PermGroup.trivial(a.degree)
+    for g in small.elements():
+        if not meet.contains(g) and large.contains(g):
+            meet.extend(g)
+    return meet
 
 
 def fast_orbit(gen_images, alpha, degree):
@@ -831,23 +840,14 @@ def reduce_generators(group):
     working with a handful of generators instead of dozens.
     """
     total = group.order()
-    kept = []
-    current = 1
+    kept = PermGroup.trivial(group.degree)
     for g in group.generators:
-        if current == total:
+        if kept.order() == total:
             break
-        if g.is_identity():
-            continue
-        trial = PermGroup(
-            kept + [g], degree=group.degree, claimed_order=total
-        )
-        order = trial.order()
-        if order > current:
-            kept.append(g)
-            current = order
-    if current != total:
+        kept.extend(g)
+    if kept.order() != total:
         raise Mismatch("generator reduction lost the group")
-    return PermGroup(kept, degree=group.degree, claimed_order=total)
+    return kept
 
 
 def small_generating_set(group, seed=1):
@@ -880,14 +880,12 @@ def random_subgroup_of_order(group, target, profile=None, seed=1):
     chain = group.chain()
 
     def draw(want_order):
+        if want_order is not None:
+            return _power_of_order(chain, rng, want_order, 64)
         for _ in range(64):
             g = chain.random_element(rng)
-            o = g.order()
-            if want_order is None:
-                if not g.is_identity():
-                    return g
-            elif o % want_order == 0:
-                return g ** (o // want_order)
+            if not g.is_identity():
+                return g
         return None
 
     want_a = profile[0] if profile else None
@@ -903,8 +901,6 @@ def random_subgroup_of_order(group, target, profile=None, seed=1):
             return sub
         if order < target and target % order == 0 and trial % 4 == 3:
             c = draw(None)
-            if c is not None:
-                sub3 = PermGroup([a, b, c], degree=group.degree)
-                if sub3.order() == target:
-                    return sub3
+            if c is not None and sub.extend(c) and sub.order() == target:
+                return sub
     return None

@@ -136,6 +136,25 @@ def test_sp4_order_and_form_preservation():
     assert ma4.group.degree == 85
 
 
+@pytest.mark.parametrize("q", [2, 4])
+def test_sp4_keeps_each_generator_with_its_matrix(q):
+    # only transvections that enlarge the group are kept, each with the
+    # matrix whose action on the projective points it is
+    from plinth.algebra import _normalize, _vec_mat
+
+    ma = sp4(q)
+    points = projective_points(ma.field)
+    index = {v: i for i, v in enumerate(points)}
+    assert len(ma.matrices) == len(ma.group.generators)
+    F = ma.field
+    for g, m in zip(ma.group.generators, ma.matrices):
+        images = [index[_normalize(F, _vec_mat(F, v, m))] for v in points]
+        assert g.images.tolist() == images
+    # no kept generator lies in the group generated by those before it
+    grown = PermGroup.trivial(len(points))
+    assert all(grown.extend(g) for g in ma.group.generators)
+
+
 def test_projective_points_count():
     F = Field(4)
     assert len(projective_points(F)) == (4**4 - 1) // (4 - 1)

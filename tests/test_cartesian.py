@@ -1,9 +1,12 @@
 """Tests for grid decompositions, inclusion classification, factorizations."""
 
 import itertools
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from random import Random
 
 from plinth.actions import component, cyclic_class_action, product_action_wreath
@@ -23,7 +26,7 @@ from plinth.cartesian import (
     verify_psl2_factorization_row,
 )
 from plinth.cli import data_path
-from plinth.errors import Mismatch, NotInvariant
+from plinth.errors import IoError, Mismatch, NotInvariant, ParseError, PlinthError
 from plinth.perm import (
     PermGroup,
     Permutation,
@@ -432,6 +435,101 @@ def test_shipped_tables_load_and_cross_check():
     assert len(examples) == 5
     ok, collisions = cross_check_examples(examples, rows)
     assert ok, collisions
+
+
+_FACTORIZATION_ROW = "4 | P1 | 12 | D10 | 10 | 2 | Table 3 row"
+_EXAMPLE_ROW = "ex | prime+-1mod5 | D5 | 10 | Table 4 row"
+
+
+@pytest.mark.parametrize(
+    "text,line",
+    [
+        ("# head\n" + _FACTORIZATION_ROW.replace("| 2 |", "| 1_0 |"), 2),
+        (_FACTORIZATION_ROW.replace("4 |", "+4 |"), 1),
+        (_FACTORIZATION_ROW.replace("| 12 |", "| \u0661\u0662 |"), 1),
+        (_FACTORIZATION_ROW + "\n4 | P1 | 12", 2),
+    ],
+)
+def test_factorization_table_rejects_bad_rows(tmp_path, text, line):
+    path = tmp_path / "t.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError) as info:
+        load_factorization_table(str(path))
+    assert info.value.line == line
+
+
+@pytest.mark.parametrize(
+    "text,line",
+    [
+        (_EXAMPLE_ROW.replace("| 10 |", "| \u0663 |"), 1),
+        ("\n" + _EXAMPLE_ROW.replace("mod5", "modx"), 2),
+        (_EXAMPLE_ROW.replace("mod5", "mod0"), 1),
+        (_EXAMPLE_ROW.replace("prime+-1mod5", "odd"), 1),
+    ],
+)
+def test_examples_table_rejects_bad_rows(tmp_path, text, line):
+    path = tmp_path / "t.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError) as info:
+        load_examples_table(str(path))
+    assert info.value.line == line
+
+
+def test_cross_check_rejects_bad_hand_built_rows():
+    rows = [(5, ("P1", 12, "D10", 10, 2, "x"))]
+    for example in [
+        ("ex", "prime+-1modx", "D5", "10", "x"),
+        ("ex", "any", "S3", "\u0663", "x"),
+    ]:
+        with pytest.raises(ParseError):
+            cross_check_examples([example], rows)
+
+
+@pytest.mark.parametrize("loader", [load_factorization_table, load_examples_table])
+def test_tables_reject_unreadable_files(tmp_path, loader):
+    with pytest.raises(IoError):
+        loader(str(tmp_path / "missing.txt"))
+    with pytest.raises(IoError):
+        loader(str(tmp_path))
+    path = tmp_path / "t.txt"
+    path.write_bytes(b"# table\n\xff\n")
+    with pytest.raises(ParseError) as info:
+        loader(str(path))
+    assert info.value.line == 2
+
+
+_TABLE_FRAGMENTS = st.sampled_from(
+    ["|", " ", "\n", "#", "any", "prime+-1mod", "parabolic", "P1", "0", "4",
+     "12", "1_0", "+", "-", "\u0663", "x", "\r"]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        st.binary(max_size=96),
+        st.text(max_size=96).map(lambda s: s.encode("utf-8")),
+        st.lists(_TABLE_FRAGMENTS, max_size=40).map(
+            lambda parts: "".join(parts).encode("utf-8")
+        ),
+    )
+)
+def test_arbitrary_table_input_raises_only_plinth_errors(data):
+    rows = load_factorization_table(data_path("psl2_factorizations.txt"))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.txt")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        try:
+            load_factorization_table(path)
+        except PlinthError:
+            pass
+        try:
+            examples = load_examples_table(path)
+        except PlinthError:
+            examples = None
+        if examples is not None:
+            cross_check_examples(examples, rows)
 
 
 def test_strong_factorization_check_positive():

@@ -324,6 +324,46 @@ def test_cli_classify_sp44_dihedral_search_failure_fails(monkeypatch, capsys):
     assert failed == ["dihedral_34_index_2"]
 
 
+def test_cli_classify_a6_without_grids_fails(monkeypatch, capsys):
+    # no grid found gives a FAIL report, not a crash on the first grid;
+    # fresh contexts, because the cached ones hold the real grids
+    monkeypatch.setattr("plinth.cli._CONTEXTS", {})
+    monkeypatch.setattr(
+        "plinth.cli.find_grid_decompositions", lambda *args, **kwargs: []
+    )
+    code = main(["verify", "classify-a6"])
+    assert code == 1
+    assert "status: FAIL" in capsys.readouterr().out
+    report = run_case("classify-a6")
+    assert report.status == "FAIL"
+    assert report.checks[-1]["name"] == "grid_count"
+    assert report.checks[-1]["actual"] == 0
+
+
+def test_cli_sylvester_without_length5_suborbit_fails(monkeypatch, capsys):
+    # no self-paired suborbit of length 5 gives a FAIL report, not a
+    # crash on the missing orbital graph
+    monkeypatch.setattr("plinth.cli._CONTEXTS", {})
+    monkeypatch.setattr("plinth.cli._scan_suborbits", lambda od: [])
+    code = main(["verify", "sylvester"])
+    assert code == 1
+    assert "status: FAIL" in capsys.readouterr().out
+    report = run_case("sylvester")
+    assert report.status == "FAIL"
+    assert report.checks[-1]["name"] == "self_paired_length5_suborbits"
+    assert report.checks[-1]["actual"] == 0
+
+
+def test_cli_sp44_without_valency17_suborbit_fails(monkeypatch):
+    # an empty suborbit scan gives a FAIL report, not a crash looking for
+    # the valency-17 suborbit (the cached context does not hold the scan)
+    monkeypatch.setattr("plinth.cli._scan_suborbits", lambda od: [])
+    report = run_case("sp44")
+    assert report.status == "FAIL"
+    assert report.checks[-1]["name"] == "winning_valency"
+    assert report.checks[-1]["actual"] == []
+
+
 def test_cli_crash_exits_3_not_fail(tmp_path, capsys):
     # an unreadable input is a crash (exit 3), not a failed check (exit 1)
     code = main(["verify", "m12", "--data", str(tmp_path / "missing.gens")])

@@ -8,10 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plinth.algebra import psl2_action
+from plinth.algebra import psl2_action, sp4
+from plinth.errors import TooLarge
 from plinth.perm import (
     PermGroup,
     Permutation,
+    StabChain,
+    _power_of_order,
     _schreier_path_images,
     derived_subgroup,
     element_of_order,
@@ -22,6 +25,7 @@ from plinth.perm import (
     minimal_block_systems,
     point_stabilizer,
     random_subgroup_of_order,
+    reduce_generators,
     same_subgroup,
     small_generating_set,
 )
@@ -378,6 +382,12 @@ def test_intersection_small_vs_brute():
         assert got.order() == brute
 
 
+def test_intersection_small_above_enumeration_bound_raises():
+    S10 = PermGroup.symmetric(10)
+    with pytest.raises(TooLarge):
+        intersection_small(S10, S10)
+
+
 def test_element_of_order_finds_and_respects_order():
     G = PermGroup.symmetric(6)
     for m in (2, 3, 4, 5, 6):
@@ -401,6 +411,83 @@ def test_random_subgroup_of_order():
     assert H is not None and H.order() == 12
     assert all(A5.contains(g) for g in H.generators)
     assert random_subgroup_of_order(A5, 7, seed=1) is None
+
+
+def test_power_of_order_draws_once_per_try():
+    chain = PermGroup.cyclic(5).chain()
+    rng, twin = Random(3), Random(3)
+    assert _power_of_order(chain, rng, 2, 7) is None
+    for _ in range(7):
+        chain.random_element(twin)
+    assert rng.random() == twin.random()
+    g = _power_of_order(PermGroup.symmetric(6).chain(), rng, 4, 50)
+    assert g is not None and g.order() == 4
+
+
+# ---------------------------------------------------------------------------
+# growing a group in place
+
+
+def test_extend_drops_claimed_order():
+    # the claim 60 holds for A5, not for the S5 that (0 1) extends it to
+    A5 = PermGroup(PermGroup.alternating(5).generators, claimed_order=60)
+    assert A5.order() == 60
+    assert A5.extend(Permutation.from_cycles(5, [(0, 1)]))
+    assert A5.order() == 120
+
+
+def test_extend_skips_members():
+    G = PermGroup.trivial(5)
+    assert not G.extend(Permutation.identity(5))
+    g = Permutation.from_cycles(5, [(0, 1, 2, 3, 4)])
+    assert G.extend(g)
+    assert not G.extend(g ** 2)
+    assert G.generators == [g] and G.order() == 5
+
+
+@pytest.fixture
+def chain_builds(monkeypatch):
+    """A list that gains one entry per StabChain built."""
+    builds = []
+    init = StabChain.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(StabChain, "__init__", counting_init)
+    return builds
+
+
+def test_sp4_builds_one_chain(chain_builds):
+    # one chain, grown transvection by transvection
+    ma = sp4(4)
+    assert len(chain_builds) == 1
+    assert ma.group.order() == 979200
+
+
+def test_derived_subgroup_builds_one_chain(chain_builds):
+    D = derived_subgroup(PermGroup.symmetric(5))
+    assert D.order() == 60
+    assert len(chain_builds) == 1
+
+
+def test_reduce_generators_builds_one_chain(chain_builds):
+    S6 = PermGroup.symmetric(6)
+    fat = PermGroup(list(S6.elements())[:30], degree=6)
+    total = fat.order()
+    chain_builds.clear()
+    slim = reduce_generators(fat)
+    assert slim.order() == total
+    assert len(slim.generators) < len(fat.generators)
+    assert len(chain_builds) == 1
+
+
+def test_intersection_small_builds_at_most_three_chains(chain_builds):
+    S5 = PermGroup.symmetric(5)
+    A5 = PermGroup.alternating(5)
+    assert intersection_small(S5, A5).order() == 60
+    assert len(chain_builds) <= 3
 
 
 def test_same_subgroup():
