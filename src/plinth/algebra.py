@@ -10,8 +10,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConstructionFailed, Unrecognized, UnsupportedFlavor
-from .perm import Permutation, PermGroup, point_stabilizer, stabilizer_orbit_sizes
+from .errors import ConstructionFailed, TooLarge, Unrecognized, UnsupportedFlavor
+from .perm import (
+    ENUMERATION_BOUND,
+    Permutation,
+    PermGroup,
+    point_stabilizer,
+    stabilizer_orbit_sizes,
+)
 
 # Primitive polynomials for the supported extension fields, written as
 # coefficient tuples (c0, c1, ..., c_{k-1}) of x^k = c0 + c1 x + ...
@@ -49,12 +55,15 @@ class Field:
     """
 
     def __init__(self, q):
+        if q * q > ENUMERATION_BOUND:
+            raise TooLarge(
+                f"GF({q}) needs a {q} x {q} addition table, "
+                f"above {ENUMERATION_BOUND} entries"
+            )
         factors = _factorize(q)
         if len(factors) != 1:
             raise ValueError(f"{q} is not a prime power")
         (p, k), = factors.items()
-        if q > 2**16:
-            raise ValueError("field too large")
         self.q = q
         self.p = p
         self.k = k

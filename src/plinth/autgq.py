@@ -2,9 +2,14 @@
 
 A mini engine: equitable partition refinement by neighbor-color counts
 plus individualization backtracking, organized as an orbit-stabilizer
-recursion.  Completeness comes from exhaustive transporter searches at
-each level and is certified by |orbit| x |stabilizer| bookkeeping plus
-an independent chain-order check.  Built for graphs of a few hundred
+recursion.  One vectorised kernel refines every graph, regular or not:
+each round ranks the rows (color, sorted neighbor colors) of a padded
+neighbor matrix with one lexsort.  Each partition is refined once: the
+left-hand path that every transporter search compares against is kept
+refined, so only right-hand candidates are refined as they are met.
+Completeness comes from exhaustive transporter searches at each level
+and is certified by |orbit| x |stabilizer| bookkeeping plus an
+independent chain-order check.  Built for graphs of a few hundred
 vertices, not as a general tool.
 """
 
@@ -13,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import (
+    DegreeMismatch,
     GeneratorNotAutomorphism,
     Mismatch,
     SearchBudgetExceeded,
@@ -32,8 +38,10 @@ class ColoredGraph:
         if colors is None:
             colors = np.zeros(graph.n, dtype=_DTYPE)
         self.colors = np.asarray(colors, dtype=_DTYPE)
-        if len(self.colors) != graph.n:
-            raise ValueError("color array length mismatch")
+        if self.colors.shape != (graph.n,):
+            raise DegreeMismatch(
+                f"color array of shape {self.colors.shape} for {graph.n} vertices"
+            )
 
     @property
     def n(self):
@@ -56,15 +64,28 @@ def incidence_graph(geom):
 
 
 class _Engine:
+    """Search state for one colored graph.
+
+    Every transporter search compares a right-hand partition with a
+    node of one left-hand path: the partitions met by always
+    individualizing the first vertex of the target cell.  ``_left``
+    holds that path, refined, with each node's target cell, so each
+    left partition is refined once however many right-hand candidates
+    it is compared with.
+    """
+
     def __init__(self, cg):
         self.graph = cg.graph
         self.n = cg.n
         self.nodes = 0
-        if self.graph.is_regular():
-            self._nbr = cg.graph.indices.reshape(self.n, self.graph.valency())
-        else:
-            self._nbr = None
+        degrees = np.diff(cg.graph.indptr)
+        width = int(degrees.max()) if self.n else 0
+        # neighbors padded with index n, whose color n sorts after every
+        # real color (< n) and is read as -1 once sorted
+        self._nbr = np.full((self.n, width), self.n, dtype=_DTYPE)
+        self._nbr[np.arange(width) < degrees[:, None]] = cg.graph.indices
         self.base_colors = self._canonical(cg.colors)
+        self._left = self._left_path()
 
     def _tick(self):
         self.nodes += 1
@@ -80,47 +101,34 @@ class _Engine:
     def refine(self, colors):
         """Equitable refinement by sorted neighbor-color signatures.
 
-        The relabeling is by (old color, signature) sort order, so the
-        result is isomorphism-invariant.
+        Each round ranks the rows (old color, sorted neighbor colors)
+        lexicographically, a vertex of smaller degree ranking as its
+        tuple would (a prefix sorts first), so the result is
+        isomorphism-invariant.  ``colors`` must be canonical (0..k-1).
         """
-        g = self.graph
         while True:
-            if self._nbr is not None:
-                sig = np.sort(colors[self._nbr], axis=1)
-                combined = np.concatenate([colors[:, None], sig], axis=1)
-                _, inv = np.unique(combined, axis=0, return_inverse=True)
-            else:
-                keys = []
-                for v in range(self.n):
-                    keys.append(
-                        (int(colors[v]),)
-                        + tuple(sorted(int(colors[u]) for u in g.neighbors(v)))
-                    )
-                order = {k: i for i, k in enumerate(sorted(set(keys)))}
-                inv = np.array([order[k] for k in keys], dtype=_DTYPE)
-            inv = inv.astype(_DTYPE)
+            sig = np.sort(np.append(colors, self.n)[self._nbr], axis=1)
+            sig[sig == self.n] = -1
+            rows = np.concatenate([colors[:, None], sig], axis=1)
+            order = np.lexsort(rows.T[::-1])
+            ranked = rows[order]
+            step = (ranked[1:] != ranked[:-1]).any(axis=1)
+            inv = np.empty(self.n, dtype=_DTYPE)
+            inv[order[0]] = 0
+            inv[order[1:]] = np.cumsum(step)
             if int(inv.max()) == int(colors.max()):
                 return inv
             colors = inv
 
     @staticmethod
-    def _cells(colors):
-        """Cells as {color: sorted vertex array}."""
-        order = np.argsort(colors, kind="stable")
-        out = {}
-        for v in order:
-            out.setdefault(int(colors[v]), []).append(int(v))
-        return out
-
-    @staticmethod
-    def _target_cell(cells):
-        """First smallest non-singleton cell (fixed tie-breaking)."""
-        best = None
-        for color in sorted(cells):
-            cell = cells[color]
-            if len(cell) > 1 and (best is None or len(cell) < len(best[1])):
-                best = (color, cell)
-        return best
+    def _target_cell(colors):
+        """(color, sorted vertices) of the first smallest non-singleton
+        cell of canonical colors, or None when the coloring is discrete."""
+        counts = np.bincount(colors)
+        color = int(np.argmin(np.where(counts > 1, counts, len(colors) + 1)))
+        if counts[color] < 2:
+            return None
+        return color, np.flatnonzero(colors == color)
 
     def _individualize(self, colors, v):
         # give v a fresh color class directly above its old cell
@@ -128,23 +136,32 @@ class _Engine:
         out[v] += 1
         return self._canonical(out)
 
+    def _left_path(self):
+        """(refined colors, target cell) of each node of the left path,
+        from the refined base coloring down to a discrete one."""
+        colors = self.refine(self.base_colors)
+        path = [(colors, self._target_cell(colors))]
+        while path[-1][1] is not None:
+            colors, (_, cell) = path[-1]
+            colors = self.refine(self._individualize(colors, int(cell[0])))
+            path.append((colors, self._target_cell(colors)))
+        return path
+
     # -- transporter search --------------------------------------------
 
-    def _signature(self, colors):
-        vals, counts = np.unique(colors, return_counts=True)
-        return counts.tobytes()
+    @staticmethod
+    def _signature(colors):
+        return np.bincount(colors).tobytes()
 
-    def transporter(self, left, right):
-        """A color/adjacency-preserving bijection refining left onto
-        right, or None; exhaustive within the node budget."""
+    def transporter(self, depth, right):
+        """A color/adjacency-preserving bijection refining the left
+        path's node at ``depth`` onto ``right``, or None; exhaustive
+        within the node budget."""
         self._tick()
-        left = self.refine(left)
+        left, target = self._left[depth]
         right = self.refine(right)
         if self._signature(left) != self._signature(right):
             return None
-        cells_l = self._cells(left)
-        cells_r = self._cells(right)
-        target = self._target_cell(cells_l)
         if target is None:
             perm = np.empty(self.n, dtype=_DTYPE)
             order_l = np.argsort(left, kind="stable")
@@ -154,12 +171,8 @@ class _Engine:
             if self._check(g):
                 return g
             return None
-        color, cell_l = target
-        u = cell_l[0]
-        for w in cells_r[color]:
-            g = self.transporter(
-                self._individualize(left, u), self._individualize(right, w)
-            )
+        for w in np.flatnonzero(right == target[0]).tolist():
+            g = self.transporter(depth + 1, self._individualize(right, w))
             if g is not None:
                 return g
         return None
@@ -172,26 +185,21 @@ class _Engine:
 
     # -- orbit-stabilizer recursion ------------------------------------
 
-    def automorphisms(self, colors):
-        """(generators, order) of the automorphisms fixing the coloring."""
-        colors = self.refine(colors)
-        cells = self._cells(colors)
-        target = self._target_cell(cells)
+    def automorphisms(self, depth=0):
+        """(generators, order) of the automorphisms fixing the left
+        path's node at ``depth``."""
+        colors, target = self._left[depth]
         if target is None:
             return [], 1
-        color, cell = target
-        v = cell[0]
-        stab_gens, stab_order = self.automorphisms(
-            self._individualize(colors, v)
-        )
+        _, cell = target
+        v = int(cell[0])
+        stab_gens, stab_order = self.automorphisms(depth + 1)
         gens = list(stab_gens)
         orbit = set(fast_orbit([h.images for h in gens], v, self.n).tolist())
-        for w in cell[1:]:
+        for w in cell[1:].tolist():
             if w in orbit:
                 continue
-            g = self.transporter(
-                self._individualize(colors, v), self._individualize(colors, w)
-            )
+            g = self.transporter(depth + 1, self._individualize(colors, w))
             if g is None:
                 continue
             gens.append(g)
@@ -209,7 +217,7 @@ def graph_automorphism_group(cg):
     if cg.n > 10**4:
         raise TooLarge("engine is limited to 10^4 vertices")
     engine = _Engine(cg)
-    gens, order = engine.automorphisms(engine.base_colors)
+    gens, order = engine.automorphisms()
     for g in gens:
         if not engine._check(g):
             raise GeneratorNotAutomorphism("engine produced a bad generator")

@@ -24,6 +24,7 @@ from .actions import (
     coset_action,
     top_projection,
 )
+from .algebra import _factorize, psl2_action
 from .errors import (
     ConstructionFailed,
     Mismatch,
@@ -38,6 +39,7 @@ from .errors import (
 )
 from .perm import (
     _DTYPE,
+    ENUMERATION_BOUND,
     PermGroup,
     Permutation,
     _orbit_labels,
@@ -558,8 +560,6 @@ def verify_psl2_factorization_row(q, row, seed=1, max_attempts=40):
     intersection appears.  An intersection below the forced minimum
     |A||B|/|T| would contradict the table and raises Mismatch.
     """
-    from .algebra import psl2_action
-
     a_label, a_order, b_label, b_order, meet_order, anchor = row
     T = psl2_action(q, "PSL")
     t_order = T.order()
@@ -620,6 +620,13 @@ def load_factorization_table(path):
         q, a_order, b_order, meet = (
             parse_int(parts[i], "bad integer field", lineno) for i in (0, 2, 4, 5)
         )
+        # bound q before factorising it: GF(q) holds a q x q table
+        if q < 4 or q * q > ENUMERATION_BOUND or len(_factorize(q)) != 1:
+            raise ParseError(
+                f"q = {q} is not a prime power with 4 <= q and "
+                f"q^2 <= {ENUMERATION_BOUND}",
+                line=lineno,
+            )
         rows.append((q, (parts[1], a_order, parts[3], b_order, meet, parts[6])))
     return rows
 
@@ -637,17 +644,6 @@ def load_examples_table(path):
         _example_order(parts[3], lineno)
         rows.append(tuple(parts))
     return rows
-
-
-def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def _condition_modulus(cond, lineno=None):
@@ -671,7 +667,7 @@ def _example_order(rule, lineno=None):
 
 def _condition_holds(cond, q):
     m = _condition_modulus(cond)
-    return m is None or (_is_prime(q) and q % m in (1, m - 1))
+    return m is None or (_factorize(q) == {q: 1} and q % m in (1, m - 1))
 
 
 def cross_check_examples(example_rows, factorization_rows):

@@ -283,25 +283,33 @@ class StabChain:
             lev = self.levels[j]
             for p in lev.orbit_list:
                 lev.pending.append((p, gid))
-            self._extend_orbit(j)
+            self._extend_orbit(j, gid)
 
     def _effective_gen_ids(self, i):
         return [gid for lev in self.levels[i:] for gid in lev.gen_ids]
 
-    def _extend_orbit(self, i):
+    def _extend_orbit(self, i, new_gid):
+        """Close level i's orbit after generator ``new_gid`` joined it.
+
+        The orbit is already closed under every other generator, so its
+        old points need only ``new_gid`` and the points found now need
+        all of them.  Points, tree entries and pending pairs come in the
+        order a full rescan from the orbit's start would give them.
+        """
         lev = self.levels[i]
         gids = self._effective_gen_ids(i)
+        old = len(lev.orbit_list)
         cursor = 0
         while cursor < len(lev.orbit_list):
             p = lev.orbit_list[cursor]
-            cursor += 1
-            for gid in gids:
+            for gid in gids if cursor >= old else (new_gid,):
                 q = int(self.gens[gid].images[p])
                 if q not in lev.tree:
                     lev.tree[q] = (p, gid)
                     lev.orbit_list.append(q)
                     for gid2 in gids:
                         lev.pending.append((q, gid2))
+            cursor += 1
 
     def order(self):
         result = 1

@@ -12,6 +12,7 @@ from plinth.algebra import (
     sp4,
     symplectic_gq,
 )
+from plinth.errors import TooLarge
 from plinth.perm import PermGroup, is_k_transitive
 
 
@@ -51,6 +52,14 @@ def test_frobenius_is_field_automorphism(q):
 def test_field_rejects_non_prime_power():
     with pytest.raises(ValueError):
         Field(6)
+
+
+def test_field_rejects_q_whose_add_table_exceeds_the_bound():
+    # a 2048 x 2048 table is past ENUMERATION_BOUND; the check runs first
+    with pytest.raises(TooLarge):
+        Field(2048)
+    with pytest.raises(TooLarge):
+        Field(100000000000031)
 
 
 PSL2_ORDERS = {

@@ -2,9 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from plinth.autgq import ColoredGraph, graph_automorphism_group, incidence_graph
+from plinth.autgq import (
+    ColoredGraph,
+    _Engine,
+    graph_automorphism_group,
+    incidence_graph,
+)
 from plinth.algebra import symplectic_gq
+from plinth.errors import DegreeMismatch
 from plinth.graphs import Graph, is_automorphism
 from plinth.perm import PermGroup, Permutation
 
@@ -95,3 +102,116 @@ def test_symplectic_gq4_incidence_aut():
     cg = incidence_graph(geom)
     aut = graph_automorphism_group(cg)
     assert aut.order() == 3916800
+
+
+def test_color_array_of_wrong_length_raises_degree_mismatch():
+    with pytest.raises(DegreeMismatch):
+        ColoredGraph(cycle_graph(5), colors=np.zeros(4, dtype=np.int64))
+    with pytest.raises(DegreeMismatch):
+        ColoredGraph(cycle_graph(5), colors=np.zeros((5, 1), dtype=np.int64))
+
+
+# -- the refinement kernel against the former two-branch refinement --------
+
+
+def unique_round(graph, colors):
+    """One former round on a regular graph: ``np.unique(axis=0)`` ranks
+    the (color, sorted neighbor colors) rows."""
+    nbr = graph.indices.reshape(graph.n, graph.valency())
+    rows = np.concatenate([colors[:, None], np.sort(colors[nbr], axis=1)], axis=1)
+    return np.unique(rows, axis=0, return_inverse=True)[1].reshape(-1)
+
+
+def tuple_round(graph, colors):
+    """One former round on any graph: sorted Python tuples."""
+    keys = [
+        (int(colors[v]),) + tuple(sorted(int(colors[u]) for u in graph.neighbors(v)))
+        for v in range(graph.n)
+    ]
+    order = {k: i for i, k in enumerate(sorted(set(keys)))}
+    return np.array([order[k] for k in keys], dtype=np.int64)
+
+
+def reference_refine(graph, colors):
+    """The former refinement: ``unique_round`` on regular graphs,
+    ``tuple_round`` otherwise, until the partition is stable."""
+    round_ = unique_round if graph.is_regular() else tuple_round
+    while True:
+        inv = round_(graph, colors).astype(np.int64)
+        if int(inv.max()) == int(colors.max()):
+            return inv
+        colors = inv
+
+
+@st.composite
+def colored_graphs(draw, max_n=12):
+    """(graph, canonical colors): relabelled circulants (regular) or
+    random edge sets (mostly irregular), with random vertex colors."""
+    n = draw(st.integers(1, max_n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        jumps = draw(st.sets(st.integers(1, max(1, n // 2)), max_size=3))
+        edges = {(i, (i + s) % n) for i in range(n) for s in jumps if s < n}
+        relabel = rng.permutation(n)
+        edges = [(int(relabel[a]), int(relabel[b])) for a, b in edges if a != b]
+    else:
+        p = draw(st.floats(0.0, 1.0))
+        edges = [
+            (a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p
+        ]
+    graph = Graph.from_edges(n, edges)
+    colors = rng.integers(0, draw(st.integers(1, 4)), size=n)
+    return graph, _Engine._canonical(colors)
+
+
+@settings(max_examples=300, deadline=None)
+@given(colored_graphs())
+def test_refine_matches_former_refinement(case):
+    graph, colors = case
+    engine = _Engine(ColoredGraph(graph, colors))
+    assert np.array_equal(engine.refine(colors), reference_refine(graph, colors))
+    if graph.is_regular():
+        # the former branches agree: tuple order is np.unique's row order
+        assert np.array_equal(
+            unique_round(graph, colors), tuple_round(graph, colors)
+        )
+
+
+# -- each partition refined once -----------------------------------------
+
+
+@pytest.mark.parametrize("q,distinct", [(2, 34), (4, 223)])
+def test_no_partition_is_refined_twice(monkeypatch, q, distinct):
+    inputs = []
+    refine = _Engine.refine
+
+    def counting_refine(self, colors):
+        inputs.append(colors.tobytes())
+        return refine(self, colors)
+
+    monkeypatch.setattr(_Engine, "refine", counting_refine)
+    graph_automorphism_group(incidence_graph(symplectic_gq(q)))
+    assert len(inputs) == len(set(inputs)) == distinct
+
+
+# -- an independent oracle -------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_order_matches_networkx_isomorphism_count(seed):
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 9))
+    p = float(rng.choice([0.2, 0.4, 0.5, 0.7]))
+    edges = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p]
+    colors = rng.integers(0, int(rng.integers(1, 4)), size=n)
+    aut = graph_automorphism_group(
+        ColoredGraph(Graph.from_edges(n, edges), colors=colors)
+    )
+    nxg = nx.Graph()
+    nxg.add_nodes_from((v, {"c": int(colors[v])}) for v in range(n))
+    nxg.add_edges_from(edges)
+    matcher = GraphMatcher(nxg, nxg, node_match=lambda a, b: a["c"] == b["c"])
+    assert aut.order() == sum(1 for _ in matcher.isomorphisms_iter())

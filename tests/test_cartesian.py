@@ -448,6 +448,11 @@ _EXAMPLE_ROW = "ex | prime+-1mod5 | D5 | 10 | Table 4 row"
         (_FACTORIZATION_ROW.replace("4 |", "+4 |"), 1),
         (_FACTORIZATION_ROW.replace("| 12 |", "| \u0661\u0662 |"), 1),
         (_FACTORIZATION_ROW + "\n4 | P1 | 12", 2),
+        # q must be a prime power with 4 <= q and q^2 <= ENUMERATION_BOUND
+        (_FACTORIZATION_ROW.replace("4 |", "100000000000031 |", 1), 1),
+        ("#\n" + _FACTORIZATION_ROW.replace("4 |", "3 |", 1), 2),
+        (_FACTORIZATION_ROW.replace("4 |", "6 |", 1), 1),
+        (_FACTORIZATION_ROW.replace("4 |", "1024 |", 1), 1),
     ],
 )
 def test_factorization_table_rejects_bad_rows(tmp_path, text, line):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import plinth.perm as perm_module
 from plinth.algebra import psl2_action, sp4
 from plinth.errors import TooLarge
 from plinth.perm import (
@@ -242,6 +243,86 @@ def test_transversal_cache_skips_levels_above_the_bound():
             got, _schreier_path_images(lev.tree, p, chain.gens, 1100)
         )
     assert set(lev.cache or ()) <= {lev.beta}
+
+
+class FullRescanChain(StabChain):
+    """Reference chain: the former orbit extension, which rescans every
+    orbit point under every effective generator."""
+
+    def _extend_orbit(self, i, new_gid):
+        lev = self.levels[i]
+        gids = self._effective_gen_ids(i)
+        cursor = 0
+        while cursor < len(lev.orbit_list):
+            p = lev.orbit_list[cursor]
+            cursor += 1
+            for gid in gids:
+                q = int(self.gens[gid].images[p])
+                if q not in lev.tree:
+                    lev.tree[q] = (p, gid)
+                    lev.orbit_list.append(q)
+                    for gid2 in gids:
+                        lev.pending.append((q, gid2))
+
+
+def _level_state(lev):
+    return (
+        lev.beta,
+        list(lev.gen_ids),
+        list(lev.orbit_list),
+        list(lev.tree.items()),
+        list(lev.pending),
+    )
+
+
+def _chain_states(monkeypatch, chain_class, build):
+    """The state of a level after each of its orbit extensions, then of
+    every level at the end, over every chain that ``build`` makes."""
+    states, chains = [], []
+
+    class Recording(chain_class):
+        def __init__(self, *args, **kwargs):
+            chains.append(self)
+            super().__init__(*args, **kwargs)
+
+        def _extend_orbit(self, i, new_gid):
+            super()._extend_orbit(i, new_gid)
+            states.append((len(chains), i, _level_state(self.levels[i])))
+
+    with monkeypatch.context() as m:
+        m.setattr(perm_module, "StabChain", Recording)
+        build()
+    return states, [[_level_state(lev) for lev in c.levels] for c in chains]
+
+
+def _grow_by_extend():
+    # S6 from a 6-cycle, one transposition at a time, then a member
+    G = PermGroup([Permutation.from_cycles(6, [(0, 1, 2, 3, 4, 5)])])
+    G.order()
+    for a, b in [(0, 1), (2, 4), (1, 3)]:
+        G.extend(Permutation.from_cycles(6, [(a, b)]))
+    assert not G.extend(Permutation.from_cycles(6, [(3, 5)]))
+
+
+_GROWTHS = (
+    [(f"S{n}", lambda n=n: PermGroup.symmetric(n).order()) for n in range(2, 8)]
+    + [(f"PSL(2,{q})", lambda q=q: psl2_action(q, "PSL").order()) for q in (7, 8, 9)]
+    + [
+        ("W(2) incidence", lambda: _w2_incidence_group().order()),
+        ("extend", _grow_by_extend),
+        ("derived S6", lambda: derived_subgroup(PermGroup.symmetric(6)).order()),
+    ]
+)
+
+
+@pytest.mark.parametrize(
+    "build", [b for _, b in _GROWTHS], ids=[name for name, _ in _GROWTHS]
+)
+def test_orbit_extension_matches_full_rescan(monkeypatch, build):
+    got = _chain_states(monkeypatch, StabChain, build)
+    want = _chain_states(monkeypatch, FullRescanChain, build)
+    assert got[0]  # some orbit was extended
+    assert got == want
 
 
 def test_fast_orbit_matches_orbit():
