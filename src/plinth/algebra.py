@@ -381,14 +381,27 @@ def sp4(q):
     if F.p != 2:
         raise ValueError("only even q supported")
     points = projective_points(F)
-    index = {v: i for i, v in enumerate(points)}
     target = q**4 * (q * q - 1) * (q**4 - 1)
+    # every point at once: field tables, and a point's base-q code (its
+    # coordinates as digits, most significant first) -> its index
+    pts = np.array(points, dtype=np.int64)
+    nonzero = F._log[1:]
+    mul = np.zeros((q, q), dtype=np.int64)
+    mul[1:, 1:] = F._exp[(nonzero[:, None] + nonzero[None, :]) % (q - 1)]
+    inv = np.zeros(q, dtype=np.int64)
+    inv[1:] = F._exp[-nonzero % (q - 1)]
+    digits = q ** np.arange(3, -1, -1)
+    index = np.full(q**4, -1, dtype=np.int64)
+    index[pts @ digits] = np.arange(len(points))
 
     def perm_of(m):
-        images = np.empty(len(points), dtype=np.int64)
-        for i, v in enumerate(points):
-            images[i] = index[_normalize(F, _vec_mat(F, v, m))]
-        return Permutation(images)
+        images = np.zeros_like(pts)
+        for j in range(4):
+            for r in range(4):
+                images[:, j] = F._add_table[images[:, j], mul[pts[:, r], m[r][j]]]
+        lead = images[np.arange(len(points)), (images != 0).argmax(axis=1)]
+        images = mul[images, inv[lead][:, None]]
+        return Permutation(index[images @ digits])
 
     group = PermGroup.trivial(len(points))
     mats = []

@@ -216,6 +216,8 @@ def graph_automorphism_group(cg):
     """
     if cg.n > 10**4:
         raise TooLarge("engine is limited to 10^4 vertices")
+    if cg.n == 0:
+        return PermGroup.trivial(0)  # only the empty permutation
     engine = _Engine(cg)
     gens, order = engine.automorphisms()
     for g in gens:

@@ -613,6 +613,18 @@ def _table_rows(path, nfields):
     return rows
 
 
+def _check_table_q(q, lineno=None):
+    """Raise ParseError unless q is a prime power with 4 <= q and q^2 <=
+    ``ENUMERATION_BOUND``; the bound comes first, as GF(q) holds a q x q
+    table and factorising a huge q would take long."""
+    if q < 4 or q * q > ENUMERATION_BOUND or len(_factorize(q)) != 1:
+        raise ParseError(
+            f"q = {q} is not a prime power with 4 <= q and "
+            f"q^2 <= {ENUMERATION_BOUND}",
+            line=lineno,
+        )
+
+
 def load_factorization_table(path):
     """Rows of `q | A-label | A-order | B-label | B-order | meet | anchor`."""
     rows = []
@@ -620,13 +632,7 @@ def load_factorization_table(path):
         q, a_order, b_order, meet = (
             parse_int(parts[i], "bad integer field", lineno) for i in (0, 2, 4, 5)
         )
-        # bound q before factorising it: GF(q) holds a q x q table
-        if q < 4 or q * q > ENUMERATION_BOUND or len(_factorize(q)) != 1:
-            raise ParseError(
-                f"q = {q} is not a prime power with 4 <= q and "
-                f"q^2 <= {ENUMERATION_BOUND}",
-                line=lineno,
-            )
+        _check_table_q(q, lineno)
         rows.append((q, (parts[1], a_order, parts[3], b_order, meet, parts[6])))
     return rows
 
@@ -674,10 +680,12 @@ def cross_check_examples(example_rows, factorization_rows):
     """Static consistency pass: no known-example stabilizer projection
     shares its order with a table intersection at an admissible q.
 
-    Pure table arithmetic; returns (ok, list of collision dicts).
+    Pure table arithmetic; returns (ok, list of collision dicts).  Each
+    row's q must pass the table loader's rule, else ParseError.
     """
     collisions = []
     for q, (a_label, a_order, b_label, b_order, meet, anchor) in factorization_rows:
+        _check_table_q(q)
         for ex_id, cond, label, order_rule, ex_anchor in example_rows:
             if not _condition_holds(cond, q):
                 continue

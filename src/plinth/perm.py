@@ -193,6 +193,35 @@ def _schreier_path_images(tree, point, gens, degree):
     return arr
 
 
+def _grow_orbit(points, tree, gens, gen_ids, degree, first_ids=None):
+    """Extend an orbit and its Schreier vector, one frontier per numpy step.
+
+    Maps ``points`` by the generators ``gens[gid]`` with gid in
+    ``first_ids`` (default ``gen_ids``), then each batch of new points by
+    those with gid in ``gen_ids``.  New points are appended to ``points``
+    and entered in ``tree`` as (parent, gid), each at its first
+    occurrence in (frontier point, generator) order: the order in which
+    a per-point queue finds them.
+    """
+    seen = np.zeros(degree, dtype=bool)
+    frontier = np.asarray(points, dtype=_DTYPE)
+    seen[frontier] = True
+    ids = list(gen_ids if first_ids is None else first_ids)
+    while frontier.size and ids:
+        k = len(ids)
+        imgs = np.stack([gens[g].images[frontier] for g in ids], axis=1).ravel()
+        fresh = np.flatnonzero(~seen[imgs])
+        _, first = np.unique(imgs[fresh], return_index=True)
+        at = fresh[np.sort(first)]
+        parents = frontier[at // k].tolist()
+        frontier = imgs[at]
+        seen[frontier] = True
+        new = frontier.tolist()
+        points.extend(new)
+        tree.update(zip(new, zip(parents, np.take(ids, at % k).tolist())))
+        ids = list(gen_ids)
+
+
 class _ChainLevel:
     """One level of a stabilizer chain: a base point, the generators
     assigned at this level, and the fundamental orbit with its Schreier
@@ -294,11 +323,23 @@ class StabChain:
         The orbit is already closed under every other generator, so its
         old points need only ``new_gid`` and the points found now need
         all of them.  Points, tree entries and pending pairs come in the
-        order a full rescan from the orbit's start would give them.
+        order a full rescan from the orbit's start would give them.  At a
+        degree whose full-length level cannot cache its transversal, the
+        orbit grows a frontier at a time (``_grow_orbit``), in the same
+        order.
         """
         lev = self.levels[i]
         gids = self._effective_gen_ids(i)
         old = len(lev.orbit_list)
+        if self.degree * self.degree > ENUMERATION_BOUND:
+            _grow_orbit(
+                lev.orbit_list, lev.tree, self.gens, gids, self.degree,
+                first_ids=(new_gid,),
+            )
+            lev.pending.extend(
+                (q, gid) for q in lev.orbit_list[old:] for gid in gids
+            )
+            return
         cursor = 0
         while cursor < len(lev.orbit_list):
             p = lev.orbit_list[cursor]
@@ -340,8 +381,10 @@ class StabChain:
             p, gid = lev.pending.popleft()
             # Schreier generator u_p * s * u_{p.s}^-1
             s = self.gens[gid]
-            up = self._transversal_images(target, p)
             q = int(s.images[p])
+            if lev.tree[q] == (p, gid):
+                continue  # a tree edge: u_q is u_p * s, so this is 1
+            up = self._transversal_images(target, p)
             uq = self._transversal_images(target, q)
             uq_inv = np.empty(self.degree, dtype=_DTYPE)
             uq_inv[uq] = self._identity
@@ -547,6 +590,11 @@ class PermGroup:
             raise ValueError("point out of range")
         points = [alpha]
         tree = {alpha: (-1, -1)}
+        if self.degree * self.degree > ENUMERATION_BOUND:
+            # as in StabChain._extend_orbit: a frontier at a time
+            gens = self.generators
+            _grow_orbit(points, tree, gens, range(len(gens)), self.degree)
+            return points, tree
         cursor = 0
         while cursor < len(points):
             p = points[cursor]

@@ -57,6 +57,13 @@ def test_asymmetric_graph():
     assert aut.order() == 1
 
 
+def test_graph_with_no_vertices_has_the_trivial_group():
+    aut = graph_automorphism_group(ColoredGraph(Graph.from_edges(0, [])))
+    assert aut.degree == 0
+    assert aut.order() == 1
+    assert aut.generators == []
+
+
 def test_relabeling_invariance():
     g = cycle_graph(8)
     rng = np.random.default_rng(4)

@@ -28,6 +28,7 @@ from plinth.cartesian import (
 from plinth.cli import data_path
 from plinth.errors import IoError, Mismatch, NotInvariant, ParseError, PlinthError
 from plinth.perm import (
+    ENUMERATION_BOUND,
     PermGroup,
     Permutation,
     point_stabilizer,
@@ -488,6 +489,24 @@ def test_cross_check_rejects_bad_hand_built_rows():
     ]:
         with pytest.raises(ParseError):
             cross_check_examples([example], rows)
+
+
+@pytest.mark.parametrize("q", [100000000000031, 3, 6, 1024])
+def test_cross_check_applies_the_loader_q_rule(monkeypatch, q):
+    # the bound is checked before q is factorised, so a huge q is
+    # rejected at once
+    import plinth.cartesian as cartesian_module
+
+    real = cartesian_module._factorize
+
+    def bounded_factorize(n):
+        assert n * n <= ENUMERATION_BOUND, f"factorised {n}"
+        return real(n)
+
+    monkeypatch.setattr(cartesian_module, "_factorize", bounded_factorize)
+    rows = [(q, ("P1", 12, "D10", 10, 2, "x"))]
+    with pytest.raises(ParseError):
+        cross_check_examples([("ex", "prime+-1mod5", "D5", "10", "x")], rows)
 
 
 @pytest.mark.parametrize("loader", [load_factorization_table, load_examples_table])

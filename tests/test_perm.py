@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from collections import deque
 from random import Random
 
 import numpy as np
@@ -295,15 +296,38 @@ def _chain_states(monkeypatch, chain_class, build):
     return states, [[_level_state(lev) for lev in c.levels] for c in chains]
 
 
-def _grow_by_extend():
-    # S6 from a 6-cycle, one transposition at a time, then a member
-    G = PermGroup([Permutation.from_cycles(6, [(0, 1, 2, 3, 4, 5)])])
+def _grow_by_extend(degree=6):
+    # S6 from a 6-cycle, one transposition at a time, then a member; the
+    # points past 5 are fixed
+    def perm(cycle):
+        return Permutation.from_cycles(degree, [cycle])
+
+    G = PermGroup([perm((0, 1, 2, 3, 4, 5))])
     G.order()
     for a, b in [(0, 1), (2, 4), (1, 3)]:
-        G.extend(Permutation.from_cycles(6, [(a, b)]))
-    assert not G.extend(Permutation.from_cycles(6, [(3, 5)]))
+        G.extend(perm((a, b)))
+    assert not G.extend(perm((3, 5)))
 
 
+def _padded(group, degree):
+    """The group on ``degree`` points, fixing every point past its own."""
+    tail = np.arange(group.degree, degree)
+    return PermGroup(
+        [Permutation(np.concatenate([g.images, tail])) for g in group.generators],
+        degree=degree,
+    )
+
+
+def _dihedral(n):
+    # generators in this order keep the Schreier trees shallow: the
+    # rotation alone would grow a path of n points
+    rotation = Permutation.from_cycles(n, [tuple(range(n))])
+    reflection = Permutation(-np.arange(n) % n)
+    return PermGroup([reflection, rotation ** 33, rotation])
+
+
+# the last three have degree 1,100, above the degree (1,000) from which
+# orbits grow a frontier at a time
 _GROWTHS = (
     [(f"S{n}", lambda n=n: PermGroup.symmetric(n).order()) for n in range(2, 8)]
     + [(f"PSL(2,{q})", lambda q=q: psl2_action(q, "PSL").order()) for q in (7, 8, 9)]
@@ -311,6 +335,9 @@ _GROWTHS = (
         ("W(2) incidence", lambda: _w2_incidence_group().order()),
         ("extend", _grow_by_extend),
         ("derived S6", lambda: derived_subgroup(PermGroup.symmetric(6)).order()),
+        ("PSL(2,7) on 1100", lambda: _padded(psl2_action(7, "PSL"), 1100).order()),
+        ("D1100", lambda: _dihedral(1100).order()),
+        ("extend on 1100", lambda: _grow_by_extend(1100)),
     ]
 )
 
@@ -323,6 +350,86 @@ def test_orbit_extension_matches_full_rescan(monkeypatch, build):
     want = _chain_states(monkeypatch, FullRescanChain, build)
     assert got[0]  # some orbit was extended
     assert got == want
+
+
+class _PoppedDeque(deque):
+    """A deque that remembers the item ``popleft`` returned last."""
+
+    last = None
+
+    def popleft(self):
+        self.last = super().popleft()
+        return self.last
+
+
+@pytest.mark.parametrize(
+    "build", [b for _, b in _GROWTHS], ids=[name for name, _ in _GROWTHS]
+)
+def test_no_tree_edge_is_sifted(monkeypatch, build):
+    # a tree edge's Schreier generator u_p * s * u_q^-1 is the identity
+    edges = []
+    level_init = perm_module._ChainLevel.__init__
+    sift = StabChain._sift_images
+
+    def recording_level_init(self, beta):
+        level_init(self, beta)
+        self.pending = _PoppedDeque()
+
+    def recording_sift(self, images, start=0):
+        if start:  # a Schreier generator from the pair just popped
+            lev = self.levels[start - 1]
+            p, gid = lev.pending.last
+            q = int(self.gens[gid].images[p])
+            edges.append(lev.tree[q] == (p, gid))
+        return sift(self, images, start)
+
+    monkeypatch.setattr(perm_module._ChainLevel, "__init__", recording_level_init)
+    monkeypatch.setattr(StabChain, "_sift_images", recording_sift)
+    build()
+    assert edges and not any(edges)
+
+
+def _orbit_reference(group, alpha):
+    """The per-point orbit search: each point's generators in turn."""
+    points, tree = [alpha], {alpha: (-1, -1)}
+    for p in points:  # the list grows while it is read
+        for gi, g in enumerate(group.generators):
+            q = int(g.images[p])
+            if q not in tree:
+                tree[q] = (p, gi)
+                points.append(q)
+    return points, tree
+
+
+def _random_group(degree, ngens, seed):
+    rng = Random(seed)
+    gens = []
+    for _ in range(ngens):
+        images = list(range(degree))
+        rng.shuffle(images)
+        gens.append(Permutation(images))
+    return PermGroup(gens, degree=degree)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: _padded(psl2_action(7, "PSL"), 1100),
+        lambda: _dihedral(1100),
+        lambda: _random_group(1100, 2, seed=3),
+        lambda: _padded(_random_group(600, 3, seed=4), 1100),
+        lambda: PermGroup.trivial(1100),
+    ],
+    ids=["PSL(2,7) on 1100", "D1100", "2 random on 1100", "3 random on 600 of 1100",
+         "trivial on 1100"],
+)
+def test_orbit_matches_per_point_search(make):
+    G = make()
+    for alpha in (0, 1, 7, 8, 599, 600, 1099):
+        points, tree = G.orbit(alpha)
+        want_points, want_tree = _orbit_reference(G, alpha)
+        assert points == want_points
+        assert list(tree.items()) == list(want_tree.items())
 
 
 def test_fast_orbit_matches_orbit():
