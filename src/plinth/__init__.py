@@ -36,7 +36,6 @@ from .graphs import (
     direct_power,
     edge_orbit_graph,
     is_connected,
-    is_self_paired,
     orbital_graph,
     s_arc_transitivity_max,
     suborbits,
@@ -54,7 +53,6 @@ from .cartesian import (
     index2_subgroups,
     load_examples_table,
     load_factorization_table,
-    strong_factorization_check,
     verify_psl2_factorization_row,
 )
 

@@ -10,7 +10,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConstructionFailed, TooLarge, Unrecognized, UnsupportedFlavor
+from .errors import (
+    ConstructionFailed,
+    TooLarge,
+    Unrecognized,
+    UnsupportedField,
+    UnsupportedFlavor,
+)
 from .perm import (
     ENUMERATION_BOUND,
     Permutation,
@@ -46,8 +52,30 @@ def _factorize(n):
     return out
 
 
+def check_field_order(q):
+    """(p, k) with q = p^k, for a q whose field ``Field`` can build.
+
+    The bound comes first, as GF(q) holds q x q tables and factorising
+    a huge q would take long: TooLarge past ``ENUMERATION_BOUND``
+    entries, then UnsupportedField for a q that is not a prime power or
+    whose field has no primitive polynomial on file.
+    """
+    if q * q > ENUMERATION_BOUND:
+        raise TooLarge(
+            f"GF({q}) needs {q} x {q} tables, above {ENUMERATION_BOUND} entries"
+        )
+    factors = _factorize(q)
+    if len(factors) != 1:
+        raise UnsupportedField(f"{q} is not a prime power")
+    (p, k), = factors.items()
+    if k > 1 and (p, k) not in _PRIMITIVE_POLYS:
+        raise UnsupportedField(f"no primitive polynomial on file for GF({q})")
+    return p, k
+
+
 class Field:
-    """GF(p^k) with exp/log tables.
+    """GF(p^k) with exp/log tables and addition, multiplication and
+    inverse tables.
 
     Elements are integers in [0, q): for prime fields the residues
     themselves, for extension fields base-p digit strings of polynomial
@@ -55,15 +83,7 @@ class Field:
     """
 
     def __init__(self, q):
-        if q * q > ENUMERATION_BOUND:
-            raise TooLarge(
-                f"GF({q}) needs a {q} x {q} addition table, "
-                f"above {ENUMERATION_BOUND} entries"
-            )
-        factors = _factorize(q)
-        if len(factors) != 1:
-            raise ValueError(f"{q} is not a prime power")
-        (p, k), = factors.items()
+        p, k = check_field_order(q)
         self.q = q
         self.p = p
         self.k = k
@@ -77,10 +97,7 @@ class Field:
                 self._log[x] = i
                 x = (x * gen) % p
         else:
-            try:
-                poly = _PRIMITIVE_POLYS[(p, k)]
-            except KeyError:
-                raise ValueError(f"no primitive polynomial on file for GF({q})")
+            poly = _PRIMITIVE_POLYS[(p, k)]
             x = 1
             for i in range(q - 1):
                 self._exp[i] = x
@@ -92,6 +109,13 @@ class Field:
             raise ConstructionFailed("multiplicative group not cyclic of full order")
         # addition table digitwise mod p, vectorized over digit planes
         self._add_table = self._build_add_table()
+        nonzero = self._log[1:]
+        self._mul_table = np.zeros((q, q), dtype=np.int64)
+        self._mul_table[1:, 1:] = self._exp[
+            (nonzero[:, None] + nonzero[None, :]) % (q - 1)
+        ]
+        self._inv_table = np.zeros(q, dtype=np.int64)
+        self._inv_table[1:] = self._exp[-nonzero % (q - 1)]
 
     @staticmethod
     def _find_primitive_root(p):
@@ -126,9 +150,6 @@ class Field:
         return out
 
     def _build_add_table(self):
-        if self.k == 1:
-            a = np.arange(self.q)
-            return (a[:, None] + a[None, :]) % self.p
         a = np.arange(self.q)
         table = np.zeros((self.q, self.q), dtype=np.int64)
         pw = 1
@@ -144,25 +165,15 @@ class Field:
         return int(self._add_table[a, b])
 
     def neg(self, a):
-        if a == 0:
-            return 0
-        if self.p == 2:
-            return a
-        digits = [(self.p - d) % self.p for d in self._digits(a)]
-        return self._undigits(digits)
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
+        return int(self._add_table[a].argmin())  # the b with a + b = 0
 
     def mul(self, a, b):
-        if a == 0 or b == 0:
-            return 0
-        return int(self._exp[(self._log[a] + self._log[b]) % (self.q - 1)])
+        return int(self._mul_table[a, b])
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return int(self._exp[(-self._log[a]) % (self.q - 1)])
+        return int(self._inv_table[a])
 
     def pow(self, a, e):
         if a == 0:
@@ -200,7 +211,7 @@ def psl2_action(q, flavor="PSL"):
     need q a proper prime power; M10 exists only at q=9.
     """
     if q < 4:
-        raise ValueError("q must be at least 4")
+        raise UnsupportedField(f"PSL(2,{q}) on PG(1,q) needs q >= 4")
     F = Field(q)
     INF = q
 
@@ -234,10 +245,8 @@ def psl2_action(q, flavor="PSL"):
         )
 
     # translations over a field basis plus inversion generate PSL(2,q)
-    basis = [F.pow(F.primitive_element(), 0)]
-    for i in range(1, F.k):
-        basis.append(F._undigits([0] * i + [1] + [0] * (F.k - 1 - i)))
-    gens = [translation(a) for a in basis] + [inversion()]
+    # (the GF(p)-basis 1, x, ..., x^(k-1) is p^i as a digit string)
+    gens = [translation(F.p**i) for i in range(F.k)] + [inversion()]
     nu = F.primitive_element()
 
     if flavor == "PSL":
@@ -290,74 +299,69 @@ def identify_extension_flavor(G):
 _J = ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))
 
 
-def _form(F, x, y):
-    total = 0
-    total = F.add(total, F.mul(x[0], y[1]))
-    total = F.add(total, F.mul(x[1], y[0]))
-    total = F.add(total, F.mul(x[2], y[3]))
-    total = F.add(total, F.mul(x[3], y[2]))
-    return total
+class _PG3:
+    """The points of PG(3,q) and arithmetic on rows of F^4 (the last
+    axis of an array) through the field's tables.
 
+    Points are the rows whose first nonzero entry is 1, listed in the
+    order of their codes (base-q digits, most significant first).
+    """
 
-def _dot(F, u, v):
-    total = 0
-    for x, y in zip(u, v):
-        total = F.add(total, F.mul(x, y))
-    return total
+    def __init__(self, F):
+        q = F.q
+        self.add = F._add_table
+        self.mul = F._mul_table
+        self._inv = F._inv_table
+        self._digits = q ** np.arange(3, -1, -1)
+        rows = np.arange(q**4)[:, None] // self._digits % q
+        self.points = rows[self._lead(rows) == 1]
+        self._index = np.full(q**4, -1, dtype=np.int64)
+        self._index[self.points @ self._digits] = np.arange(len(self.points))
 
+    @staticmethod
+    def _lead(rows):
+        """First nonzero entry of each row (0 for a zero row)."""
+        at = (rows != 0).argmax(axis=-1)[..., None]
+        return np.take_along_axis(rows, at, axis=-1)[..., 0]
 
-def _vec_mat(F, v, m):
-    return tuple(_dot(F, v, tuple(m[r][j] for r in range(4))) for j in range(4))
+    def index_of(self, rows):
+        """Index of the point each nonzero row spans."""
+        scaled = self.mul[rows, self._inv[self._lead(rows)][..., None]]
+        return self._index[scaled @ self._digits]
+
+    def times(self, rows, m):
+        """Each row times the 4 x 4 matrix m."""
+        out = np.zeros_like(rows)
+        for j in range(4):
+            for r in range(4):
+                out[..., j] = self.add[out[..., j], self.mul[rows[..., r], m[r][j]]]
+        return out
+
+    def form(self, x, y):
+        """B(x, y), row by row."""
+        add, mul = self.add, self.mul
+        return add[
+            add[mul[x[..., 0], y[..., 1]], mul[x[..., 1], y[..., 0]]],
+            add[mul[x[..., 2], y[..., 3]], mul[x[..., 3], y[..., 2]]],
+        ]
+
+    def transvection(self, v, lam):
+        """Matrix of x -> x + lam B(x,v) v, a symplectic transvection."""
+        eye = np.eye(4, dtype=np.int64)
+        jv = self.form(eye, v)  # B(e_i, v)
+        m = self.add[eye, self.mul[self.mul[lam, jv][:, None], v[None, :]]]
+        return tuple(map(tuple, m.tolist()))
 
 
 def preserves_form(F, m):
     """Whether m^T J m = J for the fixed alternating form."""
-    for i in range(4):
-        for j in range(4):
-            ei = tuple(int(r == i) for r in range(4))
-            ej = tuple(int(r == j) for r in range(4))
-            if _form(F, _vec_mat(F, ei, m), _vec_mat(F, ej, m)) != _J[i][j]:
-                return False
-    return True
+    rows = np.asarray(m, dtype=np.int64)  # row i is e_i m
+    return bool((_PG3(F).form(rows[:, None], rows[None, :]) == _J).all())
 
 
 def projective_points(F):
     """Normalized representatives of 1-spaces of F^4, lexicographic."""
-    points = []
-    for a in range(F.q**4):
-        v = []
-        rest = a
-        for _ in range(4):
-            v.append(rest % F.q)
-            rest //= F.q
-        v = tuple(reversed(v))
-        if not any(v):
-            continue
-        lead = next(x for x in v if x)
-        if lead != 1:
-            continue
-        points.append(v)
-    return points
-
-
-def _normalize(F, v):
-    lead = next(x for x in v if x)
-    c = F.inv(lead)
-    return tuple(F.mul(c, x) for x in v)
-
-
-def _transvection(F, v, lam):
-    """Matrix of x -> x + lam B(x,v) v, a symplectic transvection."""
-    jv = tuple(_dot(F, _J[i], v) for i in range(4))
-    m = []
-    for i in range(4):
-        row = []
-        for j in range(4):
-            entry = int(i == j)
-            entry = F.add(entry, F.mul(F.mul(lam, jv[i]), v[j]))
-            row.append(entry)
-        m.append(tuple(row))
-    return tuple(m)
+    return list(map(tuple, _PG3(F).points.tolist()))
 
 
 class MatrixActionGroup:
@@ -379,39 +383,18 @@ def sp4(q):
     """
     F = Field(q)
     if F.p != 2:
-        raise ValueError("only even q supported")
-    points = projective_points(F)
+        raise UnsupportedField(f"Sp(4,{q}) is built for even q only")
+    pg = _PG3(F)
     target = q**4 * (q * q - 1) * (q**4 - 1)
-    # every point at once: field tables, and a point's base-q code (its
-    # coordinates as digits, most significant first) -> its index
-    pts = np.array(points, dtype=np.int64)
-    nonzero = F._log[1:]
-    mul = np.zeros((q, q), dtype=np.int64)
-    mul[1:, 1:] = F._exp[(nonzero[:, None] + nonzero[None, :]) % (q - 1)]
-    inv = np.zeros(q, dtype=np.int64)
-    inv[1:] = F._exp[-nonzero % (q - 1)]
-    digits = q ** np.arange(3, -1, -1)
-    index = np.full(q**4, -1, dtype=np.int64)
-    index[pts @ digits] = np.arange(len(points))
-
-    def perm_of(m):
-        images = np.zeros_like(pts)
-        for j in range(4):
-            for r in range(4):
-                images[:, j] = F._add_table[images[:, j], mul[pts[:, r], m[r][j]]]
-        lead = images[np.arange(len(points)), (images != 0).argmax(axis=1)]
-        images = mul[images, inv[lead][:, None]]
-        return Permutation(index[images @ digits])
-
-    group = PermGroup.trivial(len(points))
+    group = PermGroup.trivial(len(pg.points))
     mats = []
     lams = [1, F.primitive_element()] if q > 2 else [1]
-    for v in points:
+    for v in pg.points:
         for lam in lams:
-            m = _transvection(F, v, lam)
+            m = pg.transvection(v, lam)
             if not preserves_form(F, m):
                 raise ConstructionFailed("transvection breaks the form")
-            if group.extend(perm_of(m)):
+            if group.extend(Permutation(pg.index_of(pg.times(pg.points, m)))):
                 mats.append(m)
         if group.order() == target:
             return MatrixActionGroup(F, group, mats)
@@ -443,20 +426,26 @@ def symplectic_gq(q):
     """Points and totally isotropic lines of the form behind sp4(q)."""
     F = Field(q)
     if F.p != 2:
-        raise ValueError("only even q supported")
-    points = projective_points(F)
-    index = {v: i for i, v in enumerate(points)}
+        raise UnsupportedField(f"W({q}) is built for even q only")
+    pg = _PG3(F)
+    pts = pg.points
+    cs = np.arange(1, q)[None, :, None]
     lines = set()
-    for i, u in enumerate(points):
-        for j in range(i + 1, len(points)):
-            v = points[j]
-            if _form(F, u, v) != 0:
-                continue
-            span = {i, j}
-            for c in range(1, F.q):
-                w = tuple(F.add(u[t], F.mul(c, v[t])) for t in range(4))
-                span.add(index[_normalize(F, w)])
-            lines.add(tuple(sorted(span)))
+    for i, u in enumerate(pts):
+        # the line through u and each later point v with B(u, v) = 0 is
+        # u, v and the points u + c v, c != 0
+        js = i + 1 + np.flatnonzero(pg.form(u, pts[i + 1:]) == 0)
+        span = np.concatenate(
+            [
+                np.full((len(js), 1), i),
+                js[:, None],
+                pg.index_of(pg.add[u, pg.mul[cs, pts[js][:, None, :]]]),
+            ],
+            axis=1,
+        )
+        span.sort(axis=1)
+        lines.update(map(tuple, span.tolist()))
+    points = projective_points(F)
     lines = sorted(lines)
     point_lines = [[] for _ in points]
     for li, line in enumerate(lines):

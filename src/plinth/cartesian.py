@@ -11,6 +11,7 @@ the PSL(2,q) factorization tables that feed the classification.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from random import Random
 
 import numpy as np
@@ -24,10 +25,11 @@ from .actions import (
     coset_action,
     top_projection,
 )
-from .algebra import _factorize, psl2_action
+from .algebra import _factorize, check_field_order, psl2_action
 from .errors import (
     ConstructionFailed,
     Mismatch,
+    NotCartesian,
     NotDecompositionPreserving,
     NotXSubgroup,
     NotInvariant,
@@ -36,10 +38,10 @@ from .errors import (
     ProjectionUnsupported,
     TooLarge,
     TooManyComponents,
+    UnsupportedField,
 )
 from .perm import (
     _DTYPE,
-    ENUMERATION_BOUND,
     PermGroup,
     Permutation,
     _orbit_labels,
@@ -67,7 +69,7 @@ class CartesianDecomposition:
 
     def __init__(self, partitions):
         if len(partitions) < 2:
-            raise ValueError("a decomposition needs at least two partitions")
+            raise NotCartesian("a decomposition needs at least two partitions")
         self.partitions = [_normalize_labels(lab) for lab in partitions]
         n = len(self.partitions[0])
         self.degree = n
@@ -76,12 +78,12 @@ class CartesianDecomposition:
         for b in self.block_counts:
             total *= b
         if total != n:
-            raise ValueError("block counts do not multiply to the degree")
+            raise NotCartesian("block counts do not multiply to the degree")
         code = self.partitions[0].astype(np.int64)
         for lab, b in zip(self.partitions[1:], self.block_counts[1:]):
             code = code * b + lab
         if len(np.unique(code)) != n:
-            raise ValueError("blocks do not intersect in singletons")
+            raise NotCartesian("blocks do not intersect in singletons")
         self.grid_code = code
 
     @property
@@ -176,17 +178,15 @@ def _index2_point_sets(Q):
     return out
 
 
-def find_grid_decompositions(G, ell_max=2, extra_groups=None):
-    """G-invariant cartesian decompositions built from minimal block
-    systems of G and of its index-2 subgroups.
+def find_grid_decompositions(G, extra_groups=None):
+    """G-invariant cartesian decompositions into two partitions, built
+    from minimal block systems of G and of its index-2 subgroups.
 
     ``extra_groups`` may supply precomputed index-2 subgroups (as
     PermGroups on the same points) to skip the derived-subgroup route.
     """
     if not G.is_transitive():
         raise NotTransitive("grid search needs a transitive group")
-    if ell_max < 2 or ell_max > 3:
-        raise ValueError("ell_max must be 2 or 3")
     sources = [G]
     if extra_groups is not None:
         sources.extend(extra_groups)
@@ -203,11 +203,10 @@ def find_grid_decompositions(G, ell_max=2, extra_groups=None):
                 systems.append(lab)
     out = []
     out_keys = set()
-    for subset in _subsets(len(systems), ell_max):
-        labs = [systems[i] for i in subset]
+    for pair in combinations(systems, 2):
         try:
-            E = CartesianDecomposition(labs)
-        except ValueError:
+            E = CartesianDecomposition(list(pair))
+        except NotCartesian:
             continue
         if not _group_permutes_partitions(G, E):
             continue
@@ -216,13 +215,6 @@ def find_grid_decompositions(G, ell_max=2, extra_groups=None):
             out_keys.add(key)
             out.append(E)
     return out
-
-
-def _subsets(n, kmax):
-    from itertools import combinations
-
-    for k in range(2, kmax + 1):
-        yield from combinations(range(n), k)
 
 
 def _group_permutes_partitions(G, E):
@@ -305,16 +297,14 @@ def classify_inclusion(G, M, E, omega=0, factors=None):
         return InclusionType("Normal", 1, tuple(comp_stab_orders), details)
 
     if len(factor_groups) > 1:
+        # a factor's support is the set of points its generators move
+        points = np.arange(G.degree)
         supports = [
-            frozenset(p for o in f.orbits() if len(o) > 1 for p in o)
+            np.any([g.images != points for g in f.generators], axis=0)
             for f in factor_groups
         ]
-        for i in range(len(supports)):
-            for j in range(i + 1, len(supports)):
-                if supports[i] & supports[j]:
-                    raise ProjectionUnsupported(
-                        "overlapping factor supports with s >= 2"
-                    )
+        if any((a & b).any() for a, b in combinations(supports, 2)):
+            raise ProjectionUnsupported("overlapping factor supports with s >= 2")
 
     if s == 3:
         return InclusionType("CD3", 3, (), details)
@@ -440,38 +430,6 @@ def blowup_embedding(G, factors, omega=0):
 
 # ---------------------------------------------------------------------------
 # factorization checks
-
-
-def strong_factorization_check(T, subgroups):
-    """Whether A_1, ..., A_s form a strong multiple factorization of T.
-
-    For every r the product condition A_r * (meet of the others) = T is
-    evaluated by order arithmetic on computed intersections.
-    """
-    if len(subgroups) < 2 or len(subgroups) > 3:
-        raise ValueError("need 2 or 3 subgroups")
-    t_order = T.order()
-    detail = {"T_order": t_order, "conditions": []}
-    ok = True
-    groups = list(subgroups)
-    for r in range(len(groups)):
-        rest = [g for i, g in enumerate(groups) if i != r]
-        meet = rest[0]
-        for other in rest[1:]:
-            meet = intersection_small(meet, other)
-        inner = intersection_small(groups[r], meet)
-        holds = groups[r].order() * meet.order() == t_order * inner.order()
-        detail["conditions"].append(
-            {
-                "r": r,
-                "A_r_order": groups[r].order(),
-                "rest_meet_order": meet.order(),
-                "inner_meet_order": inner.order(),
-                "holds": holds,
-            }
-        )
-        ok = ok and holds
-    return ok, detail
 
 
 @dataclass
@@ -614,15 +572,14 @@ def _table_rows(path, nfields):
 
 
 def _check_table_q(q, lineno=None):
-    """Raise ParseError unless q is a prime power with 4 <= q and q^2 <=
-    ``ENUMERATION_BOUND``; the bound comes first, as GF(q) holds a q x q
-    table and factorising a huge q would take long."""
-    if q < 4 or q * q > ENUMERATION_BOUND or len(_factorize(q)) != 1:
-        raise ParseError(
-            f"q = {q} is not a prime power with 4 <= q and "
-            f"q^2 <= {ENUMERATION_BOUND}",
-            line=lineno,
-        )
+    """Raise ParseError unless ``psl2_action`` takes q: 4 <= q, and GF(q)
+    passes ``check_field_order``."""
+    if q < 4:
+        raise ParseError(f"q = {q} is below 4", line=lineno)
+    try:
+        check_field_order(q)
+    except (TooLarge, UnsupportedField) as exc:
+        raise ParseError(f"q = {q}: {exc}", line=lineno) from exc
 
 
 def load_factorization_table(path):

@@ -342,7 +342,7 @@ def _grid_context(base):
     if "grid" not in base:
         G, M = base["G"], base["plinth"]
         subs = index2_subgroups(G, derived=M)
-        grids = find_grid_decompositions(G, ell_max=2, extra_groups=subs)
+        grids = find_grid_decompositions(G, extra_groups=subs)
         verdicts = [classify_inclusion(G, M, E, omega=0) for E in grids]
         base["grid"] = {"grids": grids, "verdicts": verdicts}
     return base["grid"]

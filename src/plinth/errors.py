@@ -29,6 +29,10 @@ class DegreeOverflow(PlinthError):
     pass
 
 
+class NotCartesian(PlinthError):
+    pass
+
+
 class NotDecompositionPreserving(PlinthError):
     pass
 
@@ -58,6 +62,10 @@ class NotXSubgroup(PlinthError):
 
 
 class UnsupportedFlavor(PlinthError):
+    pass
+
+
+class UnsupportedField(PlinthError):
     pass
 
 

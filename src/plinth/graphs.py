@@ -144,30 +144,6 @@ def suborbits(G, alpha=0):
     return OrbitalData(labels, subs, stab, transporters)
 
 
-def is_self_paired(G, alpha, beta):
-    """Pair-orbit test: does the orbit of (alpha, beta) contain its
-    reverse?  This is the brute oracle; suborbits() pairs via
-    transporters and the two are cross-checked in the test suite."""
-    if alpha == beta:
-        raise ValueError("need two distinct points")
-    start = (alpha, beta)
-    target = (beta, alpha)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for a, b in frontier:
-            for g in G.generators:
-                pair = (int(g.images[a]), int(g.images[b]))
-                if pair == target:
-                    return True
-                if pair not in seen:
-                    seen.add(pair)
-                    nxt.append(pair)
-        frontier = nxt
-    return False
-
-
 # ---------------------------------------------------------------------------
 # orbital graphs
 

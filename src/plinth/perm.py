@@ -194,19 +194,33 @@ def _schreier_path_images(tree, point, gens, degree):
 
 
 def _grow_orbit(points, tree, gens, gen_ids, degree, first_ids=None):
-    """Extend an orbit and its Schreier vector, one frontier per numpy step.
+    """Extend an orbit and its Schreier vector.
 
     Maps ``points`` by the generators ``gens[gid]`` with gid in
-    ``first_ids`` (default ``gen_ids``), then each batch of new points by
-    those with gid in ``gen_ids``.  New points are appended to ``points``
-    and entered in ``tree`` as (parent, gid), each at its first
-    occurrence in (frontier point, generator) order: the order in which
-    a per-point queue finds them.
+    ``first_ids`` (default ``gen_ids``), then each new point by those
+    with gid in ``gen_ids``.  New points are appended to ``points`` and
+    entered in ``tree`` as (parent, gid), each at its first occurrence
+    in (point, generator) order: the order of a per-point queue.  At a
+    degree whose full-length chain level cannot cache its transversal,
+    the orbit grows one frontier per numpy step, in the same order.
     """
+    gen_ids = list(gen_ids)
+    ids = gen_ids if first_ids is None else list(first_ids)
+    if degree * degree <= ENUMERATION_BOUND:
+        old = len(points)
+        cursor = 0
+        while cursor < len(points):
+            p = points[cursor]
+            for gid in gen_ids if cursor >= old else ids:
+                q = int(gens[gid].images[p])
+                if q not in tree:
+                    tree[q] = (p, gid)
+                    points.append(q)
+            cursor += 1
+        return
     seen = np.zeros(degree, dtype=bool)
     frontier = np.asarray(points, dtype=_DTYPE)
     seen[frontier] = True
-    ids = list(gen_ids if first_ids is None else first_ids)
     while frontier.size and ids:
         k = len(ids)
         imgs = np.stack([gens[g].images[frontier] for g in ids], axis=1).ravel()
@@ -219,7 +233,7 @@ def _grow_orbit(points, tree, gens, gen_ids, degree, first_ids=None):
         new = frontier.tolist()
         points.extend(new)
         tree.update(zip(new, zip(parents, np.take(ids, at % k).tolist())))
-        ids = list(gen_ids)
+        ids = gen_ids
 
 
 class _ChainLevel:
@@ -323,34 +337,18 @@ class StabChain:
         The orbit is already closed under every other generator, so its
         old points need only ``new_gid`` and the points found now need
         all of them.  Points, tree entries and pending pairs come in the
-        order a full rescan from the orbit's start would give them.  At a
-        degree whose full-length level cannot cache its transversal, the
-        orbit grows a frontier at a time (``_grow_orbit``), in the same
-        order.
+        order a full rescan from the orbit's start would give them.
         """
         lev = self.levels[i]
         gids = self._effective_gen_ids(i)
         old = len(lev.orbit_list)
-        if self.degree * self.degree > ENUMERATION_BOUND:
-            _grow_orbit(
-                lev.orbit_list, lev.tree, self.gens, gids, self.degree,
-                first_ids=(new_gid,),
-            )
-            lev.pending.extend(
-                (q, gid) for q in lev.orbit_list[old:] for gid in gids
-            )
-            return
-        cursor = 0
-        while cursor < len(lev.orbit_list):
-            p = lev.orbit_list[cursor]
-            for gid in gids if cursor >= old else (new_gid,):
-                q = int(self.gens[gid].images[p])
-                if q not in lev.tree:
-                    lev.tree[q] = (p, gid)
-                    lev.orbit_list.append(q)
-                    for gid2 in gids:
-                        lev.pending.append((q, gid2))
-            cursor += 1
+        _grow_orbit(
+            lev.orbit_list, lev.tree, self.gens, gids, self.degree,
+            first_ids=(new_gid,),
+        )
+        lev.pending.extend(
+            (q, gid) for q in lev.orbit_list[old:] for gid in gids
+        )
 
     def order(self):
         result = 1
@@ -573,9 +571,6 @@ class PermGroup:
     def identity(self):
         return Permutation.identity(self.degree)
 
-    def random_element(self, rng):
-        return self.chain().random_element(rng)
-
     def elements(self):
         return self.chain().elements()
 
@@ -590,20 +585,8 @@ class PermGroup:
             raise ValueError("point out of range")
         points = [alpha]
         tree = {alpha: (-1, -1)}
-        if self.degree * self.degree > ENUMERATION_BOUND:
-            # as in StabChain._extend_orbit: a frontier at a time
-            gens = self.generators
-            _grow_orbit(points, tree, gens, range(len(gens)), self.degree)
-            return points, tree
-        cursor = 0
-        while cursor < len(points):
-            p = points[cursor]
-            cursor += 1
-            for gi, g in enumerate(self.generators):
-                q = int(g.images[p])
-                if q not in tree:
-                    tree[q] = (p, gi)
-                    points.append(q)
+        gens = self.generators
+        _grow_orbit(points, tree, gens, range(len(gens)), self.degree)
         return points, tree
 
     def transporter_from_orbit(self, alpha, beta, tree=None):
@@ -617,19 +600,6 @@ class PermGroup:
             _checked=True,
         )
 
-    def orbits(self):
-        """All orbits, ordered by minimum point."""
-        seen = np.zeros(self.degree, dtype=bool)
-        out = []
-        for start in range(self.degree):
-            if seen[start]:
-                continue
-            points, _ = self.orbit(start)
-            for p in points:
-                seen[p] = True
-            out.append(points)
-        return out
-
     def is_transitive(self):
         points, _ = self.orbit(0)
         return len(points) == self.degree
@@ -638,15 +608,6 @@ class PermGroup:
         return (
             f"PermGroup(degree={self.degree}, ngens={len(self.generators)})"
         )
-
-
-def same_subgroup(a, b):
-    """Subgroup equality: equal orders plus mutual generator membership."""
-    if a.order() != b.order():
-        return False
-    return all(b.contains(g) for g in a.generators) and all(
-        a.contains(g) for g in b.generators
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """Tests for finite fields, PSL(2,q) actions, and the symplectic geometry."""
 
+import itertools
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,8 +15,74 @@ from plinth.algebra import (
     sp4,
     symplectic_gq,
 )
-from plinth.errors import TooLarge
+from plinth.errors import TooLarge, UnsupportedField
 from plinth.perm import PermGroup, is_k_transitive
+
+
+# ---------------------------------------------------------------------------
+# scalar reference for PG(3,q) arithmetic, one field operation at a time
+
+_J = ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))
+
+
+def _dot(F, u, v):
+    total = 0
+    for x, y in zip(u, v):
+        total = F.add(total, F.mul(x, y))
+    return total
+
+
+def _form(F, x, y):
+    """B(x,y) = x1 y2 + x2 y1 + x3 y4 + x4 y3."""
+    return _dot(F, x, tuple(_dot(F, row, y) for row in _J))
+
+
+def _vec_mat(F, v, m):
+    return tuple(_dot(F, v, tuple(m[r][j] for r in range(4))) for j in range(4))
+
+
+def _normalize(F, v):
+    lead = next(x for x in v if x)
+    c = F.inv(lead)
+    return tuple(F.mul(c, x) for x in v)
+
+
+def _reference_preserves_form(F, m):
+    for i in range(4):
+        for j in range(4):
+            ei = tuple(int(r == i) for r in range(4))
+            ej = tuple(int(r == j) for r in range(4))
+            if _form(F, _vec_mat(F, ei, m), _vec_mat(F, ej, m)) != _J[i][j]:
+                return False
+    return True
+
+
+def _reference_gq(q):
+    """W(q) as (points, lines, point lines), point by point."""
+    F = Field(q)
+    points = [
+        v
+        for v in itertools.product(range(q), repeat=4)
+        if any(v) and next(x for x in v if x) == 1
+    ]
+    index = {v: i for i, v in enumerate(points)}
+    lines = set()
+    for i, u in enumerate(points):
+        for j in range(i + 1, len(points)):
+            v = points[j]
+            if _form(F, u, v) != 0:
+                continue
+            span = {i, j}
+            for c in range(1, q):
+                w = tuple(F.add(u[t], F.mul(c, v[t])) for t in range(4))
+                span.add(index[_normalize(F, w)])
+            lines.add(tuple(sorted(span)))
+    lines = sorted(lines)
+    point_lines = [[] for _ in points]
+    for li, line in enumerate(lines):
+        for p in line:
+            point_lines[p].append(li)
+    return points, lines, point_lines
 
 
 FIELD_SIZES = [2, 3, 4, 5, 7, 8, 9, 11, 16, 25, 27, 32]
@@ -50,8 +119,39 @@ def test_frobenius_is_field_automorphism(q):
 
 
 def test_field_rejects_non_prime_power():
-    with pytest.raises(ValueError):
+    with pytest.raises(UnsupportedField):
         Field(6)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Field(49),  # no primitive polynomial on file
+        lambda: Field(64),
+        lambda: Field(1),
+        lambda: psl2_action(3),
+        lambda: sp4(3),
+        lambda: symplectic_gq(9),
+    ],
+    ids=["Field(49)", "Field(64)", "Field(1)", "psl2_action(3)", "sp4(3)",
+         "symplectic_gq(9)"],
+)
+def test_unsupported_q_raises_a_typed_error(build):
+    with pytest.raises(UnsupportedField):
+        build()
+
+
+@pytest.mark.parametrize("q", FIELD_SIZES)
+def test_mul_and_inv_tables_agree_with_exp_log(q):
+    F = Field(q)
+    for a in range(q):
+        for b in range(q):
+            want = 0
+            if a and b:
+                want = int(F._exp[(F._log[a] + F._log[b]) % (q - 1)])
+            assert F.mul(a, b) == want
+        if a:
+            assert F.inv(a) == int(F._exp[-F._log[a] % (q - 1)])
 
 
 def test_field_rejects_q_whose_add_table_exceeds_the_bound():
@@ -149,8 +249,6 @@ def test_sp4_order_and_form_preservation():
 def test_sp4_keeps_each_generator_with_its_matrix(q):
     # only transvections that enlarge the group are kept, each with the
     # matrix whose action on the projective points it is
-    from plinth.algebra import _normalize, _vec_mat
-
     ma = sp4(q)
     points = projective_points(ma.field)
     index = {v: i for i, v in enumerate(points)}
@@ -167,6 +265,35 @@ def test_sp4_keeps_each_generator_with_its_matrix(q):
 def test_projective_points_count():
     F = Field(4)
     assert len(projective_points(F)) == (4**4 - 1) // (4 - 1)
+
+
+@pytest.mark.parametrize("q", [2, 4])
+def test_symplectic_gq_matches_the_scalar_reference(q):
+    geom = symplectic_gq(q)
+    assert (geom.points, geom.lines, geom.point_lines) == _reference_gq(q)
+
+
+def _reference_transvection(F, v, lam):
+    """x -> x + lam B(x,v) v: entry (i, j) is [i = j] + lam (Jv)_i v_j."""
+    jv = [_dot(F, row, v) for row in _J]
+    return [
+        [F.add(int(i == j), F.mul(F.mul(lam, jv[i]), v[j])) for j in range(4)]
+        for i in range(4)
+    ]
+
+
+@pytest.mark.parametrize("q", [4, 8])
+def test_preserves_form_matches_the_scalar_reference(q):
+    F = Field(q)
+    rng = np.random.default_rng(q)
+    matrices = [rng.integers(0, q, size=(4, 4)).tolist() for _ in range(200)]
+    symplectic = [
+        _reference_transvection(F, rng.integers(0, q, size=4).tolist(), lam)
+        for lam in range(1, q)
+    ]
+    got = [preserves_form(F, m) for m in matrices + symplectic]
+    assert got == [_reference_preserves_form(F, m) for m in matrices + symplectic]
+    assert all(got[len(matrices):])
 
 
 @pytest.mark.parametrize("q,lines_per_point", [(2, 3), (4, 5)])

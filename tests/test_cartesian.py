@@ -22,18 +22,27 @@ from plinth.cartesian import (
     load_examples_table,
     load_factorization_table,
     parabolic_order,
-    strong_factorization_check,
     verify_psl2_factorization_row,
 )
 from plinth.cli import data_path
-from plinth.errors import IoError, Mismatch, NotInvariant, ParseError, PlinthError
+from plinth.errors import (
+    IoError,
+    Mismatch,
+    NotCartesian,
+    NotInvariant,
+    ParseError,
+    PlinthError,
+    ProjectionUnsupported,
+)
 from plinth.perm import (
     ENUMERATION_BOUND,
     PermGroup,
     Permutation,
+    _orbit_labels,
+    intersection_small,
     point_stabilizer,
-    same_subgroup,
 )
+from test_perm import same_subgroup
 
 
 # ---------------------------------------------------------------------------
@@ -51,8 +60,12 @@ def test_cartesian_decomposition_grid():
 
 def test_cartesian_decomposition_rejects_non_grid():
     a = np.array([0, 0, 1, 1], dtype=np.int64)
-    with pytest.raises(ValueError):
+    with pytest.raises(NotCartesian):
         CartesianDecomposition([a, a])
+    with pytest.raises(NotCartesian):
+        CartesianDecomposition([a])
+    with pytest.raises(NotCartesian):
+        CartesianDecomposition([a, np.array([0, 1, 2, 2], dtype=np.int64)])
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +239,25 @@ def test_find_grid_decompositions_a6():
     assert grids[0].block_counts == [6, 6]
 
 
+def test_grid_search_skips_only_non_grids(monkeypatch):
+    import plinth.cartesian as cartesian
+
+    G, _ = a6_setup()
+
+    def rejects(error):
+        def build(partitions):
+            raise error
+
+        return build
+
+    monkeypatch.setattr(cartesian, "CartesianDecomposition", rejects(NotCartesian()))
+    assert find_grid_decompositions(G) == []
+    # any other error from the constructor is a fault, not "no grid"
+    monkeypatch.setattr(cartesian, "CartesianDecomposition", rejects(ValueError("boom")))
+    with pytest.raises(ValueError, match="boom"):
+        find_grid_decompositions(G)
+
+
 def test_classify_inclusion_a6_cd2sim():
     G, M = a6_setup()
     grids = find_grid_decompositions(G)
@@ -280,7 +312,8 @@ def test_a6_projections_agree_on_order_spectrum_and_orbit_lengths():
         return sorted({g.order() for g in P.elements()})
 
     def orbit_lengths(P):
-        return sorted(len(o) for o in P.orbits())
+        labels, _ = _orbit_labels([g.images for g in P.generators], P.degree)
+        return sorted(np.bincount(labels).tolist())
 
     assert spectrum(a) == spectrum(b)
     assert orbit_lengths(a) == orbit_lengths(b)
@@ -337,6 +370,15 @@ def test_classify_inclusion_rejects_factors_meeting_different_counts():
     E = find_grid_decompositions(G)[0]
     with pytest.raises(Mismatch):
         classify_inclusion(G, M, E, factors=[M, PermGroup.trivial(36)])
+
+
+def test_classify_inclusion_rejects_overlapping_factor_supports():
+    # s = 2 for each copy of the plinth, and the two copies move the
+    # same points
+    G, M = a6_setup()
+    E = find_grid_decompositions(G)[0]
+    with pytest.raises(ProjectionUnsupported, match="overlapping"):
+        classify_inclusion(G, M, E, factors=[M, M])
 
 
 def _a5_wr_2_setup():
@@ -454,6 +496,8 @@ _EXAMPLE_ROW = "ex | prime+-1mod5 | D5 | 10 | Table 4 row"
         ("#\n" + _FACTORIZATION_ROW.replace("4 |", "3 |", 1), 2),
         (_FACTORIZATION_ROW.replace("4 |", "6 |", 1), 1),
         (_FACTORIZATION_ROW.replace("4 |", "1024 |", 1), 1),
+        # a prime power with no primitive polynomial on file
+        ("#\n\n" + _FACTORIZATION_ROW.replace("4 |", "49 |", 1), 3),
     ],
 )
 def test_factorization_table_rejects_bad_rows(tmp_path, text, line):
@@ -491,19 +535,19 @@ def test_cross_check_rejects_bad_hand_built_rows():
             cross_check_examples([example], rows)
 
 
-@pytest.mark.parametrize("q", [100000000000031, 3, 6, 1024])
+@pytest.mark.parametrize("q", [100000000000031, 3, 6, 1024, 49])
 def test_cross_check_applies_the_loader_q_rule(monkeypatch, q):
     # the bound is checked before q is factorised, so a huge q is
-    # rejected at once
-    import plinth.cartesian as cartesian_module
+    # rejected at once; the rule is algebra.check_field_order's
+    import plinth.algebra as algebra_module
 
-    real = cartesian_module._factorize
+    real = algebra_module._factorize
 
     def bounded_factorize(n):
         assert n * n <= ENUMERATION_BOUND, f"factorised {n}"
         return real(n)
 
-    monkeypatch.setattr(cartesian_module, "_factorize", bounded_factorize)
+    monkeypatch.setattr(algebra_module, "_factorize", bounded_factorize)
     rows = [(q, ("P1", 12, "D10", 10, 2, "x"))]
     with pytest.raises(ParseError):
         cross_check_examples([("ex", "prime+-1mod5", "D5", "10", "x")], rows)
@@ -554,6 +598,35 @@ def test_arbitrary_table_input_raises_only_plinth_errors(data):
             examples = None
         if examples is not None:
             cross_check_examples(examples, rows)
+
+
+def strong_factorization_check(T, subgroups):
+    """Whether A_1, ..., A_s form a strong multiple factorization of T.
+
+    For every r the product condition A_r * (meet of the others) = T is
+    evaluated by order arithmetic on computed intersections.
+    """
+    t_order = T.order()
+    detail = {"T_order": t_order, "conditions": []}
+    ok = True
+    for r, a in enumerate(subgroups):
+        rest = [g for i, g in enumerate(subgroups) if i != r]
+        meet = rest[0]
+        for other in rest[1:]:
+            meet = intersection_small(meet, other)
+        inner = intersection_small(a, meet)
+        holds = a.order() * meet.order() == t_order * inner.order()
+        detail["conditions"].append(
+            {
+                "r": r,
+                "A_r_order": a.order(),
+                "rest_meet_order": meet.order(),
+                "inner_meet_order": inner.order(),
+                "holds": holds,
+            }
+        )
+        ok = ok and holds
+    return ok, detail
 
 
 def test_strong_factorization_check_positive():

@@ -12,7 +12,6 @@ from plinth.graphs import (
     edge_orbit_graph,
     is_automorphism,
     is_connected,
-    is_self_paired,
     orbital_graph,
     s_arc_transitivity_max,
     suborbits,
@@ -144,6 +143,28 @@ def test_suborbit_pairing_invariant_under_relabeling():
     assert sorted(s.self_paired for s in od.suborbits) == sorted(
         s.self_paired for s in od2.suborbits
     )
+
+
+def is_self_paired(G, alpha, beta):
+    """Pair-orbit test: does the orbit of (alpha, beta) contain its
+    reverse?  The brute oracle for the transporter pairing of
+    ``suborbits``."""
+    start = (alpha, beta)
+    target = (beta, alpha)
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for a, b in frontier:
+            for g in G.generators:
+                pair = (int(g.images[a]), int(g.images[b]))
+                if pair == target:
+                    return True
+                if pair not in seen:
+                    seen.add(pair)
+                    nxt.append(pair)
+        frontier = nxt
+    return False
 
 
 def test_is_self_paired_matches_suborbit_flags():

@@ -28,7 +28,6 @@ from plinth.perm import (
     point_stabilizer,
     random_subgroup_of_order,
     reduce_generators,
-    same_subgroup,
     small_generating_set,
 )
 
@@ -432,6 +431,49 @@ def test_orbit_matches_per_point_search(make):
         assert list(tree.items()) == list(want_tree.items())
 
 
+def _grown(bound, gens, alpha, split):
+    """``_grow_orbit`` under ``ENUMERATION_BOUND = bound``: the orbit of
+    alpha under gens[:split], then its extension by the rest, whose
+    first step maps the old points by the new generators only."""
+    degree = gens[0].degree
+    points, tree = [alpha], {alpha: (-1, -1)}
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(perm_module, "ENUMERATION_BOUND", bound)
+        perm_module._grow_orbit(points, tree, gens, range(split), degree)
+        first = (list(points), list(tree.items()))
+        perm_module._grow_orbit(
+            points, tree, gens, range(len(gens)), degree,
+            first_ids=range(split, len(gens)),
+        )
+    return first, (points, list(tree.items()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(3, 9).flatmap(
+        lambda n: st.tuples(
+            st.lists(perms(n), min_size=1, max_size=4),
+            st.integers(0, n - 1),
+            st.integers(0, 4),
+        )
+    )
+)
+def test_grow_orbit_paths_agree(data):
+    # a bound of n^2 keeps the per-point loop, n^2 - 1 takes the
+    # frontier path; both list points and enter tree edges in one order
+    gens, alpha, split = data
+    n = gens[0].degree
+    split = min(split, len(gens))
+    per_point = _grown(n * n, gens, alpha, split)
+    frontier = _grown(n * n - 1, gens, alpha, split)
+    assert per_point == frontier
+    (old_points, old_tree), (points, tree) = per_point
+    assert points[: len(old_points)] == old_points
+    assert tree[: len(old_tree)] == old_tree
+    whole = PermGroup(gens, degree=n).orbit(alpha)[0]
+    assert sorted(points) == sorted(whole)
+
+
 def test_fast_orbit_matches_orbit():
     G = PermGroup.alternating(6)
     images = [g.images for g in G.generators]
@@ -676,6 +718,15 @@ def test_intersection_small_builds_at_most_three_chains(chain_builds):
     A5 = PermGroup.alternating(5)
     assert intersection_small(S5, A5).order() == 60
     assert len(chain_builds) <= 3
+
+
+def same_subgroup(a, b):
+    """Subgroup equality: equal orders plus mutual generator membership."""
+    if a.order() != b.order():
+        return False
+    return all(b.contains(g) for g in a.generators) and all(
+        a.contains(g) for g in b.generators
+    )
 
 
 def test_same_subgroup():

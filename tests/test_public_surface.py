@@ -1,0 +1,76 @@
+"""Every public function of the package has a caller in the package.
+
+A public module-level function of ``src/plinth/<module>.py`` must be
+named somewhere in ``src/plinth`` other than its own ``def`` and the
+re-exports of ``__init__.py``, or be a span that a per-layer metric of
+BENCHMARK.json reads.  A function only the tests call belongs in the
+tests, as an oracle.
+"""
+
+import ast
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "plinth"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _benchmark_functions():
+    """Function names of the ``<layer>.<function>`` spans BENCHMARK.json reads."""
+    out = set()
+    for metric in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]:
+        parts = metric["name"].split(".")
+        if len(parts) == 3:
+            out.add(parts[1])
+    return out
+
+
+def _public_functions():
+    out = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                out.append(f"{path.stem}.{node.name}")
+    return out
+
+
+def _names_used():
+    """Every name read or imported in the package, ``__init__`` aside."""
+    used = set()
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    return used
+
+
+_USED = _names_used()
+_BENCHMARKED = _benchmark_functions()
+
+
+def test_public_functions_are_found():
+    assert "perm.point_stabilizer" in _public_functions()
+    assert "is_connected" in _BENCHMARKED
+
+
+@pytest.mark.parametrize("function", _public_functions())
+def test_public_function_has_a_package_caller(function):
+    name = function.split(".")[1]
+    assert name in _USED or name in _BENCHMARKED, (
+        f"{function} is called by no package code; move it into the tests"
+    )
+
+
+def test_benchmark_is_the_only_reason_left():
+    # a benchmarked function without a package caller is kept for the
+    # benchmark alone; name each one here so a new one is a decision
+    public = {f.split(".")[1] for f in _public_functions()}
+    assert (public & _BENCHMARKED) - _USED == {"is_connected"}
