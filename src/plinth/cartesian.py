@@ -453,7 +453,7 @@ def dihedral_subgroup(T, order, seed=1):
     """A dihedral subgroup of the given (even) order: a cyclic half
     plus a seeded-random search for an inverting involution."""
     if order % 2:
-        raise ValueError("dihedral order must be even")
+        raise ConstructionFailed(f"no dihedral group has odd order {order}")
     half = order // 2
     a = element_of_order(T, half, seed=seed)
     if a is None:

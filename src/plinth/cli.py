@@ -403,7 +403,14 @@ def _scan_suborbits(od):
     representative, length, and whether its orbital graph is connected
     (the block <G_0, u> generates, u the transporter 0 -> representative,
     holds every point) and (G, 2)-arc-transitive (G_0 is 2-transitive
-    on the suborbit, which is N(0))."""
+    on the suborbit, which is N(0)).
+
+    2-transitivity on a suborbit of length m is first tested by
+    Lagrange, exactly: if G_0 is 2-transitive there, the group it
+    induces has order divisible by m(m-1), the number of ordered pairs
+    of distinct points, and that order divides |G_0|.  So when m(m-1)
+    does not divide |G_0| the answer is no without building the induced
+    action."""
     n = len(od.labels)
     stab = od.stabilizer
     gens = [g.images for g in stab.generators]
@@ -412,12 +419,14 @@ def _scan_suborbits(od):
         if not s.self_paired:
             continue
         block = fast_orbit(gens + [od.transporters[idx].images], 0, n)
+        m = s.length
         results.append(
             {
                 "representative": s.representative,
-                "length": s.length,
+                "length": m,
                 "connected": len(block) == n,
-                "two_at": s.length >= 2
+                "two_at": m >= 2
+                and stab.order() % (m * (m - 1)) == 0
                 and is_k_transitive(stab, od.points_of(idx).tolist(), 2),
             }
         )

@@ -83,6 +83,11 @@ class NotBijection(PlinthError):
     pass
 
 
+class OutOfRange(PlinthError):
+    """An argument outside the range a routine takes: a point beyond the
+    degree, or a k that ``is_k_transitive`` does not test."""
+
+
 class ConstructionFailed(PlinthError):
     pass
 

@@ -22,8 +22,10 @@ import numpy as np
 from .errors import (
     DegreeMismatch,
     Mismatch,
+    NotBijection,
     NotInvariant,
     NotTransitive,
+    OutOfRange,
     TooLarge,
 )
 
@@ -58,10 +60,10 @@ class Permutation:
             n = len(arr)
             seen = np.zeros(n, dtype=bool)
             if n and (arr.min() < 0 or arr.max() >= n):
-                raise ValueError("image out of range")
+                raise NotBijection("image out of range")
             seen[arr] = True
             if not seen.all():
-                raise ValueError("images are not a bijection")
+                raise NotBijection("images are not a bijection")
         arr.setflags(write=False)
         self.images = arr
         self._hash = None
@@ -257,9 +259,13 @@ class _ChainLevel:
 class StabChain:
     """Deterministic Schreier-Sims stabilizer chain.
 
-    ``upper_bound`` enables the known-order early exit: the product of
-    fundamental orbit lengths is always a lower bound for the group
-    order, so processing stops as soon as the product equals the bound.
+    The product of fundamental orbit lengths is always a lower bound for
+    the group order, which gives the chain two exact exits.
+    ``upper_bound`` enables the known-order early exit: processing stops
+    as soon as the product equals the bound.  A subgroup-search trial
+    (``_TrialChain``) stops as soon as the product passes its target
+    order, since the group is then too big; such a chain is incomplete
+    and is dropped by the search, never attached to a ``PermGroup``.
     The bound must be a true upper bound on the order; it is not
     verified.  A bound the product overshoots is dropped and the chain
     completes, but a bound below the order that the product happens to
@@ -271,6 +277,9 @@ class StabChain:
     check of an order against a literal compares it with a computed
     value.
     """
+
+    #: A search trial's target order (set only by ``_TrialChain``).
+    _ceiling = None
 
     def __init__(self, degree, generators, base_hint=(), upper_bound=None):
         self.degree = degree
@@ -357,6 +366,8 @@ class StabChain:
         return result
 
     def _bound_reached(self):
+        if self._ceiling is not None and self.order() > self._ceiling:
+            return True
         if self._bound is None:
             return False
         current = self.order()
@@ -487,6 +498,7 @@ class PermGroup:
         generators = list(generators)
         if degree is None:
             if not generators:
+                # a programming error, not a data error: left untyped
                 raise ValueError("degree required for a trivial group")
             degree = generators[0].degree
         for g in generators:
@@ -581,8 +593,8 @@ class PermGroup:
         first-discovery order and tree maps each point to
         (parent, generator index) with the root mapped to (-1, -1).
         """
-        if alpha >= self.degree:
-            raise ValueError("point out of range")
+        if not 0 <= alpha < self.degree:
+            raise OutOfRange(f"point {alpha} not in 0..{self.degree - 1}")
         points = [alpha]
         tree = {alpha: (-1, -1)}
         gens = self.generators
@@ -650,10 +662,10 @@ def induced_action(group, points):
 def is_k_transitive(group, points, k):
     """Whether the action restricted to ``points`` is k-transitive."""
     if k < 1 or k > 3:
-        raise ValueError("k must be between 1 and 3")
+        raise OutOfRange("k must be between 1 and 3")
     m = len(points)
     if m < k:
-        raise ValueError("k exceeds the point set size")
+        raise OutOfRange("k exceeds the point set size")
     sub, _ = induced_action(group, points)
     return stabilizer_orbit_sizes(sub, k) == list(range(m, m - k, -1))
 
@@ -691,13 +703,16 @@ def minimal_block_systems(group):
     candidates = {}
     block_of = {}
     for beta, u in zip(reps, transporters[1:]):
-        block = fast_orbit(stab_images + [u.images], alpha, n).tolist()
-        if len(block) == n or len(block) == 1:
-            block_of[beta] = frozenset(block) if len(block) < n else None
+        block = fast_orbit(stab_images + [u.images], alpha, n)
+        if block.size == n:
+            # the whole point set, told by its size: no list is built
+            block_of[beta] = None
             continue
+        block = block.tolist()
         key = frozenset(block)
         block_of[beta] = key
-        candidates.setdefault(key, block)
+        if len(block) > 1:
+            candidates.setdefault(key, block)
     systems = []
     for key, block in candidates.items():
         # minimal iff every other point of the block regenerates it
@@ -882,12 +897,38 @@ def small_generating_set(group, seed=1):
     return reduce_generators(group)
 
 
+class _TrialChain(StabChain):
+    """Chain of a search trial that stops once its orbit product passes
+    ``target``.
+
+    The product is a lower bound on the order, so a chain whose order
+    reads above ``target`` stopped early: its group is too big, and the
+    chain is incomplete and must be dropped.  Otherwise the chain ran to
+    the end, is complete, and drops the ceiling, so it can be attached
+    to a group and extended like any other chain.
+    """
+
+    def __init__(self, degree, generators, target):
+        self._ceiling = target
+        super().__init__(degree, generators)
+        if self.order() <= target:
+            self._ceiling = None
+
+
 def random_subgroup_of_order(group, target, profile=None, seed=1):
     """Seeded search for a subgroup of exactly the target order.
 
     ``profile`` optionally lists element orders to steer the generator
     draw (e.g. (5, 2) to look for A5-style pairs).  Returns None after
     ``SUBGROUP_SEARCH_TRIES`` pairs.
+
+    Each trial pair's chain stops as soon as its orbit product, a lower
+    bound on the order, passes ``target`` (see ``_TrialChain``); the
+    trial is then skipped, as it would be after a full build, since
+    neither ``order == target`` nor the ``order < target`` retry can
+    hold.  A returned group always carries a complete chain, and the
+    random draws, hence the returned generators, are those of a search
+    that builds every trial chain in full.
     """
     if group.order() % target:
         return None
@@ -912,11 +953,15 @@ def random_subgroup_of_order(group, target, profile=None, seed=1):
         b = draw(want_b)
         if a is None or b is None:
             continue
+        trial_chain = _TrialChain(group.degree, [a, b], target)
+        order = trial_chain.order()
+        if order > target:
+            continue  # <a, b> is too big; its chain stopped unfinished
         sub = PermGroup([a, b], degree=group.degree)
-        order = sub.order()
+        sub._chain = trial_chain
         if order == target:
             return sub
-        if order < target and target % order == 0 and trial % 4 == 3:
+        if target % order == 0 and trial % 4 == 3:
             c = draw(None)
             if c is not None and sub.extend(c) and sub.order() == target:
                 return sub

@@ -26,6 +26,7 @@ from plinth.cartesian import (
 )
 from plinth.cli import data_path
 from plinth.errors import (
+    ConstructionFailed,
     IoError,
     Mismatch,
     NotCartesian,
@@ -424,6 +425,12 @@ def test_a6_stabilizer_dihedral_order_10():
     assert stab.order() == 10
     dih = dihedral_subgroup(stab, 10, seed=1)
     assert dih is not None and dih.order() == 10
+
+
+def test_dihedral_subgroup_of_odd_order_is_a_failed_construction():
+    _, M = a6_setup()
+    with pytest.raises(ConstructionFailed, match="odd order 5"):
+        dihedral_subgroup(point_stabilizer(M, 0), 5, seed=1)
 
 
 # ---------------------------------------------------------------------------

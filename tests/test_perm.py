@@ -1,8 +1,10 @@
 """Unit and property tests for the permutation-group core."""
 
+import hashlib
 import itertools
 import math
 from collections import deque
+from functools import cache
 from random import Random
 
 import numpy as np
@@ -11,11 +13,13 @@ from hypothesis import given, settings, strategies as st
 
 import plinth.perm as perm_module
 from plinth.algebra import psl2_action, sp4
-from plinth.errors import TooLarge
+from plinth.cli import data_path, parse_generators, run_case
+from plinth.errors import NotBijection, OutOfRange, PlinthError, TooLarge
 from plinth.perm import (
     PermGroup,
     Permutation,
     StabChain,
+    _TrialChain,
     _power_of_order,
     _schreier_path_images,
     derived_subgroup,
@@ -56,6 +60,25 @@ def test_from_cycles_and_cycle_string_round_trip():
     g = Permutation.from_cycles(6, [(0, 1, 2), (3, 4)])
     assert g.cycle_string() == "(1,2,3)(4,5)"
     assert g(0) == 1 and g(2) == 0 and g(3) == 4 and g(5) == 5
+
+
+@pytest.mark.parametrize("images", [[0, 3, 1], [-1, 0, 1]], ids=["high", "negative"])
+def test_permutation_rejects_images_out_of_range(images):
+    with pytest.raises(NotBijection, match="out of range"):
+        Permutation(images)
+
+
+def test_permutation_rejects_a_non_bijection():
+    with pytest.raises(NotBijection, match="not a bijection"):
+        Permutation([0, 0, 1])
+    with pytest.raises(NotBijection):
+        Permutation.from_cycles(4, [(0, 1), (1, 2)])
+
+
+def test_trivial_group_without_degree_is_a_programming_error():
+    with pytest.raises(ValueError) as info:
+        PermGroup([])
+    assert not isinstance(info.value, PlinthError)
 
 
 def test_identity_cycle_string():
@@ -184,6 +207,12 @@ def test_orbit_closed_under_generators(G):
     pset = set(pts)
     for g in G.generators:
         assert {int(g.images[p]) for p in pset} == pset
+
+
+@pytest.mark.parametrize("alpha", [4, -1])
+def test_orbit_rejects_a_point_out_of_range(alpha):
+    with pytest.raises(OutOfRange):
+        PermGroup.symmetric(4).orbit(alpha)
 
 
 def test_transporter_maps_correctly():
@@ -512,6 +541,17 @@ def test_k_transitivity_ladder():
     assert not is_k_transitive(D5, pts, 2)
 
 
+@pytest.mark.parametrize("k", [0, 4])
+def test_k_transitivity_rejects_k_outside_one_to_three(k):
+    with pytest.raises(OutOfRange, match="between 1 and 3"):
+        is_k_transitive(PermGroup.symmetric(5), list(range(5)), k)
+
+
+def test_k_transitivity_rejects_k_above_the_point_count():
+    with pytest.raises(OutOfRange, match="exceeds"):
+        is_k_transitive(PermGroup.symmetric(5), [0, 1], 3)
+
+
 def test_minimal_block_systems_exhaustive_small():
     # C4 acting regularly: one minimal system, the 2|2 one
     C4 = PermGroup.cyclic(4)
@@ -643,6 +683,101 @@ def test_random_subgroup_of_order():
     assert random_subgroup_of_order(A5, 7, seed=1) is None
 
 
+@cache
+def _search_group(name):
+    if name == "A5":
+        return PermGroup.alternating(5)
+    if name == "M12":
+        return parse_generators(data_path("m12.gens")).group()
+    return psl2_action(int(name[len("PSL(2,"):-1]), "PSL")
+
+
+# (group, target, profile, seed) -> SHA-256 of the returned generators'
+# little-endian int64 image bytes, as returned by a search that builds
+# every trial chain in full
+SEARCH_PINS = {
+    ("A5", 12, None, 1):
+        "ff474232d4137754ed8fe5e05a2751a4e9f6999730b0af6799b471e95e062d7f",
+    ("PSL(2,59)", 60, (5, 3), 1):
+        "0949725855153de357ec45a6c340d714bf3858b18658861506decb2afcb1a0a2",
+    ("PSL(2,59)", 60, (5, 3), 2):
+        "5477ce199faabf15aaa1b597ca8efa297c81003231fe4d48f4619a5ad53befa8",
+    ("PSL(2,59)", 60, (5, 3), 3):
+        "4be65d88c5c5328c27fb49b9d8486628ff6b3bd08c4f3a2cd92a26c75e7b31e6",
+    ("PSL(2,23)", 24, (4, 3), 1):
+        "873c763f3bb591b804837098fd17be7be22b64b9cadad876ce8e2d4a9c905d49",
+    ("M12", 660, (11, 2), 1):
+        "444a6fc45b348f5db1108769f5b91b3936ee059ffe7c479b79bc547c069ae5e3",
+}
+
+
+def _pinned_search(key):
+    name, target, profile, seed = key
+    G = _search_group(name)
+    return G, random_subgroup_of_order(G, target, profile=profile, seed=seed)
+
+
+@pytest.mark.parametrize("key", sorted(SEARCH_PINS, key=str), ids=str)
+def test_seeded_search_returns_pinned_generators(key):
+    _, H = _pinned_search(key)
+    images = b"".join(g.images.astype("<i8").tobytes() for g in H.generators)
+    assert hashlib.sha256(images).hexdigest() == SEARCH_PINS[key]
+
+
+@pytest.mark.parametrize("key", sorted(SEARCH_PINS, key=str), ids=str)
+def test_seeded_search_returns_a_complete_chain_of_the_target_order(key):
+    G, H = _pinned_search(key)
+    target = key[1]
+    assert H.chain()._ceiling is None
+    assert H.order() == target
+    assert PermGroup(H.generators, degree=G.degree).order() == target
+    assert all(G.contains(g) for g in H.generators)
+
+
+@pytest.mark.parametrize("key", sorted(SEARCH_PINS, key=str), ids=str)
+def test_seeded_search_order_matches_sympy(key):
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    _, H = _pinned_search(key)
+    gens = [combinatorics.Permutation(g.images.tolist()) for g in H.generators]
+    assert combinatorics.PermutationGroup(gens).order() == key[1]
+
+
+def test_trial_chain_stops_once_its_orbit_product_passes_the_target(
+    monkeypatch,
+):
+    S6 = PermGroup.symmetric(6)
+    trial = _TrialChain(6, S6.generators, 60)
+    # stopped unfinished: 6 * 5 * 4 * 3 already exceeds 60
+    assert 60 < trial.order() < 720
+    assert StabChain(6, S6.generators).order() == 720
+
+    trials = []
+
+    class Spy(_TrialChain):
+        def __init__(self, *args):
+            super().__init__(*args)
+            trials.append(self)
+
+    monkeypatch.setattr(perm_module, "_TrialChain", Spy)
+    H = random_subgroup_of_order(S6, 60, seed=1)
+    stopped = [c for c in trials if c.order() > 60]
+    assert stopped and H is not None
+    assert all(H.chain() is not c for c in stopped)
+    assert H.order() == 60 == PermGroup(H.generators, degree=6).order()
+
+
+def test_trial_chain_below_the_target_is_the_full_chain():
+    A5 = PermGroup.alternating(5)
+    for target in (60, 120):
+        trial = _TrialChain(5, A5.generators, target)
+        full = StabChain(5, A5.generators)
+        assert trial._ceiling is None
+        assert trial.base == full.base
+        assert [lev.orbit_list for lev in trial.levels] == [
+            lev.orbit_list for lev in full.levels
+        ]
+
+
 def test_power_of_order_draws_once_per_try():
     chain = PermGroup.cyclic(5).chain()
     rng, twin = Random(3), Random(3)
@@ -718,6 +853,25 @@ def test_intersection_small_builds_at_most_three_chains(chain_builds):
     A5 = PermGroup.alternating(5)
     assert intersection_small(S5, A5).order() == 60
     assert len(chain_builds) <= 3
+
+
+@pytest.mark.parametrize("case,limit", [("factorizations", 4000), ("m12", 800)])
+def test_seeded_cases_sift_within_budget(monkeypatch, case, limit):
+    # StabChain._sift_images calls at seed 1, measured: factorizations
+    # 14,494 when every search trial built its chain in full, 3,309 once
+    # a trial stops past its target order; m12 3,135 and 486, the latter
+    # also with the Lagrange test that spares most suborbit 2-transitivity
+    # checks their induced action
+    calls = []
+    sift = StabChain._sift_images
+
+    def counting_sift(self, *args):
+        calls.append(None)
+        return sift(self, *args)
+
+    monkeypatch.setattr(StabChain, "_sift_images", counting_sift)
+    assert run_case(case, {"seed": 1}).exit_code() == 0
+    assert len(calls) <= limit
 
 
 def same_subgroup(a, b):
