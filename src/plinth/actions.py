@@ -11,11 +11,15 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import (
+    ConstructionFailed,
+    DegreeMismatch,
     DegreeOverflow,
     IndexTooLarge,
     Mismatch,
+    NotCartesian,
     NotDecompositionPreserving,
     NotInvariant,
+    OutOfRange,
 )
 from .perm import (
     _DTYPE,
@@ -66,9 +70,9 @@ def product_action_wreath(K, ell, top):
     in coordinate i to coordinate i.h.
     """
     if ell < 2:
-        raise ValueError("arity must be at least 2")
+        raise OutOfRange(f"arity {ell} is below 2")
     if top.degree != ell:
-        raise ValueError("top group degree must equal the arity")
+        raise DegreeMismatch(f"top group degree {top.degree} != arity {ell}")
     d = K.degree
     n = d**ell
     if n > PRODUCT_DEGREE_CAP:
@@ -99,14 +103,60 @@ def product_action_wreath(K, ell, top):
 
 
 # ---------------------------------------------------------------------------
+# orbits of keyed rows
+
+
+def _keyed(rows):
+    """A 2-D array and the bytes of each row, one hashable key per row."""
+    rows = np.ascontiguousarray(rows)
+    void = np.dtype((np.void, rows.itemsize * rows.shape[1]))
+    return rows, rows.view(void).ravel().tolist()
+
+
+def _enumerate_orbit(start, steps, canon):
+    """Orbit of a row under batch steps, one frontier at a time.
+
+    ``steps`` holds one map per generator from a batch of rows to their
+    images; ``canon(rows)`` returns the canonical form of a batch and a
+    key per row.  A frontier's candidates are stacked in (parent,
+    generator) order and each key is kept at its first occurrence, so
+    row i is the i-th point a per-row queue would find (Seress,
+    *Permutation Group Algorithms*, 2003, section 2.1).  Returns the
+    orbit's rows as one array, the key -> row index and, per generator,
+    the list of row images.
+    """
+    frontier, keys = canon(start[None, :])
+    key_index = {keys[0]: 0}
+    blocks = [frontier]
+    images = [[] for _ in steps]
+    while len(frontier) and steps:
+        cand = np.stack([step(frontier) for step in steps], axis=1)
+        cand, keys = canon(cand.reshape(-1, frontier.shape[1]))
+        fresh = []
+        labels = []
+        for row, key in enumerate(keys):
+            j = key_index.get(key)
+            if j is None:
+                j = key_index[key] = len(key_index)
+                fresh.append(row)
+            labels.append(j)
+        for gi, imgs in enumerate(images):
+            imgs.extend(labels[gi::len(steps)])
+        frontier = cand[fresh]
+        blocks.append(frontier)
+    return np.concatenate(blocks), key_index, images
+
+
+# ---------------------------------------------------------------------------
 # coset actions
 
 
 class CosetAction:
     """Right-multiplication action of G on cosets of H.
 
-    Point 0 is the coset H; ``reps[i]`` is the canonical representative
-    of coset i (minimal base images through H's stabilizer chain).
+    Point 0 is the coset H; row i of the (index x degree) array ``reps``
+    is the canonical representative of coset i (minimal base images
+    through H's stabilizer chain).
     """
 
     def __init__(self, group, reps):
@@ -114,64 +164,54 @@ class CosetAction:
         self.reps = reps
 
 
-def _canonical_coset_images(chain, arr):
-    """Canonical element of H*g given H's chain and g's image array.
+def _canonical_coset_images(chain, rows):
+    """Canonical elements of the cosets H*g, one per row of image arrays.
 
-    Per chain level the base image is minimized over the level orbit;
-    the choice is unique because image arrays are injective.
+    Per chain level each row's base image is minimized over the level
+    orbit, one transversal gather per distinct best point; the choice is
+    unique because image arrays are injective.
     """
+    rows = rows.copy()
     for i, lev in enumerate(chain.levels):
-        best = None
-        best_p = None
-        for p in lev.orbit_list:
-            v = int(arr[p])
-            if best is None or v < best:
-                best = v
-                best_p = p
-        if best_p != lev.beta:
-            arr = arr[chain._transversal_images(i, best_p)]
-    return arr
+        orbit = np.array(lev.orbit_list, dtype=_DTYPE)
+        best = orbit[np.argmin(rows[:, orbit], axis=1)]
+        for p in np.unique(best[best != lev.beta]).tolist():
+            at = best == p
+            rows[at] = rows[at][:, chain._transversal_images(i, p)]
+    return rows
 
 
 def coset_action(G, H):
     """Action of G on the right cosets of its subgroup H by right
     multiplication."""
+    if H.degree != G.degree:
+        raise DegreeMismatch(f"H has degree {H.degree}, G {G.degree}")
     index = G.order() // H.order()
     if index > COSET_INDEX_CAP:
         raise IndexTooLarge(f"index {index} exceeds cap {COSET_INDEX_CAP}")
     chain = H.chain()
-    identity = np.arange(G.degree, dtype=_DTYPE)
-    start = _canonical_coset_images(chain, identity)
-    reps = [start]
-    key_index = {start.tobytes(): 0}
-    gen_images = [[] for _ in G.generators]
-    cursor = 0
-    while cursor < len(reps):
-        arr = reps[cursor]
-        cursor += 1
-        for gi, g in enumerate(G.generators):
-            nxt = _canonical_coset_images(chain, g.images[arr])
-            key = nxt.tobytes()
-            j = key_index.get(key)
-            if j is None:
-                j = len(reps)
-                key_index[key] = j
-                reps.append(nxt)
-            gen_images[gi].append(j)
+    reps, _, gen_images = _enumerate_orbit(
+        np.arange(G.degree, dtype=_DTYPE),
+        [g.images.__getitem__ for g in G.generators],
+        lambda rows: _keyed(_canonical_coset_images(chain, rows)),
+    )
     if len(reps) != index:
         raise Mismatch(
             f"coset scan found {len(reps)} cosets, expected {index}"
         )
-    gens = [
-        Permutation(np.array(imgs, dtype=_DTYPE), _checked=True)
-        for imgs in gen_images
-    ]
+    gens = [Permutation(imgs, _checked=True) for imgs in gen_images]
     group = PermGroup(gens, degree=index, claimed_order=G.order())
     return CosetAction(group, reps)
 
 
 # ---------------------------------------------------------------------------
 # conjugation on a class of cyclic subgroups
+
+
+def _conjugation(g):
+    """Batch step conjugating each int32 row by g."""
+    gimg, ginv = g.images.astype(np.int32), g.inverse().images
+    return lambda rows: gimg[rows[:, ginv]]
 
 
 class SubgroupClassAction:
@@ -211,21 +251,15 @@ class SubgroupClassAction:
             better = cur < best
             best = np.where(better, cur, best)
             key = np.where(better[:, None], pos, key)
-        key = np.ascontiguousarray(key, dtype=np.int32)
-        return key.view(np.dtype((np.void, 4 * key.shape[1]))).ravel().tolist()
+        return _keyed(key.astype(np.int32))[1]
 
     def action_of(self, g):
         """Image of an arbitrary parent element in the class action."""
         for s in self.socle.generators:
             if not self.socle.contains(s.conjugate(g)):
                 raise NotInvariant("element does not normalise the socle")
-        gimg = g.images.astype(np.int32)
-        ginv = g.inverse().images
-        keys = self.key_of(gimg[self.reps[:, ginv]])
-        index = self.key_index
-        images = np.fromiter(
-            (index[k] for k in keys), dtype=_DTYPE, count=len(keys)
-        )
+        keys = self.key_of(_conjugation(g)(self.reps))
+        images = np.fromiter(map(self.key_index.__getitem__, keys), dtype=_DTYPE)
         return Permutation(images, _checked=True)
 
 
@@ -240,34 +274,17 @@ def cyclic_class_action(G, socle, p, seed=1):
     """
     order = socle.order()
     if order % p or (order // p) % p == 0:
-        raise ValueError(f"{p} must divide the socle order exactly once")
+        raise OutOfRange(f"{p} must divide the socle order exactly once")
     z = element_of_order(socle, p, seed=seed)
     if z is None:
-        from .errors import ConstructionFailed
-
         raise ConstructionFailed(f"no element of order {p} found")
 
     action = SubgroupClassAction(p, socle)
-    frontier = z.images.astype(np.int32)[None, :]
-    key_index = action.key_index
-    key_index[action.key_of(frontier)[0]] = 0
-    blocks = [frontier]
-    conj_pairs = [
-        (g.images.astype(np.int32), g.inverse().images)
-        for g in socle.generators
-    ]
-    while len(frontier):
-        cand = np.stack(
-            [gimg[frontier[:, ginv]] for gimg, ginv in conj_pairs], axis=1
-        ).reshape(-1, frontier.shape[1])
-        fresh = []
-        for row, key in enumerate(action.key_of(cand)):
-            if key not in key_index:
-                key_index[key] = len(key_index)
-                fresh.append(row)
-        frontier = cand[fresh]
-        blocks.append(frontier)
-    action.reps = np.concatenate(blocks)
+    action.reps, action.key_index, _ = _enumerate_orbit(
+        z.images.astype(np.int32),
+        [_conjugation(g) for g in socle.generators],
+        lambda rows: (rows, action.key_of(rows)),
+    )
     gens = [action.action_of(g) for g in G.generators]
     action.group = PermGroup(
         gens, degree=len(action.reps), claimed_order=G.order()
@@ -281,15 +298,8 @@ def cyclic_class_action(G, socle, p, seed=1):
 
 def _normalize_labels(labels):
     """Relabel blocks 0..b-1 in order of their minimum point."""
-    labels = np.asarray(labels, dtype=_DTYPE)
-    n = len(labels)
-    nblocks = int(labels.max()) + 1
-    mins = np.full(nblocks, n, dtype=_DTYPE)
-    np.minimum.at(mins, labels, np.arange(n, dtype=_DTYPE))
-    order = np.argsort(mins, kind="stable")
-    rank = np.empty(nblocks, dtype=_DTYPE)
-    rank[order] = np.arange(nblocks, dtype=_DTYPE)
-    return rank[labels]
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first)).astype(_DTYPE)[inverse]
 
 
 def _block_reps(E, j):
@@ -306,7 +316,7 @@ def _top_images(G, E):
     sigs = [lab.tobytes() for lab in E.partitions]
     sig_index = {s: j for j, s in enumerate(sigs)}
     if len(sig_index) != len(sigs):
-        raise ValueError("decomposition lists a partition twice")
+        raise NotCartesian("decomposition lists a partition twice")
     out = []
     n = G.degree
     for g in G.generators:

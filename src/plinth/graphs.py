@@ -17,9 +17,16 @@ from .errors import (
     GeneratorNotAutomorphism,
     NonSelfPaired,
     NotVertexTransitive,
+    OutOfRange,
 )
-from .actions import PRODUCT_DEGREE_CAP
+from .actions import PRODUCT_DEGREE_CAP, _enumerate_orbit, _keyed
 from .perm import _DTYPE, point_stabilizer, suborbit_frame
+
+
+def _check_vertices(n, vertices):
+    bad = vertices[(vertices < 0) | (vertices >= n)]
+    if bad.size:
+        raise OutOfRange(f"vertex {bad[0]} is outside 0..{n - 1}")
 
 
 class Graph:
@@ -33,29 +40,15 @@ class Graph:
     @classmethod
     def from_edges(cls, n, edges):
         """Build from an iterable of unordered pairs; loops rejected."""
-        pairs = set()
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"loop at vertex {u}")
-            pairs.add((min(u, v), max(u, v)))
-        deg = np.zeros(n, dtype=_DTYPE)
-        for u, v in pairs:
-            deg[u] += 1
-            deg[v] += 1
+        pairs = np.array([(u, v) for u, v in edges], dtype=_DTYPE).reshape(-1, 2)
+        _check_vertices(n, pairs)
+        loops = pairs[:, 0] == pairs[:, 1]
+        if loops.any():
+            raise ValueError(f"loop at vertex {pairs[loops][0, 0]}")
+        arcs = np.unique(np.concatenate([pairs, pairs[:, ::-1]]), axis=0)
         indptr = np.zeros(n + 1, dtype=_DTYPE)
-        np.cumsum(deg, out=indptr[1:])
-        indices = np.empty(int(indptr[-1]), dtype=_DTYPE)
-        fill = indptr[:-1].copy()
-        for u, v in sorted(pairs):
-            indices[fill[u]] = v
-            fill[u] += 1
-            indices[fill[v]] = u
-            fill[v] += 1
-        for u in range(n):
-            indices[indptr[u]:indptr[u + 1]] = np.sort(
-                indices[indptr[u]:indptr[u + 1]]
-            )
-        return cls(n, indptr, indices)
+        np.cumsum(np.bincount(arcs[:, 0], minlength=n), out=indptr[1:])
+        return cls(n, indptr, np.ascontiguousarray(arcs[:, 1]))
 
     @classmethod
     def from_neighbor_matrix(cls, nbrs):
@@ -243,17 +236,13 @@ def direct_power(graph, ell):
     d = graph.valency()
     nbrs1 = _neighbor_matrix(graph)
     base = graph.n
-    coords = []
     points = np.arange(n, dtype=_DTYPE)
-    for j in range(ell):
-        stride = base ** (ell - 1 - j)
-        coords.append((points // stride) % base)
     out = np.zeros((n, d**ell), dtype=_DTYPE)
     for j in range(ell):
         stride = base ** (ell - 1 - j)
-        rep = d ** (ell - 1 - j)
+        coord = (points // stride) % base
         block = np.repeat(
-            np.tile(nbrs1[coords[j]], (1, d**j)), rep, axis=1
+            np.tile(nbrs1[coord], (1, d**j)), d ** (ell - 1 - j), axis=1
         )
         out += block * stride
     return Graph.from_neighbor_matrix(out)
@@ -261,18 +250,11 @@ def direct_power(graph, ell):
 
 def edge_orbit_graph(K, edge):
     """Graph on K's points whose edges are the K-orbit of the pair."""
-    u, v = edge
-    start = (min(u, v), max(u, v))
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for a, b in frontier:
-            for g in K.generators:
-                x, y = int(g.images[a]), int(g.images[b])
-                pair = (min(x, y), max(x, y))
-                if pair not in seen:
-                    seen.add(pair)
-                    nxt.append(pair)
-        frontier = nxt
-    return Graph.from_edges(K.degree, seen)
+    start = np.array(edge, dtype=_DTYPE)
+    _check_vertices(K.degree, start)
+    pairs, _, _ = _enumerate_orbit(
+        start,
+        [g.images.__getitem__ for g in K.generators],
+        lambda rows: _keyed(np.sort(rows, axis=1)),
+    )
+    return Graph.from_edges(K.degree, pairs.tolist())

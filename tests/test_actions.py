@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 from random import Random
+from types import SimpleNamespace
 
 from plinth.actions import (
+    _normalize_labels,
     component,
     coset_action,
     cyclic_class_action,
@@ -13,7 +15,15 @@ from plinth.actions import (
 )
 from plinth.algebra import psl2_action
 from plinth.cartesian import CartesianDecomposition
-from plinth.errors import Mismatch, NotInvariant
+from plinth.cli import _sp44_context, _sylvester_context, data_path, parse_generators
+from plinth.errors import (
+    ConstructionFailed,
+    DegreeMismatch,
+    Mismatch,
+    NotCartesian,
+    NotInvariant,
+    OutOfRange,
+)
 from plinth.perm import (
     PermGroup,
     Permutation,
@@ -47,6 +57,12 @@ def test_coset_action_natural():
     assert act.group.is_transitive()
 
 
+def test_coset_action_of_a_subgroup_of_another_degree_raises():
+    # S4 on 4 points is not a subgroup of S5 on 5 points, whatever its order
+    with pytest.raises(DegreeMismatch):
+        coset_action(PermGroup.symmetric(5), PermGroup.symmetric(4))
+
+
 def test_coset_action_is_homomorphism():
     from plinth.actions import _canonical_coset_images
 
@@ -55,13 +71,11 @@ def test_coset_action_is_homomorphism():
     act = coset_action(G, H)
     assert act.group.degree == 5
     chain_H = H.chain()
-    key_index = {arr.tobytes(): i for i, arr in enumerate(act.reps)}
+    key_index = {row.tobytes(): i for i, row in enumerate(act.reps)}
 
     def image_of(g):
-        imgs = [
-            key_index[_canonical_coset_images(chain_H, g.images[arr]).tobytes()]
-            for arr in act.reps
-        ]
+        rows = _canonical_coset_images(chain_H, g.images[act.reps])
+        imgs = [key_index[row.tobytes()] for row in rows]
         return Permutation(np.array(imgs, dtype=np.int64), _checked=True)
 
     rng = Random(2)
@@ -70,6 +84,78 @@ def test_coset_action_is_homomorphism():
         g = chain.random_element(rng)
         h = chain.random_element(rng)
         assert image_of(g * h) == image_of(g) * image_of(h)
+
+
+def _reference_coset_action(G, H):
+    """The coset action as a per-coset queue, each coset canonicalised
+    one point at a time: (reps, action generators)."""
+    chain = H.chain()
+
+    def canonical(arr):
+        for i, lev in enumerate(chain.levels):
+            best_p = min(lev.orbit_list, key=lambda p: int(arr[p]))
+            if best_p != lev.beta:
+                arr = arr[chain._transversal_images(i, best_p)]
+        return arr
+
+    reps = [canonical(np.arange(G.degree, dtype=np.int64))]
+    key_index = {reps[0].tobytes(): 0}
+    gen_images = [[] for _ in G.generators]
+    cursor = 0
+    while cursor < len(reps):
+        arr = reps[cursor]
+        cursor += 1
+        for imgs, g in zip(gen_images, G.generators):
+            nxt = canonical(g.images[arr])
+            j = key_index.setdefault(nxt.tobytes(), len(reps))
+            if j == len(reps):
+                reps.append(nxt)
+            imgs.append(j)
+    return reps, gen_images
+
+
+def _m12():
+    return parse_generators(data_path("m12.gens")).group()
+
+
+def _m12_660(seed):
+    G = _m12()
+    return G, random_subgroup_of_order(G, 660, profile=(11, 2), seed=seed)
+
+
+def _plinth_quotient(context):
+    # the G / plinth quotient that index2_subgroups enumerates
+    ctx = context(1)
+    return ctx["G"], ctx["plinth"]
+
+
+COSET_ACTION_CASES = {
+    "M12/660 seed 1": lambda: _m12_660(1),
+    "M12/660 seed 2": lambda: _m12_660(2),
+    "M12/660 seed 3": lambda: _m12_660(3),
+    "S5/S4": lambda: (
+        PermGroup.symmetric(5),
+        point_stabilizer(PermGroup.symmetric(5), 4),
+    ),
+    "S5/1": lambda: (PermGroup.symmetric(5), PermGroup.trivial(5)),
+    "A5/A4": lambda: (
+        PermGroup.alternating(5),
+        point_stabilizer(PermGroup.alternating(5), 0),
+    ),
+    "M12/1": lambda: (_m12(), PermGroup.trivial(12)),
+    "sylvester G/plinth": lambda: _plinth_quotient(_sylvester_context),
+    "sp44 G/plinth": lambda: _plinth_quotient(_sp44_context),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COSET_ACTION_CASES))
+def test_coset_action_matches_queue_reference(case):
+    G, H = COSET_ACTION_CASES[case]()
+    act = coset_action(G, H)
+    reps, gens = _reference_coset_action(G, H)
+    assert act.reps.shape == (G.order() // H.order(), G.degree)
+    assert np.array_equal(act.reps, np.array(reps))
+    assert [g.images.tolist() for g in act.group.generators] == gens
 
 
 def test_cyclic_class_action_a6():
@@ -178,6 +264,51 @@ def test_class_action_of_non_normalising_element_raises():
     act = cyclic_class_action(PSL, PSL, 5)
     with pytest.raises(NotInvariant):
         act.action_of(Permutation.from_cycles(10, [(0, 1)]))
+
+
+@pytest.mark.parametrize("p", [2, 3, 7])
+def test_class_action_needs_p_to_divide_the_socle_order_once(p):
+    # |PSL(2,9)| = 360 = 2^3 3^2 5: 2 and 3 divide it twice, 7 not at all
+    PSL = psl2_action(9, "PSL")
+    with pytest.raises(OutOfRange):
+        cyclic_class_action(PSL, PSL, p)
+
+
+def test_class_action_without_an_element_of_order_p_raises(monkeypatch):
+    PSL = psl2_action(9, "PSL")
+    monkeypatch.setattr("plinth.actions.element_of_order", lambda *a, **k: None)
+    with pytest.raises(ConstructionFailed):
+        cyclic_class_action(PSL, PSL, 5)
+
+
+def test_product_action_wreath_rejects_arity_below_two():
+    with pytest.raises(OutOfRange):
+        product_action_wreath(PermGroup.symmetric(3), 1, PermGroup.trivial(1))
+
+
+def test_product_action_wreath_rejects_top_of_another_degree():
+    with pytest.raises(DegreeMismatch):
+        product_action_wreath(PermGroup.symmetric(3), 2, PermGroup.symmetric(3))
+
+
+def test_top_projection_rejects_a_partition_listed_twice():
+    # CartesianDecomposition never lists one twice; a bare stand-in does
+    wreath = product_action_wreath(PermGroup.symmetric(3), 2, PermGroup.trivial(2))
+    lab = wreath.decomposition.partitions[0]
+    with pytest.raises(NotCartesian):
+        top_projection(wreath.group, SimpleNamespace(partitions=[lab, lab]))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_normalize_labels_numbers_blocks_by_their_least_point(seed):
+    # scanning points upwards meets each block first at its least point
+    rng = Random(seed)
+    labels = [rng.randrange(7) for _ in range(rng.randrange(1, 30))]
+    first_seen = {}
+    for lab in labels:
+        first_seen.setdefault(lab, len(first_seen))
+    got = _normalize_labels(np.array(labels))
+    assert got.tolist() == [first_seen[lab] for lab in labels]
 
 
 def test_product_action_wreath_degree_and_order():

@@ -19,6 +19,7 @@ from plinth.graphs import (
 )
 from plinth.algebra import psl2_action
 from plinth.actions import cyclic_class_action
+from plinth.errors import OutOfRange
 from plinth.perm import PermGroup, Permutation
 
 
@@ -303,6 +304,83 @@ def test_edge_orbit_graph_petersen_shape():
     assert _pet.n == 10
     assert _pet.valency() == 3
     assert is_connected(_pet)[0]
+
+
+def _reference_edge_orbit_graph(K, edge):
+    """The edge-orbit graph by a breadth-first search over pairs."""
+    start = tuple(sorted(edge))
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for a, b in frontier:
+            for g in K.generators:
+                pair = tuple(sorted((int(g.images[a]), int(g.images[b]))))
+                if pair not in seen:
+                    seen.add(pair)
+                    nxt.append(pair)
+        frontier = nxt
+    return Graph.from_edges(K.degree, seen)
+
+
+def _m12():
+    from plinth.cli import data_path, parse_generators
+
+    return parse_generators(data_path("m12.gens")).group()
+
+
+EDGE_ORBIT_GROUPS = {
+    "S6": lambda: PermGroup.symmetric(6),
+    "M12": _m12,
+    "PSL(2,9)": lambda: psl2_action(9),
+    "S5 on pairs": lambda: _K_pet,
+    "D12": lambda: _perm_group(6, [(0, 1, 2, 3, 4, 5)], [(1, 5), (2, 4)]),
+    "trivial": lambda: PermGroup.trivial(6),
+}
+
+
+@pytest.mark.parametrize("edge", [(0, 1), (5, 0), (2, 5)])
+@pytest.mark.parametrize("name", sorted(EDGE_ORBIT_GROUPS))
+def test_edge_orbit_graph_matches_pair_search(name, edge):
+    K = EDGE_ORBIT_GROUPS[name]()
+    got = edge_orbit_graph(K, edge)
+    want = _reference_edge_orbit_graph(K, edge)
+    assert got.n == want.n
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_from_edges_matches_neighbor_sets(seed):
+    # duplicates, reversed pairs and isolated vertices, as a loop builds them
+    rng = Random(seed)
+    n = rng.randrange(1, 25)
+    edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randrange(40))]
+    edges = [(u, v) for u, v in edges if u != v]
+    nbrs = [set() for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    g = Graph.from_edges(n, edges)
+    assert [g.neighbors(v).tolist() for v in range(n)] == [sorted(s) for s in nbrs]
+    assert g.indptr.tolist() == [0, *np.cumsum([len(s) for s in nbrs]).tolist()]
+
+
+def test_from_edges_of_no_vertices():
+    g = Graph.from_edges(0, [])
+    assert g.indptr.tolist() == [0] and g.indices.tolist() == []
+
+
+@pytest.mark.parametrize("edge", [(0, -1), (0, 5), (-2, 1)])
+def test_graph_rejects_a_vertex_out_of_range(edge):
+    with pytest.raises(OutOfRange):
+        Graph.from_edges(3, [(0, 1), edge])
+
+
+@pytest.mark.parametrize("edge", [(0, -1), (4, 1)])
+def test_edge_orbit_graph_rejects_a_pair_out_of_range(edge):
+    with pytest.raises(OutOfRange):
+        edge_orbit_graph(PermGroup.symmetric(4), edge)
 
 
 # ---------------------------------------------------------------------------

@@ -74,3 +74,36 @@ def test_benchmark_is_the_only_reason_left():
     # benchmark alone; name each one here so a new one is a decision
     public = {f.split(".")[1] for f in _public_functions()}
     assert (public & _BENCHMARKED) - _USED == {"is_connected"}
+
+
+def _value_error_sites():
+    """``module.function`` of each ``raise ValueError`` in the package."""
+    sites = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                if isinstance(exc, ast.Name) and exc.id == "ValueError":
+                    sites.append(".".join(scope))
+            visit(child, scope)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), [path.stem])
+    return sorted(sites)
+
+
+def test_untyped_errors_are_listed():
+    # every other error is a PlinthError subclass; a new ValueError
+    # joins this list only as a decision
+    assert _value_error_sites() == [
+        "cli.run_case",
+        "graphs.Graph.from_edges",
+        "graphs.Graph.valency",
+        "graphs.direct_power",
+        "graphs.two_arc_transitive",
+        "perm.PermGroup.__init__",
+    ]
