@@ -186,6 +186,8 @@ def coset_action(G, H):
     multiplication."""
     if H.degree != G.degree:
         raise DegreeMismatch(f"H has degree {H.degree}, G {G.degree}")
+    if not all(G.contains(h) for h in H.generators):
+        raise Mismatch("H is not a subgroup of G: a generator lies outside G")
     index = G.order() // H.order()
     if index > COSET_INDEX_CAP:
         raise IndexTooLarge(f"index {index} exceeds cap {COSET_INDEX_CAP}")
@@ -224,7 +226,9 @@ class SubgroupClassAction:
     point of a's cycle, so the key does not depend on which generator
     the expansion happened to find.  The key is exact for elements of
     the socle, which a base determines; ``action_of`` therefore checks
-    that its argument normalises the socle.
+    that its argument normalises the socle.  ``socle_group`` is the
+    socle's own action, read off the enumeration: its generators are the
+    images of ``socle.generators``, in that order.
     """
 
     def __init__(self, prime, socle):
@@ -234,6 +238,7 @@ class SubgroupClassAction:
         self.reps = None
         self.key_index = {}
         self.group = None
+        self.socle_group = None
 
     def key_of(self, rows):
         """Keys (bytes) of a batch of order-p elements, one per row."""
@@ -280,15 +285,19 @@ def cyclic_class_action(G, socle, p, seed=1):
         raise ConstructionFailed(f"no element of order {p} found")
 
     action = SubgroupClassAction(p, socle)
-    action.reps, action.key_index, _ = _enumerate_orbit(
+    action.reps, action.key_index, socle_images = _enumerate_orbit(
         z.images.astype(np.int32),
         [_conjugation(g) for g in socle.generators],
         lambda rows: (rows, action.key_of(rows)),
     )
-    gens = [action.action_of(g) for g in G.generators]
-    action.group = PermGroup(
-        gens, degree=len(action.reps), claimed_order=G.order()
+    degree = len(action.reps)
+    action.socle_group = PermGroup(
+        [Permutation(imgs, _checked=True) for imgs in socle_images],
+        degree=degree,
+        claimed_order=order,
     )
+    gens = [action.action_of(g) for g in G.generators]
+    action.group = PermGroup(gens, degree=degree, claimed_order=G.order())
     return action
 
 

@@ -42,6 +42,7 @@ from .errors import (
     NotBijection,
     ParseError,
     PlinthError,
+    Unrecognized,
 )
 from .graphs import (
     Graph,
@@ -56,8 +57,8 @@ from .perm import (
     _DTYPE,
     PermGroup,
     Permutation,
+    _suborbit_blocks,
     derived_subgroup,
-    fast_orbit,
     intersection_small,
     is_k_transitive,
     point_stabilizer,
@@ -318,6 +319,10 @@ def _sylvester_context(seed):
         graph = orbital_graph(G, 0, hits[0]["representative"], od)
     flavor_groups = {}
     for f in FLAVORS:
+        if f == "PSL":
+            # the class was enumerated under PSL: its action came with it
+            flavor_groups[f] = act.socle_group
+            continue
         gens = [act.action_of(g) for g in groups[f].generators]
         flavor_groups[f] = PermGroup(
             gens, degree=G.degree, claimed_order=groups[f].order()
@@ -378,11 +383,6 @@ def _sp44_context(seed):
     act = cyclic_class_action(aut_small, socle_small, 17, seed=seed)
     G = act.group
     od = suborbits(G)
-    plinth = PermGroup(
-        [act.action_of(g) for g in socle_small.generators],
-        degree=G.degree,
-        claimed_order=socle_small.order(),
-    )
     ctx = {
         "geom": geom,
         "aut": aut,
@@ -392,7 +392,7 @@ def _sp44_context(seed):
         "act": act,
         "G": G,
         "orbital_data": od,
-        "plinth": plinth,
+        "plinth": act.socle_group,
     }
     _CONTEXTS[key] = ctx
     return ctx
@@ -401,8 +401,8 @@ def _sp44_context(seed):
 def _scan_suborbits(od):
     """Per nontrivial self-paired suborbit of ``od = suborbits(G)``: its
     representative, length, and whether its orbital graph is connected
-    (the block <G_0, u> generates, u the transporter 0 -> representative,
-    holds every point) and (G, 2)-arc-transitive (G_0 is 2-transitive
+    (the block <G_0, u> . 0, u the transporter 0 -> representative, is
+    the whole point set) and (G, 2)-arc-transitive (G_0 is 2-transitive
     on the suborbit, which is N(0)).
 
     2-transitivity on a suborbit of length m is first tested by
@@ -411,20 +411,18 @@ def _scan_suborbits(od):
     of distinct points, and that order divides |G_0|.  So when m(m-1)
     does not divide |G_0| the answer is no without building the induced
     action."""
-    n = len(od.labels)
     stab = od.stabilizer
-    gens = [g.images for g in stab.generators]
+    paired = [i for i, s in enumerate(od.suborbits) if i and s.self_paired]
+    blocks = _suborbit_blocks(od.labels, [od.transporters[i] for i in paired])
     results = []
-    for idx, s in enumerate(od.suborbits[1:], start=1):
-        if not s.self_paired:
-            continue
-        block = fast_orbit(gens + [od.transporters[idx].images], 0, n)
+    for idx, block in zip(paired, blocks):
+        s = od.suborbits[idx]
         m = s.length
         results.append(
             {
                 "representative": s.representative,
                 "length": m,
-                "connected": len(block) == n,
+                "connected": block is None,
                 "two_at": m >= 2
                 and stab.order() % (m * (m - 1)) == 0
                 and is_k_transitive(stab, od.points_of(idx).tolist(), 2),
@@ -1064,7 +1062,7 @@ CASES = tuple(_CASE_RUNNERS)
 def run_case(name, options=None):
     """Run one named verification case and return its report."""
     if name not in _CASE_RUNNERS:
-        raise ValueError(f"unknown case {name!r}; choose from {CASES}")
+        raise Unrecognized(f"unknown case {name!r}; choose from {CASES}")
     opts = {"seed": 1, "data": None}
     if options:
         opts.update(options)

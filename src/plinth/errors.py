@@ -45,6 +45,14 @@ class NotVertexTransitive(PlinthError):
     pass
 
 
+class NotSimple(PlinthError):
+    """A graph given with a loop."""
+
+
+class NotRegular(PlinthError):
+    """A graph whose vertices do not all have the same valency."""
+
+
 class GeneratorNotAutomorphism(PlinthError):
     pass
 

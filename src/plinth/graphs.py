@@ -16,6 +16,8 @@ from .errors import (
     DegreeOverflow,
     GeneratorNotAutomorphism,
     NonSelfPaired,
+    NotRegular,
+    NotSimple,
     NotVertexTransitive,
     OutOfRange,
 )
@@ -44,7 +46,7 @@ class Graph:
         _check_vertices(n, pairs)
         loops = pairs[:, 0] == pairs[:, 1]
         if loops.any():
-            raise ValueError(f"loop at vertex {pairs[loops][0, 0]}")
+            raise NotSimple(f"loop at vertex {pairs[loops][0, 0]}")
         arcs = np.unique(np.concatenate([pairs, pairs[:, ::-1]]), axis=0)
         indptr = np.zeros(n + 1, dtype=_DTYPE)
         np.cumsum(np.bincount(arcs[:, 0], minlength=n), out=indptr[1:])
@@ -70,7 +72,7 @@ class Graph:
 
     def valency(self):
         if not self.is_regular():
-            raise ValueError("graph is not regular")
+            raise NotRegular("graph is not regular")
         return self.degree(0)
 
 
@@ -188,7 +190,7 @@ def two_arc_transitive(G, graph):
     """Whether G acts transitively on the 2-arcs of the graph."""
     s = s_arc_transitivity_max(G, graph, s_cap=2)
     if graph.degree(0) < 2:
-        raise ValueError("valency must be at least 2")
+        raise OutOfRange("valency must be at least 2")
     return s == 2
 
 
@@ -232,7 +234,7 @@ def direct_power(graph, ell):
     if n > PRODUCT_DEGREE_CAP:
         raise DegreeOverflow(f"{n} vertices exceed the cap")
     if not graph.is_regular():
-        raise ValueError("direct powers are built for regular graphs")
+        raise NotRegular("direct powers are built for regular graphs")
     d = graph.valency()
     nbrs1 = _neighbor_matrix(graph)
     base = graph.n

@@ -695,17 +695,13 @@ def minimal_block_systems(group):
     representatives, which gives exactly the minimal blocks through the
     base point.
     """
-    n = group.degree
     alpha = 0
-    stab, _, reps, transporters = suborbit_frame(group, alpha)
-    stab_images = [g.images for g in stab.generators]
+    _, labels, reps, transporters = suborbit_frame(group, alpha)
     reps = reps[1:]  # skip the trivial suborbit {alpha}
     candidates = {}
     block_of = {}
-    for beta, u in zip(reps, transporters[1:]):
-        block = fast_orbit(stab_images + [u.images], alpha, n)
-        if block.size == n:
-            # the whole point set, told by its size: no list is built
+    for beta, block in zip(reps, _suborbit_blocks(labels, transporters[1:])):
+        if block is None:
             block_of[beta] = None
             continue
         block = block.tolist()
@@ -723,11 +719,47 @@ def minimal_block_systems(group):
                     minimal = False
                     break
         if minimal:
-            labels = _block_system_labels(group, sorted(block))
-            if labels is not None:
-                systems.append(labels)
+            system = _block_system_labels(group, block)
+            if system is not None:
+                systems.append(system)
     systems.sort(key=lambda lab: (int((lab == lab[0]).sum()), lab.tobytes()))
     return systems
+
+
+def _suborbit_blocks(labels, transporters):
+    """The block <G_alpha, u> . alpha for each transporter u, as a sorted
+    point array, or None when it is the whole point set.
+
+    ``labels`` are the G_alpha-orbit labels of ``suborbit_frame``, alpha's
+    orbit labelled 0.  The block is a union of G_alpha-orbits, since
+    G_alpha lies in <G_alpha, u> (blocks through alpha correspond to
+    overgroups of G_alpha: Dixon and Mortimer, *Permutation Groups*, 1996,
+    section 1.5).  So it is the least label set holding 0 and closed
+    under u: the points of each newly added orbit are mapped by u alone
+    and the labels they hit are added.  A block's size divides n, so once
+    the closure holds more than n/2 points the block is the whole set.
+    """
+    n = len(labels)
+    members = np.split(
+        np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1]
+    )
+    blocks = []
+    for u in transporters:
+        inside = np.zeros(len(members), dtype=bool)
+        inside[0] = True
+        size = len(members[0])
+        fresh = [0]
+        while fresh and 2 * size <= n:
+            hit = labels[u.images[np.concatenate([members[i] for i in fresh])]]
+            fresh = np.unique(hit[~inside[hit]]).tolist()
+            inside[fresh] = True
+            size += sum(len(members[i]) for i in fresh)
+        if 2 * size > n:
+            blocks.append(None)
+        else:
+            points = [members[i] for i in np.flatnonzero(inside)]
+            blocks.append(np.sort(np.concatenate(points)))
+    return blocks
 
 
 def suborbit_frame(group, alpha=0):

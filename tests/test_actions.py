@@ -48,6 +48,24 @@ def test_coset_action_of_non_subgroup_raises_mismatch():
         coset_action(PermGroup.alternating(4), H)
 
 
+def test_coset_action_checks_the_subgroup_before_enumerating(monkeypatch):
+    # <(0 1), (0 1 2 3 4 5)> is S6 on six of M12's points, not in M12:
+    # a scan would find 95,040 rows before the coset count disagreed
+    def refuse(*args, **kwargs):
+        raise AssertionError("cosets of a non-subgroup were enumerated")
+
+    H = PermGroup(
+        [
+            Permutation.from_cycles(12, [(0, 1)]),
+            Permutation.from_cycles(12, [(0, 1, 2, 3, 4, 5)]),
+        ],
+        degree=12,
+    )
+    monkeypatch.setattr("plinth.actions._enumerate_orbit", refuse)
+    with pytest.raises(Mismatch, match="not a subgroup"):
+        coset_action(_m12(), H)
+
+
 def test_coset_action_natural():
     G = PermGroup.symmetric(5)
     H = point_stabilizer(G, 0)
@@ -239,6 +257,17 @@ def test_cyclic_class_action_matches_queue_reference(q, flavor, p):
     assert act.reps.dtype == np.int32
     assert np.array_equal(act.reps, np.array(reps))
     assert [g.images.tolist() for g in act.group.generators] == gens
+
+
+@pytest.mark.parametrize("q,flavor,p", CLASS_ACTION_CASES)
+def test_class_action_socle_group_is_the_socles_action(q, flavor, p):
+    G, socle = psl2_action(q, flavor), psl2_action(q, "PSL")
+    act = cyclic_class_action(G, socle, p)
+    assert act.socle_group.generators == [
+        act.action_of(s) for s in socle.generators
+    ]
+    assert act.socle_group.degree == len(act.reps)
+    assert act.socle_group.order() == socle.order()
 
 
 @pytest.mark.parametrize("q,flavor,p", CLASS_ACTION_CASES[::2])

@@ -17,7 +17,7 @@ from plinth.cli import (
     parse_generators,
     run_case,
 )
-from plinth.errors import NotBijection, ParseError, PlinthError
+from plinth.errors import NotBijection, ParseError, PlinthError, Unrecognized
 from plinth.perm import Permutation
 
 
@@ -271,7 +271,7 @@ def test_text_format_mentions_anchor(capsys):
 
 
 def test_run_case_rejects_unknown():
-    with pytest.raises(ValueError):
+    with pytest.raises(Unrecognized, match="unknown case"):
         run_case("nope")
 
 

@@ -19,7 +19,7 @@ from plinth.graphs import (
 )
 from plinth.algebra import psl2_action
 from plinth.actions import cyclic_class_action
-from plinth.errors import OutOfRange
+from plinth.errors import NotRegular, NotSimple, OutOfRange
 from plinth.perm import PermGroup, Permutation
 
 
@@ -88,14 +88,14 @@ def brute_s_arc_max(G, graph, s_cap=3):
 
 
 def test_graph_from_edges_rejects_loops():
-    with pytest.raises(Exception):
+    with pytest.raises(NotSimple, match="loop at vertex 0"):
         Graph.from_edges(3, [(0, 0)])
 
 
 def test_neighbors_sorted_and_valency():
     g = Graph.from_edges(4, [(2, 1), (0, 2), (3, 2)])
     assert list(g.neighbors(2)) == [0, 1, 3]
-    with pytest.raises(ValueError):
+    with pytest.raises(NotRegular):
         g.valency()
     assert complete_graph(5).valency() == 4
 
@@ -261,7 +261,7 @@ def test_s_arc_transitivity_max_perfect_matching():
     matching = Graph.from_edges(4, [(0, 1), (2, 3)])
     G = _perm_group(4, [(0, 1), (2, 3)], [(0, 2), (1, 3)])
     assert s_arc_transitivity_max(G, matching) == 1 == brute_s_arc_max(G, matching)
-    with pytest.raises(ValueError):
+    with pytest.raises(OutOfRange, match="valency"):
         two_arc_transitive(G, matching)
 
 
@@ -285,6 +285,12 @@ def test_direct_power_degree_and_valency():
     pet2 = direct_power(_pet, 2)
     assert pet2.n == 100
     assert pet2.valency() == 9
+
+
+def test_direct_power_rejects_an_irregular_graph():
+    path = Graph.from_edges(3, [(0, 1), (1, 2)])
+    with pytest.raises(NotRegular, match="regular graphs"):
+        direct_power(path, 2)
 
 
 def test_direct_power_neighborhoods_are_products():

@@ -13,15 +13,19 @@ from hypothesis import given, settings, strategies as st
 
 import plinth.perm as perm_module
 from plinth.algebra import psl2_action, sp4
-from plinth.cli import data_path, parse_generators, run_case
+from plinth.actions import coset_action, cyclic_class_action
+from plinth.cli import _scan_suborbits, data_path, parse_generators, run_case
 from plinth.errors import NotBijection, OutOfRange, PlinthError, TooLarge
+from plinth.graphs import suborbits
 from plinth.perm import (
     PermGroup,
     Permutation,
     StabChain,
     _TrialChain,
+    _block_system_labels,
     _power_of_order,
     _schreier_path_images,
+    _suborbit_blocks,
     derived_subgroup,
     element_of_order,
     fast_orbit,
@@ -33,6 +37,7 @@ from plinth.perm import (
     random_subgroup_of_order,
     reduce_generators,
     small_generating_set,
+    suborbit_frame,
 )
 
 
@@ -608,6 +613,7 @@ def test_minimal_block_systems_vs_exhaustive_degree_leq_12():
             ],
             degree=6,
         ),
+        BLOCK_CORPUS["S3 wr S2"](),
     ]:
         expected = brute_minimal_blocks(G)
         got = set()
@@ -615,6 +621,130 @@ def test_minimal_block_systems_vs_exhaustive_degree_leq_12():
             block = frozenset(int(i) for i in np.nonzero(labels == labels[0])[0])
             got.add(block)
         assert got == expected
+
+
+def _s5_on_pairs():
+    pairs = list(itertools.combinations(range(5), 2))
+    index = {p: i for i, p in enumerate(pairs)}
+    gens = [
+        Permutation([index[tuple(sorted((g(a), g(b))))] for a, b in pairs])
+        for g in PermGroup.symmetric(5).generators
+    ]
+    return PermGroup(gens, degree=10)
+
+
+def _d8_times_d8():
+    # the symmetries of a square, twice, on the 16 pairs (x, y) = 4x + y;
+    # a transporter here can map one suborbit onto two new ones
+    square = [
+        Permutation.from_cycles(4, [(0, 1, 2, 3)]),
+        Permutation.from_cycles(4, [(1, 3)]),
+    ]
+    x, y = np.divmod(np.arange(16), 4)
+    gens = [Permutation(g.images[x] * 4 + y) for g in square]
+    gens += [Permutation(x * 4 + g.images[y]) for g in square]
+    return PermGroup(gens)
+
+
+def _m12_on_144():
+    G = parse_generators(data_path("m12.gens")).group()
+    H = random_subgroup_of_order(G, 660, profile=(11, 2), seed=1)
+    return coset_action(G, H).group
+
+
+BLOCK_CORPUS = {
+    "D12 on a hexagon": lambda: PermGroup(
+        [
+            Permutation.from_cycles(6, [(0, 1, 2, 3, 4, 5)]),
+            Permutation.from_cycles(6, [(1, 5), (2, 4)]),
+        ]
+    ),
+    # blocks {0, 1, 2} and {3, 4, 5}: exactly n/2 points
+    "S3 wr S2": lambda: PermGroup(
+        [
+            Permutation.from_cycles(6, [(0, 1, 2)]),
+            Permutation.from_cycles(6, [(0, 1)]),
+            Permutation.from_cycles(6, [(0, 3), (1, 4), (2, 5)]),
+        ]
+    ),
+    "PSL(2,7) on 8 points": lambda: psl2_action(7),
+    "S5 on pairs": _s5_on_pairs,
+    "D8 x D8 on 16 points": _d8_times_d8,
+    "sylvester's G": lambda: cyclic_class_action(
+        psl2_action(9, "PGammaL"), psl2_action(9, "PSL"), 5
+    ).group,
+    "M12 on 144 cosets": _m12_on_144,
+}
+
+
+def _reference_minimal_block_systems(group):
+    """minimal_block_systems with each block grown as the point orbit
+    of <G_0, u>, one BFS per suborbit."""
+    n = group.degree
+    stab, _, reps, transporters = suborbit_frame(group, 0)
+    stab_images = [g.images for g in stab.generators]
+    reps = reps[1:]
+    candidates = {}
+    block_of = {}
+    for beta, u in zip(reps, transporters[1:]):
+        block = fast_orbit(stab_images + [u.images], 0, n)
+        if block.size == n:
+            block_of[beta] = None
+            continue
+        block = block.tolist()
+        key = frozenset(block)
+        block_of[beta] = key
+        if len(block) > 1:
+            candidates.setdefault(key, block)
+    systems = []
+    for key, block in candidates.items():
+        if not any(
+            beta in key and block_of.get(beta) is not None and block_of[beta] < key
+            for beta in reps
+        ):
+            labels = _block_system_labels(group, sorted(block))
+            if labels is not None:
+                systems.append(labels)
+    systems.sort(key=lambda lab: (int((lab == lab[0]).sum()), lab.tobytes()))
+    return systems
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_CORPUS))
+def test_suborbit_blocks_match_point_orbits(name):
+    G = BLOCK_CORPUS[name]()
+    n = G.degree
+    stab, labels, _, transporters = suborbit_frame(G, 0)
+    gens = [g.images for g in stab.generators]
+    blocks = _suborbit_blocks(labels, transporters)
+    assert len(blocks) == len(transporters)
+    for u, block in zip(transporters, blocks):
+        orbit = fast_orbit(gens + [u.images], 0, n)
+        if orbit.size == n:
+            assert block is None
+        else:
+            assert block.tolist() == orbit.tolist()
+    expected = _reference_minimal_block_systems(G)
+    assert [s.tolist() for s in minimal_block_systems(G)] == [
+        s.tolist() for s in expected
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_CORPUS))
+def test_scan_and_block_search_grow_no_point_orbit(monkeypatch, name):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a point orbit was grown")
+
+    G = BLOCK_CORPUS[name]()
+    od = suborbits(G)
+    frame = suborbit_frame(G, 0)
+    scan, systems = _scan_suborbits(od), minimal_block_systems(G)
+    monkeypatch.setattr("plinth.perm.fast_orbit", refuse)
+    # the frame's own orbit labelling is not block search
+    monkeypatch.setattr("plinth.perm.suborbit_frame", lambda group, alpha=0: frame)
+    assert _scan_suborbits(od) == scan
+    assert [s.tolist() for s in minimal_block_systems(G)] == [
+        s.tolist() for s in systems
+    ]
 
 
 # ---------------------------------------------------------------------------
