@@ -178,12 +178,13 @@ def _index2_point_sets(Q):
     return out
 
 
-def find_grid_decompositions(G, extra_groups=None):
+def find_grid_decompositions(G, extra_groups=None, frame=None):
     """G-invariant cartesian decompositions into two partitions, built
     from minimal block systems of G and of its index-2 subgroups.
 
     ``extra_groups`` may supply precomputed index-2 subgroups (as
-    PermGroups on the same points) to skip the derived-subgroup route.
+    PermGroups on the same points) to skip the derived-subgroup route,
+    and ``frame`` G's ``suborbit_frame(G, 0)`` when it is built.
     """
     if not G.is_transitive():
         raise NotTransitive("grid search needs a transitive group")
@@ -195,7 +196,7 @@ def find_grid_decompositions(G, extra_groups=None):
     systems = []
     seen = set()
     for H in sources:
-        for lab in minimal_block_systems(H):
+        for lab in minimal_block_systems(H, frame if H is G else None):
             lab = _normalize_labels(lab)
             key = lab.tobytes()
             if key not in seen:
@@ -247,14 +248,15 @@ def _factor_moves_partition(factor, E, j, first):
     return False
 
 
-def classify_inclusion(G, M, E, omega=0, factors=None):
-    """Inclusion type of (G, M) with respect to the decomposition E.
+def classify_inclusion(G, M, E, factors=None):
+    """Inclusion type of (G, M) with respect to E, at the base point 0.
 
     ``factors`` lists the simple direct factors of the plinth M
     (default: M itself, the simple-plinth case).  The verdict counts,
     per simple factor, the number s of partitions the factor moves;
     s must be the same for every factor and at most 3.
     """
+    omega = 0  # the base point
     factor_groups = [M] if factors is None else list(factors)
     # normality of M in G, spot-checked on generators
     for g in G.generators:
@@ -345,7 +347,7 @@ def classify_inclusion(G, M, E, omega=0, factors=None):
 # ---------------------------------------------------------------------------
 # blow-up embedding
 
-def blowup_embedding(G, factors, omega=0):
+def blowup_embedding(G, factors):
     """Re-embed G into a product action along a direct decomposition of
     its plinth whose point stabilizer splits across the factors.
 
@@ -377,7 +379,7 @@ def blowup_embedding(G, factors, omega=0):
     M_group = PermGroup(all_gens, degree=n)
     if not M_group.is_transitive():
         raise NotTransitive("plinth must be transitive")
-    M_omega = point_stabilizer(M_group, omega)
+    M_omega = point_stabilizer(M_group, 0)  # omega = 0, the base point
     meet_orders = []
     for f in factor_groups:
         meet = intersection_small(M_omega, f)

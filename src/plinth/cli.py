@@ -2,7 +2,15 @@
 
 Runs the case pipelines end to end and emits structured certificates;
 each check carries its source anchor, and reports are deterministic for
-a fixed seed (timings excluded from the determinism hash).
+a fixed seed (timings and errors excluded from the determinism hash).
+
+A case is a function of one ``_Run``: it reads the stages it needs and
+adds its checks to the run's report.  ``timings_ms`` holds each stage's
+own time, less the stages nested in it.  The stages of the A6 and W(4)
+pipelines are computed once per seed and process; a run that reuses one
+records "cached" for it.  An exception inside a case ends it with status
+ERROR, an ``error`` entry naming the stage and exception type, and exit
+code 3.
 """
 
 from __future__ import annotations
@@ -13,6 +21,7 @@ import json
 import os
 import sys
 import time
+from contextlib import AbstractContextManager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,9 +31,10 @@ from .actions import (
     coset_action,
     cyclic_class_action,
     product_action_wreath,
+    top_projection,
 )
 from .algebra import identify_extension_flavor, psl2_action, sp4, symplectic_gq
-from .autgq import graph_automorphism_group, incidence_graph
+from .autgq import ColoredGraph, graph_automorphism_group, incidence_graph
 from .cartesian import (
     classify_inclusion,
     blowup_embedding,
@@ -203,6 +213,7 @@ class VerificationReport:
     checks: list = field(default_factory=list)
     timings_ms: dict = field(default_factory=dict)
     skipped: bool = False
+    error: dict = None  # stage, type and message of what ended the case
 
     def add(self, name, expected, actual, anchor):
         entry = {
@@ -217,51 +228,35 @@ class VerificationReport:
 
     @property
     def status(self):
+        if self.error:
+            return "ERROR"
         if self.skipped and not self.checks:
             return "SKIP"
         return "PASS" if all(c["pass"] for c in self.checks) else "FAIL"
 
-    def determinism_hash(self):
-        core = {
-            "schema": SCHEMA_VERSION,
-            "case": self.case,
-            "status": self.status,
-            "seed": self.seed,
-            "checks": self.checks,
-        }
-        blob = json.dumps(core, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-    def to_json_dict(self):
+    def _hashed(self):
+        """What the determinism hash covers."""
         return {
             "schema": SCHEMA_VERSION,
             "case": self.case,
             "status": self.status,
             "seed": self.seed,
             "checks": self.checks,
-            "hash": self.determinism_hash(),
-            "timings_ms": self.timings_ms,
         }
 
+    def determinism_hash(self):
+        blob = json.dumps(self._hashed(), sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+    def to_json_dict(self):
+        out = self._hashed()
+        out.update(hash=self.determinism_hash(), timings_ms=self.timings_ms)
+        if self.error:
+            out["error"] = self.error
+        return out
+
     def exit_code(self):
-        return {"PASS": 0, "FAIL": 1, "SKIP": 2}[self.status]
-
-
-class _Phase:
-    """Context manager recording one timing phase in a report."""
-
-    def __init__(self, report, name):
-        self.report = report
-        self.name = name
-
-    def __enter__(self):
-        self.start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        ms = (time.perf_counter() - self.start) * 1000.0
-        self.report.timings_ms[self.name] = round(ms, 1)
-        return False
+        return {"PASS": 0, "FAIL": 1, "SKIP": 2, "ERROR": 3}[self.status]
 
 
 def emit_report(report, fmt="text", path=None):
@@ -288,6 +283,8 @@ def emit_report(report, fmt="text", path=None):
             "timings_ms: "
             + ", ".join(f"{k}={v}" for k, v in report.timings_ms.items())
         )
+        if report.error:
+            lines.append("error: {type} in stage {stage}".format(**report.error))
         payload = "\n".join(lines) + "\n"
     if path is None:
         sys.stdout.write(payload)
@@ -300,102 +297,147 @@ def emit_report(report, fmt="text", path=None):
 
 
 # ---------------------------------------------------------------------------
-# shared pipeline contexts (cached per seed so related cases share work)
+# runs and stages
 
-_CONTEXTS = {}
+# (stage function, seed) -> value of every shared stage built in this process
+_SHARED = {}
 
 
-def _sylvester_context(seed):
-    key = ("sylvester", seed)
-    if key in _CONTEXTS:
-        return _CONTEXTS[key]
-    groups = {f: psl2_action(9, f) for f in FLAVORS}
-    act = cyclic_class_action(groups["PGammaL"], groups["PSL"], 5, seed=seed)
-    G = act.group
-    od = suborbits(G)
-    hits = [r for r in _scan_suborbits(od) if r["length"] == 5]
-    graph = None
-    if hits:
-        graph = orbital_graph(G, 0, hits[0]["representative"], od)
-    flavor_groups = {}
-    for f in FLAVORS:
-        if f == "PSL":
-            # the class was enumerated under PSL: its action came with it
-            flavor_groups[f] = act.socle_group
-            continue
+class _Run(AbstractContextManager):
+    """One run of a case: its report, and the stages that time its work.
+
+    ``with run.stage(name):`` adds the block's own time, less the stages
+    nested in it, to ``timings_ms[name]``; the run's ``__exit__`` closes
+    the stage.  ``run.shared(build)`` is ``build(run)``, a stage of the
+    A6 or W(4) pipeline named after ``build``, computed once per seed
+    and process; a run that reuses it records "cached" for it.
+    """
+
+    def __init__(self, case, seed):
+        self.report = VerificationReport(case, seed)
+        self.seed = seed
+        self._open = []  # per open stage: name, start, time of nested stages
+        self.raised = (None, None)  # an exception and the first stage it left
+
+    def stage(self, name):
+        self._open.append([name, time.perf_counter(), 0.0])
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        name, start, nested = self._open.pop()
+        elapsed = time.perf_counter() - start
+        if self._open:
+            self._open[-1][2] += elapsed
+        timings = self.report.timings_ms
+        timings[name] = round(timings.get(name, 0.0) + (elapsed - nested) * 1e3, 1)
+        if exc is not None and self.raised[0] is not exc:
+            self.raised = (exc, name)
+
+    def shared(self, build):
+        key = (build, self.seed)
+        name = build.__name__.lstrip("_")
+        if key in _SHARED:
+            self.report.timings_ms.setdefault(name, "cached")
+        else:
+            with self.stage(name):
+                _SHARED[key] = build(self)
+        return _SHARED[key]
+
+
+# ---------------------------------------------------------------------------
+# shared pipeline stages.  A6: PGammaL(2,9) on the 36 cyclic subgroups of
+# order 5 of PSL(2,9) = A6.  W(4): Aut W(4) on the 14,400 cyclic subgroups
+# of order 17 of its socle Sp(4,4).
+
+
+def _a6_flavours(run):
+    return {f: psl2_action(9, f) for f in FLAVORS}
+
+
+def _a6_class_action(run):
+    groups = run.shared(_a6_flavours)
+    return cyclic_class_action(groups["PGammaL"], groups["PSL"], 5, seed=run.seed)
+
+
+def _a6_suborbits(run):
+    return suborbits(run.shared(_a6_class_action).group)
+
+
+def _a6_flavour_groups(run):
+    """Each flavour's action on the class."""
+    groups = run.shared(_a6_flavours)
+    act = run.shared(_a6_class_action)
+    # the class was enumerated under PSL: its action came with it
+    out = {"PSL": act.socle_group}
+    for f in FLAVORS[1:]:
         gens = [act.action_of(g) for g in groups[f].generators]
-        flavor_groups[f] = PermGroup(
-            gens, degree=G.degree, claimed_order=groups[f].order()
+        out[f] = PermGroup(
+            gens, degree=act.group.degree, claimed_order=groups[f].order()
         )
-    ctx = {
-        "groups": groups,
-        "act": act,
-        "G": G,
-        "orbital_data": od,
-        "hits": hits,
-        "graph": graph,
-        "flavor_groups": flavor_groups,
-        "plinth": flavor_groups["PSL"],
-    }
-    _CONTEXTS[key] = ctx
-    return ctx
+    return out
 
 
-def _grid_context(base):
-    """Grids of the context's group found through its plinth, with
-    their inclusion verdicts; computed once per context."""
-    if "grid" not in base:
-        G, M = base["G"], base["plinth"]
-        subs = index2_subgroups(G, derived=M)
-        grids = find_grid_decompositions(G, extra_groups=subs)
-        verdicts = [classify_inclusion(G, M, E, omega=0) for E in grids]
-        base["grid"] = {"grids": grids, "verdicts": verdicts}
-    return base["grid"]
+def _a6_grid(run):
+    return _grid(run.shared(_a6_class_action), run.shared(_a6_suborbits))
 
 
-def _sp44_context(seed):
-    key = ("sp44", seed)
-    if key in _CONTEXTS:
-        return _CONTEXTS[key]
-    geom = symplectic_gq(4)
-    cg = incidence_graph(geom)
-    aut = graph_automorphism_group(cg)
-    aut_small = small_generating_set(aut, seed=seed)
-    socle = derived_subgroup(aut_small)
-    socle_small = small_generating_set(socle, seed=seed)
+def _w4_geometry(run):
+    return symplectic_gq(4)
 
-    # independent construction of the socle from symplectic transvections
+
+def _w4_aut(run):
+    """Aut W(4), and a small generating set of it."""
+    aut = graph_automorphism_group(incidence_graph(run.shared(_w4_geometry)))
+    return aut, small_generating_set(aut, seed=run.seed)
+
+
+def _w4_socle(run):
+    """Sp(4,4) as the derived subgroup of Aut W(4), and a small
+    generating set of it."""
+    socle = derived_subgroup(run.shared(_w4_aut)[1])
+    return socle, small_generating_set(socle, seed=run.seed)
+
+
+def _w4_sp4_image(run):
+    """Sp(4,4) from symplectic transvections, independently of Aut W(4),
+    on the points and lines of W(4)."""
+    geom = run.shared(_w4_geometry)
     ma = sp4(4)
-    P = geom.num_points
+    P, n = geom.num_points, geom.num_points + geom.num_lines
     line_index = {line: i for i, line in enumerate(geom.lines)}
     image_gens = []
     for g in ma.group.generators:
-        img = np.empty(aut.degree, dtype=_DTYPE)
+        img = np.empty(n, dtype=_DTYPE)
         img[:P] = g.images
         for li, line in enumerate(geom.lines):
             mapped = tuple(sorted(int(g.images[p]) for p in line))
             img[P + li] = P + line_index[mapped]
         image_gens.append(Permutation(img, _checked=True))
-    sp4_image = PermGroup(
-        image_gens, degree=aut.degree, claimed_order=ma.group.order()
-    )
+    return PermGroup(image_gens, degree=n, claimed_order=ma.group.order())
 
-    act = cyclic_class_action(aut_small, socle_small, 17, seed=seed)
-    G = act.group
-    od = suborbits(G)
-    ctx = {
-        "geom": geom,
-        "aut": aut,
-        "aut_small": aut_small,
-        "socle": socle,
-        "sp4_image": sp4_image,
-        "act": act,
-        "G": G,
-        "orbital_data": od,
-        "plinth": act.socle_group,
-    }
-    _CONTEXTS[key] = ctx
-    return ctx
+
+def _w4_class_action(run):
+    aut_small = run.shared(_w4_aut)[1]
+    socle_small = run.shared(_w4_socle)[1]
+    return cyclic_class_action(aut_small, socle_small, 17, seed=run.seed)
+
+
+def _w4_suborbits(run):
+    return suborbits(run.shared(_w4_class_action).group)
+
+
+def _w4_grid(run):
+    return _grid(run.shared(_w4_class_action), run.shared(_w4_suborbits))
+
+
+def _grid(act, od):
+    """Grids of a class action's group found through its plinth, the
+    socle's action, with their inclusion verdicts; ``od`` holds the
+    group's suborbits."""
+    G, M = act.group, act.socle_group
+    subs = index2_subgroups(G, derived=M)
+    grids = find_grid_decompositions(G, extra_groups=subs, frame=od.frame())
+    return grids, [classify_inclusion(G, M, E) for E in grids]
 
 
 def _scan_suborbits(od):
@@ -443,23 +485,22 @@ ANCHOR_FLAVOR = (
 ANCHOR_CONNECTED = 'Section 1, "undirected, simple, and connected"'
 
 
-def _case_sylvester(opts):
-    report = VerificationReport("sylvester", opts["seed"])
-    with _Phase(report, "build"):
-        ctx = _sylvester_context(opts["seed"])
-    with _Phase(report, "checks"):
-        groups = ctx["groups"]
-        expected_orders = {
-            "PSL": 360,
-            "PGL": 720,
-            "PSigmaL": 720,
-            "M10": 720,
-            "PGammaL": 1440,
-        }
+def _case_sylvester(run, opts):
+    report = run.report
+    groups = run.shared(_a6_flavours)
+    # per flavour: its order, and whether it is 2-arc-transitive on the graph
+    expected = {
+        "PSL": (360, False),
+        "PGL": (720, False),
+        "PSigmaL": (720, True),
+        "M10": (720, True),
+        "PGammaL": (1440, True),
+    }
+    with run.stage("identify_flavours"):
         for f in FLAVORS:
             report.add(
                 f"order_{f}",
-                expected_orders[f],
+                expected[f][0],
                 groups[f].order(),
                 'Theorem 4.1 proof, "is Aut A6 = PGammaL(2,9)"',
             )
@@ -469,80 +510,70 @@ def _case_sylvester(opts):
                 identify_extension_flavor(groups[f]),
                 ANCHOR_FLAVOR,
             )
-        report.add(
-            "class_action_degree",
-            36,
-            ctx["G"].degree,
-            'Theorem 1.1(1), "|Omega| = 6^2"',
-        )
-        if not report.add(
-            "self_paired_length5_suborbits",
-            1,
-            len(ctx["hits"]),
-            ANCHOR_SYLVESTER,
-        ):
-            return report
-        graph = ctx["graph"]
+    G = run.shared(_a6_class_action).group
+    report.add(
+        "class_action_degree",
+        36,
+        G.degree,
+        'Theorem 1.1(1), "|Omega| = 6^2"',
+    )
+    od = run.shared(_a6_suborbits)
+    with run.stage("suborbit_scan"):
+        hits = [r for r in _scan_suborbits(od) if r["length"] == 5]
+    if not report.add(
+        "self_paired_length5_suborbits",
+        1,
+        len(hits),
+        ANCHOR_SYLVESTER,
+    ):
+        return
+    with run.stage("orbital_graph"):
+        graph = orbital_graph(G, 0, hits[0]["representative"], od)
         report.add("vertices", 36, graph.n, ANCHOR_SYLVESTER)
         report.add("valency", 5, graph.valency(), ANCHOR_SYLVESTER)
-        report.add(
-            "connected", True, ctx["hits"][0]["connected"], ANCHOR_CONNECTED
-        )
-        expected_two_at = {
-            "PSL": False,
-            "PGL": False,
-            "PSigmaL": True,
-            "M10": True,
-            "PGammaL": True,
-        }
+    report.add("connected", True, hits[0]["connected"], ANCHOR_CONNECTED)
+    flavour_groups = run.shared(_a6_flavour_groups)
+    with run.stage("two_arc"):
         for f in FLAVORS:
             anchor = ANCHOR_IFF_S6 if f in ("PSL", "PSigmaL") else ANCHOR_FLAVOR
             report.add(
                 f"two_arc_transitive_{f}",
-                expected_two_at[f],
-                two_arc_transitive(ctx["flavor_groups"][f], graph),
+                expected[f][1],
+                two_arc_transitive(flavour_groups[f], graph),
                 anchor,
             )
-    with _Phase(report, "grid"):
-        grid_ctx = _grid_context(ctx)
-        report.add(
-            "grid_count",
-            1,
-            len(grid_ctx["grids"]),
-            'Abstract, "acting in product action on"',
-        )
-        if grid_ctx["verdicts"]:
-            verdict = grid_ctx["verdicts"][0]
-            report.add(
-                "inclusion_type",
-                "CD2Sim",
-                verdict.tag,
-                'Section 2.5, "transitive must have type" CD2~',
-            )
-    return report
+    grids, verdicts = run.shared(_a6_grid)
+    report.add(
+        "grid_count",
+        1,
+        len(grids),
+        'Abstract, "acting in product action on"',
+    )
+    if verdicts:
+        _add_inclusion_type(report, verdicts[0])
 
 
-def _case_sp44(opts):
-    report = VerificationReport("sp44", opts["seed"])
-    with _Phase(report, "geometry"):
-        ctx = _sp44_context(opts["seed"])
-        geom = ctx["geom"]
-        report.add(
-            "gq_points",
-            85,
-            geom.num_points,
-            'Section 1, "the generalized quadrangle associated with the '
-            'non-degenerate alternating bilinear form"',
-        )
-        report.add(
-            "gq_lines_per_point",
-            [5] * 85,
-            [len(ls) for ls in geom.point_lines],
-            'Section 1, "the generalized quadrangle associated with the '
-            'non-degenerate alternating bilinear form"',
-        )
-    with _Phase(report, "automorphisms"):
-        aut = ctx["aut"]
+def _case_sp44(run, opts):
+    report = run.report
+    geom = run.shared(_w4_geometry)
+    report.add(
+        "gq_points",
+        85,
+        geom.num_points,
+        'Section 1, "the generalized quadrangle associated with the '
+        'non-degenerate alternating bilinear form"',
+    )
+    report.add(
+        "gq_lines_per_point",
+        [5] * 85,
+        [len(ls) for ls in geom.point_lines],
+        'Section 1, "the generalized quadrangle associated with the '
+        'non-degenerate alternating bilinear form"',
+    )
+    aut = run.shared(_w4_aut)[0]
+    socle = run.shared(_w4_socle)[0]
+    sp4_image = run.shared(_w4_sp4_image)
+    with run.stage("automorphisms"):
         report.add(
             "aut_order",
             3916800,
@@ -552,47 +583,44 @@ def _case_sp44(opts):
         report.add(
             "socle_order",
             979200,
-            ctx["socle"].order(),
+            socle.order(),
             'Theorem 4.1(2), "T = Sp4(q) with q = 2^a and a >= 2"',
         )
-        sp4_in_aut = all(
-            aut.contains(g) for g in ctx["sp4_image"].generators
-        ) and all(
-            ctx["socle"].contains(g) for g in ctx["sp4_image"].generators
+        sp4_in_aut = all(aut.contains(g) for g in sp4_image.generators) and all(
+            socle.contains(g) for g in sp4_image.generators
         )
         report.add(
             "sp4_image_in_socle",
             True,
-            sp4_in_aut and ctx["sp4_image"].order() == ctx["socle"].order(),
+            sp4_in_aut and sp4_image.order() == socle.order(),
             'Theorem 4.1 proof, "Aut T = Sp4(q).Ca.C2"',
         )
-    with _Phase(report, "class_action"):
-        G = ctx["G"]
-        report.add(
-            "class_action_degree",
-            14400,
-            G.degree,
-            'Theorem 4.1(2), "|ver Gamma| = 14,400 = 120^2"',
-        )
-    with _Phase(report, "suborbit_scan"):
-        scan = _scan_suborbits(ctx["orbital_data"])
-        winners = [r for r in scan if r["connected"] and r["two_at"]]
-        report.add(
-            "graph_yielding_suborbits",
-            1,
-            len(winners),
-            'Theorem 4.1(2), "a graph of valency 17"',
-        )
-        if not report.add(
-            "winning_valency",
-            [17],
-            [r["length"] for r in winners],
-            'Theorem 4.1(2), "a graph of valency 17"',
-        ):
-            return report
-    with _Phase(report, "neighborhood"):
-        act = ctx["act"]
-        od = ctx["orbital_data"]
+    act = run.shared(_w4_class_action)
+    G = act.group
+    report.add(
+        "class_action_degree",
+        14400,
+        G.degree,
+        'Theorem 4.1(2), "|ver Gamma| = 14,400 = 120^2"',
+    )
+    od = run.shared(_w4_suborbits)
+    with run.stage("suborbit_scan"):
+        scan = _scan_suborbits(od)
+    winners = [r for r in scan if r["connected"] and r["two_at"]]
+    report.add(
+        "graph_yielding_suborbits",
+        1,
+        len(winners),
+        'Theorem 4.1(2), "a graph of valency 17"',
+    )
+    if not report.add(
+        "winning_valency",
+        [17],
+        [r["length"] for r in winners],
+        'Theorem 4.1(2), "a graph of valency 17"',
+    ):
+        return
+    with run.stage("neighborhood"):
         # the scanned valency-17 orbital graph: N(0) is its suborbit
         hit = next(r for r in scan if r["length"] == 17)
         report.add("connected", True, hit["connected"], ANCHOR_CONNECTED)
@@ -600,15 +628,10 @@ def _case_sp44(opts):
         z_parent = Permutation(act.reps[0], _checked=True)
         z_class = act.action_of(z_parent)
         Z = PermGroup([z_class], degree=G.degree)
-        orb = set()
-        p = nbrs[0]
-        for _ in range(17):
-            orb.add(p)
-            p = int(z_class.images[p])
         z_regular = (
             Z.order() == 17
             and int(z_class.images[0]) == 0
-            and orb == set(nbrs)
+            and set(Z.orbit(nbrs[0])[0]) == set(nbrs)
         )
         report.add(
             "Z_regular_on_neighborhood",
@@ -627,27 +650,20 @@ def _case_sp44(opts):
             meet.order(),
             'Theorem 4.1 proof, "Z meet Z^x = 1 as claimed"',
         )
-    with _Phase(report, "grid"):
-        grid_ctx = _grid_context(ctx)
-        report.add(
-            "grid_count",
-            1,
-            len(grid_ctx["grids"]),
-            'Theorem 1.1(2), "|Omega| = 120^2"',
-        )
-        if grid_ctx["verdicts"]:
-            report.add(
-                "inclusion_type",
-                "CD2Sim",
-                grid_ctx["verdicts"][0].tag,
-                'Section 2.5, "transitive must have type" CD2~',
-            )
-    return report
+    grids, verdicts = run.shared(_w4_grid)
+    report.add(
+        "grid_count",
+        1,
+        len(grids),
+        'Theorem 1.1(2), "|Omega| = 120^2"',
+    )
+    if verdicts:
+        _add_inclusion_type(report, verdicts[0])
 
 
-def _case_m12(opts):
-    report = VerificationReport("m12", opts["seed"])
-    with _Phase(report, "parse"):
+def _case_m12(run, opts):
+    report = run.report
+    with run.stage("parse"):
         gf = parse_generators(opts.get("data") or data_path("m12.gens"))
         report.add(
             "degree",
@@ -662,7 +678,7 @@ def _case_m12(opts):
             G.order(),
             'Theorem 4.1 proof, "T = M12 and |Omega| = 144"',
         )
-    with _Phase(report, "validate"):
+    with run.stage("validate"):
         # sharp 5-transitivity: iterated stabilizer orbit sizes 12..8
         report.add(
             "five_transitive_orbit_sizes",
@@ -670,7 +686,7 @@ def _case_m12(opts):
             stabilizer_orbit_sizes(G, 5),
             'Theorem 4.1 proof, "T = M12 and |Omega| = 144"',
         )
-    with _Phase(report, "coset_action"):
+    with run.stage("coset_action"):
         H = random_subgroup_of_order(G, 660, profile=(11, 2), seed=opts["seed"])
         if not report.add(
             "subgroup_order",
@@ -678,7 +694,7 @@ def _case_m12(opts):
             H.order() if H else None,
             'Theorem 4.1 proof, "T = M12 and |Omega| = 144"',
         ):
-            return report
+            return
         action = coset_action(G, H)
         report.add(
             "coset_degree",
@@ -692,13 +708,12 @@ def _case_m12(opts):
             action.group.order(),
             'Theorem 4.1 proof, "T = M12 and |Omega| = 144"',
         )
-    with _Phase(report, "suborbit_scan"):
+    with run.stage("suborbit_scan"):
         od = suborbits(action.group)
-        lengths = sorted(s.length for s in od.suborbits)
         report.add(
             "suborbit_lengths_sum",
             144,
-            sum(lengths),
+            sum(od.lengths()),
             'Theorem 4.1 proof, "no graph arises in this case"',
         )
         scan = _scan_suborbits(od)
@@ -716,21 +731,17 @@ def _case_m12(opts):
             'Theorem 4.1 proof, "no graph arises in this case" '
             "(whether the check covers M12.2 is undetermined by the text)",
         )
-    return report
 
 
-def _case_o8plus2(opts):
-    report = VerificationReport("o8plus2", opts["seed"])
-    data = opts.get("data")
-    if not data:
-        report.skipped = True
-        return report
+def _case_o8plus2(run, opts):
+    report = run.report
+    data = opts.get("data") or ""
     group_file = os.path.join(data, "o8plus2.gens")
     sub_file = os.path.join(data, "g2_2.gens")
-    if not (os.path.exists(group_file) and os.path.exists(sub_file)):
+    if not (data and os.path.exists(group_file) and os.path.exists(sub_file)):
         report.skipped = True
-        return report
-    with _Phase(report, "parse"):
+        return
+    with run.stage("parse"):
         gf = parse_generators(group_file)
         sf = parse_generators(sub_file)
         G = gf.group()
@@ -747,7 +758,7 @@ def _case_o8plus2(opts):
             in_parent,
             'Theorem 4.1 proof, "has no suborbit of size 28"',
         ):
-            return report
+            return
         H = PermGroup(sf.generators, degree=G.degree)
         report.add(
             "subgroup_order",
@@ -755,7 +766,7 @@ def _case_o8plus2(opts):
             H.order(),
             'Theorem 4.1 proof, "has no suborbit of size 28"',
         )
-    with _Phase(report, "coset_action"):
+    with run.stage("coset_action"):
         action = coset_action(G, H)
         report.add(
             "coset_degree",
@@ -763,21 +774,19 @@ def _case_o8plus2(opts):
             action.group.degree,
             'Theorem 4.1 proof, "has no suborbit of size 28"',
         )
-    with _Phase(report, "suborbits"):
+    with run.stage("suborbits"):
         od = suborbits(action.group)
-        lengths = sorted(s.length for s in od.suborbits)
         report.add(
             "no_suborbit_of_size_28",
             False,
-            28 in lengths,
+            28 in od.lengths(),
             'Theorem 4.1 proof, "has no suborbit of size 28"',
         )
-    return report
 
 
-def _case_factorizations(opts):
-    report = VerificationReport("factorizations", opts["seed"])
-    with _Phase(report, "rows"):
+def _case_factorizations(run, opts):
+    report = run.report
+    with run.stage("rows"):
         rows = load_factorization_table(data_path("psl2_factorizations.txt"))
         for idx, (q, row) in enumerate(rows):
             try:
@@ -791,7 +800,7 @@ def _case_factorizations(opts):
                 actual,
                 row[5],
             )
-    with _Phase(report, "cross_check"):
+    with run.stage("cross_check"):
         examples = load_examples_table(data_path("liseress_examples.txt"))
         ok, collisions = cross_check_examples(examples, rows)
         report.add(
@@ -800,7 +809,6 @@ def _case_factorizations(opts):
             ok,
             'Corollary 6.4, "Comparing the possibilities in Tables"',
         )
-    return report
 
 
 def _petersen():
@@ -820,15 +828,13 @@ def _petersen():
     return edge_orbit_graph(K, edge)
 
 
-def _case_products(opts):
-    report = VerificationReport("products", opts["seed"])
-    k4 = Graph.from_edges(4, [(a, b) for a in range(4) for b in range(a + 1, 4)])
-    petersen = _petersen()
-    bases = [("K4", k4, 24), ("Petersen", petersen, 120)]
+def _case_products(run, opts):
+    report = run.report
+    with run.stage("base_graphs"):
+        k4 = Graph.from_edges(4, [(a, b) for a in range(4) for b in range(a + 1, 4)])
+        bases = [("K4", k4, 24), ("Petersen", _petersen(), 120)]
     for name, graph, aut_order in bases:
-        with _Phase(report, name):
-            from .autgq import ColoredGraph
-
+        with run.stage(name):
             aut = graph_automorphism_group(ColoredGraph(graph))
             report.add(
                 f"{name}_aut_order",
@@ -874,7 +880,6 @@ def _case_products(opts):
                 got == want,
                 'Section 3 remark, "the neighborhood (Gamma_1)^l(alpha)"',
             )
-    return report
 
 
 def _has_dihedral_subgroup(stab, order, seed):
@@ -887,47 +892,51 @@ def _has_dihedral_subgroup(stab, order, seed):
     return dih.order() == order and all(stab.contains(g) for g in dih.generators)
 
 
-def _case_classify_a6(opts):
-    report = VerificationReport("classify-a6", opts["seed"])
-    with _Phase(report, "grid"):
-        base = _sylvester_context(opts["seed"])
-        ctx = _grid_context(base)
-        if not report.add(
-            "grid_count",
-            1,
-            len(ctx["grids"]),
-            'Theorem 1.1(1), "|Omega| = 6^2"',
-        ):
-            return report
-        E = ctx["grids"][0]
-        report.add(
-            "block_counts",
-            [6, 6],
-            E.block_counts,
-            'Theorem 1.1(1), "|Omega| = 6^2"',
-        )
-    with _Phase(report, "classify"):
-        verdict = ctx["verdicts"][0]
-        report.add(
-            "inclusion_type",
-            "CD2Sim",
-            verdict.tag,
-            'Section 2.5, "transitive must have type" CD2~',
-        )
-        report.add(
-            "projection_orders",
-            [60, 60],
-            list(verdict.projection_orders),
-            'Theorem 4.1 case T = A6 (components with point stabilizer A5)',
-        )
-        report.add(
-            "s_at_most_3",
-            True,
-            verdict.s <= 3,
-            'Theorem 2.8, "The number s of components"',
-        )
-    with _Phase(report, "stabilizer"):
-        M = base["plinth"]
+def _add_inclusion_type(report, verdict):
+    report.add(
+        "inclusion_type",
+        "CD2Sim",
+        verdict.tag,
+        'Section 2.5, "transitive must have type" CD2~',
+    )
+
+
+def _grid_checks(report, grid, blocks, grid_anchor, projection, projection_anchor):
+    """The checks classify-a6 and classify-sp44 make on their pipeline's
+    grid stage; returns the first grid, or None when there is none."""
+    grids, verdicts = grid
+    if not report.add("grid_count", 1, len(grids), grid_anchor):
+        return None
+    report.add("block_counts", [blocks] * 2, grids[0].block_counts, grid_anchor)
+    _add_inclusion_type(report, verdicts[0])
+    report.add(
+        "projection_orders",
+        [projection] * 2,
+        list(verdicts[0].projection_orders),
+        projection_anchor,
+    )
+    report.add(
+        "s_at_most_3",
+        True,
+        verdicts[0].s <= 3,
+        'Theorem 2.8, "The number s of components"',
+    )
+    return grids[0]
+
+
+def _case_classify_a6(run, opts):
+    report = run.report
+    if _grid_checks(
+        report,
+        run.shared(_a6_grid),
+        6,
+        'Theorem 1.1(1), "|Omega| = 6^2"',
+        60,
+        'Theorem 4.1 case T = A6 (components with point stabilizer A5)',
+    ) is None:
+        return
+    M = run.shared(_a6_class_action).socle_group
+    with run.stage("stabilizer"):
         stab = point_stabilizer(M, 0)
         report.add(
             "plinth_stabilizer_order",
@@ -942,7 +951,7 @@ def _case_classify_a6(opts):
             stab.order() == 10 and _has_dihedral_subgroup(stab, 10, opts["seed"]),
             'Table 1, "Table for Theorem" (A6 row: dihedral stabilizer)',
         )
-    with _Phase(report, "a5wr2"):
+    with run.stage("a5wr2"):
         A5 = PermGroup.alternating(5)
         wreath = product_action_wreath(A5, 2, PermGroup.symmetric(2))
         W = wreath.group
@@ -953,9 +962,7 @@ def _case_classify_a6(opts):
             PermGroup(W.generators[j * k:(j + 1) * k], degree=n) for j in range(2)
         ]
         M2 = PermGroup(W.generators[:2 * k], degree=n)
-        verdict2 = classify_inclusion(
-            W, M2, wreath.decomposition, omega=0, factors=factors
-        )
+        verdict2 = classify_inclusion(W, M2, wreath.decomposition, factors=factors)
         report.add(
             "a5wr2_inclusion_type",
             "Normal",
@@ -968,68 +975,39 @@ def _case_classify_a6(opts):
             verdict2.details.get("stabilizer_product_formula_holds"),
             'Proposition 2.5 product formula',
         )
-    with _Phase(report, "blowup"):
-        action, cert = blowup_embedding(W, factors, omega=0)
+    with run.stage("blowup"):
+        action, cert = blowup_embedding(W, factors)
         report.add(
             "blowup_certificate",
             True,
             len(cert["top_images"]) == len(W.generators) and cert["xi_size"] == 5,
             'Theorem 2.6, "Let Xi be the right coset space"',
         )
-    return report
 
 
-def _case_classify_sp44(opts):
-    report = VerificationReport("classify-sp44", opts["seed"])
-    with _Phase(report, "grid"):
-        base = _sp44_context(opts["seed"])
-        ctx = _grid_context(base)
-        if not report.add(
-            "grid_count",
-            1,
-            len(ctx["grids"]),
-            'Theorem 1.1(2), "|Omega| = 120^2"',
-        ):
-            return report
-        E = ctx["grids"][0]
-        report.add(
-            "block_counts",
-            [120, 120],
-            E.block_counts,
-            'Theorem 1.1(2), "|Omega| = 120^2"',
-        )
-    with _Phase(report, "classify"):
-        verdict = ctx["verdicts"][0]
-        report.add(
-            "inclusion_type",
-            "CD2Sim",
-            verdict.tag,
-            'Section 2.5, "transitive must have type" CD2~',
-        )
-        report.add(
-            "projection_orders",
-            [8160, 8160],
-            list(verdict.projection_orders),
-            'Theorem 1.1(1) context (projections of order 979,200/120)',
-        )
-        report.add(
-            "s_at_most_3",
-            True,
-            verdict.s <= 3,
-            'Theorem 2.8, "The number s of components"',
-        )
-        from .actions import top_projection
-
-        top = top_projection(base["G"], E)
+def _case_classify_sp44(run, opts):
+    report = run.report
+    E = _grid_checks(
+        report,
+        run.shared(_w4_grid),
+        120,
+        'Theorem 1.1(2), "|Omega| = 120^2"',
+        8160,
+        'Theorem 1.1(1) context (projections of order 979,200/120)',
+    )
+    if E is None:
+        return
+    act = run.shared(_w4_class_action)
+    with run.stage("top_projection"):
+        top = top_projection(act.group, E)
         report.add(
             "top_projection_transitive",
             True,
             top.is_transitive() and top.order() == 2,
             'Theorem 1.1(2) context (G pi transitive on the two partitions)',
         )
-    with _Phase(report, "stabilizer"):
-        M = base["plinth"]
-        stab = point_stabilizer(M, 0)
+    with run.stage("stabilizer"):
+        stab = point_stabilizer(act.socle_group, 0)
         report.add(
             "plinth_stabilizer_order",
             68,
@@ -1043,7 +1021,6 @@ def _case_classify_sp44(opts):
             stab.order() == 68 and _has_dihedral_subgroup(stab, 34, opts["seed"]),
             'Table 1, "Table for Theorem" column 2 (X = D_(2^a+1), Y = X.2)',
         )
-    return report
 
 
 _CASE_RUNNERS = {
@@ -1060,13 +1037,27 @@ CASES = tuple(_CASE_RUNNERS)
 
 
 def run_case(name, options=None):
-    """Run one named verification case and return its report."""
+    """Run one named verification case and return its report; a case
+    that raises ends with status ERROR."""
     if name not in _CASE_RUNNERS:
         raise Unrecognized(f"unknown case {name!r}; choose from {CASES}")
     opts = {"seed": 1, "data": None}
     if options:
         opts.update(options)
-    return _CASE_RUNNERS[name](opts)
+    run = _Run(name, opts["seed"])
+    try:
+        _CASE_RUNNERS[name](run, opts)
+    except Exception as exc:
+        # the case boundary, and the package's one blanket handler: any
+        # exception, a bug included, ends the case as an ERROR report that
+        # names the stage, so a crash is never read as a failed check
+        raised, stage = run.raised
+        run.report.error = {
+            "stage": stage if raised is exc else None,
+            "type": type(exc).__name__,
+            "message": str(exc),
+        }
+    return run.report
 
 
 # ---------------------------------------------------------------------------
@@ -1094,6 +1085,8 @@ def main(argv=None):
     except PlinthError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
+    if report.error:
+        sys.stderr.write(f"error: {report.error['message']}\n")
     return report.exit_code()
 
 

@@ -122,6 +122,11 @@ class OrbitalData:
     def lengths(self):
         return [s.length for s in self.suborbits]
 
+    def frame(self):
+        """The ``suborbit_frame`` these suborbits were read from."""
+        reps = [s.representative for s in self.suborbits]
+        return self.stabilizer, self.labels, reps, self.transporters
+
 
 def suborbits(G, alpha=0):
     """Orbits of the point stabilizer, with the pairing involution.

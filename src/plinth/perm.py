@@ -686,18 +686,17 @@ def stabilizer_orbit_sizes(group, k):
     return sizes
 
 
-def minimal_block_systems(group):
+def minimal_block_systems(group, frame=None):
     """All minimal nontrivial block systems of a transitive group.
 
     Each system is returned as a point -> block-id array.  The empty
     list means the group is primitive.  Blocks are found as orbits of
-    <G_alpha, u> for transporters u to stabilizer-suborbit
-    representatives, which gives exactly the minimal blocks through the
-    base point.
+    <G_0, u> for transporters u to stabilizer-suborbit representatives,
+    which gives exactly the minimal blocks through the base point 0.
+    ``frame`` may supply ``suborbit_frame(group, 0)`` when it is built.
     """
-    alpha = 0
-    _, labels, reps, transporters = suborbit_frame(group, alpha)
-    reps = reps[1:]  # skip the trivial suborbit {alpha}
+    _, labels, reps, transporters = frame or suborbit_frame(group, 0)
+    reps = reps[1:]  # skip the trivial suborbit {0}
     candidates = {}
     block_of = {}
     for beta, block in zip(reps, _suborbit_blocks(labels, transporters[1:])):

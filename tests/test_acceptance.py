@@ -58,18 +58,29 @@ def test_criterion_1_sylvester_s_arc_transitivity_max():
     # the largest s <= 3 for which each flavor is s-arc-transitive on
     # the graph, by the arc-stabilizer criterion and by brute-force
     # arc-orbit counting: 2 exactly for the 2-arc-transitive flavors
-    from plinth.cli import _sylvester_context
-    from plinth.graphs import s_arc_transitivity_max
+    from plinth.cli import (
+        _Run,
+        _a6_class_action,
+        _a6_flavour_groups,
+        _a6_suborbits,
+        _scan_suborbits,
+    )
+    from plinth.graphs import orbital_graph, s_arc_transitivity_max
     from test_graphs import brute_s_arc_max
 
-    ctx = _sylvester_context(1)
+    run = _Run("sylvester", 1)
+    od = run.shared(_a6_suborbits)
+    hit = next(r for r in _scan_suborbits(od) if r["length"] == 5)
+    G = run.shared(_a6_class_action).group
+    graph = orbital_graph(G, 0, hit["representative"], od)
+    flavour_groups = run.shared(_a6_flavour_groups)
     got = {
-        f: s_arc_transitivity_max(group, ctx["graph"], s_cap=3)
-        for f, group in ctx["flavor_groups"].items()
+        f: s_arc_transitivity_max(group, graph, s_cap=3)
+        for f, group in flavour_groups.items()
     }
     assert got == {"PSL": 1, "PGL": 1, "PSigmaL": 2, "M10": 2, "PGammaL": 2}
-    for f, group in ctx["flavor_groups"].items():
-        assert brute_s_arc_max(group, ctx["graph"]) == got[f]
+    for f, group in flavour_groups.items():
+        assert brute_s_arc_max(group, graph) == got[f]
 
 
 # ---------------------------------------------------------------------------
@@ -151,12 +162,12 @@ def test_criterion_6_classifier():
 
 
 def test_criterion_6_cached_grid_verdicts_carry_block_bijections():
-    from plinth.cli import _CONTEXTS
+    from plinth.cli import _Run, _a6_grid, _w4_grid
 
-    for case, blocks in (("sylvester", 6), ("sp44", 120)):
+    for case, blocks, grid in (("sylvester", 6, _a6_grid), ("sp44", 120, _w4_grid)):
         report, _ = report_for(case)
         assert check(report, "inclusion_type")["actual"] == "CD2Sim"
-        verdict = _CONTEXTS[case, 1]["grid"]["verdicts"][0]
+        verdict = _Run(case, 1).shared(grid)[1][0]
         beta = verdict.details["block_bijection"]
         assert sorted(beta) == list(range(blocks))
 

@@ -15,7 +15,13 @@ from plinth.actions import (
 )
 from plinth.algebra import psl2_action
 from plinth.cartesian import CartesianDecomposition
-from plinth.cli import _sp44_context, _sylvester_context, data_path, parse_generators
+from plinth.cli import (
+    _Run,
+    _a6_class_action,
+    _w4_class_action,
+    data_path,
+    parse_generators,
+)
 from plinth.errors import (
     ConstructionFailed,
     DegreeMismatch,
@@ -141,10 +147,10 @@ def _m12_660(seed):
     return G, random_subgroup_of_order(G, 660, profile=(11, 2), seed=seed)
 
 
-def _plinth_quotient(context):
+def _plinth_quotient(class_action):
     # the G / plinth quotient that index2_subgroups enumerates
-    ctx = context(1)
-    return ctx["G"], ctx["plinth"]
+    act = _Run("stages", 1).shared(class_action)
+    return act.group, act.socle_group
 
 
 COSET_ACTION_CASES = {
@@ -161,8 +167,8 @@ COSET_ACTION_CASES = {
         point_stabilizer(PermGroup.alternating(5), 0),
     ),
     "M12/1": lambda: (_m12(), PermGroup.trivial(12)),
-    "sylvester G/plinth": lambda: _plinth_quotient(_sylvester_context),
-    "sp44 G/plinth": lambda: _plinth_quotient(_sp44_context),
+    "sylvester G/plinth": lambda: _plinth_quotient(_a6_class_action),
+    "sp44 G/plinth": lambda: _plinth_quotient(_w4_class_action),
 }
 
 

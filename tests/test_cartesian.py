@@ -405,7 +405,7 @@ def _a5_wr_2_setup():
 
 def test_classify_inclusion_normal_for_a5_wr_2():
     W, M, factors, E = _a5_wr_2_setup()
-    verdict = classify_inclusion(W, M, E, omega=0, factors=factors)
+    verdict = classify_inclusion(W, M, E, factors=factors)
     assert verdict.tag == "Normal"
     assert verdict.details.get("stabilizer_product_formula_holds") is True
     assert verdict.s == 1
@@ -413,7 +413,7 @@ def test_classify_inclusion_normal_for_a5_wr_2():
 
 def test_blowup_embedding_certificate():
     W, M, factors, E = _a5_wr_2_setup()
-    action, cert = blowup_embedding(W, factors, omega=0)
+    action, cert = blowup_embedding(W, factors)
     # the four base generators fix both partitions; the top one swaps them
     assert cert["top_images"] == [[0, 1]] * 4 + [[1, 0]]
     assert cert["xi_size"] == 5

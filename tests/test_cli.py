@@ -3,6 +3,7 @@
 import json
 import os
 import tempfile
+import time
 
 import numpy as np
 import pytest
@@ -326,8 +327,8 @@ def test_cli_classify_sp44_dihedral_search_failure_fails(monkeypatch, capsys):
 
 def test_cli_classify_a6_without_grids_fails(monkeypatch, capsys):
     # no grid found gives a FAIL report, not a crash on the first grid;
-    # fresh contexts, because the cached ones hold the real grids
-    monkeypatch.setattr("plinth.cli._CONTEXTS", {})
+    # fresh shared stages, because the cached ones hold the real grids
+    monkeypatch.setattr("plinth.cli._SHARED", {})
     monkeypatch.setattr(
         "plinth.cli.find_grid_decompositions", lambda *args, **kwargs: []
     )
@@ -343,7 +344,7 @@ def test_cli_classify_a6_without_grids_fails(monkeypatch, capsys):
 def test_cli_sylvester_without_length5_suborbit_fails(monkeypatch, capsys):
     # no self-paired suborbit of length 5 gives a FAIL report, not a
     # crash on the missing orbital graph
-    monkeypatch.setattr("plinth.cli._CONTEXTS", {})
+    monkeypatch.setattr("plinth.cli._SHARED", {})
     monkeypatch.setattr("plinth.cli._scan_suborbits", lambda od: [])
     code = main(["verify", "sylvester"])
     assert code == 1
@@ -356,7 +357,7 @@ def test_cli_sylvester_without_length5_suborbit_fails(monkeypatch, capsys):
 
 def test_cli_sp44_without_valency17_suborbit_fails(monkeypatch):
     # an empty suborbit scan gives a FAIL report, not a crash looking for
-    # the valency-17 suborbit (the cached context does not hold the scan)
+    # the valency-17 suborbit (no shared stage holds the scan)
     monkeypatch.setattr("plinth.cli._scan_suborbits", lambda od: [])
     report = run_case("sp44")
     assert report.status == "FAIL"
@@ -373,6 +374,83 @@ def test_cli_crash_exits_3_not_fail(tmp_path, capsys):
     code = main(["verify", "sylvester", "--json", str(tmp_path / "no" / "r.json")])
     assert code == 3
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_cli_exception_in_a_stage_is_an_error_report(tmp_path, monkeypatch, capsys):
+    # an exception that is no package error ends the case as an ERROR
+    # report naming the innermost stage it left, with exit code 3
+    def fail(*args, **kwargs):
+        raise RuntimeError("suborbits failed")
+
+    monkeypatch.setattr("plinth.cli._SHARED", {})
+    monkeypatch.setattr("plinth.cli.suborbits", fail)
+    path = tmp_path / "r.json"
+    code = main(["verify", "sylvester", "--json", str(path)])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: suborbits failed\n"
+    assert "status: ERROR" in captured.out
+    data = json.loads(path.read_text())
+    assert data["status"] == "ERROR"
+    assert data["error"] == {
+        "stage": "a6_suborbits",
+        "type": "RuntimeError",
+        "message": "suborbits failed",
+    }
+    # the checks made before the crash are kept
+    assert data["checks"][-1]["name"] == "class_action_degree"
+    # nested in the grid stage, the innermost stage is named
+    report = run_case("classify-a6")
+    assert report.status == "ERROR" and report.exit_code() == 3
+    assert report.error["stage"] == "a6_suborbits"
+    assert "error" not in run_case("products").to_json_dict()
+
+
+def test_stage_timings_add_up_and_mark_reused_stages(monkeypatch):
+    # from an empty cache, in both orders: the timed stages add up to
+    # run_case's wall time, every reused shared stage reads "cached", and
+    # sp44 times its class action where it is built
+    import plinth.cli as cli
+
+    for order in (("sp44", "classify-sp44"), ("classify-sp44", "sp44")):
+        monkeypatch.setattr(cli, "_SHARED", {})
+        for case in order:
+            built = {build.__name__.lstrip("_") for build, _ in cli._SHARED}
+            start = time.perf_counter()
+            report = run_case(case)
+            wall_ms = (time.perf_counter() - start) * 1000.0
+            assert report.status == "PASS"
+            times = report.timings_ms
+            timed = sum(v for v in times.values() if v != "cached")
+            assert abs(timed - wall_ms) <= 0.05 * wall_ms
+            cached = {name for name, v in times.items() if v == "cached"}
+            assert cached == built & set(times)
+            assert cached or case == order[0]
+            if case == order[0] == "sp44":
+                assert times["w4_class_action"] > 0
+
+
+def test_grid_stage_reuses_the_suborbits_frame(monkeypatch):
+    # the grid search takes G's suborbit frame from the suborbits stage
+    # instead of building it a second time
+    import plinth.cli as cli
+    import plinth.perm as perm
+
+    frames = []
+    build = perm.suborbit_frame
+
+    def counted(group, alpha=0):
+        frames.append(group)
+        return build(group, alpha)
+
+    monkeypatch.setattr(cli, "_SHARED", {})
+    monkeypatch.setattr(perm, "suborbit_frame", counted)
+    monkeypatch.setattr("plinth.graphs.suborbit_frame", counted)
+    run = cli._Run("sylvester", 1)
+    G = run.shared(cli._a6_class_action).group
+    grids, _ = run.shared(cli._a6_grid)
+    assert len(grids) == 1
+    assert sum(H is G for H in frames) == 1
 
 
 def test_cli_sylvester_deterministic(tmp_path, capsys):
