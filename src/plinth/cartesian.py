@@ -4,8 +4,9 @@ A cartesian decomposition is a set of partitions of the point set whose
 blocks intersect pairwise-transversally in singletons, turning the
 point set into a grid.  This module finds grids preserved by a group,
 classifies how a group with a given plinth sits inside the
-corresponding wreath product, re-embeds along a blow-up, and verifies
-the PSL(2,q) factorization tables that feed the classification.
+corresponding wreath product, certifies the embedding along a blow-up,
+and verifies the PSL(2,q) factorization tables that feed the
+classification.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from random import Random
 import numpy as np
 
 from .actions import (
-    EncodedProductAction,
     _block_reps,
     _normalize_labels,
     _top_images,
@@ -41,7 +41,6 @@ from .errors import (
     UnsupportedField,
 )
 from .perm import (
-    _DTYPE,
     PermGroup,
     Permutation,
     _orbit_labels,
@@ -49,6 +48,7 @@ from .perm import (
     _schreier_path_images,
     derived_subgroup,
     element_of_order,
+    fast_orbit,
     intersection_small,
     minimal_block_systems,
     point_stabilizer,
@@ -148,33 +148,23 @@ def _index2_point_sets(Q):
     Q acts regularly, so point p stands for the unique element sending
     0 to p, and a homomorphism Q -> C2 is fixed by its signs on a
     generating set.  Each generator kept by ``reduce_generators`` at
-    least doubles the order, so there are at most log2 |Q| of them.  For
-    each nonzero sign vector the points are labelled from 0 by parity
-    along the generators; a labelling without conflict is a
-    homomorphism, and its kernel is the set of points labelled 0.
+    least doubles the order, so there are at most log2 |Q| of them.  A
+    sign vector lifts the generators to the double cover p + n*e, sign s
+    sending p + n*e to p.g + n*(e+s mod 2): it is a homomorphism exactly
+    when the cover orbit of 0 misses n, with kernel the orbit below n.
     """
     n = Q.degree
     gens = [g.images for g in reduce_generators(Q).generators]
+    lifts = [np.concatenate([images, images + n]) for images in gens]
     out = []
     for mask in range(1, 2 ** len(gens)):
-        signs = [(mask >> i) & 1 for i in range(len(gens))]
-        parity = [-1] * n
-        parity[0] = 0
-        frontier = [0]
-        consistent = True
-        while frontier and consistent:
-            p = frontier.pop()
-            for images, sign in zip(gens, signs):
-                q = int(images[p])
-                want = parity[p] ^ sign
-                if parity[q] == -1:
-                    parity[q] = want
-                    frontier.append(q)
-                elif parity[q] != want:
-                    consistent = False
-                    break
-        if consistent:
-            out.append([p for p in range(n) if parity[p] == 0])
+        cover = [
+            np.roll(lift, n) if (mask >> i) & 1 else lift
+            for i, lift in enumerate(lifts)
+        ]
+        orbit = fast_orbit(cover, 0, 2 * n)
+        if n not in orbit:
+            out.append(orbit[orbit < n].tolist())
     return out
 
 
@@ -184,7 +174,7 @@ def find_grid_decompositions(G, extra_groups=None, frame=None):
 
     ``extra_groups`` may supply precomputed index-2 subgroups (as
     PermGroups on the same points) to skip the derived-subgroup route,
-    and ``frame`` G's ``suborbit_frame(G, 0)`` when it is built.
+    and ``frame`` G's ``suborbit_frame(G)`` when it is built.
     """
     if not G.is_transitive():
         raise NotTransitive("grid search needs a transitive group")
@@ -351,9 +341,9 @@ def blowup_embedding(G, factors):
     """Re-embed G into a product action along a direct decomposition of
     its plinth whose point stabilizer splits across the factors.
 
-    Returns (EncodedProductAction, certificate dict).  The partitions
-    of the induced grid are the orbit partitions of the complements
-    of each factor; the point bijection is the grid code.  The
+    Returns a certificate dict.  The partitions of the induced grid
+    are the orbit partitions of the complements of each factor; the
+    point bijection is the grid code.  The
     certificate records ``top_images``, each generator's permutation of
     the partitions: G permutes them, so its relabelling through the grid
     code lies in Sym(Xi) wr S_ell.
@@ -408,26 +398,13 @@ def blowup_embedding(G, factors):
     sizes = set(E.block_counts)
     if len(sizes) != 1:
         raise NotXSubgroup("coset spaces of the factors differ in size")
-    xi = sizes.pop()
-    code = E.grid_code
-
-    # relabel G through the grid code
-    relabeled = []
-    for g in G.generators:
-        images = np.empty(n, dtype=_DTYPE)
-        images[code] = code[g.images]
-        relabeled.append(Permutation(images, _checked=True))
-    embedded = PermGroup(relabeled, degree=n, claimed_order=G.order())
-    action = EncodedProductAction(xi, E.arity, embedded, E)
-
-    certificate = {
-        "point_bijection": code,
-        "xi_size": xi,
+    return {
+        "point_bijection": E.grid_code,
+        "xi_size": sizes.pop(),
         "arity": E.arity,
         "factor_meet_orders": meet_orders,
         "top_images": [t.images.tolist() for t in tops],
     }
-    return action, certificate
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,10 @@ a fixed seed (timings and errors excluded from the determinism hash).
 A case is a function of one ``_Run``: it reads the stages it needs and
 adds its checks to the run's report.  ``timings_ms`` holds each stage's
 own time, less the stages nested in it.  The stages of the A6 and W(4)
-pipelines are computed once per seed and process; a run that reuses one
-records "cached" for it.  An exception inside a case ends it with status
-ERROR, an ``error`` entry naming the stage and exception type, and exit
-code 3.
+pipelines are computed once per process, or once per seed when they
+read it; a run that reuses one records "cached" for it.  An exception
+inside a case ends it with status ERROR, an ``error`` entry naming the
+stage and exception type, and exit code 3.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import numpy as np
 
 from .actions import (
     PRODUCT_DEGREE_CAP,
+    _keyed,
     coset_action,
     cyclic_class_action,
     product_action_wreath,
@@ -299,7 +300,8 @@ def emit_report(report, fmt="text", path=None):
 # ---------------------------------------------------------------------------
 # runs and stages
 
-# (stage function, seed) -> value of every shared stage built in this process
+# (stage function, seed or None) -> value of every shared stage built in
+# this process; the key holds the seed of a stage that reads it
 _SHARED = {}
 
 
@@ -310,7 +312,8 @@ class _Run(AbstractContextManager):
     nested in it, to ``timings_ms[name]``; the run's ``__exit__`` closes
     the stage.  ``run.shared(build)`` is ``build(run)``, a stage of the
     A6 or W(4) pipeline named after ``build``, computed once per seed
-    and process; a run that reuses it records "cached" for it.
+    and process, or once per process when it is in ``_SEEDLESS``; a run
+    that reuses it records "cached" for it.
     """
 
     def __init__(self, case, seed):
@@ -334,7 +337,7 @@ class _Run(AbstractContextManager):
             self.raised = (exc, name)
 
     def shared(self, build):
-        key = (build, self.seed)
+        key = (build, None if build in _SEEDLESS else self.seed)
         name = build.__name__.lstrip("_")
         if key in _SHARED:
             self.report.timings_ms.setdefault(name, "cached")
@@ -386,15 +389,19 @@ def _w4_geometry(run):
 
 
 def _w4_aut(run):
-    """Aut W(4), and a small generating set of it."""
-    aut = graph_automorphism_group(incidence_graph(run.shared(_w4_geometry)))
-    return aut, small_generating_set(aut, seed=run.seed)
+    """Aut W(4), from the automorphism search on its incidence graph."""
+    return graph_automorphism_group(incidence_graph(run.shared(_w4_geometry)))
+
+
+def _w4_aut_gens(run):
+    """A small generating set of Aut W(4)."""
+    return small_generating_set(run.shared(_w4_aut), seed=run.seed)
 
 
 def _w4_socle(run):
     """Sp(4,4) as the derived subgroup of Aut W(4), and a small
     generating set of it."""
-    socle = derived_subgroup(run.shared(_w4_aut)[1])
+    socle = derived_subgroup(run.shared(_w4_aut_gens))
     return socle, small_generating_set(socle, seed=run.seed)
 
 
@@ -404,20 +411,18 @@ def _w4_sp4_image(run):
     geom = run.shared(_w4_geometry)
     ma = sp4(4)
     P, n = geom.num_points, geom.num_points + geom.num_lines
-    line_index = {line: i for i, line in enumerate(geom.lines)}
+    lines, keys = _keyed(np.array(geom.lines, dtype=_DTYPE))
+    line_index = {key: P + i for i, key in enumerate(keys)}
     image_gens = []
     for g in ma.group.generators:
-        img = np.empty(n, dtype=_DTYPE)
-        img[:P] = g.images
-        for li, line in enumerate(geom.lines):
-            mapped = tuple(sorted(int(g.images[p]) for p in line))
-            img[P + li] = P + line_index[mapped]
+        mapped = _keyed(np.sort(g.images[lines], axis=1))[1]
+        img = np.concatenate([g.images, [line_index[k] for k in mapped]])
         image_gens.append(Permutation(img, _checked=True))
     return PermGroup(image_gens, degree=n, claimed_order=ma.group.order())
 
 
 def _w4_class_action(run):
-    aut_small = run.shared(_w4_aut)[1]
+    aut_small = run.shared(_w4_aut_gens)
     socle_small = run.shared(_w4_socle)[1]
     return cyclic_class_action(aut_small, socle_small, 17, seed=run.seed)
 
@@ -428,6 +433,10 @@ def _w4_suborbits(run):
 
 def _w4_grid(run):
     return _grid(run.shared(_w4_class_action), run.shared(_w4_suborbits))
+
+
+# the stages that read no seed, neither directly nor through another stage
+_SEEDLESS = frozenset({_a6_flavours, _w4_geometry, _w4_aut, _w4_sp4_image})
 
 
 def _grid(act, od):
@@ -528,7 +537,7 @@ def _case_sylvester(run, opts):
     ):
         return
     with run.stage("orbital_graph"):
-        graph = orbital_graph(G, 0, hits[0]["representative"], od)
+        graph = orbital_graph(G, hits[0]["representative"], od)
         report.add("vertices", 36, graph.n, ANCHOR_SYLVESTER)
         report.add("valency", 5, graph.valency(), ANCHOR_SYLVESTER)
     report.add("connected", True, hits[0]["connected"], ANCHOR_CONNECTED)
@@ -570,7 +579,7 @@ def _case_sp44(run, opts):
         'Section 1, "the generalized quadrangle associated with the '
         'non-degenerate alternating bilinear form"',
     )
-    aut = run.shared(_w4_aut)[0]
+    aut = run.shared(_w4_aut)
     socle = run.shared(_w4_socle)[0]
     sp4_image = run.shared(_w4_sp4_image)
     with run.stage("automorphisms"):
@@ -976,7 +985,7 @@ def _case_classify_a6(run, opts):
             'Proposition 2.5 product formula',
         )
     with run.stage("blowup"):
-        action, cert = blowup_embedding(W, factors)
+        cert = blowup_embedding(W, factors)
         report.add(
             "blowup_certificate",
             True,

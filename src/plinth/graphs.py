@@ -1,9 +1,11 @@
 """Orbital graphs and arc-transitivity decision procedures.
 
 Graphs are simple and undirected, stored in compressed sorted-neighbor
-form.  Orbital graphs of large transitive groups are assembled by
-propagating the base neighborhood along a Schreier tree instead of
-expanding the pair orbit.
+form.  Suborbits and orbital graphs are read from the stabilizer of the
+base point 0.  Orbital graphs of large transitive groups are assembled
+by propagating the base neighborhood along a Schreier tree instead of
+expanding the pair orbit.  A permutation whose degree is not the
+graph's vertex count raises DegreeMismatch.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DegreeMismatch,
     DegreeOverflow,
     GeneratorNotAutomorphism,
     NonSelfPaired,
@@ -113,8 +116,8 @@ class Suborbit:
 class OrbitalData:
     labels: np.ndarray          # point -> suborbit index
     suborbits: list
-    stabilizer: object          # the point stabilizer G_alpha
-    transporters: list          # index -> an element alpha -> representative
+    stabilizer: object          # the point stabilizer G_0
+    transporters: list          # index -> an element 0 -> representative
 
     def points_of(self, index):
         return np.nonzero(self.labels == index)[0]
@@ -128,18 +131,18 @@ class OrbitalData:
         return self.stabilizer, self.labels, reps, self.transporters
 
 
-def suborbits(G, alpha=0):
-    """Orbits of the point stabilizer, with the pairing involution.
+def suborbits(G):
+    """Orbits of the point stabilizer G_0, with the pairing involution.
 
-    Suborbits are ordered by minimum point; the trivial suborbit is
+    Suborbits are ordered by minimum point; the trivial suborbit {0} is
     index 0.  The paired suborbit of beta's suborbit is the one holding
-    the preimage of alpha under a transporter to beta.
+    the preimage of 0 under a transporter to beta.
     """
-    stab, labels, reps, transporters = suborbit_frame(G, alpha)
+    stab, labels, reps, transporters = suborbit_frame(G)
     subs = []
     for idx, (rep, u) in enumerate(zip(reps, transporters)):
         length = int((labels == idx).sum())
-        partner = int(labels[u.inverse().images[alpha]])
+        partner = int(labels[u.inverse().images[0]])
         subs.append(Suborbit(rep, length, partner == idx, partner))
     return OrbitalData(labels, subs, stab, transporters)
 
@@ -148,13 +151,18 @@ def suborbits(G, alpha=0):
 # orbital graphs
 
 
-def orbital_graph(G, alpha, beta, orbital_data):
-    """Graph whose edges are the G-orbit of {alpha, beta}.
+def orbital_graph(G, beta, orbital_data):
+    """Graph whose edges are the G-orbit of {0, beta}.
 
-    ``orbital_data`` is ``suborbits(G, alpha)``.  The base neighborhood
-    (the suborbit of beta) is pushed along the Schreier tree of G's
-    point orbit: N(v.g) = g[N(v)].
+    ``orbital_data`` is ``suborbits(G)``.  The base neighborhood (the
+    suborbit of beta) is pushed along the Schreier tree of G's point
+    orbit: N(v.g) = g[N(v)].  Raises OutOfRange for beta outside
+    0..n-1 and NotSimple for beta = 0, whose orbital is the diagonal.
     """
+    n = G.degree
+    _check_vertices(n, np.array([beta]))
+    if beta == 0:
+        raise NotSimple("the orbital of {0, 0} is a loop at every vertex")
     idx = int(orbital_data.labels[beta])
     sub = orbital_data.suborbits[idx]
     if not sub.self_paired:
@@ -162,33 +170,27 @@ def orbital_graph(G, alpha, beta, orbital_data):
             f"suborbit of {beta} pairs with suborbit {sub.partner}"
         )
     base = orbital_data.points_of(idx)
-    n = G.degree
     d = len(base)
     nbrs = np.empty((n, d), dtype=_DTYPE)
-    nbrs[alpha] = base
-    points, tree = G.orbit(alpha)
+    nbrs[0] = base
+    points, tree = G.orbit(0)
     for p in points[1:]:
         parent, gi = tree[p]
         nbrs[p] = G.generators[gi].images[nbrs[parent]]
     return Graph.from_neighbor_matrix(nbrs)
 
 
-def _neighbor_matrix(graph):
-    d = graph.valency()
-    return graph.indices.reshape(graph.n, d)
-
-
 def is_automorphism(graph, g):
-    """Whether g preserves adjacency, checked over all edges."""
-    if graph.is_regular():
-        nbrs = _neighbor_matrix(graph)
-        mapped = np.sort(g.images[nbrs], axis=1)
-        return bool((mapped == nbrs[g.images]).all())
-    for v in range(graph.n):
-        img = np.sort(g.images[graph.neighbors(v)])
-        if not (img == graph.neighbors(int(g.images[v]))).all():
-            return False
-    return True
+    """Whether g preserves adjacency: g maps the sorted arc codes
+    u * n + v onto themselves.  Raises DegreeMismatch when g does not
+    act on the graph's n vertices."""
+    n = graph.n
+    if g.degree != n:
+        raise DegreeMismatch(f"permutation of degree {g.degree} on {n} vertices")
+    tails = np.repeat(np.arange(n, dtype=_DTYPE), np.diff(graph.indptr))
+    codes = tails * n + graph.indices
+    mapped = np.sort(g.images[tails] * n + g.images[graph.indices])
+    return bool((mapped == codes).all())
 
 
 def two_arc_transitive(G, graph):
@@ -241,7 +243,7 @@ def direct_power(graph, ell):
     if not graph.is_regular():
         raise NotRegular("direct powers are built for regular graphs")
     d = graph.valency()
-    nbrs1 = _neighbor_matrix(graph)
+    nbrs1 = graph.indices.reshape(graph.n, d)
     base = graph.n
     points = np.arange(n, dtype=_DTYPE)
     out = np.zeros((n, d**ell), dtype=_DTYPE)

@@ -646,15 +646,13 @@ def induced_action(group, points):
     when a generator moves a point off the set.
     """
     points = list(points)
-    index = {p: i for i, p in enumerate(points)}
+    index = np.full(group.degree, -1, dtype=_DTYPE)
+    index[points] = np.arange(len(points), dtype=_DTYPE)
     gens = []
     for g in group.generators:
-        images = np.empty(len(points), dtype=_DTYPE)
-        for i, p in enumerate(points):
-            q = int(g.images[p])
-            if q not in index:
-                raise NotInvariant(f"generator moves {p} off the point set")
-            images[i] = index[q]
+        images = index[g.images[points]]
+        if (images < 0).any():
+            raise NotInvariant("a generator moves a point off the point set")
         gens.append(Permutation(images, _checked=True))
     return PermGroup(gens, degree=len(points)), points
 
@@ -693,9 +691,9 @@ def minimal_block_systems(group, frame=None):
     list means the group is primitive.  Blocks are found as orbits of
     <G_0, u> for transporters u to stabilizer-suborbit representatives,
     which gives exactly the minimal blocks through the base point 0.
-    ``frame`` may supply ``suborbit_frame(group, 0)`` when it is built.
+    ``frame`` may supply ``suborbit_frame(group)`` when it is built.
     """
-    _, labels, reps, transporters = frame or suborbit_frame(group, 0)
+    _, labels, reps, transporters = frame or suborbit_frame(group)
     reps = reps[1:]  # skip the trivial suborbit {0}
     candidates = {}
     block_of = {}
@@ -761,33 +759,33 @@ def _suborbit_blocks(labels, transporters):
     return blocks
 
 
-def suborbit_frame(group, alpha=0):
-    """G_alpha of a transitive group, its orbits and a transporter to each.
+def suborbit_frame(group):
+    """G_0 of a transitive group, its orbits and a transporter to each.
 
     Returns (stabilizer, labels, representatives, transporters) with the
     labels of ``_orbit_labels`` (the trivial suborbit is index 0), and
-    transporters[i] mapping alpha to representatives[i].
+    transporters[i] mapping 0 to representatives[i].
     """
-    points, tree = group.orbit(alpha)
+    points, tree = group.orbit(0)
     if len(points) != group.degree:
         raise NotTransitive("suborbits and blocks need a transitive group")
-    stab = point_stabilizer(group, alpha)
+    stab = point_stabilizer(group, 0)
     gens = [g.images for g in stab.generators]
-    labels, reps = _orbit_labels(gens, group.degree, alpha)
-    moves = [group.transporter_from_orbit(alpha, r, tree=tree) for r in reps]
+    labels, reps = _orbit_labels(gens, group.degree)
+    moves = [group.transporter_from_orbit(0, r, tree=tree) for r in reps]
     return stab, labels, reps, moves
 
 
-def _orbit_labels(gen_images, degree, first=0):
+def _orbit_labels(gen_images, degree):
     """Label every point with the index of its orbit.
 
-    The orbit of ``first`` gets label 0 and the others follow in order
-    of their minimum point.  Returns (label array, representatives),
-    where each representative is the point its orbit was labelled from.
+    Orbits are labelled in order of their minimum point, so the orbit of
+    0 gets label 0.  Returns (label array, representatives), where each
+    representative is its orbit's minimum point.
     """
     labels = np.full(degree, -1, dtype=_DTYPE)
     reps = []
-    for p in [first] + list(range(degree)):
+    for p in range(degree):
         if labels[p] == -1:
             labels[fast_orbit(gen_images, p, degree)] = len(reps)
             reps.append(p)

@@ -72,7 +72,7 @@ def test_criterion_1_sylvester_s_arc_transitivity_max():
     od = run.shared(_a6_suborbits)
     hit = next(r for r in _scan_suborbits(od) if r["length"] == 5)
     G = run.shared(_a6_class_action).group
-    graph = orbital_graph(G, 0, hit["representative"], od)
+    graph = orbital_graph(G, hit["representative"], od)
     flavour_groups = run.shared(_a6_flavour_groups)
     got = {
         f: s_arc_transitivity_max(group, graph, s_cap=3)

@@ -9,10 +9,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from random import Random
 
-from plinth.actions import component, cyclic_class_action, product_action_wreath
+from plinth.actions import (
+    component,
+    coset_action,
+    cyclic_class_action,
+    product_action_wreath,
+)
 from plinth.algebra import psl2_action
 from plinth.cartesian import (
     CartesianDecomposition,
+    _index2_point_sets,
     blowup_embedding,
     classify_inclusion,
     cross_check_examples,
@@ -24,7 +30,7 @@ from plinth.cartesian import (
     parabolic_order,
     verify_psl2_factorization_row,
 )
-from plinth.cli import data_path
+from plinth.cli import _a6_class_action, _w4_class_action, data_path
 from plinth.errors import (
     ConstructionFailed,
     IoError,
@@ -42,7 +48,9 @@ from plinth.perm import (
     _orbit_labels,
     intersection_small,
     point_stabilizer,
+    reduce_generators,
 )
+from test_actions import _plinth_quotient
 from test_perm import same_subgroup
 
 
@@ -209,6 +217,71 @@ def test_index2_subgroups_distinct():
     assert len(subs) == 3
     for a, b in itertools.combinations(subs, 2):
         assert not same_subgroup(a, b)
+
+
+def _reference_index2_point_sets(Q):
+    """The parity search _index2_point_sets replaced: for each nonzero
+    sign vector, label the points from 0 by parity along the generators;
+    a labelling without conflict is a homomorphism onto C2, and its
+    kernel is the set of points labelled 0."""
+    n = Q.degree
+    gens = [g.images for g in reduce_generators(Q).generators]
+    out = []
+    for mask in range(1, 2 ** len(gens)):
+        signs = [(mask >> i) & 1 for i in range(len(gens))]
+        parity = [-1] * n
+        parity[0] = 0
+        frontier = [0]
+        consistent = True
+        while frontier and consistent:
+            p = frontier.pop()
+            for images, sign in zip(gens, signs):
+                q = int(images[p])
+                want = parity[p] ^ sign
+                if parity[q] == -1:
+                    parity[q] = want
+                    frontier.append(q)
+                elif parity[q] != want:
+                    consistent = False
+                    break
+        if consistent:
+            out.append([p for p in range(n) if parity[p] == 0])
+    return out
+
+
+def _regular(*cycles, degree):
+    """The regular action of the group the cycle lists generate."""
+    G = PermGroup([Permutation.from_cycles(degree, c) for c in cycles], degree=degree)
+    return coset_action(G, PermGroup.trivial(degree)).group
+
+
+REGULAR_GROUPS = {
+    "C2": lambda: PermGroup.cyclic(2),
+    "C2^2": lambda: _regular([(0, 1)], [(2, 3)], degree=4),
+    "C2^3": lambda: _regular([(0, 1)], [(2, 3)], [(4, 5)], degree=6),
+    "C4xC2": lambda: _regular([(0, 1, 2, 3)], [(4, 5)], degree=6),
+    "C6": lambda: PermGroup.cyclic(6),
+    "Q8": lambda: PermGroup(
+        [
+            Permutation.from_cycles(8, [(0, 1, 2, 3), (4, 5, 6, 7)]),
+            Permutation.from_cycles(8, [(0, 4, 2, 6), (1, 7, 3, 5)]),
+        ],
+        degree=8,
+    ),
+    "D8 on 8": lambda: _regular([(0, 1, 2, 3)], [(0, 2)], degree=4),
+    "S3 on 6": lambda: _regular([(0, 1, 2)], [(0, 1)], degree=3),
+    "sylvester G/M": lambda: coset_action(*_plinth_quotient(_a6_class_action)).group,
+    "sp44 G/M": lambda: coset_action(*_plinth_quotient(_w4_class_action)).group,
+}
+
+
+@pytest.mark.parametrize("name", sorted(REGULAR_GROUPS))
+def test_index2_point_sets_match_parity_search(name):
+    Q = REGULAR_GROUPS[name]()
+    assert Q.order() == Q.degree and Q.is_transitive()
+    got = _index2_point_sets(Q)
+    assert got and all(len(k) * 2 == Q.degree for k in got)
+    assert got == _reference_index2_point_sets(Q)
 
 
 def test_index2_subgroups_odd_order():
@@ -413,7 +486,7 @@ def test_classify_inclusion_normal_for_a5_wr_2():
 
 def test_blowup_embedding_certificate():
     W, M, factors, E = _a5_wr_2_setup()
-    action, cert = blowup_embedding(W, factors)
+    cert = blowup_embedding(W, factors)
     # the four base generators fix both partitions; the top one swaps them
     assert cert["top_images"] == [[0, 1]] * 4 + [[1, 0]]
     assert cert["xi_size"] == 5

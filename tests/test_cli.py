@@ -430,6 +430,46 @@ def test_stage_timings_add_up_and_mark_reused_stages(monkeypatch):
                 assert times["w4_class_action"] > 0
 
 
+def test_seedless_stages_are_built_once_per_process(monkeypatch):
+    # sp44 at seed 2 after seed 1 reuses exactly the stages that read no
+    # seed, and still gives seed 2's certificate
+    import plinth.cli as cli
+    from test_acceptance import GOLDEN_HASHES
+
+    monkeypatch.setattr(cli, "_SHARED", {})
+    assert run_case("sp44", {"seed": 1}).status == "PASS"
+    report = run_case("sp44", {"seed": 2})
+    cached = {name for name, v in report.timings_ms.items() if v == "cached"}
+    assert cached == {"w4_geometry", "w4_aut", "w4_sp4_image"}
+    assert report.determinism_hash() == GOLDEN_HASHES["sp44", 2]
+
+
+def _reference_sp4_image(geom, ma):
+    """The per-line loop _w4_sp4_image replaced: each Sp(4,4) generator's
+    images on the points, then on the lines, by one tuple and one dict
+    lookup per line."""
+    P, n = geom.num_points, geom.num_points + geom.num_lines
+    line_index = {line: i for i, line in enumerate(geom.lines)}
+    out = []
+    for g in ma.group.generators:
+        img = np.empty(n, dtype=np.int64)
+        img[:P] = g.images
+        for li, line in enumerate(geom.lines):
+            mapped = tuple(sorted(int(g.images[p]) for p in line))
+            img[P + li] = P + line_index[mapped]
+        out.append(img.tolist())
+    return out
+
+
+def test_sp4_image_matches_per_line_loop():
+    import plinth.cli as cli
+    from plinth.algebra import sp4, symplectic_gq
+
+    image = cli._Run("stages", 1).shared(cli._w4_sp4_image)
+    want = _reference_sp4_image(symplectic_gq(4), sp4(4))
+    assert [g.images.tolist() for g in image.generators] == want
+
+
 def test_grid_stage_reuses_the_suborbits_frame(monkeypatch):
     # the grid search takes G's suborbit frame from the suborbits stage
     # instead of building it a second time
@@ -439,9 +479,9 @@ def test_grid_stage_reuses_the_suborbits_frame(monkeypatch):
     frames = []
     build = perm.suborbit_frame
 
-    def counted(group, alpha=0):
+    def counted(group):
         frames.append(group)
-        return build(group, alpha)
+        return build(group)
 
     monkeypatch.setattr(cli, "_SHARED", {})
     monkeypatch.setattr(perm, "suborbit_frame", counted)

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from random import Random
 
 from plinth.graphs import (
@@ -19,7 +20,8 @@ from plinth.graphs import (
 )
 from plinth.algebra import psl2_action
 from plinth.actions import cyclic_class_action
-from plinth.errors import NotRegular, NotSimple, OutOfRange
+from plinth.autgq import ColoredGraph, graph_automorphism_group
+from plinth.errors import DegreeMismatch, NotRegular, NotSimple, OutOfRange
 from plinth.perm import PermGroup, Permutation
 
 
@@ -114,6 +116,56 @@ def test_is_automorphism():
     assert not is_automorphism(g, swap)
 
 
+def _reference_is_automorphism(graph, g):
+    """The per-vertex test is_automorphism replaced: N(v.g) = g[N(v)].
+
+    The former loop compared rows of different lengths elementwise, so
+    a vertex sent to one of another degree raised ValueError (or, for a
+    row of one against an empty row, passed); the degree test is added.
+    """
+    for v in range(graph.n):
+        img = np.sort(g.images[graph.neighbors(v)])
+        target = graph.neighbors(int(g.images[v]))
+        if len(img) != len(target) or not (img == target).all():
+            return False
+    return True
+
+
+@st.composite
+def graphs_with_permutations(draw):
+    n = draw(st.integers(1, 10))
+    pairs = list(combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    images = draw(st.permutations(range(n)))
+    return Graph.from_edges(n, edges), Permutation(np.array(images, dtype=np.int64))
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs_with_permutations())
+def test_is_automorphism_matches_per_vertex_reference(case):
+    # mostly irregular graphs, which the former code tested vertex by
+    # vertex; each automorphism generator must pass, a random
+    # permutation must agree with the reference either way
+    graph, g = case
+    assert is_automorphism(graph, g) == _reference_is_automorphism(graph, g)
+    for a in graph_automorphism_group(ColoredGraph(graph)).generators:
+        assert is_automorphism(graph, a) and _reference_is_automorphism(graph, a)
+
+
+@pytest.mark.parametrize("degree", [3, 5, 6])
+def test_permutation_of_wrong_degree_is_rejected(degree):
+    # these once returned False or raised a raw IndexError
+    group = PermGroup.symmetric(degree)
+    path = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    for g in group.generators:
+        with pytest.raises(DegreeMismatch):
+            is_automorphism(path, g)
+    with pytest.raises(DegreeMismatch):
+        s_arc_transitivity_max(group, cycle_graph(4))
+    with pytest.raises(DegreeMismatch):
+        two_arc_transitive(group, cycle_graph(4))
+
+
 # ---------------------------------------------------------------------------
 # suborbits and orbital graphs
 
@@ -133,13 +185,14 @@ def test_suborbit_pairing_invariant_under_relabeling():
     G = PermGroup.symmetric(5)
     od = suborbits(G)
     rng = np.random.default_rng(9)
-    relabel = rng.permutation(5)
+    # a relabelling that fixes the base point 0
+    relabel = np.concatenate([[0], 1 + rng.permutation(4)])
     inv = np.argsort(relabel)
     gens = [
         Permutation(relabel[g.images[inv]], _checked=True) for g in G.generators
     ]
     H = PermGroup(gens, degree=5)
-    od2 = suborbits(H, alpha=int(relabel[0]))
+    od2 = suborbits(H)
     assert sorted(od.lengths()) == sorted(od2.lengths())
     assert sorted(s.self_paired for s in od.suborbits) == sorted(
         s.self_paired for s in od2.suborbits
@@ -181,11 +234,22 @@ def test_orbital_graph_valency_matches_suborbit_length():
     act = cyclic_class_action(G, PSL, 5)
     od = suborbits(act.group)
     hit = next(s for s in od.suborbits if s.length == 5 and s.representative != 0)
-    graph = orbital_graph(act.group, 0, hit.representative, orbital_data=od)
+    graph = orbital_graph(act.group, hit.representative, orbital_data=od)
     assert graph.n == 36
     assert graph.valency() == 5
     for g in act.group.generators:
         assert is_automorphism(graph, g)
+
+
+@pytest.mark.parametrize(
+    "beta,error", [(-1, OutOfRange), (8, OutOfRange), (0, NotSimple)]
+)
+def test_orbital_graph_rejects_a_bad_beta(beta, error):
+    # -1 once wrapped round to point 7, 0 gave a loop at every vertex
+    # and 8 an IndexError
+    G = psl2_action(7)
+    with pytest.raises(error):
+        orbital_graph(G, beta, suborbits(G))
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +497,7 @@ def test_suborbit_scan_matches_graph_oracles(G):
     wanted = [s.representative for s in od.suborbits[1:] if s.self_paired]
     assert [r["representative"] for r in scan] == wanted
     for r in scan:
-        graph = orbital_graph(G, 0, r["representative"], orbital_data=od)
+        graph = orbital_graph(G, r["representative"], orbital_data=od)
         assert r["length"] == graph.valency()
         assert r["connected"] == is_connected(graph)[0]
         assert r["two_at"] == brute_s_arc_orbit(G, graph, 2)[1]

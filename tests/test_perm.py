@@ -15,7 +15,13 @@ import plinth.perm as perm_module
 from plinth.algebra import psl2_action, sp4
 from plinth.actions import coset_action, cyclic_class_action
 from plinth.cli import _scan_suborbits, data_path, parse_generators, run_case
-from plinth.errors import NotBijection, OutOfRange, PlinthError, TooLarge
+from plinth.errors import (
+    NotBijection,
+    NotInvariant,
+    OutOfRange,
+    PlinthError,
+    TooLarge,
+)
 from plinth.graphs import suborbits
 from plinth.perm import (
     PermGroup,
@@ -139,6 +145,18 @@ def test_known_orders(group, order):
 def test_claimed_order_the_product_overshoots_falls_back(claim):
     # the orbit-length product passes these wrong claims without hitting
     # them, so the chain completes and reports the true order
+    S6 = PermGroup.symmetric(6)
+    G = PermGroup(S6.generators, degree=6, claimed_order=claim)
+    assert G.order() == 720
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="a false claimed order is believed when the chain's running "
+    "order passes through it: the chain stops there and reports the claim",
+)
+@pytest.mark.parametrize("claim", [30, 60, 360])
+def test_claimed_order_the_product_reaches_is_believed(claim):
     S6 = PermGroup.symmetric(6)
     G = PermGroup(S6.generators, degree=6, claimed_order=claim)
     assert G.order() == 720
@@ -681,7 +699,7 @@ def _reference_minimal_block_systems(group):
     """minimal_block_systems with each block grown as the point orbit
     of <G_0, u>, one BFS per suborbit."""
     n = group.degree
-    stab, _, reps, transporters = suborbit_frame(group, 0)
+    stab, _, reps, transporters = suborbit_frame(group)
     stab_images = [g.images for g in stab.generators]
     reps = reps[1:]
     candidates = {}
@@ -713,7 +731,7 @@ def _reference_minimal_block_systems(group):
 def test_suborbit_blocks_match_point_orbits(name):
     G = BLOCK_CORPUS[name]()
     n = G.degree
-    stab, labels, _, transporters = suborbit_frame(G, 0)
+    stab, labels, _, transporters = suborbit_frame(G)
     gens = [g.images for g in stab.generators]
     blocks = _suborbit_blocks(labels, transporters)
     assert len(blocks) == len(transporters)
@@ -736,11 +754,11 @@ def test_scan_and_block_search_grow_no_point_orbit(monkeypatch, name):
 
     G = BLOCK_CORPUS[name]()
     od = suborbits(G)
-    frame = suborbit_frame(G, 0)
+    frame = suborbit_frame(G)
     scan, systems = _scan_suborbits(od), minimal_block_systems(G)
     monkeypatch.setattr("plinth.perm.fast_orbit", refuse)
     # the frame's own orbit labelling is not block search
-    monkeypatch.setattr("plinth.perm.suborbit_frame", lambda group, alpha=0: frame)
+    monkeypatch.setattr("plinth.perm.suborbit_frame", lambda group: frame)
     assert _scan_suborbits(od) == scan
     assert [s.tolist() for s in minimal_block_systems(G)] == [
         s.tolist() for s in systems
@@ -1026,3 +1044,43 @@ def test_induced_action_faithful_case():
     sub, points = induced_action(stab, list(range(4)))
     assert sub.degree == 4
     assert sub.order() == 24
+
+
+def _reference_induced_images(group, points):
+    """The dict loop induced_action replaced: each generator's images on
+    the points, relabelled by their positions in the list."""
+    index = {p: i for i, p in enumerate(points)}
+    out = []
+    for g in group.generators:
+        images = []
+        for p in points:
+            q = int(g.images[p])
+            if q not in index:
+                raise NotInvariant(f"generator moves {p} off the point set")
+            images.append(index[q])
+        out.append(images)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_CORPUS))
+def test_induced_action_matches_dict_loop(name):
+    # G_0 on each of its orbits, the points listed in a shuffled order
+    G = BLOCK_CORPUS[name]()
+    stab, labels, _, _ = suborbit_frame(G)
+    rng = Random(5)
+    for label in range(int(labels.max()) + 1):
+        points = np.flatnonzero(labels == label).tolist()
+        rng.shuffle(points)
+        sub, got = induced_action(stab, points)
+        assert got == points and sub.degree == len(points)
+        assert [g.images.tolist() for g in sub.generators] == (
+            _reference_induced_images(stab, points)
+        )
+
+
+def test_induced_action_rejects_a_set_that_is_not_invariant():
+    S5 = PermGroup.symmetric(5)
+    with pytest.raises(NotInvariant):
+        _reference_induced_images(S5, [0, 1])
+    with pytest.raises(NotInvariant):
+        induced_action(S5, [0, 1])
