@@ -8,8 +8,11 @@ the inclusion classifier.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
+from .algebra import _factorize
 from .errors import (
     ConstructionFailed,
     DegreeMismatch,
@@ -113,38 +116,45 @@ def _keyed(rows):
     return rows, rows.view(void).ravel().tolist()
 
 
-def _enumerate_orbit(start, steps, canon):
-    """Orbit of a row under batch steps, one frontier at a time.
+def _enumerate_orbit(first, step, k):
+    """Orbit of a row under k generators, one frontier at a time.
 
-    ``steps`` holds one map per generator from a batch of rows to their
-    images; ``canon(rows)`` returns the canonical form of a batch and a
-    key per row.  A frontier's candidates are stacked in (parent,
-    generator) order and each key is kept at its first occurrence, so
-    row i is the i-th point a per-row queue would find (Seress,
-    *Permutation Group Algorithms*, 2003, section 2.1).  Returns the
-    orbit's rows as one array, the key -> row index and, per generator,
-    the list of row images.
+    ``first`` is the canonical start row as a one-row array and its key
+    list.  ``step`` maps a frontier of rows to ``(keys, build)``: a key
+    for each of its k images per row, listed in (parent, generator)
+    order, and ``build(index)``, the canonical image rows at those
+    positions of that list, so only rows that are new get built.  Each
+    key is kept at its first occurrence, so row i is the i-th point a
+    per-row queue would find (Seress, *Permutation Group Algorithms*,
+    2003, section 2.1).  Returns the orbit's rows as one array, the
+    key -> row index and, per generator, the list of row images.
     """
-    frontier, keys = canon(start[None, :])
+    frontier, keys = first
     key_index = {keys[0]: 0}
     blocks = [frontier]
-    images = [[] for _ in steps]
-    while len(frontier) and steps:
-        cand = np.stack([step(frontier) for step in steps], axis=1)
-        cand, keys = canon(cand.reshape(-1, frontier.shape[1]))
-        fresh = []
-        labels = []
-        for row, key in enumerate(keys):
-            j = key_index.get(key)
-            if j is None:
-                j = key_index[key] = len(key_index)
-                fresh.append(row)
-            labels.append(j)
+    images = [[] for _ in range(k)]
+    while len(frontier) and k:
+        keys, build = step(frontier)
+        done = len(key_index)
+        labels = [key_index.setdefault(key, len(key_index)) for key in keys]
         for gi, imgs in enumerate(images):
-            imgs.extend(labels[gi::len(steps)])
-        frontier = cand[fresh]
+            imgs.extend(labels[gi::k])
+        labels, seen_at = np.unique(labels, return_index=True)
+        frontier = build(seen_at[labels >= done])
         blocks.append(frontier)
     return np.concatenate(blocks), key_index, images
+
+
+def _canonical_step(gens, canon):
+    """Step mapping a frontier by each generator's images and keying the
+    canonical forms ``canon(rows)`` of all the candidates as one batch."""
+
+    def step(rows):
+        cand = np.stack([g.images[rows] for g in gens], axis=1)
+        cand, keys = _keyed(canon(cand.reshape(-1, rows.shape[1])))
+        return keys, cand.__getitem__
+
+    return step
 
 
 # ---------------------------------------------------------------------------
@@ -191,11 +201,11 @@ def coset_action(G, H):
     index = G.order() // H.order()
     if index > COSET_INDEX_CAP:
         raise IndexTooLarge(f"index {index} exceeds cap {COSET_INDEX_CAP}")
-    chain = H.chain()
+    canon = partial(_canonical_coset_images, H.chain())
     reps, _, gen_images = _enumerate_orbit(
-        np.arange(G.degree, dtype=_DTYPE),
-        [g.images.__getitem__ for g in G.generators],
-        lambda rows: _keyed(_canonical_coset_images(chain, rows)),
+        _keyed(canon(np.arange(G.degree, dtype=_DTYPE)[None, :])),
+        _canonical_step(G.generators, canon),
+        len(G.generators),
     )
     if len(reps) != index:
         raise Mismatch(
@@ -210,10 +220,30 @@ def coset_action(G, H):
 # conjugation on a class of cyclic subgroups
 
 
-def _conjugation(g):
-    """Batch step conjugating each int32 row by g."""
-    gimg, ginv = g.images.astype(np.int32), g.inverse().images
-    return lambda rows: gimg[rows[:, ginv]]
+def _conjugation_step(action, gens):
+    """Step conjugating a frontier of int32 class rows by each generator:
+    the keys are read off the rows, and only the rows asked for are
+    conjugated."""
+    k = len(gens)
+    conjugations = [
+        (g.images.astype(np.int32), g.inverse().images) for g in gens
+    ]
+
+    def step(rows):
+        keys = [None] * (len(rows) * k)
+        for gi, g in enumerate(gens):
+            keys[gi::k] = action.key_of(rows, g)
+
+        def build(at):
+            out = np.empty((len(at), rows.shape[1]), dtype=rows.dtype)
+            for gi, (gimg, ginv) in enumerate(conjugations):
+                sel = at % k == gi
+                out[sel] = gimg[rows[at[sel] // k][:, ginv]]
+            return out
+
+        return keys, build
+
+    return step
 
 
 class SubgroupClassAction:
@@ -221,14 +251,18 @@ class SubgroupClassAction:
 
     ``reps`` is an (N x n) int32 array whose row i is one generating
     element of class point i.  A point is keyed by its canonical
-    generator's images of the socle's base: the canonical generator is
-    the power that sends the least moved point a to the least other
-    point of a's cycle, so the key does not depend on which generator
-    the expansion happened to find.  The key is exact for elements of
-    the socle, which a base determines; ``action_of`` therefore checks
-    that its argument normalises the socle.  ``socle_group`` is the
-    socle's own action, read off the enumeration: its generators are the
-    images of ``socle.generators``, in that order.
+    generator's images of the socle's base: with c the first base point
+    the generators move, the canonical generator is the power that sends
+    c to the least point of c's cycle other than c.  For prime p every
+    nontrivial power of a generator has the same support, so c, and
+    with it the key, does not depend on which generator the expansion
+    happened to find.  ``key_of`` reads the key of a conjugate straight
+    off the stored row, so mapping a point builds no conjugate.  The key
+    is exact for elements of the socle, which a base determines;
+    ``action_of`` therefore checks that its argument normalises the
+    socle.  ``socle_group`` is the socle's own action, read off the
+    enumeration: its generators are the images of ``socle.generators``,
+    in that order.
     """
 
     def __init__(self, prime, socle):
@@ -240,30 +274,39 @@ class SubgroupClassAction:
         self.group = None
         self.socle_group = None
 
-    def key_of(self, rows):
-        """Keys (bytes) of a batch of order-p elements, one per row."""
+    def key_of(self, rows, g=None):
+        """Keys (bytes) of the conjugates g^-1 y g of a batch of order-p
+        socle elements y, one per row; the rows' own keys when g is None.
+
+        The conjugate's j-th power sends b to g(y^j(g^-1(b))), so each
+        row is stepped from g^-1(base) by one flat gather per power; only
+        the powers' images of c and the chosen power's base images go
+        through g.
+        """
         m, n = rows.shape
+        if g is None:
+            start, image = self.base, lambda a: a
+        else:
+            start = g.inverse().images[self.base]
+            image = g.images.__getitem__
+        flat = rows.ravel()
+        offsets = np.arange(0, m * n, n)[:, None]
+        # pos[j, i] holds y_i^(j+1)(start)
+        pos = np.empty((self.prime - 1, m, len(start)), dtype=rows.dtype)
+        pos[0] = rows[:, start]
+        for j in range(1, self.prime - 1):
+            pos[j] = flat[offsets + pos[j - 1]]
         idx = np.arange(m)
-        a = np.argmax(rows != np.arange(n, dtype=rows.dtype), axis=1)
-        cur = rows[idx, a]
-        best = cur
-        pos = rows[idx[:, None], self.base]
-        key = pos
-        # step j holds the images of a and of the base under row^j
-        for _ in range(self.prime - 2):
-            cur = rows[idx, cur]
-            pos = rows[idx[:, None], pos]
-            better = cur < best
-            best = np.where(better, cur, best)
-            key = np.where(better[:, None], pos, key)
-        return _keyed(key.astype(np.int32))[1]
+        moved = np.argmax(pos[0] != start, axis=1)
+        best = np.argmin(image(pos[:, idx, moved]), axis=0)
+        return _keyed(image(pos[best, idx]).astype(np.int32))[1]
 
     def action_of(self, g):
         """Image of an arbitrary parent element in the class action."""
         for s in self.socle.generators:
             if not self.socle.contains(s.conjugate(g)):
                 raise NotInvariant("element does not normalise the socle")
-        keys = self.key_of(_conjugation(g)(self.reps))
+        keys = self.key_of(self.reps, g)
         images = np.fromiter(map(self.key_index.__getitem__, keys), dtype=_DTYPE)
         return Permutation(images, _checked=True)
 
@@ -271,12 +314,14 @@ class SubgroupClassAction:
 def cyclic_class_action(G, socle, p, seed=1):
     """Conjugation action of G on the order-p subgroups of its socle.
 
-    Requires p to divide the socle order exactly once, so the class is
-    the full (conjugate) set of Sylow p-subgroups; the orbit is
-    expanded under socle generators one breadth-first frontier at a
-    time, keeping first occurrences in (parent, generator) order, which
-    gives a point labeling that any overgroup of the socle shares.
+    Requires p to be a prime dividing the socle order exactly once, so
+    the class is the full (conjugate) set of Sylow p-subgroups; the
+    orbit is expanded under socle generators one breadth-first frontier
+    at a time, keeping first occurrences in (parent, generator) order,
+    which gives a point labeling that any overgroup of the socle shares.
     """
+    if _factorize(p) != {p: 1}:
+        raise OutOfRange(f"{p} is not a prime")
     order = socle.order()
     if order % p or (order // p) % p == 0:
         raise OutOfRange(f"{p} must divide the socle order exactly once")
@@ -285,10 +330,11 @@ def cyclic_class_action(G, socle, p, seed=1):
         raise ConstructionFailed(f"no element of order {p} found")
 
     action = SubgroupClassAction(p, socle)
+    start = z.images.astype(np.int32)[None, :]
     action.reps, action.key_index, socle_images = _enumerate_orbit(
-        z.images.astype(np.int32),
-        [_conjugation(g) for g in socle.generators],
-        lambda rows: (rows, action.key_of(rows)),
+        (start, action.key_of(start)),
+        _conjugation_step(action, socle.generators),
+        len(socle.generators),
     )
     degree = len(action.reps)
     action.socle_group = PermGroup(

@@ -635,17 +635,10 @@ def _case_sp44(run, opts):
         report.add("connected", True, hit["connected"], ANCHOR_CONNECTED)
         nbrs = [int(v) for v in od.points_of(od.labels[hit["representative"]])]
         z_parent = Permutation(act.reps[0], _checked=True)
-        z_class = act.action_of(z_parent)
-        Z = PermGroup([z_class], degree=G.degree)
-        z_regular = (
-            Z.order() == 17
-            and int(z_class.images[0]) == 0
-            and set(Z.orbit(nbrs[0])[0]) == set(nbrs)
-        )
         report.add(
             "Z_regular_on_neighborhood",
             True,
-            z_regular,
+            _regular_on_neighborhood(act, z_parent, nbrs),
             'Theorem 4.1 proof, "a subgroup of order q^2+1"',
         )
         z_at_neighbor = Permutation(act.reps[nbrs[0]], _checked=True)
@@ -668,6 +661,25 @@ def _case_sp44(run, opts):
     )
     if verdicts:
         _add_inclusion_type(report, verdicts[0])
+
+
+def _regular_on_neighborhood(act, z, nbrs):
+    """Whether <z> fixes class point 0 and is regular on the points nbrs.
+
+    z is a socle element of the class's prime order p, so its image has
+    order p once it moves a point, and a group of order p that keeps a
+    set of p points and moves one of them is regular on it.  Only the
+    images of 0 and nbrs are read, keyed straight from their rows.
+    """
+    points = [0] + nbrs
+    keys = act.key_of(act.reps[points], z)
+    images = [act.key_index[k] for k in keys]
+    return (
+        len(nbrs) == act.prime
+        and images[0] == 0
+        and sorted(images[1:]) == sorted(nbrs)
+        and images[1:] != nbrs
+    )
 
 
 def _case_m12(run, opts):

@@ -11,6 +11,7 @@ graph's vertex count raises DegreeMismatch.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -24,7 +25,12 @@ from .errors import (
     NotVertexTransitive,
     OutOfRange,
 )
-from .actions import PRODUCT_DEGREE_CAP, _enumerate_orbit, _keyed
+from .actions import (
+    PRODUCT_DEGREE_CAP,
+    _canonical_step,
+    _enumerate_orbit,
+    _keyed,
+)
 from .perm import _DTYPE, point_stabilizer, suborbit_frame
 
 
@@ -261,9 +267,10 @@ def edge_orbit_graph(K, edge):
     """Graph on K's points whose edges are the K-orbit of the pair."""
     start = np.array(edge, dtype=_DTYPE)
     _check_vertices(K.degree, start)
+    canon = partial(np.sort, axis=1)
     pairs, _, _ = _enumerate_orbit(
-        start,
-        [g.images.__getitem__ for g in K.generators],
-        lambda rows: _keyed(np.sort(rows, axis=1)),
+        _keyed(canon(start[None, :])),
+        _canonical_step(K.generators, canon),
+        len(K.generators),
     )
     return Graph.from_edges(K.degree, pairs.tolist())

@@ -642,10 +642,16 @@ def point_stabilizer(group, alpha):
 def induced_action(group, points):
     """Restrict the group to an invariant point set, relabelled 0..m-1.
 
-    Returns (PermGroup on m points, point list).  Raises NotInvariant
-    when a generator moves a point off the set.
+    Returns (PermGroup on m points, point list).  Raises OutOfRange for
+    a point outside 0..n-1, NotBijection for a point listed twice and
+    NotInvariant when a generator moves a point off the set.
     """
     points = list(points)
+    bad = [p for p in points if not 0 <= p < group.degree]
+    if bad:
+        raise OutOfRange(f"point {bad[0]} is outside 0..{group.degree - 1}")
+    if len(set(points)) != len(points):
+        raise NotBijection("a point is listed twice")
     index = np.full(group.degree, -1, dtype=_DTYPE)
     index[points] = np.arange(len(points), dtype=_DTYPE)
     gens = []

@@ -1,11 +1,17 @@
 """Tests for coset actions, class actions, and product actions."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from random import Random
 from types import SimpleNamespace
 
 from plinth.actions import (
+    _canonical_coset_images,
+    _canonical_step,
+    _enumerate_orbit,
+    _keyed,
     _normalize_labels,
     component,
     coset_action,
@@ -18,6 +24,7 @@ from plinth.cartesian import CartesianDecomposition
 from plinth.cli import (
     _Run,
     _a6_class_action,
+    _w4_aut_gens,
     _w4_class_action,
     data_path,
     parse_generators,
@@ -37,6 +44,7 @@ from plinth.perm import (
     point_stabilizer,
     random_subgroup_of_order,
 )
+from test_graphs import petersen
 
 
 def test_coset_action_regular():
@@ -294,11 +302,197 @@ def test_cyclic_class_action_labels_independent_of_class_generator(
         assert (Permutation(base_row) ** k).images.tolist() == row.tolist()
 
 
+def _conjugates(rows, g):
+    """The rows g^-1 y g, each built in full."""
+    return g.images[rows[:, g.inverse().images]].astype(np.int32)
+
+
+def _reference_key(row, base, p):
+    """The documented key of one order-p element: with c the first base
+    point it moves, the base images of the power sending c to the least
+    point of c's cycle other than c."""
+    c = next(b for b in base if row[b] != b)
+    power = best = row
+    for _ in range(p - 2):
+        power = row[power]
+        if power[c] < best[c]:
+            best = power
+    return best[base].astype(np.int32).tobytes()
+
+
+def _sample_elements(G, seed, count=4):
+    chain = G.chain()
+    rng = Random(seed)
+    return list(G.generators) + [chain.random_element(rng) for _ in range(count)]
+
+
+@pytest.mark.parametrize("q,flavor,p", CLASS_ACTION_CASES)
+def test_key_of_a_conjugation_matches_the_conjugates_keys(q, flavor, p):
+    # (7, 7), (8, 7) and (11, 11) hold elements fixing base point 0, (9, 5) none
+    G, socle = psl2_action(q, flavor), psl2_action(q, "PSL")
+    act = cyclic_class_action(G, socle, p)
+    assert act.key_of(act.reps) == [
+        _reference_key(row, act.base, p) for row in act.reps
+    ]
+    for g in _sample_elements(G, seed=q):
+        conj = _conjugates(act.reps, g)
+        want = [_reference_key(row, act.base, p) for row in conj]
+        assert act.key_of(conj) == want
+        assert act.key_of(act.reps, g) == want
+
+
+def _sp44_class():
+    run = _Run("stages", 1)
+    return run.shared(_w4_class_action), run.shared(_w4_aut_gens)
+
+
+def test_key_of_a_conjugation_matches_the_conjugates_keys_on_sp44():
+    act, aut = _sp44_class()
+    assert act.reps.shape == (14400, 170)
+    for g in _sample_elements(aut, seed=17, count=2):
+        conj = _conjugates(act.reps, g)
+        keys = act.key_of(act.reps, g)
+        assert keys == act.key_of(conj)
+        assert keys[::97] == [
+            _reference_key(row, act.base, 17) for row in conj[::97]
+        ]
+
+
+def _least_moved_point_keys(rows, base, p):
+    """The key that action_of read off fully conjugated rows before: the
+    power sending the least moved point a to the least other point of
+    a's cycle, and its base images."""
+    m, n = rows.shape
+    idx = np.arange(m)
+    a = np.argmax(rows != np.arange(n, dtype=rows.dtype), axis=1)
+    cur = best = rows[idx, a]
+    pos = key = rows[idx[:, None], base]
+    for _ in range(p - 2):
+        cur = rows[idx, cur]
+        pos = rows[idx[:, None], pos]
+        better = cur < best
+        best = np.where(better, cur, best)
+        key = np.where(better[:, None], pos, key)
+    return _keyed(key.astype(np.int32))[1]
+
+
+def test_action_of_matches_the_full_conjugation_path_on_sp44():
+    act, aut = _sp44_class()
+    index = {
+        key: i for i, key in enumerate(_least_moved_point_keys(act.reps, act.base, 17))
+    }
+    assert len(index) == 14400
+    for g in _sample_elements(aut, seed=3, count=1) + act.socle.generators:
+        keys = _least_moved_point_keys(_conjugates(act.reps, g), act.base, 17)
+        assert act.action_of(g).images.tolist() == [index[k] for k in keys]
+
+
+# sha256 of reps, then each generator's images of group and socle_group
+CLASS_ACTION_PINS = {
+    ("a6", 1): "76e5eaac082f913dafdfdaabf712559d01f5f9daf15fd4c00a815791f17ae4b0",
+    ("a6", 2): "cbb1adc40e03f65d458cf6f82fdb5d37c8397a975a2421e940da05ce786a0631",
+    ("a6", 3): "54f3162b04f035067f835f9eae3a184a3d60deb2700767fd0397d771db7a45b9",
+    ("sp44", 1): "ed841be27e0287ad2e97fb9a69ea8e67e2113c8bffbeb7d59d85d7ef4c74525e",
+    ("sp44", 2): "6f1f9fd13317a7e3ab750f718d369766863c1dbf0434014394763c258b6c4779",
+    ("sp44", 3): "dba9a8591de08b203af7cd544a8723e0b79a3dabf4ea48821cc24558a057bc2c",
+}
+
+
+@pytest.mark.parametrize("case,seed", sorted(CLASS_ACTION_PINS))
+def test_class_action_rows_and_images_are_pinned(case, seed):
+    stage = {"a6": _a6_class_action, "sp44": _w4_class_action}[case]
+    act = _Run("stages", seed).shared(stage)
+    digest = hashlib.sha256(act.reps.tobytes())
+    for group in (act.group, act.socle_group):
+        for g in group.generators:
+            digest.update(g.images.tobytes())
+    assert digest.hexdigest() == CLASS_ACTION_PINS[case, seed]
+
+
+def _stacked_batch_orbit(start, steps, canon):
+    """The routine _enumerate_orbit replaced: every candidate of a
+    frontier is built, stacked in (parent, generator) order and
+    canonicalised as one batch."""
+    frontier, keys = canon(start[None, :])
+    key_index = {keys[0]: 0}
+    blocks = [frontier]
+    images = [[] for _ in steps]
+    while len(frontier) and steps:
+        cand = np.stack([step(frontier) for step in steps], axis=1)
+        cand, keys = canon(cand.reshape(-1, frontier.shape[1]))
+        fresh = []
+        labels = []
+        for row, key in enumerate(keys):
+            j = key_index.get(key)
+            if j is None:
+                j = key_index[key] = len(key_index)
+                fresh.append(row)
+            labels.append(j)
+        for gi, imgs in enumerate(images):
+            imgs.extend(labels[gi :: len(steps)])
+        frontier = cand[fresh]
+        blocks.append(frontier)
+    return np.concatenate(blocks), key_index, images
+
+
+def _m12_coset_orbit():
+    G, H = _m12_660(1)
+    chain = H.chain()
+    return (
+        np.arange(12, dtype=np.int64),
+        G.generators,
+        lambda rows: _canonical_coset_images(chain, rows),
+    )
+
+
+def _petersen_edge_orbit():
+    K, _ = petersen()
+    return np.array([0, 7], dtype=np.int64), K.generators, lambda rows: np.sort(
+        rows, axis=1
+    )
+
+
+ORBIT_CASES = {
+    "M12 on the cosets of PSL(2,11)": _m12_coset_orbit,
+    "Petersen edges": _petersen_edge_orbit,
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORBIT_CASES))
+def test_enumerate_orbit_matches_the_stacked_batch_routine(case):
+    start, gens, canon = ORBIT_CASES[case]()
+    rows, key_index, images = _enumerate_orbit(
+        _keyed(canon(start[None, :])), _canonical_step(gens, canon), len(gens)
+    )
+    want_rows, want_index, want_images = _stacked_batch_orbit(
+        start,
+        [g.images.__getitem__ for g in gens],
+        lambda rows: _keyed(canon(rows)),
+    )
+    assert len(rows) > 1
+    assert np.array_equal(rows, want_rows)
+    assert list(key_index.items()) == list(want_index.items())
+    assert images == want_images
+
+
 def test_class_action_of_non_normalising_element_raises():
     PSL = psl2_action(9, "PSL")
     act = cyclic_class_action(PSL, PSL, 5)
     with pytest.raises(NotInvariant):
         act.action_of(Permutation.from_cycles(10, [(0, 1)]))
+
+
+@pytest.mark.parametrize("p", [1, 4, 6])
+def test_class_action_needs_a_prime(monkeypatch, p):
+    # |PSL(2,7)| = 168 = 2^3 3 7: 4 and 6 divide it once, and PSL(2,7)
+    # has elements of order 4, so only the primality test stops p = 4
+    def refuse(*args, **kwargs):
+        raise AssertionError("searched for an element of non-prime order")
+
+    PSL = psl2_action(7, "PSL")
+    monkeypatch.setattr("plinth.actions.element_of_order", refuse)
+    with pytest.raises(OutOfRange, match="prime"):
+        cyclic_class_action(PSL, PSL, p)
 
 
 @pytest.mark.parametrize("p", [2, 3, 7])

@@ -503,3 +503,73 @@ def test_cli_sylvester_deterministic(tmp_path, capsys):
     b = json.loads(p2.read_text())
     assert a["hash"] == b["hash"]
     assert a["status"] == "PASS"
+
+
+def _sp44_neighborhood(seed):
+    """sp44's class action, its point 0's generator z and the
+    neighbourhood N(0), the first self-paired suborbit of length 17."""
+    import plinth.cli as cli
+
+    run = cli._Run("stages", seed)
+    act = run.shared(cli._w4_class_action)
+    od = run.shared(cli._w4_suborbits)
+    idx = next(
+        i
+        for i, s in enumerate(od.suborbits)
+        if i and s.self_paired and s.length == 17
+    )
+    z = Permutation(act.reps[0], _checked=True)
+    return act, z, od.points_of(idx).tolist()
+
+
+def _regular_on_neighborhood_by_group(act, z, nbrs):
+    """The check as the 14,400-point group <z> computed it."""
+    from plinth.perm import PermGroup
+
+    z_class = act.action_of(z)
+    Z = PermGroup([z_class], degree=z_class.degree)
+    return (
+        Z.order() == 17
+        and int(z_class.images[0]) == 0
+        and set(Z.orbit(nbrs[0])[0]) == set(nbrs)
+    )
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_neighborhood_check_matches_the_group_it_generates(seed):
+    from plinth.cli import _regular_on_neighborhood
+
+    act, z, nbrs = _sp44_neighborhood(seed)
+    assert _regular_on_neighborhood(act, z, nbrs)
+    assert _regular_on_neighborhood_by_group(act, z, nbrs)
+    n = len(act.reps)
+    # another Sylow 17 generator: a socle element moving point 0
+    other = Permutation(act.reps[nbrs[0]], _checked=True)
+    other_class, z_class = act.action_of(other), act.action_of(z)
+    assert int(other_class.images[0]) != 0
+    cycle_of_0 = _cycle(other_class, 0)
+    cycle = _cycle(
+        other_class,
+        next(v for v in range(n) if v not in cycle_of_0 and other_class.images[v] != v),
+    )
+    assert len(cycle) == 17
+    more = next(v for v in range(1, n) if v not in nbrs and z_class.images[v] != v)
+    outside = next(v for v in range(1, n) if v not in nbrs)
+    identity = Permutation(np.arange(z.degree), _checked=True)
+    cases = [
+        (other, nbrs),  # moves 0
+        (identity, nbrs),  # fixes 0 and keeps N(0), but moves none of it
+        (z, nbrs[:-1] + [outside]),  # fixes 0, but does not keep the set
+        (other, cycle),  # keeps and moves one of its 17-point cycles, moves 0
+        (z, nbrs + _cycle(z_class, more)),  # fixes 0, keeps and moves 34 points
+    ]
+    for g, points in cases:
+        assert not _regular_on_neighborhood(act, g, points)
+        assert not _regular_on_neighborhood_by_group(act, g, points)
+
+
+def _cycle(perm, v):
+    out = [v]
+    while (v := int(perm.images[v])) != out[0]:
+        out.append(v)
+    return out

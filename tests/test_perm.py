@@ -1084,3 +1084,24 @@ def test_induced_action_rejects_a_set_that_is_not_invariant():
         _reference_induced_images(S5, [0, 1])
     with pytest.raises(NotInvariant):
         induced_action(S5, [0, 1])
+
+
+@pytest.mark.parametrize(
+    "points,error",
+    [
+        ([0, 0, 1, 2], NotBijection),
+        ([0, 1, 1], NotBijection),
+        ([-1, 0, 1, 2], OutOfRange),
+        ([0, 1, 2, 3], OutOfRange),
+    ],
+)
+def test_induced_action_rejects_a_bad_point_list(monkeypatch, points, error):
+    # checked before any generator is built: a repeated point once gave
+    # non-bijective generators whose order() did not return
+    def refuse(images, **kwargs):
+        raise AssertionError("a generator was built from a bad point list")
+
+    S3 = PermGroup.symmetric(3)
+    monkeypatch.setattr("plinth.perm.Permutation", refuse)
+    with pytest.raises(error):
+        induced_action(S3, points)
