@@ -95,8 +95,8 @@ def product_action_wreath(K, ell, top):
             images += coords[i] * strides[int(h.images[i])]
         gens.append(Permutation(images, _checked=True))
 
-    order = K.order() ** ell * top.order()
-    group = PermGroup(gens, degree=n, claimed_order=order)
+    # an image of K^ell : top, a group of order |K|^ell |top|
+    group = PermGroup._bounded(gens, n, K.order() ** ell * top.order())
 
     from .cartesian import CartesianDecomposition
 
@@ -212,7 +212,8 @@ def coset_action(G, H):
             f"coset scan found {len(reps)} cosets, expected {index}"
         )
     gens = [Permutation(imgs, _checked=True) for imgs in gen_images]
-    group = PermGroup(gens, degree=index, claimed_order=G.order())
+    # an image of G, a group of known order
+    group = PermGroup._bounded(gens, index, G.order())
     return CosetAction(group, reps)
 
 
@@ -337,13 +338,12 @@ def cyclic_class_action(G, socle, p, seed=1):
         len(socle.generators),
     )
     degree = len(action.reps)
-    action.socle_group = PermGroup(
-        [Permutation(imgs, _checked=True) for imgs in socle_images],
-        degree=degree,
-        claimed_order=order,
+    # images of the socle and of G, groups of known order
+    action.socle_group = PermGroup._bounded(
+        [Permutation(imgs, _checked=True) for imgs in socle_images], degree, order
     )
     gens = [action.action_of(g) for g in G.generators]
-    action.group = PermGroup(gens, degree=degree, claimed_order=G.order())
+    action.group = PermGroup._bounded(gens, degree, G.order())
     return action
 
 

@@ -131,11 +131,9 @@ def index2_subgroups(G, derived=None):
     for qk in _index2_point_sets(quotient.group):
         gens = list(D.generators)
         gens.extend(Permutation(quotient.reps[i], _checked=True) for i in qk)
-        # the lifted order is exact: the kernel contains D and maps
-        # onto an index-2 subgroup of the regular quotient
-        K = PermGroup(
-            gens, degree=G.degree, claimed_order=G.order() // 2
-        )
+        # a subgroup whose order was just computed: the kernel contains
+        # D and maps onto an index-2 subgroup of the regular quotient
+        K = PermGroup._bounded(gens, G.degree, G.order() // 2)
         if K.order() != G.order() // 2:
             raise Mismatch("lifted kernel missed its certified order")
         found.append(K)
@@ -427,6 +425,9 @@ class FactorizationRecord:
 #: Random draws per element of the cyclic half in ``dihedral_subgroup``.
 INVOLUTION_TRIES = 400
 
+#: Seed-shifted (A, B) rebuilds made by ``verify_psl2_factorization_row``.
+FACTORIZATION_ATTEMPTS = 40
+
 
 def dihedral_subgroup(T, order, seed=1):
     """A dihedral subgroup of the given (even) order: a cyclic half
@@ -475,7 +476,8 @@ def _build_labeled_subgroup(T, label, order, seed):
         z = element_of_order(T, want, seed=seed)
         if z is None:
             raise ConstructionFailed(f"no element of order {want}")
-        return PermGroup([z], degree=T.degree, claimed_order=z.order())
+        # a subgroup whose order was just computed: <z> has order |z|
+        return PermGroup._bounded([z], T.degree, z.order())
     if label in _SUBGROUP_PROFILES:
         expect, profile = _SUBGROUP_PROFILES[label]
         if expect != order:
@@ -487,14 +489,15 @@ def _build_labeled_subgroup(T, label, order, seed):
     raise ParseError(f"unknown subgroup label {label}")
 
 
-def verify_psl2_factorization_row(q, row, seed=1, max_attempts=40):
+def verify_psl2_factorization_row(q, row, seed=1):
     """Verify one factorization row A * B = PSL(2,q) with the expected
     intersection order.
 
     A and B are rebuilt from their labels; because subgroup searches
     can land on a conjugate with a different intersection, the B (and
-    A) construction is retried with shifted seeds until the expected
-    intersection appears.  An intersection below the forced minimum
+    A) construction is retried with shifted seeds, up to
+    ``FACTORIZATION_ATTEMPTS`` times, until the expected intersection
+    appears.  An intersection below the forced minimum
     |A||B|/|T| would contradict the table and raises Mismatch.
     """
     a_label, a_order, b_label, b_order, meet_order, anchor = row
@@ -508,7 +511,7 @@ def verify_psl2_factorization_row(q, row, seed=1, max_attempts=40):
     if meet_order < forced_min:
         raise Mismatch(f"q={q}: table meet {meet_order} below forced {forced_min}")
     last = None
-    for attempt in range(max_attempts):
+    for attempt in range(FACTORIZATION_ATTEMPTS):
         A = _build_labeled_subgroup(T, a_label, a_order, seed + attempt)
         B = _build_labeled_subgroup(T, b_label, b_order, seed + 10007 * (attempt + 1))
         meet = intersection_small(A, B)
@@ -527,7 +530,7 @@ def verify_psl2_factorization_row(q, row, seed=1, max_attempts=40):
             )
     raise ConstructionFailed(
         f"q={q}: no ({a_label},{b_label}) pair met in order {meet_order} "
-        f"after {max_attempts} attempts (last {last})"
+        f"after {FACTORIZATION_ATTEMPTS} attempts (last {last})"
     )
 
 
@@ -562,13 +565,16 @@ def _check_table_q(q, lineno=None):
 
 
 def load_factorization_table(path):
-    """Rows of `q | A-label | A-order | B-label | B-order | meet | anchor`."""
+    """Rows of `q | A-label | A-order | B-label | B-order | meet | anchor`;
+    each order field is at least 1."""
     rows = []
     for lineno, parts in _table_rows(path, 7):
         q, a_order, b_order, meet = (
             parse_int(parts[i], "bad integer field", lineno) for i in (0, 2, 4, 5)
         )
         _check_table_q(q, lineno)
+        if min(a_order, b_order, meet) < 1:
+            raise ParseError("an order field is below 1", line=lineno)
         rows.append((q, (parts[1], a_order, parts[3], b_order, meet, parts[6])))
     return rows
 

@@ -374,9 +374,8 @@ def _a6_flavour_groups(run):
     out = {"PSL": act.socle_group}
     for f in FLAVORS[1:]:
         gens = [act.action_of(g) for g in groups[f].generators]
-        out[f] = PermGroup(
-            gens, degree=act.group.degree, claimed_order=groups[f].order()
-        )
+        # an image of the flavour, a group of known order
+        out[f] = PermGroup._bounded(gens, act.group.degree, groups[f].order())
     return out
 
 
@@ -418,7 +417,8 @@ def _w4_sp4_image(run):
         mapped = _keyed(np.sort(g.images[lines], axis=1))[1]
         img = np.concatenate([g.images, [line_index[k] for k in mapped]])
         image_gens.append(Permutation(img, _checked=True))
-    return PermGroup(image_gens, degree=n, claimed_order=ma.group.order())
+    # an image of Sp(4,4), a group of known order
+    return PermGroup._bounded(image_gens, n, ma.group.order())
 
 
 def _w4_class_action(run):

@@ -2,8 +2,8 @@
 
 Everything downstream (derived actions, orbital graphs, the inclusion
 classifier) is built on the primitives in this module: image-array
-permutations, deterministic Schreier-Sims chains with an optional
-known-order early exit, orbits with Schreier vectors, and a
+permutations, deterministic Schreier-Sims chains with one early exit
+(``stop_at``), orbits with Schreier vectors, and a
 handful of subgroup utilities (derived subgroups, small intersections,
 seeded random subgroup search).
 
@@ -120,20 +120,26 @@ class Permutation:
         return bool((self.images == np.arange(len(self.images))).all())
 
     def cycles(self):
-        """Nontrivial cycles as a list of tuples of points."""
-        seen = np.zeros(self.degree, dtype=bool)
+        """Nontrivial cycles as a list of tuples of points.
+
+        Raises NotBijection when the walk from a point meets a point it
+        has already seen that is not its start: the images repeat.
+        """
+        seen = [False] * self.degree
         out = []
-        images = self.images
+        images = self.images.tolist()
         for start in range(self.degree):
             if seen[start]:
                 continue
             cyc = [start]
             seen[start] = True
-            p = int(images[start])
+            p = images[start]
             while p != start:
+                if seen[p]:
+                    raise NotBijection("images are not a bijection")
                 seen[p] = True
                 cyc.append(p)
-                p = int(images[p])
+                p = images[p]
             if len(cyc) > 1:
                 out.append(tuple(cyc))
         return out
@@ -259,36 +265,32 @@ class _ChainLevel:
 class StabChain:
     """Deterministic Schreier-Sims stabilizer chain.
 
-    The product of fundamental orbit lengths is always a lower bound for
-    the group order, which gives the chain two exact exits.
-    ``upper_bound`` enables the known-order early exit: processing stops
-    as soon as the product equals the bound.  A subgroup-search trial
-    (``_TrialChain``) stops as soon as the product passes its target
-    order, since the group is then too big; such a chain is incomplete
-    and is dropped by the search, never attached to a ``PermGroup``.
-    The bound must be a true upper bound on the order; it is not
-    verified.  A bound the product overshoots is dropped and the chain
-    completes, but a bound below the order that the product happens to
-    hit is returned as the order: the S6 generators with bound 60, 30 or
-    360 report exactly that, while 24, 40 or 240 fall back to 720.
-    Inside the package every bound is the computed order of a group the
-    new one is an image or a subgroup of, never a literal or a formula,
-    so an early exit stops only at the true order and a certificate
-    check of an order against a literal compares it with a computed
-    value.
+    ``order()`` is the product of the fundamental orbit lengths.  At
+    every step of the construction it is a lower bound on the group
+    order, and it equals the order once the chain is complete (Seress,
+    *Permutation Group Algorithms*, 2003, ch. 4).  That gives the chain
+    its one early exit: with ``stop_at`` set, processing stops as soon
+    as the product reaches ``stop_at``.  A chain stopped that way reports
+    its orbit product, a lower bound on the order.  Two uses:
+
+    - a true upper bound B on the order is ``stop_at=B``: the product
+      never exceeds the order, so it reaches B only once the chain is
+      complete (``PermGroup._bounded``);
+    - a search trial for target order T is ``stop_at=T + 1``: reaching
+      it proves the group too big, and the unfinished chain is dropped
+      (``random_subgroup_of_order``).
+
+    Without ``stop_at`` the chain always completes.
     """
 
-    #: A search trial's target order (set only by ``_TrialChain``).
-    _ceiling = None
-
-    def __init__(self, degree, generators, base_hint=(), upper_bound=None):
+    def __init__(self, degree, generators, base_hint=(), stop_at=None):
         self.degree = degree
         self._identity = np.arange(degree, dtype=_DTYPE)
         self._identity.setflags(write=False)
         self.gens = []  # global strong generator table
         self.levels = []
         self._base_hint = list(base_hint)
-        self._bound = upper_bound
+        self._stop = stop_at
         for g in generators:
             if g.degree != degree:
                 raise DegreeMismatch(
@@ -296,6 +298,12 @@ class StabChain:
                 )
             if not g.is_identity():
                 self._assign(g)
+        self._process()
+
+    def extend(self, g):
+        """Insert g as a new strong generator and complete the chain."""
+        self._stop = None
+        self._assign(g)
         self._process()
 
     # -- construction ---------------------------------------------------
@@ -365,20 +373,8 @@ class StabChain:
             result *= len(lev.orbit_list)
         return result
 
-    def _bound_reached(self):
-        if self._ceiling is not None and self.order() > self._ceiling:
-            return True
-        if self._bound is None:
-            return False
-        current = self.order()
-        if current > self._bound:
-            # claimed order was wrong; fall back to the full computation
-            self._bound = None
-            return False
-        return current == self._bound
-
     def _process(self):
-        while not self._bound_reached():
+        while self._stop is None or self.order() < self._stop:
             target = None
             for i in range(len(self.levels) - 1, -1, -1):
                 if self.levels[i].pending:
@@ -484,17 +480,12 @@ class StabChain:
 class PermGroup:
     """A finitely generated permutation group with a lazily built chain.
 
-    ``claimed_order`` is passed to the chain as its early-exit bound and
-    must be a true upper bound on the order (see ``StabChain``).  The
-    package claims only orders computed from other chains: the parent's
-    order for an action or relabelling of it and for a generating-set
-    trial inside it, |K|^ell |top| for a wreath product, half the
-    parent's order for a lifted index-2 kernel (``index2_subgroups``
-    gives the proof), the order read off the parent's chain for a point
-    stabilizer, and an element's order for the cyclic group it generates.
+    A group built with ``PermGroup(generators, degree)`` always gets a
+    complete chain, so ``order()`` is exact.  Package code that already
+    knows an upper bound on the order uses ``_bounded`` instead.
     """
 
-    def __init__(self, generators, degree=None, claimed_order=None):
+    def __init__(self, generators, degree=None):
         generators = list(generators)
         if degree is None:
             if not generators:
@@ -506,8 +497,23 @@ class PermGroup:
                 raise DegreeMismatch("mixed generator degrees")
         self.degree = degree
         self.generators = generators
-        self._claimed_order = claimed_order
+        self._bound = None
         self._chain = None
+
+    @classmethod
+    def _bounded(cls, generators, degree, bound):
+        """A group whose order the caller knows to be at most ``bound``.
+
+        Its chain has ``stop_at=bound`` (see ``StabChain``), so the bound
+        must be true; each caller names why it is, as one of three kinds:
+        an image of a group of known order, a subgroup whose order was
+        just computed, or a subset of a group of known order.  A false
+        bound that the orbit product passes is caught, and the chain is
+        built in full; one the product reaches would be believed.
+        """
+        group = cls(generators, degree)
+        group._bound = bound
+        return group
 
     @classmethod
     def trivial(cls, degree):
@@ -543,11 +549,11 @@ class PermGroup:
             and self._chain.order() > 1
         ):
             rebuilt = StabChain(
-                self.degree,
-                self.generators,
-                base_hint=base_hint,
-                upper_bound=self._claimed_order,
+                self.degree, self.generators, base_hint, stop_at=self._bound
             )
+            if self._bound is not None and rebuilt.order() > self._bound:
+                # the bound was false: build the complete chain
+                rebuilt = StabChain(self.degree, self.generators, base_hint)
             if self._chain is not None and rebuilt.order() != self._chain.order():
                 raise Mismatch("inconsistent chain rebuild")
             self._chain = rebuilt
@@ -567,17 +573,14 @@ class PermGroup:
         """Add g to the group in place; False when g is already a member.
 
         The chain grows by one Schreier-Sims insertion instead of being
-        rebuilt.  The claimed order and the chain's early-exit bound are
-        dropped: neither holds for the bigger group.
+        rebuilt.  An order bound is dropped: it does not hold for the
+        bigger group.
         """
         if self.contains(g):
             return False
         self.generators.append(g)
-        self._claimed_order = None
-        chain = self._chain
-        chain._bound = None
-        chain._assign(g)
-        chain._process()
+        self._bound = None
+        self._chain.extend(g)
         return True
 
     def identity(self):
@@ -636,7 +639,8 @@ def point_stabilizer(group, alpha):
     sub_order = 1
     for lev in chain.levels[1:]:
         sub_order *= len(lev.orbit_list)
-    return PermGroup(gens, degree=group.degree, claimed_order=sub_order)
+    # a subgroup whose order was just computed, from a complete chain
+    return PermGroup._bounded(gens, group.degree, sub_order)
 
 
 def induced_action(group, points):
@@ -845,8 +849,10 @@ def element_of_order(group, m, seed=1):
     """A group element of exact order m, or None after the search cap.
 
     Seeded-random: draws uniform elements from the chain and scans
-    power quotients of their orders.
+    power quotients of their orders.  Raises OutOfRange for m < 1.
     """
+    if m < 1:
+        raise OutOfRange(f"element order {m} is below 1")
     if m == 1:
         return group.identity()
     return _power_of_order(group.chain(), Random(seed), m, ELEMENT_SEARCH_TRIES)
@@ -926,28 +932,11 @@ def small_generating_set(group, seed=1):
     for k in (2, 3):
         for _ in range(GENERATING_SET_TRIES):
             cand = [chain.random_element(rng) for _ in range(k)]
-            trial = PermGroup(cand, degree=group.degree, claimed_order=total)
+            # a subset of a group of known order
+            trial = PermGroup._bounded(cand, group.degree, total)
             if trial.order() == total:
                 return trial
     return reduce_generators(group)
-
-
-class _TrialChain(StabChain):
-    """Chain of a search trial that stops once its orbit product passes
-    ``target``.
-
-    The product is a lower bound on the order, so a chain whose order
-    reads above ``target`` stopped early: its group is too big, and the
-    chain is incomplete and must be dropped.  Otherwise the chain ran to
-    the end, is complete, and drops the ceiling, so it can be attached
-    to a group and extended like any other chain.
-    """
-
-    def __init__(self, degree, generators, target):
-        self._ceiling = target
-        super().__init__(degree, generators)
-        if self.order() <= target:
-            self._ceiling = None
 
 
 def random_subgroup_of_order(group, target, profile=None, seed=1):
@@ -958,7 +947,7 @@ def random_subgroup_of_order(group, target, profile=None, seed=1):
     ``SUBGROUP_SEARCH_TRIES`` pairs.
 
     Each trial pair's chain stops as soon as its orbit product, a lower
-    bound on the order, passes ``target`` (see ``_TrialChain``); the
+    bound on the order, passes ``target`` (``stop_at=target + 1``); the
     trial is then skipped, as it would be after a full build, since
     neither ``order == target`` nor the ``order < target`` retry can
     hold.  A returned group always carries a complete chain, and the
@@ -988,7 +977,7 @@ def random_subgroup_of_order(group, target, profile=None, seed=1):
         b = draw(want_b)
         if a is None or b is None:
             continue
-        trial_chain = _TrialChain(group.degree, [a, b], target)
+        trial_chain = StabChain(group.degree, [a, b], stop_at=target + 1)
         order = trial_chain.order()
         if order > target:
             continue  # <a, b> is too big; its chain stopped unfinished

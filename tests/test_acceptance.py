@@ -277,6 +277,55 @@ GOLDEN_HASHES = {
     ("sp44", 2): "c3825b0ee8fecf6770e3cf1f852c52cd52dd9ab63f30e95aece235dcd238a95a",
     # shares the sp44 seed-2 context and pins its class action
     ("classify-sp44", 2): "027c19c81c4dfdebf25126ec2f718c477614bf0c5cae78afafc584fe8dc9d816",
+    # the rest of the 66-hash sweep: the five small cases at seeds 4-12
+    ("sylvester", 4): "339124b16f0315a0b18f069bc4475ec8c4a581b53926abb7694bd032b3d91b02",
+    ("sylvester", 5): "8755c6a66a1dab00b2f02995bf38ec159a7b16cde5bf70e84ee5dbeb1c895dd3",
+    ("sylvester", 6): "408340f3b191abce08370685fc0f1437ad479c8a67959035f2dadda4062d6572",
+    ("sylvester", 7): "1d6cd5139076361c7308c6c6283382dc4f748c5d2a077da0debd578ea08f859a",
+    ("sylvester", 8): "8c293aa31a61cb516ee3ee73aa75948ed33b44f09dd76d6bf6fee929fe80bddd",
+    ("sylvester", 9): "079681500537d33c6a19f0394285fc4902f581121fdfa886de0a44961f186eef",
+    ("sylvester", 10): "c59b10008eb552fdee0967605e05f8c5e5c8b0544ae1e621a10fc6ae92df9ded",
+    ("sylvester", 11): "f2aa50eb342f5d702af5544d504e9ad26a807d8548af45266f09e141365f0dc3",
+    ("sylvester", 12): "947db2bac297342fc9898c5e6a8a78af057f87af7f1c4d12eefd89ea57dff3f0",
+    ("m12", 4): "503904bcc52e81f476ef5cb2695197c39d6d8bd20a207041e9d7cf1ab07d1ec7",
+    ("m12", 5): "bd20e374b537adf91540987305750906464fab345bc2750ca9c0f422767f8e34",
+    ("m12", 6): "5d844762ff96998366c450c1a35df6e6ed0b0e6764b2891137b7cdffc4e80675",
+    ("m12", 7): "2a6c33b700bb92a9d1368b85c936b722e500a88c97413dfe0b4bb771c44574e5",
+    ("m12", 8): "3818ba24e51720417819ce60e71c125c78868f5a9d3585afca323e6496e381fb",
+    ("m12", 9): "e62fa642892e76c4df9d801bdc5eb4f029d87ba1dd4739f47df7e7606c99d67d",
+    ("m12", 10): "4814ed75915bd1f91af9f3cf209f2e8c02a86ee59f1262b3ae656a99dddbc3d5",
+    ("m12", 11): "725be7e51de3457c76dc31d8f8c92416c9ab56a828def2649fdb98e0e323c949",
+    ("m12", 12): "20d82815cc4b4915c27dd072a1d72cc9c7e342a4577a2365e871861344155666",
+    ("factorizations", 4): "7b3c13b0f4537a5a5e7efd31f52473002068b1c84e80f592137b3e54ec8d5e21",
+    ("factorizations", 5): "2b316bc69948129731492c5c0503ff2c01bb30248d34f04a08f117dc70b10af5",
+    ("factorizations", 6): "8d77f7cd51f007fa5845449fcff7917e4e4976266050140ffd2d527c7c06080a",
+    ("factorizations", 7): "1449bbbcbaa6afc20d8d61baac029b1323967f9fa6837e080e9a75807cefce5c",
+    ("factorizations", 8): "018bd64fe3b1afbc29d9dde6a4309c478587c25e4cd94ce5cffa3085d3054bc1",
+    ("factorizations", 9): "5378acf3be45a3b7e185192d856db5c2d6efab8bb95f69b116ff70132c6ccc80",
+    ("factorizations", 10): "1fca7fde65f192e058fcb8596970d3edddd9a3469bbf9d46ece25ce02027cd5a",
+    ("factorizations", 11): "22129303afd32d8e78eb438b934627204a52d261a6324e65ba0001c825894923",
+    ("factorizations", 12): "76dfc9f5c59d40a96360dce8e9221a03b5efd3e4d374429c25b419ef93458e7c",
+    ("products", 4): "2209936055cc3e12ec80e8154054d4b29af4d6484d261ce2474c5ec2970da67b",
+    ("products", 5): "bf8197dfe60d0c48115352e3564c0f07bed7809938fbfdd2e77ed1a2c3331e80",
+    ("products", 6): "0b5d171fce037c4546083b76eb5bc9a19bee444d02c1d12e1f0835976bbec208",
+    ("products", 7): "1d66fb9ec74cb5b816b255b3ce88ca568517df0869f2242d68292e7a4280491f",
+    ("products", 8): "f986f70de1cb521cfa15d34e05155f6a942ffc1febc0d103b440215ca1a31197",
+    ("products", 9): "73c3d72e214ed4b08961400d40fa3d39507f0f994a848f5c513ca6122df58880",
+    ("products", 10): "eea13c1c48088d8a7a785295473af93b7818e0edd0c595de4e05d06b72294195",
+    ("products", 11): "253e82cd5f46ebd485f3828eae8fc8281e1d76edaae2d15d9911af5ec404c43e",
+    ("products", 12): "bc334d96d0f9bc7f23dad3ddc63d4ef2328d82009108df9ec3088a8ea3c10c66",
+    ("classify-a6", 4): "cef0412c2c1c39171e93daf40ba2ef743f75acb1f20ada4f3cda542233eebc11",
+    ("classify-a6", 5): "6e78741d864c76743d10a9098dd1b1eb63ba53394b9c48569a62793bce08f93c",
+    ("classify-a6", 6): "466fd9e53cf4525f179fb1e08468d28af6204a972ac56ffb4d3fef98d02b6377",
+    ("classify-a6", 7): "00ab3172437640e1894a4aff438cb71f0021b4c4dd6b58e682e83d7048bbaf7f",
+    ("classify-a6", 8): "60eeb2f47ab022c60aed7b2294e99f7d4c51c6af422e0af36031f8fb05359fe4",
+    ("classify-a6", 9): "5bdba0406d5c1d90328ebd3d3aafae99989f723e5568d4444327a331e6e6b65c",
+    ("classify-a6", 10): "ad710e55e808329ea38b1963d065e378fecf00c05a09a234834854bf5ca800e2",
+    ("classify-a6", 11): "decbd18f9c6a19ec93d449526a587232856a2555eb2c31eed704142e780f6956",
+    ("classify-a6", 12): "3362300ccf7b0a0a185adddacc393e1279b32b6d768a82fe4c25aad00bce7526",
+    # a third sp44 seed builds its own context; classify-sp44 shares it
+    ("sp44", 3): "fab0dd6628ab7dbb42565c61b6bc0fcff58f3180b56713bd2e764b080a4c3aa2",
+    ("classify-sp44", 3): "924d2329a1ce66bbcf32fb62d6b2c3f966927ebc6698c72ad1cabef18246e118",
 }
 
 

@@ -1,0 +1,77 @@
+"""Every order bound the package passes to ``PermGroup._bounded`` is true.
+
+One seed-1 run of the seven runnable cases records each bounded group;
+the ``C<m>`` subgroup label, which no shipped table row uses, is built
+once directly.  A bound is true when it is at least the order of the
+group's complete chain, built here without any bound.
+"""
+
+import sys
+from collections import Counter
+
+import pytest
+
+import plinth.cli as cli
+from plinth.algebra import psl2_action
+from plinth.cartesian import _build_labeled_subgroup
+from plinth.perm import PermGroup, StabChain
+
+RUNNABLE = (
+    "sylvester", "sp44", "m12", "factorizations", "products",
+    "classify-a6", "classify-sp44",
+)
+
+# Each unbounded chain of these groups takes minutes, so their bounds
+# are checked by the certificates' own order checks, not here: the
+# point stabilizers of sp44's and classify-sp44's two class actions of
+# degree 14,400, the class actions of Aut W(4) and of its socle Sp(4,4),
+# and the plinth kernel that index2_subgroups lifts from the quotient.
+SKIPPED_ABOVE_1000 = Counter(
+    {"point_stabilizer": 4, "cyclic_class_action": 2, "index2_subgroups": 1}
+)
+
+
+@pytest.fixture(scope="module")
+def bounded_calls():
+    calls = []
+    real = PermGroup._bounded.__func__
+
+    def spy(cls, generators, degree, bound):
+        generators = list(generators)
+        site = sys._getframe(1).f_code.co_name
+        calls.append((site, degree, bound, generators))
+        return real(cls, generators, degree, bound)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(PermGroup, "_bounded", classmethod(spy))
+        mp.setattr(cli, "_SHARED", {})  # build every stage in this run
+        for case in RUNNABLE:
+            assert cli.run_case(case).status == "PASS", case
+        _build_labeled_subgroup(psl2_action(7, "PSL"), "C4", 4, seed=1)
+    return calls
+
+
+def test_every_bounded_site_is_seen(bounded_calls):
+    assert {site for site, *_ in bounded_calls} == {
+        "point_stabilizer", "small_generating_set", "product_action_wreath",
+        "coset_action", "cyclic_class_action", "index2_subgroups",
+        "_build_labeled_subgroup", "_a6_flavour_groups", "_w4_sp4_image",
+    }
+
+
+def test_only_the_named_large_groups_are_skipped(bounded_calls):
+    large = Counter(site for site, degree, *_ in bounded_calls if degree > 1000)
+    assert large == SKIPPED_ABOVE_1000
+
+
+def test_every_small_bound_is_at_least_the_order(bounded_calls):
+    checked = exact = 0
+    for site, degree, bound, gens in bounded_calls:
+        if degree > 1000:
+            continue
+        order = StabChain(degree, gens).order()
+        assert bound >= order, (site, degree, bound, order)
+        checked += 1
+        exact += bound == order
+    assert checked == len(bounded_calls) - sum(SKIPPED_ABOVE_1000.values())
+    assert exact >= checked - 2  # the two loose ones are coset actions

@@ -37,6 +37,7 @@ from plinth.errors import (
     Mismatch,
     NotCartesian,
     NotInvariant,
+    OutOfRange,
     ParseError,
     PlinthError,
     ProjectionUnsupported,
@@ -298,11 +299,7 @@ def a6_setup():
     PSL = psl2_action(9, "PSL")
     act = cyclic_class_action(PGammaL, PSL, 5)
     G = act.group
-    M = PermGroup(
-        [act.action_of(g) for g in PSL.generators],
-        degree=36,
-        claimed_order=360,
-    )
+    M = PermGroup([act.action_of(g) for g in PSL.generators], degree=36)
     return G, M
 
 
@@ -472,7 +469,7 @@ def _a5_wr_2_setup():
             gens.append(Permutation(images, _checked=True))
         factor_gens.append(gens)
     factors = [PermGroup(gens, degree=n) for gens in factor_gens]
-    M = PermGroup(factor_gens[0] + factor_gens[1], degree=n, claimed_order=3600)
+    M = PermGroup(factor_gens[0] + factor_gens[1], degree=n)
     return W, M, factors, wreath.decomposition
 
 
@@ -504,6 +501,11 @@ def test_dihedral_subgroup_of_odd_order_is_a_failed_construction():
     _, M = a6_setup()
     with pytest.raises(ConstructionFailed, match="odd order 5"):
         dihedral_subgroup(point_stabilizer(M, 0), 5, seed=1)
+
+
+def test_dihedral_subgroup_of_order_0_is_out_of_range():
+    with pytest.raises(OutOfRange):
+        dihedral_subgroup(PermGroup.symmetric(4), 0, seed=1)
 
 
 # ---------------------------------------------------------------------------
@@ -538,9 +540,7 @@ def test_row_with_wrong_meet_fails():
     from plinth.errors import PlinthError
 
     with pytest.raises(PlinthError):
-        verify_psl2_factorization_row(
-            4, ("P1", 12, "D10", 10, 5, "x"), seed=1, max_attempts=6
-        )
+        verify_psl2_factorization_row(4, ("P1", 12, "D10", 10, 5, "x"), seed=1)
 
 
 def test_parabolic_order():
@@ -578,6 +578,10 @@ _EXAMPLE_ROW = "ex | prime+-1mod5 | D5 | 10 | Table 4 row"
         (_FACTORIZATION_ROW.replace("4 |", "1024 |", 1), 1),
         # a prime power with no primitive polynomial on file
         ("#\n\n" + _FACTORIZATION_ROW.replace("4 |", "49 |", 1), 3),
+        # an order field below 1 (a zero meet divided by zero in the row check)
+        (_FACTORIZATION_ROW.replace("| 2 |", "| 0 |"), 1),
+        (_FACTORIZATION_ROW.replace("| 12 |", "| 0 |"), 1),
+        ("#\n" + _FACTORIZATION_ROW.replace("| 10 |", "| 0 |"), 2),
     ],
 )
 def test_factorization_table_rejects_bad_rows(tmp_path, text, line):

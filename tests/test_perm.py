@@ -27,7 +27,6 @@ from plinth.perm import (
     PermGroup,
     Permutation,
     StabChain,
-    _TrialChain,
     _block_system_labels,
     _power_of_order,
     _schreier_path_images,
@@ -84,6 +83,17 @@ def test_permutation_rejects_a_non_bijection():
         Permutation([0, 0, 1])
     with pytest.raises(NotBijection):
         Permutation.from_cycles(4, [(0, 1), (1, 2)])
+
+
+@pytest.mark.parametrize("images", [[1, 1, 2], [0, 2, 2], [1, 2, 1, 0]])
+def test_cycles_of_an_unchecked_non_bijection_raise(images):
+    # the walk from a point meets a seen point other than its start;
+    # it used to loop forever, growing the cycle without bound
+    g = Permutation(np.array(images), _checked=True)
+    with pytest.raises(NotBijection):
+        g.cycles()
+    with pytest.raises(NotBijection):
+        g.order()
 
 
 def test_trivial_group_without_degree_is_a_programming_error():
@@ -143,23 +153,21 @@ def test_known_orders(group, order):
 
 @pytest.mark.parametrize("claim", [24, 40, 240])
 def test_claimed_order_the_product_overshoots_falls_back(claim):
-    # the orbit-length product passes these wrong claims without hitting
-    # them, so the chain completes and reports the true order
+    # the orbit-length product passes these false bounds without reaching
+    # them, so the bounded chain completes and reports the true order
     S6 = PermGroup.symmetric(6)
-    G = PermGroup(S6.generators, degree=6, claimed_order=claim)
+    G = PermGroup._bounded(S6.generators, 6, claim)
     assert G.order() == 720
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="a false claimed order is believed when the chain's running "
-    "order passes through it: the chain stops there and reports the claim",
-)
 @pytest.mark.parametrize("claim", [30, 60, 360])
-def test_claimed_order_the_product_reaches_is_believed(claim):
+def test_public_group_takes_no_order_claim(claim):
+    # these claims are false bounds the orbit product reaches; no public
+    # constructor accepts one, so S6's generators always give 720
     S6 = PermGroup.symmetric(6)
-    G = PermGroup(S6.generators, degree=6, claimed_order=claim)
-    assert G.order() == 720
+    with pytest.raises(TypeError):
+        PermGroup(S6.generators, degree=6, claimed_order=claim)
+    assert PermGroup(S6.generators, degree=6).order() == 720
 
 
 def test_mathieu_style_big_group():
@@ -806,6 +814,12 @@ def test_intersection_small_above_enumeration_bound_raises():
         intersection_small(S10, S10)
 
 
+@pytest.mark.parametrize("m", [0, -1])
+def test_element_of_order_below_1_is_out_of_range(m):
+    with pytest.raises(OutOfRange):
+        element_of_order(PermGroup.symmetric(4), m)
+
+
 def test_element_of_order_finds_and_respects_order():
     G = PermGroup.symmetric(6)
     for m in (2, 3, 4, 5, 6):
@@ -876,7 +890,8 @@ def test_seeded_search_returns_pinned_generators(key):
 def test_seeded_search_returns_a_complete_chain_of_the_target_order(key):
     G, H = _pinned_search(key)
     target = key[1]
-    assert H.chain()._ceiling is None
+    # the trial chain ran to the end: no Schreier pair is left to sift
+    assert not any(lev.pending for lev in H.chain().levels)
     assert H.order() == target
     assert PermGroup(H.generators, degree=G.degree).order() == target
     assert all(G.contains(g) for g in H.generators)
@@ -894,19 +909,20 @@ def test_trial_chain_stops_once_its_orbit_product_passes_the_target(
     monkeypatch,
 ):
     S6 = PermGroup.symmetric(6)
-    trial = _TrialChain(6, S6.generators, 60)
+    trial = StabChain(6, S6.generators, stop_at=61)
     # stopped unfinished: 6 * 5 * 4 * 3 already exceeds 60
     assert 60 < trial.order() < 720
     assert StabChain(6, S6.generators).order() == 720
 
     trials = []
 
-    class Spy(_TrialChain):
-        def __init__(self, *args):
-            super().__init__(*args)
-            trials.append(self)
+    class Spy(StabChain):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            if kwargs.get("stop_at") == 61:
+                trials.append(self)
 
-    monkeypatch.setattr(perm_module, "_TrialChain", Spy)
+    monkeypatch.setattr(perm_module, "StabChain", Spy)
     H = random_subgroup_of_order(S6, 60, seed=1)
     stopped = [c for c in trials if c.order() > 60]
     assert stopped and H is not None
@@ -917,9 +933,9 @@ def test_trial_chain_stops_once_its_orbit_product_passes_the_target(
 def test_trial_chain_below_the_target_is_the_full_chain():
     A5 = PermGroup.alternating(5)
     for target in (60, 120):
-        trial = _TrialChain(5, A5.generators, target)
+        trial = StabChain(5, A5.generators, stop_at=target + 1)
         full = StabChain(5, A5.generators)
-        assert trial._ceiling is None
+        assert not any(lev.pending for lev in trial.levels)
         assert trial.base == full.base
         assert [lev.orbit_list for lev in trial.levels] == [
             lev.orbit_list for lev in full.levels
@@ -942,8 +958,8 @@ def test_power_of_order_draws_once_per_try():
 
 
 def test_extend_drops_claimed_order():
-    # the claim 60 holds for A5, not for the S5 that (0 1) extends it to
-    A5 = PermGroup(PermGroup.alternating(5).generators, claimed_order=60)
+    # the bound 60 holds for A5, not for the S5 that (0 1) extends it to
+    A5 = PermGroup._bounded(PermGroup.alternating(5).generators, 5, 60)
     assert A5.order() == 60
     assert A5.extend(Permutation.from_cycles(5, [(0, 1)]))
     assert A5.order() == 120

@@ -4,14 +4,18 @@ A public module-level function of ``src/plinth/<module>.py`` must be
 named somewhere in ``src/plinth`` other than its own ``def`` and the
 re-exports of ``__init__.py``, or be a span that a per-layer metric of
 BENCHMARK.json reads.  A function only the tests call belongs in the
-tests, as an oracle.
+tests, as an oracle.  No signature of ``plinth.perm`` takes an order
+claim: a bound is the package's own knowledge (``PermGroup._bounded``).
 """
 
 import ast
+import inspect
 import json
 from pathlib import Path
 
 import pytest
+
+from plinth import perm
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "plinth"
@@ -100,3 +104,33 @@ def test_untyped_errors_are_listed():
     # every other error is a PlinthError subclass; a new ValueError
     # joins this list only as a decision
     assert _value_error_sites() == ["perm.PermGroup.__init__"]
+
+
+def _signatures(module):
+    """(qualified name, signature) of each function and method defined
+    in ``module``."""
+    out = []
+    for name, obj in vars(module).items():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            out.append((name, inspect.signature(obj)))
+        elif inspect.isclass(obj):
+            for attr, member in vars(obj).items():
+                func = getattr(member, "__func__", member)
+                if inspect.isfunction(func):
+                    out.append((f"{name}.{attr}", inspect.signature(func)))
+    return out
+
+
+def test_perm_signatures_take_no_order_claim():
+    # an order bound is the package's own knowledge (PermGroup._bounded),
+    # never a caller's claim
+    sigs = _signatures(perm)
+    assert any(name == "PermGroup.__init__" for name, _ in sigs)
+    bad = [
+        name
+        for name, sig in sigs
+        if {"claimed_order", "upper_bound"} & set(sig.parameters)
+    ]
+    assert bad == []
