@@ -394,13 +394,13 @@ def top_projection(G, E):
     return PermGroup(_top_images(G, E), degree=len(E.partitions))
 
 
-def partition_stabilizer_generators(G, E, j):
-    """Generators (in G) of the stabilizer of partition j.
+def partition_stabilizer_generators(G, top, j):
+    """Generators (in G) of the stabilizer of partition j, where ``top``
+    is ``top_projection(G, E)``.
 
     Schreier generators of the point stabilizer in the tiny top action,
     evaluated as products of G's generators.
     """
-    top = top_projection(G, E)
     order, tree = top.orbit(j)
     n = G.degree
     identity = np.arange(n, dtype=_DTYPE)
@@ -426,11 +426,14 @@ def partition_stabilizer_generators(G, E, j):
 
 def component(G, E, j):
     """Action induced on the blocks of partition j by its stabilizer."""
-    gens = partition_stabilizer_generators(G, E, j)
+    top = top_projection(G, E)
+    gens = partition_stabilizer_generators(G, top, j)
     lab = E.partitions[j]
     first = _block_reps(E, j)
     block_gens = []
     for s in gens:
         images = lab[s.images[first]]
         block_gens.append(Permutation(images))
-    return PermGroup(block_gens, degree=len(first))
+    # an image of the stabilizer G_j, of order |G| / |j^G| (orbit-stabilizer)
+    bound = G.order() // len(top.orbit(j)[0])
+    return PermGroup._bounded(block_gens, len(first), bound)

@@ -145,11 +145,11 @@ def suborbits(G):
     the preimage of 0 under a transporter to beta.
     """
     stab, labels, reps, transporters = suborbit_frame(G)
+    lengths = np.bincount(labels).tolist()
     subs = []
     for idx, (rep, u) in enumerate(zip(reps, transporters)):
-        length = int((labels == idx).sum())
-        partner = int(labels[u.inverse().images[0]])
-        subs.append(Suborbit(rep, length, partner == idx, partner))
+        partner = int(labels[u.preimage(0)])
+        subs.append(Suborbit(rep, lengths[idx], partner == idx, partner))
     return OrbitalData(labels, subs, stab, transporters)
 
 

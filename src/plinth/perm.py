@@ -104,6 +104,10 @@ class Permutation:
     def __call__(self, point):
         return int(self.images[point])
 
+    def preimage(self, point):
+        """The point this permutation maps to ``point``."""
+        return int(np.flatnonzero(self.images == point)[0])
+
     def __pow__(self, k):
         if k < 0:
             return self.inverse() ** (-k)
@@ -178,25 +182,81 @@ class Permutation:
         return f"Permutation({self.cycle_string()}, degree={self.degree})"
 
 
-def _schreier_path_images(tree, point, gens, degree):
-    """Image array of the generator product along a Schreier tree.
+class SchreierWord(Permutation):
+    """A permutation kept as a word in generators, as a Schreier vector
+    gives it: ``gens[word[0]]`` first, then ``gens[word[1]]``, and so on
+    (transversals held implicitly: Seress, *Permutation Group
+    Algorithms*, 2003, section 4.1).  ``map`` and ``preimage`` follow
+    the word for the points asked for; the full image array is built
+    only when ``images`` is read, and then kept.
+    """
 
-    ``tree`` maps each point to (parent, index into ``gens``) and the
-    root to (-1, -1); the product maps the root to ``point``.  The
-    result may be a generator's own (read-only) image array.
+    __slots__ = ("_gens", "_word", "_degree", "_images")
+
+    def __init__(self, gens, word, degree):
+        self._gens = gens
+        self._word = tuple(word)
+        self._degree = degree
+        self._images = None
+        self._hash = None
+
+    @property
+    def degree(self):
+        return self._degree
+
+    @property
+    def images(self):
+        if self._images is None:
+            arr = self.map(np.arange(self._degree, dtype=_DTYPE))
+            arr.setflags(write=False)
+            self._images = arr
+        return self._images
+
+    def map(self, points):
+        """Images of a point array, along the word."""
+        arr = np.asarray(points, dtype=_DTYPE)
+        for gi in self._word:
+            arr = self._gens[gi].images[arr]
+        return arr
+
+    def __call__(self, point):
+        return int(self.map(point))
+
+    def preimage(self, point):
+        for gi in reversed(self._word):
+            point = self._gens[gi].preimage(point)
+        return int(point)
+
+
+def _tree_word(tree, point):
+    """Generator indices along a Schreier tree, root first, to ``point``.
+
+    ``tree`` maps each point to (parent, generator index) and the root
+    to (-1, -1).
     """
     path = []
-    p = point
     while True:
-        parent, gi = tree[p]
+        parent, gi = tree[point]
         if parent < 0:
             break
         path.append(gi)
-        p = parent
-    if not path:
+        point = parent
+    path.reverse()
+    return path
+
+
+def _schreier_path_images(tree, point, gens, degree):
+    """Image array of the generator product along a Schreier tree.
+
+    The product of ``gens`` along ``_tree_word(tree, point)`` maps the
+    root to ``point``.  The result may be a generator's own (read-only)
+    image array.
+    """
+    word = _tree_word(tree, point)
+    if not word:
         return np.arange(degree, dtype=_DTYPE)
-    arr = gens[path.pop()].images
-    for gi in reversed(path):
+    arr = gens[word[0]].images
+    for gi in word[1:]:
         arr = gens[gi].images[arr]
     return arr
 
@@ -247,7 +307,15 @@ def _grow_orbit(points, tree, gens, gen_ids, degree, first_ids=None):
 class _ChainLevel:
     """One level of a stabilizer chain: a base point, the generators
     assigned at this level, and the fundamental orbit with its Schreier
-    vector (parent point, generator index into the chain's gen table)."""
+    vector (parent point, generator index into the chain's gen table).
+
+    The Schreier pairs still to sift are kept as ranges
+    ``[start, stop, gen_ids, cursor]``: every point of
+    ``orbit_list[start:stop]`` with every generator of ``gen_ids``, of
+    which ``cursor`` pairs are taken.  ``orbit_list`` only grows, so a
+    range stays valid, and a chain that stops early never builds the
+    pairs it does not read.
+    """
 
     __slots__ = (
         "beta", "gen_ids", "orbit_list", "tree", "pending", "cache"
@@ -258,8 +326,20 @@ class _ChainLevel:
         self.gen_ids = []  # indices into StabChain.gens assigned here
         self.orbit_list = [beta]
         self.tree = {beta: (-1, -1)}
-        self.pending = deque()
+        self.pending = deque()  # nonempty pair ranges, oldest first
         self.cache = None  # point -> read-only transversal image array
+
+    def pop_pair(self):
+        """The next pending (point, generator) pair: the ranges in turn,
+        each point by point, each point's generators in turn."""
+        span = self.pending[0]
+        start, stop, gids, cursor = span
+        point, g = divmod(cursor, len(gids))
+        if cursor + 1 == (stop - start) * len(gids):
+            self.pending.popleft()
+        else:
+            span[3] = cursor + 1
+        return self.orbit_list[start + point], gids[g]
 
 
 class StabChain:
@@ -338,11 +418,12 @@ class StabChain:
         gid = len(self.gens)
         self.gens.append(g)
         self.levels[i].gen_ids.append(gid)
-        # the new generator lies in every stabilizer G^(j) with j <= i
+        # the new generator lies in every stabilizer G^(j) with j <= i;
+        # its pairs with the orbit as it stands come before those of the
+        # points it adds
         for j in range(i + 1):
             lev = self.levels[j]
-            for p in lev.orbit_list:
-                lev.pending.append((p, gid))
+            lev.pending.append([0, len(lev.orbit_list), (gid,), 0])
             self._extend_orbit(j, gid)
 
     def _effective_gen_ids(self, i):
@@ -357,15 +438,14 @@ class StabChain:
         order a full rescan from the orbit's start would give them.
         """
         lev = self.levels[i]
-        gids = self._effective_gen_ids(i)
+        gids = tuple(self._effective_gen_ids(i))
         old = len(lev.orbit_list)
         _grow_orbit(
             lev.orbit_list, lev.tree, self.gens, gids, self.degree,
             first_ids=(new_gid,),
         )
-        lev.pending.extend(
-            (q, gid) for q in lev.orbit_list[old:] for gid in gids
-        )
+        if len(lev.orbit_list) > old:
+            lev.pending.append([old, len(lev.orbit_list), gids, 0])
 
     def order(self):
         result = 1
@@ -383,7 +463,7 @@ class StabChain:
             if target is None:
                 break
             lev = self.levels[target]
-            p, gid = lev.pending.popleft()
+            p, gid = lev.pop_pair()
             # Schreier generator u_p * s * u_{p.s}^-1
             s = self.gens[gid]
             q = int(s.images[p])
@@ -604,20 +684,9 @@ class PermGroup:
         _grow_orbit(points, tree, gens, range(len(gens)), self.degree)
         return points, tree
 
-    def transporter_from_orbit(self, alpha, beta, tree=None):
-        """An element mapping alpha to beta, from a Schreier vector."""
-        if tree is None:
-            _, tree = self.orbit(alpha)
-        if beta not in tree:
-            return None
-        return Permutation(
-            _schreier_path_images(tree, beta, self.generators, self.degree),
-            _checked=True,
-        )
-
     def is_transitive(self):
-        points, _ = self.orbit(0)
-        return len(points) == self.degree
+        gens = [g.images for g in self.generators]
+        return len(fast_orbit(gens, 0, self.degree)) == self.degree
 
     def __repr__(self):
         return (
@@ -757,7 +826,7 @@ def _suborbit_blocks(labels, transporters):
         size = len(members[0])
         fresh = [0]
         while fresh and 2 * size <= n:
-            hit = labels[u.images[np.concatenate([members[i] for i in fresh])]]
+            hit = labels[u.map(np.concatenate([members[i] for i in fresh]))]
             fresh = np.unique(hit[~inside[hit]]).tolist()
             inside[fresh] = True
             size += sum(len(members[i]) for i in fresh)
@@ -774,15 +843,22 @@ def suborbit_frame(group):
 
     Returns (stabilizer, labels, representatives, transporters) with the
     labels of ``_orbit_labels`` (the trivial suborbit is index 0), and
-    transporters[i] mapping 0 to representatives[i].
+    transporters[i] a ``SchreierWord`` mapping 0 to representatives[i].
+    The orbit of 0 and its Schreier vector are read from level 0 of the
+    chain with base point 0 that ``point_stabilizer`` builds.
     """
-    points, tree = group.orbit(0)
-    if len(points) != group.degree:
-        raise NotTransitive("suborbits and blocks need a transitive group")
     stab = point_stabilizer(group, 0)
+    chain = group.chain(base_hint=[0])
+    # a chain with no levels is the trivial group's: 0 is fixed
+    top = chain.levels[0] if chain.levels else _ChainLevel(0)
+    if len(top.orbit_list) != group.degree:
+        raise NotTransitive("suborbits and blocks need a transitive group")
     gens = [g.images for g in stab.generators]
     labels, reps = _orbit_labels(gens, group.degree)
-    moves = [group.transporter_from_orbit(0, r, tree=tree) for r in reps]
+    moves = [
+        SchreierWord(chain.gens, _tree_word(top.tree, r), group.degree)
+        for r in reps
+    ]
     return stab, labels, reps, moves
 
 
@@ -792,14 +868,32 @@ def _orbit_labels(gen_images, degree):
     Orbits are labelled in order of their minimum point, so the orbit of
     0 gets label 0.  Returns (label array, representatives), where each
     representative is its orbit's minimum point.
+
+    Every point starts as its own label; each round lowers a label to
+    the least label one generator or inverse step away, then follows
+    labels to labels (``lab = lab[lab]``) until that changes nothing.
+    A label is always a point of the same orbit and at most the point,
+    so once a round changes nothing every point carries its orbit's
+    minimum.
     """
-    labels = np.full(degree, -1, dtype=_DTYPE)
-    reps = []
-    for p in range(degree):
-        if labels[p] == -1:
-            labels[fast_orbit(gen_images, p, degree)] = len(reps)
-            reps.append(p)
-    return labels, reps
+    lab = np.arange(degree, dtype=_DTYPE)
+    steps = []
+    for images in gen_images:
+        inverse = np.empty_like(lab)
+        inverse[images] = lab  # lab is still the identity here
+        steps += [images, inverse]
+    while True:
+        new = lab
+        for step in steps:
+            new = np.minimum(new, new[step])
+        jumped = new[new]
+        while not np.array_equal(jumped, new):
+            new, jumped = jumped, jumped[jumped]
+        if np.array_equal(new, lab):
+            break
+        lab = new
+    reps, labels = np.unique(lab, return_inverse=True)
+    return labels.astype(_DTYPE, copy=False), reps.tolist()
 
 
 def _block_system_labels(group, block):

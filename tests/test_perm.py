@@ -3,7 +3,6 @@
 import hashlib
 import itertools
 import math
-from collections import deque
 from functools import cache
 from random import Random
 
@@ -14,7 +13,15 @@ from hypothesis import given, settings, strategies as st
 import plinth.perm as perm_module
 from plinth.algebra import psl2_action, sp4
 from plinth.actions import coset_action, cyclic_class_action
-from plinth.cli import _scan_suborbits, data_path, parse_generators, run_case
+from plinth.cli import (
+    _Run,
+    _scan_suborbits,
+    _w4_class_action,
+    _w4_suborbits,
+    data_path,
+    parse_generators,
+    run_case,
+)
 from plinth.errors import (
     NotBijection,
     NotInvariant,
@@ -28,6 +35,7 @@ from plinth.perm import (
     Permutation,
     StabChain,
     _block_system_labels,
+    _orbit_labels,
     _power_of_order,
     _schreier_path_images,
     _suborbit_blocks,
@@ -240,6 +248,13 @@ def test_orbit_closed_under_generators(G):
         assert {int(g.images[p]) for p in pset} == pset
 
 
+@settings(max_examples=30)
+@given(small_groups())
+def test_is_transitive_is_an_orbit_of_0_covering_every_point(G):
+    assert G.is_transitive() == (len(G.orbit(0)[0]) == G.degree)
+    assert not _padded(G, G.degree + 1).is_transitive()
+
+
 @pytest.mark.parametrize("alpha", [4, -1])
 def test_orbit_rejects_a_point_out_of_range(alpha):
     with pytest.raises(OutOfRange):
@@ -249,9 +264,13 @@ def test_orbit_rejects_a_point_out_of_range(alpha):
 def test_transporter_maps_correctly():
     G = PermGroup.symmetric(6)
     pts, tree = G.orbit(0)
+
+    def transporter(beta):
+        images = _schreier_path_images(tree, beta, G.generators, G.degree)
+        return Permutation(images, _checked=True)
+
     for beta in pts:
-        u = G.transporter_from_orbit(0, int(beta), tree=tree)
-        assert u(0) == int(beta)
+        assert transporter(beta)(0) == beta
 
 
 def _w2_incidence_group():
@@ -306,8 +325,23 @@ def test_transversal_cache_skips_levels_above_the_bound():
 
 
 class FullRescanChain(StabChain):
-    """Reference chain: the former orbit extension, which rescans every
-    orbit point under every effective generator."""
+    """Reference chain: the former pair queue, one pair range per point,
+    and the former orbit extension, which rescans every orbit point
+    under every effective generator."""
+
+    def _assign(self, g):
+        i = self._level_of(g)
+        if i == len(self.levels):
+            self._new_level(g)
+            i = self._level_of(g)
+        gid = len(self.gens)
+        self.gens.append(g)
+        self.levels[i].gen_ids.append(gid)
+        for j in range(i + 1):
+            lev = self.levels[j]
+            for k in range(len(lev.orbit_list)):
+                lev.pending.append([k, k + 1, (gid,), 0])
+            self._extend_orbit(j, gid)
 
     def _extend_orbit(self, i, new_gid):
         lev = self.levels[i]
@@ -321,8 +355,18 @@ class FullRescanChain(StabChain):
                 if q not in lev.tree:
                     lev.tree[q] = (p, gid)
                     lev.orbit_list.append(q)
-                    for gid2 in gids:
-                        lev.pending.append((q, gid2))
+                    end = len(lev.orbit_list)
+                    lev.pending.append([end - 1, end, tuple(gids), 0])
+
+
+def _pending_pairs(lev):
+    """The (point, generator) pairs a level's pending ranges still hold,
+    in the order they come out."""
+    pairs = []
+    for start, stop, gids, cursor in lev.pending:
+        span = [(p, gid) for p in lev.orbit_list[start:stop] for gid in gids]
+        pairs.extend(span[cursor:])
+    return pairs
 
 
 def _level_state(lev):
@@ -331,7 +375,7 @@ def _level_state(lev):
         list(lev.gen_ids),
         list(lev.orbit_list),
         list(lev.tree.items()),
-        list(lev.pending),
+        _pending_pairs(lev),
     )
 
 
@@ -411,38 +455,29 @@ def test_orbit_extension_matches_full_rescan(monkeypatch, build):
     assert got == want
 
 
-class _PoppedDeque(deque):
-    """A deque that remembers the item ``popleft`` returned last."""
-
-    last = None
-
-    def popleft(self):
-        self.last = super().popleft()
-        return self.last
-
-
 @pytest.mark.parametrize(
     "build", [b for _, b in _GROWTHS], ids=[name for name, _ in _GROWTHS]
 )
 def test_no_tree_edge_is_sifted(monkeypatch, build):
     # a tree edge's Schreier generator u_p * s * u_q^-1 is the identity
     edges = []
-    level_init = perm_module._ChainLevel.__init__
+    popped = {}  # level -> the pair it gave last
+    pop_pair = perm_module._ChainLevel.pop_pair
     sift = StabChain._sift_images
 
-    def recording_level_init(self, beta):
-        level_init(self, beta)
-        self.pending = _PoppedDeque()
+    def recording_pop_pair(self):
+        popped[self] = pop_pair(self)
+        return popped[self]
 
     def recording_sift(self, images, start=0):
         if start:  # a Schreier generator from the pair just popped
             lev = self.levels[start - 1]
-            p, gid = lev.pending.last
+            p, gid = popped[lev]
             q = int(self.gens[gid].images[p])
             edges.append(lev.tree[q] == (p, gid))
         return sift(self, images, start)
 
-    monkeypatch.setattr(perm_module._ChainLevel, "__init__", recording_level_init)
+    monkeypatch.setattr(perm_module._ChainLevel, "pop_pair", recording_pop_pair)
     monkeypatch.setattr(StabChain, "_sift_images", recording_sift)
     build()
     assert edges and not any(edges)
@@ -672,6 +707,17 @@ def _d8_times_d8():
     return PermGroup(gens)
 
 
+def _dihedral_square(m):
+    """D_m x D_m on the m^2 pairs (x, y) = m x + y: imprimitive, with
+    blocks {x} x B and B x {y} for the blocks B of D_m."""
+    rotation = Permutation.from_cycles(m, [tuple(range(m))])
+    reflection = Permutation(-np.arange(m) % m)
+    x, y = np.divmod(np.arange(m * m), m)
+    gens = [Permutation(g.images[x] * m + y) for g in (reflection, rotation)]
+    gens += [Permutation(x * m + g.images[y]) for g in (reflection, rotation)]
+    return PermGroup(gens)
+
+
 def _m12_on_144():
     G = parse_generators(data_path("m12.gens")).group()
     H = random_subgroup_of_order(G, 660, profile=(11, 2), seed=1)
@@ -771,6 +817,114 @@ def test_scan_and_block_search_grow_no_point_orbit(monkeypatch, name):
     assert [s.tolist() for s in minimal_block_systems(G)] == [
         s.tolist() for s in systems
     ]
+
+
+def _orbit_labels_reference(gen_images, degree):
+    """The per-point labelling: one orbit sweep from each unlabelled point."""
+    labels = np.full(degree, -1, dtype=np.int64)
+    reps = []
+    for p in range(degree):
+        if labels[p] == -1:
+            labels[fast_orbit(gen_images, p, degree)] = len(reps)
+            reps.append(p)
+    return labels, reps
+
+
+def _assert_labels_match(gen_images, degree):
+    labels, reps = _orbit_labels(gen_images, degree)
+    want_labels, want_reps = _orbit_labels_reference(gen_images, degree)
+    assert labels.dtype == want_labels.dtype
+    assert labels.tolist() == want_labels.tolist()
+    assert reps == want_reps
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_CORPUS))
+def test_orbit_labels_match_the_per_point_loop_on_the_corpus(name):
+    G = BLOCK_CORPUS[name]()
+    stab = point_stabilizer(G, 0)
+    for group in (G, stab, PermGroup.trivial(G.degree)):
+        _assert_labels_match([g.images for g in group.generators], G.degree)
+
+
+def _sparse_permutation(degree, swaps, rng):
+    """A product of ``swaps`` random transpositions: many small orbits."""
+    images = list(range(degree))
+    for _ in range(swaps):
+        a, b = rng.sample(range(degree), 2)
+        images[a], images[b] = images[b], images[a]
+    return np.array(images, dtype=np.int64)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_orbit_labels_match_the_per_point_loop_on_random_groups(seed):
+    rng = Random(seed)
+    degree = rng.randrange(2, 300)
+    gens = [
+        _sparse_permutation(degree, rng.randrange(degree), rng)
+        for _ in range(rng.randrange(1, 4))
+    ]
+    _assert_labels_match(gens, degree)
+
+
+def test_orbit_labels_match_the_per_point_loop_on_sp44s_point_stabilizer():
+    stab = _Run("stages", 1).shared(_w4_suborbits).stabilizer
+    _assert_labels_match([g.images for g in stab.generators], stab.degree)
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_CORPUS))
+def test_transporter_words_map_as_their_image_arrays(name):
+    G = BLOCK_CORPUS[name]()
+    _, labels, reps, transporters = suborbit_frame(G)
+    suborbit_points = [
+        np.flatnonzero(labels == i) for i in range(len(reps))
+    ]
+    # every point read along the word before any image array exists
+    mapped = [[u.map(pts) for pts in suborbit_points] for u in transporters]
+    back = [u.preimage(0) for u in transporters]
+    starts = [u(0) for u in transporters]
+    assert starts == reps
+    for u, images, pre in zip(transporters, mapped, back):
+        product = Permutation.identity(G.degree)
+        for gi in u._word:
+            product = product * u._gens[gi]
+        assert np.array_equal(u.images, product.images)
+        for pts, got in zip(suborbit_points, images):
+            assert got.tolist() == u.images[pts].tolist()
+        assert pre == int(u.inverse().images[0])
+
+
+def test_frame_reads_the_orbit_of_0_from_the_chain(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a second orbit of 0 was grown")
+
+    G = BLOCK_CORPUS["M12 on 144 cosets"]()
+    monkeypatch.setattr(PermGroup, "orbit", refuse)
+    _, labels, reps, transporters = suborbit_frame(G)
+    assert labels[0] == 0 and reps[0] == 0
+    assert transporters[0].is_identity()
+    assert G.is_transitive()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: _Run("stages", 1).shared(_w4_class_action).group,
+        lambda: _dihedral_square(33),
+    ],
+    ids=["sp44's G", "D33 x D33"],
+)
+def test_large_frame_builds_no_full_transporter_array(monkeypatch, make):
+    def refuse(self):
+        raise AssertionError("a full transporter array was built")
+
+    want = [s.tolist() for s in minimal_block_systems(make())]
+    G = make()
+    assert G.degree > 1000
+    monkeypatch.setattr(perm_module.SchreierWord, "images", property(refuse))
+    od = suborbits(G)
+    assert len(od.suborbits) == len(od.transporters) > 1
+    got = minimal_block_systems(G, od.frame())
+    assert [s.tolist() for s in got] == want
 
 
 # ---------------------------------------------------------------------------
