@@ -394,14 +394,14 @@ def top_projection(G, E):
     return PermGroup(_top_images(G, E), degree=len(E.partitions))
 
 
-def partition_stabilizer_generators(G, top, j):
-    """Generators (in G) of the stabilizer of partition j, where ``top``
-    is ``top_projection(G, E)``.
+def partition_stabilizer_generators(G, top, orbit):
+    """Generators (in G) of the stabilizer of a partition j, where ``top``
+    is ``top_projection(G, E)`` and ``orbit`` is ``top.orbit(j)``.
 
     Schreier generators of the point stabilizer in the tiny top action,
     evaluated as products of G's generators.
     """
-    order, tree = top.orbit(j)
+    order, tree = orbit
     n = G.degree
     identity = np.arange(n, dtype=_DTYPE)
     transporter = {
@@ -424,10 +424,11 @@ def partition_stabilizer_generators(G, top, j):
     return gens
 
 
-def component(G, E, j):
-    """Action induced on the blocks of partition j by its stabilizer."""
-    top = top_projection(G, E)
-    gens = partition_stabilizer_generators(G, top, j)
+def component(G, E, j, top):
+    """Action induced on the blocks of partition j by its stabilizer,
+    where ``top`` is ``top_projection(G, E)``."""
+    orbit = top.orbit(j)
+    gens = partition_stabilizer_generators(G, top, orbit)
     lab = E.partitions[j]
     first = _block_reps(E, j)
     block_gens = []
@@ -435,5 +436,5 @@ def component(G, E, j):
         images = lab[s.images[first]]
         block_gens.append(Permutation(images))
     # an image of the stabilizer G_j, of order |G| / |j^G| (orbit-stabilizer)
-    bound = G.order() // len(top.orbit(j)[0])
+    bound = G.order() // len(orbit[0])
     return PermGroup._bounded(block_gens, len(first), bound)

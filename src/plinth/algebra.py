@@ -89,22 +89,15 @@ class Field:
         self.k = k
         self._exp = np.zeros(q - 1, dtype=np.int64)
         self._log = np.full(q, -1, dtype=np.int64)
-        if k == 1:
-            gen = self._find_primitive_root(p)
-            x = 1
-            for i in range(q - 1):
-                self._exp[i] = x
-                self._log[x] = i
-                x = (x * gen) % p
-        else:
-            poly = _PRIMITIVE_POLYS[(p, k)]
-            x = 1
-            for i in range(q - 1):
-                self._exp[i] = x
-                if self._log[x] != -1:
-                    raise ConstructionFailed("polynomial is not primitive")
-                self._log[x] = i
-                x = self._mul_by_x(x, poly)
+        # GF(p) is GF(p)[x]/(x - g) for a primitive root g
+        poly = (self._find_primitive_root(p),) if k == 1 else _PRIMITIVE_POLYS[(p, k)]
+        x = 1
+        for i in range(q - 1):
+            self._exp[i] = x
+            if self._log[x] != -1:
+                raise ConstructionFailed("polynomial is not primitive")
+            self._log[x] = i
+            x = self._mul_by_x(x, poly)
         if (self._log[1:] == -1).any():
             raise ConstructionFailed("multiplicative group not cyclic of full order")
         # addition table digitwise mod p, vectorized over digit planes
@@ -196,73 +189,48 @@ class Field:
 # ---------------------------------------------------------------------------
 # PSL(2,q) family on the projective line
 
-#: Point index of infinity on PG(1,q) is q; field element a is point a.
-def _projective_perm(q, fn):
-    images = np.empty(q + 1, dtype=np.int64)
-    for x in range(q + 1):
-        images[x] = fn(x)
-    return Permutation(images)
-
-
 def psl2_action(q, flavor="PSL"):
     """Projective (semi)linear action on the q+1 points of PG(1,q).
 
     Flavors: PSL, PGL, PSigmaL, M10, PGammaL.  The semilinear flavors
-    need q a proper prime power; M10 exists only at q=9.
+    need q a proper prime power; M10 exists only at q=9.  Field element
+    a is point a and infinity is point q.
     """
     if q < 4:
         raise UnsupportedField(f"PSL(2,{q}) on PG(1,q) needs q >= 4")
     F = Field(q)
-    INF = q
+    add, mul = F._add_table, F._mul_table
+    nu = F.primitive_element()
+    frob = np.zeros(q, dtype=np.int64)  # x -> x^p
+    frob[1:] = F._exp[F._log[1:] * F.p % (q - 1)]
 
-    def translation(a):
-        return _projective_perm(q, lambda x: INF if x == INF else F.add(x, a))
+    def fixing_infinity(images):
+        # field point x goes to images[x]
+        return Permutation(np.append(images, q))
 
-    def inversion():
-        # x -> -1/x, swapping 0 and infinity
-        def fn(x):
-            if x == INF:
-                return 0
-            if x == 0:
-                return INF
-            return F.neg(F.inv(x))
-
-        return _projective_perm(q, fn)
-
-    def scale(nu):
-        return _projective_perm(
-            q, lambda x: INF if x == INF else F.mul(nu, x)
-        )
-
-    def frobenius():
-        return _projective_perm(
-            q, lambda x: INF if x == INF else F.frobenius(x)
-        )
-
-    def scale_frobenius(nu):
-        return _projective_perm(
-            q, lambda x: INF if x == INF else F.mul(nu, F.frobenius(x))
-        )
-
+    # x -> -1/x, swapping 0 and infinity
+    inversion = np.empty(q + 1, dtype=np.int64)
+    inversion[0], inversion[q] = q, 0
+    inversion[1:q] = mul[F.neg(1), F._inv_table[1:]]
     # translations over a field basis plus inversion generate PSL(2,q)
     # (the GF(p)-basis 1, x, ..., x^(k-1) is p^i as a digit string)
-    gens = [translation(F.p**i) for i in range(F.k)] + [inversion()]
-    nu = F.primitive_element()
+    gens = [fixing_infinity(add[F.p**i]) for i in range(F.k)]
+    gens.append(Permutation(inversion))
 
     if flavor == "PSL":
         return PermGroup(gens)
     if flavor == "PGL":
-        return PermGroup(gens + [scale(nu)])
+        return PermGroup(gens + [fixing_infinity(mul[nu])])
     if F.k == 1:
         raise UnsupportedFlavor(f"{flavor} needs a proper prime power")
     if flavor == "PSigmaL":
-        return PermGroup(gens + [frobenius()])
+        return PermGroup(gens + [fixing_infinity(frob)])
     if flavor == "PGammaL":
-        return PermGroup(gens + [scale(nu), frobenius()])
+        return PermGroup(gens + [fixing_infinity(mul[nu]), fixing_infinity(frob)])
     if flavor == "M10":
         if q != 9:
             raise UnsupportedFlavor("M10 flavor exists only at q = 9")
-        return PermGroup(gens + [scale_frobenius(nu)])
+        return PermGroup(gens + [fixing_infinity(mul[nu, frob])])
     raise UnsupportedFlavor(flavor)
 
 
@@ -297,6 +265,14 @@ def identify_extension_flavor(G):
 
 # Alternating form: B(x,y) = x1 y2 + x2 y1 + x3 y4 + x4 y3 (char 2).
 _J = ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))
+
+
+def _form(add, mul, x, y):
+    """B(x, y) row by row, through a field's add and mul tables."""
+    return add[
+        add[mul[x[..., 0], y[..., 1]], mul[x[..., 1], y[..., 0]]],
+        add[mul[x[..., 2], y[..., 3]], mul[x[..., 3], y[..., 2]]],
+    ]
 
 
 class _PG3:
@@ -339,11 +315,7 @@ class _PG3:
 
     def form(self, x, y):
         """B(x, y), row by row."""
-        add, mul = self.add, self.mul
-        return add[
-            add[mul[x[..., 0], y[..., 1]], mul[x[..., 1], y[..., 0]]],
-            add[mul[x[..., 2], y[..., 3]], mul[x[..., 3], y[..., 2]]],
-        ]
+        return _form(self.add, self.mul, x, y)
 
     def transvection(self, v, lam):
         """Matrix of x -> x + lam B(x,v) v, a symplectic transvection."""
@@ -356,7 +328,8 @@ class _PG3:
 def preserves_form(F, m):
     """Whether m^T J m = J for the fixed alternating form."""
     rows = np.asarray(m, dtype=np.int64)  # row i is e_i m
-    return bool((_PG3(F).form(rows[:, None], rows[None, :]) == _J).all())
+    form = _form(F._add_table, F._mul_table, rows[:, None], rows[None, :])
+    return bool((form == _J).all())
 
 
 def projective_points(F):

@@ -93,27 +93,6 @@ def data_path(name):
 # generator files
 
 
-@dataclass
-class GeneratorFile:
-    """Parsed generator file: degree, generators, optional claimed order."""
-
-    degree: int
-    generators: list
-    expected_order: int = None
-
-    def emit(self):
-        """Canonical text form; parse(emit(x)) == x byte for byte."""
-        lines = [f"degree {self.degree}"]
-        for g in self.generators:
-            lines.append(f"gen {g.cycle_string()}")
-        if self.expected_order is not None:
-            lines.append(f"order {self.expected_order}")
-        return "\n".join(lines) + "\n"
-
-    def group(self):
-        return PermGroup(list(self.generators), degree=self.degree)
-
-
 def _parse_cycle_notation(text, degree, lineno):
     """One permutation from 1-based disjoint-cycle notation."""
     images = np.arange(degree, dtype=_DTYPE)
@@ -156,18 +135,11 @@ def _parse_image_notation(text, degree, lineno):
     return Permutation(np.array(images, dtype=_DTYPE), _checked=True)
 
 
-def _parse_count(line, keyword, lineno):
-    """The integer of a ``keyword N`` line; nothing may follow it."""
-    fields = line.split()
-    token = fields[1] if len(fields) == 2 else ""
-    return parse_int(token, f"bad {keyword} line", lineno)
-
-
 def parse_generators(path):
-    """Parse a generator file (see GeneratorFile.emit for the format)."""
+    """The group of a generator file: one ``degree N`` line, then its
+    ``gen`` lines, in cycle or image notation (see README)."""
     degree = None
     generators = []
-    expected_order = None
     for lineno, raw in enumerate(read_lines(path), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -175,7 +147,9 @@ def parse_generators(path):
         if line.startswith("degree "):
             if degree is not None:
                 raise ParseError("repeated degree line", line=lineno)
-            degree = _parse_count(line, "degree", lineno)
+            fields = line.split()  # nothing may follow the count
+            token = fields[1] if len(fields) == 2 else ""
+            degree = parse_int(token, "bad degree line", lineno)
             if degree < 1:
                 raise ParseError("degree must be positive", line=lineno)
             if degree > PRODUCT_DEGREE_CAP:
@@ -190,15 +164,11 @@ def parse_generators(path):
                 generators.append(_parse_image_notation(body, degree, lineno))
             else:
                 generators.append(_parse_cycle_notation(body, degree, lineno))
-        elif line.startswith("order "):
-            expected_order = _parse_count(line, "order", lineno)
-            if expected_order < 1:
-                raise ParseError("order must be positive", line=lineno)
         else:
             raise ParseError(f"unrecognized line {line!r}", line=lineno)
     if degree is None:
         raise ParseError("missing degree line", line=1)
-    return GeneratorFile(degree, generators, expected_order)
+    return PermGroup(generators, degree=degree)
 
 
 # ---------------------------------------------------------------------------
@@ -685,14 +655,13 @@ def _regular_on_neighborhood(act, z, nbrs):
 def _case_m12(run, opts):
     report = run.report
     with run.stage("parse"):
-        gf = parse_generators(opts.get("data") or data_path("m12.gens"))
+        G = parse_generators(opts.get("data") or data_path("m12.gens"))
         report.add(
             "degree",
             12,
-            gf.degree,
+            G.degree,
             'Theorem 4.1 proof, "T = M12 and |Omega| = 144"',
         )
-        G = gf.group()
         report.add(
             "order",
             95040,
@@ -763,16 +732,15 @@ def _case_o8plus2(run, opts):
         report.skipped = True
         return
     with run.stage("parse"):
-        gf = parse_generators(group_file)
-        sf = parse_generators(sub_file)
-        G = gf.group()
+        G = parse_generators(group_file)
+        H = parse_generators(sub_file)
         report.add(
             "group_order",
             174182400,
             G.order(),
             'Theorem 4.1 proof, "has no suborbit of size 28"',
         )
-        in_parent = all(G.contains(g) for g in sf.generators)
+        in_parent = all(G.contains(g) for g in H.generators)
         if not report.add(
             "subgroup_contained",
             True,
@@ -780,7 +748,6 @@ def _case_o8plus2(run, opts):
             'Theorem 4.1 proof, "has no suborbit of size 28"',
         ):
             return
-        H = PermGroup(sf.generators, degree=G.degree)
         report.add(
             "subgroup_order",
             12096,

@@ -93,7 +93,8 @@ class NotBijection(PlinthError):
 
 class OutOfRange(PlinthError):
     """An argument outside the range a routine takes: a point beyond the
-    degree, or a k that ``is_k_transitive`` does not test."""
+    degree, a k that ``is_k_transitive`` does not test, or a graph with
+    no vertex to read a valency from."""
 
 
 class ConstructionFailed(PlinthError):

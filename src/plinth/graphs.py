@@ -76,10 +76,13 @@ class Graph:
         return int(self.indptr[v + 1] - self.indptr[v])
 
     def is_regular(self):
+        """Whether every vertex has one valency (so true with no vertex)."""
         degs = np.diff(self.indptr)
-        return bool((degs == degs[0]).all())
+        return bool((degs == degs[:1]).all())
 
     def valency(self):
+        if not self.n:
+            raise OutOfRange("a graph with no vertex has no valency")
         if not self.is_regular():
             raise NotRegular("graph is not regular")
         return self.degree(0)
@@ -243,6 +246,8 @@ def direct_power(graph, ell):
     The vertex codec matches the product-action codec: coordinate 1 is
     most significant.
     """
+    if not graph.n:
+        return graph  # the empty graph is its own power
     n = graph.n ** ell
     if n > PRODUCT_DEGREE_CAP:
         raise DegreeOverflow(f"{n} vertices exceed the cap")

@@ -147,7 +147,7 @@ def _reference_coset_action(G, H):
 
 
 def _m12():
-    return parse_generators(data_path("m12.gens")).group()
+    return parse_generators(data_path("m12.gens"))
 
 
 def _m12_660(seed):
@@ -580,7 +580,7 @@ def test_top_projection_and_component():
     E = wreath.decomposition
     top = top_projection(W, E)
     assert top.order() == 2
-    comp = component(W, E, 0)
+    comp = component(W, E, 0, top)
     assert comp.order() == 6
 
 

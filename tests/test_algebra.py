@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import plinth.algebra
 from plinth.algebra import (
     Field,
+    check_field_order,
     identify_extension_flavor,
     preserves_form,
     projective_points,
@@ -15,8 +17,8 @@ from plinth.algebra import (
     sp4,
     symplectic_gq,
 )
-from plinth.errors import TooLarge, UnsupportedField
-from plinth.perm import PermGroup, is_k_transitive
+from plinth.errors import TooLarge, UnsupportedField, UnsupportedFlavor
+from plinth.perm import PermGroup, Permutation, is_k_transitive
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +164,42 @@ def test_field_rejects_q_whose_add_table_exceeds_the_bound():
         Field(100000000000031)
 
 
+def _accepted_orders(qs):
+    out = []
+    for q in qs:
+        try:
+            check_field_order(q)
+        except (TooLarge, UnsupportedField):
+            continue
+        out.append(q)
+    return out
+
+
+def _reference_prime_tables(p):
+    """exp/log tables of GF(p) by the loop x -> x * g % p, for the least
+    primitive root g."""
+    g = next(
+        g for g in range(1, p) if len({pow(g, i, p) for i in range(p - 1)}) == p - 1
+    )
+    exp = np.zeros(p - 1, dtype=np.int64)
+    log = np.full(p, -1, dtype=np.int64)
+    x = 1
+    for i in range(p - 1):
+        exp[i] = x
+        log[x] = i
+        x = x * g % p
+    return exp, log
+
+
+def test_prime_field_tables_match_the_residue_loop():
+    primes = [q for q in _accepted_orders(range(2, 1001)) if Field(q).k == 1]
+    assert len(primes) == 168  # every prime below 1000
+    for p in primes:
+        exp, log = _reference_prime_tables(p)
+        F = Field(p)
+        assert (F._exp == exp).all() and (F._log == log).all(), p
+
+
 PSL2_ORDERS = {
     4: 60,
     5: 60,
@@ -186,6 +224,49 @@ def test_psl2_sharply_3_transitive_when_pgl():
     G = psl2_action(5, "PGL")
     assert G.order() == 120
     assert is_k_transitive(G, list(range(6)), 3)
+
+
+def _reference_psl2_generators(q, flavor):
+    """psl2_action's generators point by point, infinity being point q."""
+    F = Field(q)
+    inf = q
+    nu = F.primitive_element()
+
+    def fixing_infinity(fn):
+        return Permutation([inf if x == inf else fn(x) for x in range(q + 1)])
+
+    def inversion(x):
+        if x == inf:
+            return 0
+        if x == 0:
+            return inf
+        return F.neg(F.inv(x))
+
+    gens = [
+        fixing_infinity(lambda x, a=F.p**i: F.add(x, a)) for i in range(F.k)
+    ] + [Permutation([inversion(x) for x in range(q + 1)])]
+    extra = {
+        "PSL": [],
+        "PGL": [lambda x: F.mul(nu, x)],
+        "PSigmaL": [F.frobenius],
+        "PGammaL": [lambda x: F.mul(nu, x), F.frobenius],
+        "M10": [lambda x: F.mul(nu, F.frobenius(x))],
+    }[flavor]
+    return gens + [fixing_infinity(fn) for fn in extra]
+
+
+def test_psl2_generators_match_the_per_point_reference():
+    built = 0
+    for q in _accepted_orders(range(4, 201)):
+        for flavor in ("PSL", "PGL", "PSigmaL", "M10", "PGammaL"):
+            try:
+                G = psl2_action(q, flavor)
+            except UnsupportedFlavor:
+                continue
+            assert G.generators == _reference_psl2_generators(q, flavor), (q, flavor)
+            built += 1
+    # 44 primes and 7 proper prime powers from 4 to 200, and M10 at q = 9
+    assert built == 2 * 51 + 2 * 7 + 1
 
 
 FLAVOR_ORDERS = {
@@ -294,6 +375,13 @@ def test_preserves_form_matches_the_scalar_reference(q):
     got = [preserves_form(F, m) for m in matrices + symplectic]
     assert got == [_reference_preserves_form(F, m) for m in matrices + symplectic]
     assert all(got[len(matrices):])
+
+
+def test_preserves_form_builds_no_point_table(monkeypatch):
+    monkeypatch.setattr(plinth.algebra, "_PG3", None)
+    eye = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
+    assert preserves_form(Field(4), eye)
+    assert not preserves_form(Field(4), ((1, 0, 1, 0),) + eye[1:])
 
 
 @pytest.mark.parametrize("q,lines_per_point", [(2, 3), (4, 5)])

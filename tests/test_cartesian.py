@@ -14,6 +14,7 @@ from plinth.actions import (
     coset_action,
     cyclic_class_action,
     product_action_wreath,
+    top_projection,
 )
 from plinth.algebra import psl2_action
 from plinth.cartesian import (
@@ -345,8 +346,10 @@ def _a6_grid_projections():
     E = find_grid_decompositions(G)[0]
     verdict = classify_inclusion(G, M, E)
     j1, j2 = verdict.details["moved_partitions"][0]
+    top = top_projection(M, E)
     a, b = (
-        point_stabilizer(component(M, E, j), E.block_of(j, 0)) for j in (j1, j2)
+        point_stabilizer(component(M, E, j, top), E.block_of(j, 0))
+        for j in (j1, j2)
     )
     return G, M, E, verdict, (j1, j2), a, b
 

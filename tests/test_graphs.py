@@ -102,6 +102,16 @@ def test_neighbors_sorted_and_valency():
     assert complete_graph(5).valency() == 4
 
 
+def test_empty_graph_is_regular():
+    # no vertex breaks regularity
+    assert Graph.from_edges(0, []).is_regular()
+
+
+def test_empty_graph_valency_raises_a_typed_error():
+    with pytest.raises(OutOfRange, match="no vertex"):
+        Graph.from_edges(0, []).valency()
+
+
 def test_is_connected():
     assert is_connected(complete_graph(4))[0]
     two_parts = Graph.from_edges(4, [(0, 1), (2, 3)])
@@ -357,6 +367,11 @@ def test_direct_power_rejects_an_irregular_graph():
         direct_power(path, 2)
 
 
+def test_direct_power_of_the_empty_graph_is_empty():
+    power = direct_power(Graph.from_edges(0, []), 2)
+    assert power.n == 0 and len(power.indices) == 0
+
+
 def test_direct_power_neighborhoods_are_products():
     sq = direct_power(_k4, 2)
     # vertex (i,j) encoded as i*4+j; neighbors are products of neighborhoods
@@ -396,7 +411,7 @@ def _reference_edge_orbit_graph(K, edge):
 def _m12():
     from plinth.cli import data_path, parse_generators
 
-    return parse_generators(data_path("m12.gens")).group()
+    return parse_generators(data_path("m12.gens"))
 
 
 EDGE_ORBIT_GROUPS = {
@@ -525,7 +540,7 @@ def test_suborbit_scan_builds_no_orbital_graph(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the scan built an orbital graph")
 
-    G = parse_generators(data_path("m12.gens")).group()
+    G = parse_generators(data_path("m12.gens"))
     H = random_subgroup_of_order(G, 660, profile=(11, 2), seed=1)
     M = coset_action(G, H).group
     monkeypatch.setattr("plinth.cli.orbital_graph", refuse)

@@ -719,7 +719,7 @@ def _dihedral_square(m):
 
 
 def _m12_on_144():
-    G = parse_generators(data_path("m12.gens")).group()
+    G = parse_generators(data_path("m12.gens"))
     H = random_subgroup_of_order(G, 660, profile=(11, 2), seed=1)
     return coset_action(G, H).group
 
@@ -1004,7 +1004,7 @@ def _search_group(name):
     if name == "A5":
         return PermGroup.alternating(5)
     if name == "M12":
-        return parse_generators(data_path("m12.gens")).group()
+        return parse_generators(data_path("m12.gens"))
     return psl2_action(int(name[len("PSL(2,"):-1]), "PSL")
 
 
