@@ -34,7 +34,6 @@ from .graphs import (
     Graph,
     OrbitalData,
     direct_power,
-    edge_orbit_graph,
     is_connected,
     orbital_graph,
     s_arc_transitivity_max,

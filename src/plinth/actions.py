@@ -2,8 +2,8 @@
 
 Coset actions with canonical coset representatives, conjugation actions
 on classes of cyclic subgroups, wreath products in product action, and
-the partition-stabilizer machinery (top projection, components) used by
-the inclusion classifier.
+the actions on a decomposition's partitions and blocks (top projection,
+components) used by the inclusion classifier.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .perm import (
     _DTYPE,
     Permutation,
     PermGroup,
-    _schreier_path_images,
     element_of_order,
 )
 
@@ -394,47 +393,23 @@ def top_projection(G, E):
     return PermGroup(_top_images(G, E), degree=len(E.partitions))
 
 
-def partition_stabilizer_generators(G, top, orbit):
-    """Generators (in G) of the stabilizer of a partition j, where ``top``
-    is ``top_projection(G, E)`` and ``orbit`` is ``top.orbit(j)``.
+def component(M, E, j):
+    """Action of M on the blocks of partition j, for an M that keeps it.
 
-    Schreier generators of the point stabilizer in the tiny top action,
-    evaluated as products of G's generators.
+    A generator g keeps the partition iff the block of x.g is a function
+    of the block of x, read off the blocks' least points.  Raises
+    OutOfRange for j outside 0..ell-1 and NotDecompositionPreserving
+    when a generator moves the partition.
     """
-    order, tree = orbit
-    n = G.degree
-    identity = np.arange(n, dtype=_DTYPE)
-    transporter = {
-        p: _schreier_path_images(tree, p, G.generators, n) for p in order
-    }
-    gens = []
-    seen = set()
-    for p in order:
-        up = transporter[p]
-        for t, g in zip(top.generators, G.generators):
-            q = int(t.images[p])
-            uq = transporter[q]
-            uq_inv = np.empty(n, dtype=_DTYPE)
-            uq_inv[uq] = identity
-            s = uq_inv[g.images[up]]
-            key = s.tobytes()
-            if key not in seen and not (s == identity).all():
-                seen.add(key)
-                gens.append(Permutation(s, _checked=True))
-    return gens
-
-
-def component(G, E, j, top):
-    """Action induced on the blocks of partition j by its stabilizer,
-    where ``top`` is ``top_projection(G, E)``."""
-    orbit = top.orbit(j)
-    gens = partition_stabilizer_generators(G, top, orbit)
+    if not 0 <= j < len(E.partitions):
+        raise OutOfRange(f"partition {j} is outside 0..{len(E.partitions) - 1}")
     lab = E.partitions[j]
     first = _block_reps(E, j)
     block_gens = []
-    for s in gens:
-        images = lab[s.images[first]]
+    for g in M.generators:
+        images = lab[g.images[first]]
+        if (lab[g.images] != images[lab]).any():
+            raise NotDecompositionPreserving(f"a generator moves partition {j}")
         block_gens.append(Permutation(images))
-    # an image of the stabilizer G_j, of order |G| / |j^G| (orbit-stabilizer)
-    bound = G.order() // len(orbit[0])
-    return PermGroup._bounded(block_gens, len(first), bound)
+    # an image of M, a group of order |M|
+    return PermGroup._bounded(block_gens, len(first), M.order())

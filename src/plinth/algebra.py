@@ -332,11 +332,6 @@ def preserves_form(F, m):
     return bool((form == _J).all())
 
 
-def projective_points(F):
-    """Normalized representatives of 1-spaces of F^4, lexicographic."""
-    return list(map(tuple, _PG3(F).points.tolist()))
-
-
 class MatrixActionGroup:
     """A permutation group together with the matrices behind its generators."""
 
@@ -418,7 +413,7 @@ def symplectic_gq(q):
         )
         span.sort(axis=1)
         lines.update(map(tuple, span.tolist()))
-    points = projective_points(F)
+    points = list(map(tuple, pts.tolist()))
     lines = sorted(lines)
     point_lines = [[] for _ in points]
     for li, line in enumerate(lines):

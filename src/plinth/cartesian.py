@@ -274,9 +274,8 @@ def classify_inclusion(G, M, E, factors=None):
         # every simple factor lives in one component: normal inclusion
         comp_stab_orders = []
         M_omega = point_stabilizer(M, omega)
-        top_M = top_projection(M, E)
         for j in range(ell):
-            comp = component(M, E, j, top_M)
+            comp = component(M, E, j)
             delta = E.block_of(j, omega)
             comp_stab_orders.append(point_stabilizer(comp, delta).order())
         prod = 1
@@ -303,9 +302,8 @@ def classify_inclusion(G, M, E, factors=None):
     # s = 2: compare the block-stabilizer projections of the plinth
     j1, j2 = moved[0][:2]
     projections = []
-    top_M = top_projection(M, E)
     for j in (j1, j2):
-        comp = component(M, E, j, top_M)
+        comp = component(M, E, j)
         delta = E.block_of(j, omega)
         projections.append((comp, point_stabilizer(comp, delta)))
     orders = tuple(p.order() for _, p in projections)

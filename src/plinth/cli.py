@@ -58,7 +58,6 @@ from .errors import (
 from .graphs import (
     Graph,
     direct_power,
-    edge_orbit_graph,
     orbital_graph,
     s_arc_transitivity_max,
     suborbits,
@@ -740,7 +739,9 @@ def _case_o8plus2(run, opts):
             G.order(),
             'Theorem 4.1 proof, "has no suborbit of size 28"',
         )
-        in_parent = all(G.contains(g) for g in H.generators)
+        in_parent = H.degree == G.degree and all(
+            G.contains(g) for g in H.generators
+        )
         if not report.add(
             "subgroup_contained",
             True,
@@ -812,8 +813,8 @@ def _petersen():
             images[i] = index[tuple(sorted((int(g.images[a]), int(g.images[b]))))]
         gens.append(Permutation(images, _checked=True))
     K = PermGroup(gens, degree=10)
-    edge = (index[(0, 1)], index[(2, 3)])
-    return edge_orbit_graph(K, edge)
+    # the pair {0, 1} is point 0; its disjoint pairs are its neighbours
+    return orbital_graph(K, index[(2, 3)], suborbits(K))
 
 
 def _case_products(run, opts):

@@ -11,7 +11,6 @@ graph's vertex count raises DegreeMismatch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -25,12 +24,7 @@ from .errors import (
     NotVertexTransitive,
     OutOfRange,
 )
-from .actions import (
-    PRODUCT_DEGREE_CAP,
-    _canonical_step,
-    _enumerate_orbit,
-    _keyed,
-)
+from .actions import PRODUCT_DEGREE_CAP
 from .perm import _DTYPE, point_stabilizer, suborbit_frame
 
 
@@ -218,8 +212,10 @@ def s_arc_transitivity_max(G, graph, s_cap=3):
     is (i+1)-arc-transitive iff it is i-arc-transitive and the pointwise
     stabilizer of v_0, ..., v_i is transitive on the nonempty set
     N(v_i) minus v_(i-1).  That set is invariant under the stabilizer,
-    so one orbit length decides.
+    so one orbit length decides.  Raises OutOfRange for s_cap below 0.
     """
+    if s_cap < 0:
+        raise OutOfRange(f"s_cap {s_cap} is below 0")
     for g in G.generators:
         if not is_automorphism(graph, g):
             raise GeneratorNotAutomorphism("a generator breaks adjacency")
@@ -244,8 +240,10 @@ def direct_power(graph, ell):
     """Direct (tensor) power: tuples adjacent iff adjacent coordinatewise.
 
     The vertex codec matches the product-action codec: coordinate 1 is
-    most significant.
+    most significant.  Raises OutOfRange for ell below 1.
     """
+    if ell < 1:
+        raise OutOfRange(f"arity {ell} is below 1")
     if not graph.n:
         return graph  # the empty graph is its own power
     n = graph.n ** ell
@@ -266,16 +264,3 @@ def direct_power(graph, ell):
         )
         out += block * stride
     return Graph.from_neighbor_matrix(out)
-
-
-def edge_orbit_graph(K, edge):
-    """Graph on K's points whose edges are the K-orbit of the pair."""
-    start = np.array(edge, dtype=_DTYPE)
-    _check_vertices(K.degree, start)
-    canon = partial(np.sort, axis=1)
-    pairs, _, _ = _enumerate_orbit(
-        _keyed(canon(start[None, :])),
-        _canonical_step(K.generators, canon),
-        len(K.generators),
-    )
-    return Graph.from_edges(K.degree, pairs.tolist())

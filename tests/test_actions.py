@@ -34,6 +34,7 @@ from plinth.errors import (
     DegreeMismatch,
     Mismatch,
     NotCartesian,
+    NotDecompositionPreserving,
     NotInvariant,
     OutOfRange,
 )
@@ -574,14 +575,20 @@ def test_product_action_base_acts_coordinatewise():
 
 
 def test_top_projection_and_component():
+    # S3 wr S2 swaps its two partitions, so it has no component; the
+    # base group S3^2 keeps both, and acts as S3 on each one's blocks
     K = PermGroup.symmetric(3)
     wreath = product_action_wreath(K, 2, PermGroup.symmetric(2))
     W = wreath.group
     E = wreath.decomposition
-    top = top_projection(W, E)
-    assert top.order() == 2
-    comp = component(W, E, 0, top)
-    assert comp.order() == 6
+    assert top_projection(W, E).order() == 2
+    with pytest.raises(NotDecompositionPreserving):
+        component(W, E, 0)
+    for j in (-1, 2):
+        with pytest.raises(OutOfRange):
+            component(W, E, j)
+    base = product_action_wreath(K, 2, PermGroup.trivial(2))
+    assert component(base.group, base.decomposition, 0).order() == 6
 
 
 def test_top_projection_trivial_when_top_trivial():

@@ -12,7 +12,6 @@ from plinth.algebra import (
     check_field_order,
     identify_extension_flavor,
     preserves_form,
-    projective_points,
     psl2_action,
     sp4,
     symplectic_gq,
@@ -59,14 +58,19 @@ def _reference_preserves_form(F, m):
     return True
 
 
+def projective_points(F):
+    """Normalized representatives of 1-spaces of F^4, lexicographic."""
+    return [
+        v
+        for v in itertools.product(range(F.q), repeat=4)
+        if any(v) and next(x for x in v if x) == 1
+    ]
+
+
 def _reference_gq(q):
     """W(q) as (points, lines, point lines), point by point."""
     F = Field(q)
-    points = [
-        v
-        for v in itertools.product(range(q), repeat=4)
-        if any(v) and next(x for x in v if x) == 1
-    ]
+    points = projective_points(F)
     index = {v: i for i, v in enumerate(points)}
     lines = set()
     for i, u in enumerate(points):
@@ -346,6 +350,21 @@ def test_sp4_keeps_each_generator_with_its_matrix(q):
 def test_projective_points_count():
     F = Field(4)
     assert len(projective_points(F)) == (4**4 - 1) // (4 - 1)
+
+
+def test_symplectic_gq_builds_its_projective_space_once(monkeypatch):
+    builds = []
+    init = plinth.algebra._PG3.__init__
+
+    def counted(self, F):
+        builds.append(F.q)
+        init(self, F)
+
+    monkeypatch.setattr(plinth.algebra._PG3, "__init__", counted)
+    geom = symplectic_gq(4)
+    assert builds == [4]
+    assert len(geom.points) == 85
+    assert geom.points == projective_points(Field(4))
 
 
 @pytest.mark.parametrize("q", [2, 4])

@@ -31,7 +31,7 @@ from plinth.cartesian import (
     parabolic_order,
     verify_psl2_factorization_row,
 )
-from plinth.cli import _a6_class_action, _w4_class_action, data_path
+from plinth.cli import _Run, _a6_class_action, _w4_class_action, _w4_grid, data_path
 from plinth.errors import (
     ConstructionFailed,
     IoError,
@@ -48,6 +48,7 @@ from plinth.perm import (
     PermGroup,
     Permutation,
     _orbit_labels,
+    _schreier_path_images,
     intersection_small,
     point_stabilizer,
     reduce_generators,
@@ -346,10 +347,8 @@ def _a6_grid_projections():
     E = find_grid_decompositions(G)[0]
     verdict = classify_inclusion(G, M, E)
     j1, j2 = verdict.details["moved_partitions"][0]
-    top = top_projection(M, E)
     a, b = (
-        point_stabilizer(component(M, E, j, top), E.block_of(j, 0))
-        for j in (j1, j2)
+        point_stabilizer(component(M, E, j), E.block_of(j, 0)) for j in (j1, j2)
     )
     return G, M, E, verdict, (j1, j2), a, b
 
@@ -482,6 +481,58 @@ def test_classify_inclusion_normal_for_a5_wr_2():
     assert verdict.tag == "Normal"
     assert verdict.details.get("stabilizer_product_formula_holds") is True
     assert verdict.s == 1
+
+
+def _reference_component(G, E, j):
+    """The routine component replaced: Schreier generators of the
+    stabilizer of partition j in G's top action, lifted to G through a
+    Schreier tree, read on the blocks of j, in an unbounded chain."""
+    top = top_projection(G, E)
+    order, tree = top.orbit(j)
+    n = G.degree
+    lift = {p: _schreier_path_images(tree, p, G.generators, n) for p in order}
+    lab = E.partitions[j]
+    first = np.unique(lab, return_index=True)[1]
+    gens = []
+    for p in order:
+        for t, g in zip(top.generators, G.generators):
+            s = np.argsort(lift[int(t.images[p])])[g.images[lift[p]]]
+            gens.append(Permutation(lab[s[first]]))
+    return PermGroup(gens, degree=len(first))
+
+
+def _a6_plinth_grid():
+    G, M = a6_setup()
+    return M, find_grid_decompositions(G)[0]
+
+
+def _w4_plinth_grid():
+    run = _Run("stages", 1)
+    return run.shared(_w4_class_action).socle_group, run.shared(_w4_grid)[0][0]
+
+
+def _a5_wr_2_base_grid():
+    base = product_action_wreath(PermGroup.alternating(5), 2, PermGroup.trivial(2))
+    return base.group, base.decomposition
+
+
+COMPONENT_CASES = {
+    "A6": _a6_plinth_grid,
+    "W(4)": _w4_plinth_grid,
+    "A5 wr S2 base": _a5_wr_2_base_grid,
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMPONENT_CASES))
+def test_component_matches_the_schreier_lift(name):
+    # a plinth that keeps every partition: its component on the blocks
+    # of j is the group the stabilizer's Schreier generators give
+    M, E = COMPONENT_CASES[name]()
+    assert top_projection(M, E).order() == 1
+    for j in range(E.arity):
+        got = component(M, E, j)
+        assert got.degree == E.block_counts[j]
+        assert same_subgroup(got, _reference_component(M, E, j)), j
 
 
 def test_blowup_embedding_certificate():

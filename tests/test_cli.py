@@ -305,6 +305,20 @@ def test_cli_o8plus2_foreign_subgroup_generator_fails(tmp_path, capsys):
     assert contained["actual"] is False
 
 
+def test_cli_o8plus2_subgroup_of_another_degree_fails(tmp_path, capsys):
+    # an empty g2_2.gens of another degree is no subgroup: a FAIL report,
+    # not a crash in the coset action
+    (tmp_path / "o8plus2.gens").write_text("degree 5\ngen (1,2,3,4,5)\n")
+    (tmp_path / "g2_2.gens").write_text("degree 3\n")
+    code = main(["verify", "o8plus2", "--data", str(tmp_path)])
+    assert code == 1
+    assert "status: FAIL" in capsys.readouterr().out
+    report = run_case("o8plus2", {"data": str(tmp_path)}).to_json_dict()
+    assert report["status"] == "FAIL" and "error" not in report
+    contained = next(c for c in report["checks"] if c["name"] == "subgroup_contained")
+    assert contained["actual"] is False
+
+
 def test_cli_m12_subgroup_search_failure_fails(monkeypatch, capsys):
     # a subgroup search that finds nothing gives a FAIL report, not a crash
     monkeypatch.setattr(
@@ -413,7 +427,7 @@ def test_cli_exception_in_a_stage_is_an_error_report(tmp_path, monkeypatch, caps
     report = run_case("classify-a6")
     assert report.status == "ERROR" and report.exit_code() == 3
     assert report.error["stage"] == "a6_suborbits"
-    assert "error" not in run_case("products").to_json_dict()
+    assert "error" not in run_case("factorizations").to_json_dict()
 
 
 def test_stage_timings_add_up_and_mark_reused_stages(monkeypatch):

@@ -10,7 +10,6 @@ from random import Random
 from plinth.graphs import (
     Graph,
     direct_power,
-    edge_orbit_graph,
     is_automorphism,
     is_connected,
     orbital_graph,
@@ -21,8 +20,14 @@ from plinth.graphs import (
 from plinth.algebra import psl2_action
 from plinth.actions import cyclic_class_action
 from plinth.autgq import ColoredGraph, graph_automorphism_group
-from plinth.errors import DegreeMismatch, NotRegular, NotSimple, OutOfRange
-from plinth.perm import PermGroup, Permutation
+from plinth.errors import (
+    DegreeMismatch,
+    NotRegular,
+    NotSimple,
+    NotTransitive,
+    OutOfRange,
+)
+from plinth.perm import PermGroup, Permutation, _schreier_path_images
 
 
 def complete_graph(n):
@@ -43,7 +48,8 @@ def petersen():
             images[i] = index[tuple(sorted((int(g.images[a]), int(g.images[b]))))]
         gens.append(Permutation(images, _checked=True))
     K = PermGroup(gens, degree=10)
-    return K, edge_orbit_graph(K, (index[(0, 1)], index[(2, 3)]))
+    # the pair {0, 1} is point 0; its disjoint pairs are its neighbours
+    return K, orbital_graph(K, index[(2, 3)], suborbits(K))
 
 
 def brute_s_arc_orbit(G, graph, s):
@@ -339,6 +345,12 @@ def test_s_arc_transitivity_max_perfect_matching():
         two_arc_transitive(G, matching)
 
 
+def test_s_arc_transitivity_max_rejects_a_negative_cap():
+    # -2 was once returned as the verdict
+    with pytest.raises(OutOfRange, match="s_cap"):
+        s_arc_transitivity_max(PermGroup.symmetric(4), _k4, s_cap=-2)
+
+
 def test_count_s_arcs():
     # K4: 12 arcs, each extends to 2 two-arcs
     S4 = PermGroup.symmetric(4)
@@ -367,6 +379,13 @@ def test_direct_power_rejects_an_irregular_graph():
         direct_power(path, 2)
 
 
+@pytest.mark.parametrize("ell", [0, -1])
+def test_direct_power_rejects_an_arity_below_one(ell):
+    # ell = 0 once gave one vertex with a loop, ell = -1 a TypeError
+    with pytest.raises(OutOfRange, match="arity"):
+        direct_power(_k4, ell)
+
+
 def test_direct_power_of_the_empty_graph_is_empty():
     power = direct_power(Graph.from_edges(0, []), 2)
     assert power.n == 0 and len(power.indices) == 0
@@ -392,7 +411,8 @@ def test_edge_orbit_graph_petersen_shape():
 
 
 def _reference_edge_orbit_graph(K, edge):
-    """The edge-orbit graph by a breadth-first search over pairs."""
+    """The graph whose edges are the K-orbit of the pair, by a
+    breadth-first search over pairs."""
     start = tuple(sorted(edge))
     seen = {start}
     frontier = [start]
@@ -424,15 +444,47 @@ EDGE_ORBIT_GROUPS = {
 }
 
 
+def _same_graph(got, want):
+    return (
+        got.n == want.n
+        and np.array_equal(got.indptr, want.indptr)
+        and np.array_equal(got.indices, want.indices)
+    )
+
+
 @pytest.mark.parametrize("edge", [(0, 1), (5, 0), (2, 5)])
 @pytest.mark.parametrize("name", sorted(EDGE_ORBIT_GROUPS))
 def test_edge_orbit_graph_matches_pair_search(name, edge):
+    # orbital_graph builds the orbit of {a, b} as the orbital of {0, beta},
+    # with u: 0 -> a from the Schreier tree of 0 and beta = b.u^-1; an
+    # intransitive group has no suborbits to build it from
     K = EDGE_ORBIT_GROUPS[name]()
-    got = edge_orbit_graph(K, edge)
-    want = _reference_edge_orbit_graph(K, edge)
-    assert got.n == want.n
-    assert np.array_equal(got.indptr, want.indptr)
-    assert np.array_equal(got.indices, want.indices)
+    a, b = edge
+    if not K.is_transitive():
+        with pytest.raises(NotTransitive):
+            suborbits(K)
+        return
+    u = _schreier_path_images(K.orbit(0)[1], a, K.generators, K.degree)
+    beta = int(np.argsort(u)[b])
+    got = orbital_graph(K, beta, suborbits(K))
+    assert _same_graph(got, _reference_edge_orbit_graph(K, edge))
+
+
+@pytest.mark.parametrize(
+    "name", sorted(n for n in EDGE_ORBIT_GROUPS if n != "trivial")
+)
+def test_orbital_graph_matches_pair_search_at_every_self_paired_beta(name):
+    K = EDGE_ORBIT_GROUPS[name]()
+    od = suborbits(K)
+    betas = [
+        beta
+        for beta in range(1, K.degree)
+        if od.suborbits[od.labels[beta]].self_paired
+    ]
+    assert betas
+    for beta in betas:
+        got = orbital_graph(K, beta, od)
+        assert _same_graph(got, _reference_edge_orbit_graph(K, (0, beta))), beta
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -462,10 +514,12 @@ def test_graph_rejects_a_vertex_out_of_range(edge):
         Graph.from_edges(3, [(0, 1), edge])
 
 
-@pytest.mark.parametrize("edge", [(0, -1), (4, 1)])
+@pytest.mark.parametrize("edge", [(0, -1), (0, 4)])
 def test_edge_orbit_graph_rejects_a_pair_out_of_range(edge):
+    # the pair {0, beta} with beta outside 0..3
+    K = PermGroup.symmetric(4)
     with pytest.raises(OutOfRange):
-        edge_orbit_graph(PermGroup.symmetric(4), edge)
+        orbital_graph(K, edge[1], suborbits(K))
 
 
 # ---------------------------------------------------------------------------
