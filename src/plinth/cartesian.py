@@ -25,7 +25,7 @@ from .actions import (
     coset_action,
     top_projection,
 )
-from .algebra import _factorize, check_field_order, psl2_action
+from .algebra import _factorize, check_field_order
 from .errors import (
     ConstructionFailed,
     Mismatch,
@@ -489,19 +489,22 @@ def _build_labeled_subgroup(T, label, order, seed):
     raise ParseError(f"unknown subgroup label {label}")
 
 
-def verify_psl2_factorization_row(q, row, seed=1):
-    """Verify one factorization row A * B = PSL(2,q) with the expected
-    intersection order.
+def verify_psl2_factorization_row(T, row, seed=1):
+    """Verify one factorization row A * B = T with the expected
+    intersection order, T being ``psl2_action(q)`` on the q + 1 points
+    of PG(1,q).
 
     A and B are rebuilt from their labels; because subgroup searches
     can land on a conjugate with a different intersection, the B (and
     A) construction is retried with shifted seeds, up to
     ``FACTORIZATION_ATTEMPTS`` times, until the expected intersection
-    appears.  An intersection below the forced minimum
+    appears.  An order field below 1 raises ParseError, as in the
+    table loader.  An intersection below the forced minimum
     |A||B|/|T| would contradict the table and raises Mismatch.
     """
     a_label, a_order, b_label, b_order, meet_order, anchor = row
-    T = psl2_action(q, "PSL")
+    _check_table_orders(a_order, b_order, meet_order)
+    q = T.degree - 1
     t_order = T.order()
     if (a_order * b_order) % meet_order or a_order * b_order // meet_order != t_order:
         raise Mismatch(
@@ -564,6 +567,13 @@ def _check_table_q(q, lineno=None):
         raise ParseError(f"q = {q}: {exc}", line=lineno) from exc
 
 
+def _check_table_orders(a_order, b_order, meet, lineno=None):
+    """Raise ParseError unless each order field of a factorization row
+    is at least 1."""
+    if min(a_order, b_order, meet) < 1:
+        raise ParseError("an order field is below 1", line=lineno)
+
+
 def load_factorization_table(path):
     """Rows of `q | A-label | A-order | B-label | B-order | meet | anchor`;
     each order field is at least 1."""
@@ -573,8 +583,7 @@ def load_factorization_table(path):
             parse_int(parts[i], "bad integer field", lineno) for i in (0, 2, 4, 5)
         )
         _check_table_q(q, lineno)
-        if min(a_order, b_order, meet) < 1:
-            raise ParseError("an order field is below 1", line=lineno)
+        _check_table_orders(a_order, b_order, meet, lineno)
         rows.append((q, (parts[1], a_order, parts[3], b_order, meet, parts[6])))
     return rows
 

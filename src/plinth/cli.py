@@ -6,9 +6,10 @@ a fixed seed (timings and errors excluded from the determinism hash).
 
 A case is a function of one ``_Run``: it reads the stages it needs and
 adds its checks to the run's report.  ``timings_ms`` holds each stage's
-own time, less the stages nested in it.  The stages of the A6 and W(4)
-pipelines are computed once per process, or once per seed when they
-read it; a run that reuses one records "cached" for it.  An exception
+own time, less the stages nested in it.  Shared stages (the A6 and W(4)
+pipelines, and the facts the small cases quote) are computed once per
+process, or once per seed when they read it; a run that reuses one
+records "cached" for it.  An exception
 inside a case ends it with status ERROR, an ``error`` entry naming the
 stage and exception type, and exit code 3.
 """
@@ -269,8 +270,9 @@ def emit_report(report, fmt="text", path=None):
 # ---------------------------------------------------------------------------
 # runs and stages
 
-# (stage function, seed or None) -> value of every shared stage built in
-# this process; the key holds the seed of a stage that reads it
+# (stage function, seed or None, --data path) -> value of every shared
+# stage built in this process; the key holds the seed of a stage that
+# reads it, and only the latest run's seed is kept
 _SHARED = {}
 
 
@@ -279,17 +281,21 @@ class _Run(AbstractContextManager):
 
     ``with run.stage(name):`` adds the block's own time, less the stages
     nested in it, to ``timings_ms[name]``; the run's ``__exit__`` closes
-    the stage.  ``run.shared(build)`` is ``build(run)``, a stage of the
-    A6 or W(4) pipeline named after ``build``, computed once per seed
-    and process, or once per process when it is in ``_SEEDLESS``; a run
-    that reuses it records "cached" for it.
+    the stage.  ``run.shared(build)`` is ``build(run)``, a stage named
+    after ``build``, computed once per seed, ``--data`` path and process,
+    or once per path and process when it is in ``_SEEDLESS``; a run that
+    reuses it records "cached" for it.  A run drops the shared stages
+    built at any other seed.
     """
 
-    def __init__(self, case, seed):
+    def __init__(self, case, seed, data=None):
         self.report = VerificationReport(case, seed)
         self.seed = seed
+        self.data = data
         self._open = []  # per open stage: name, start, time of nested stages
         self.raised = (None, None)  # an exception and the first stage it left
+        for key in [k for k in _SHARED if k[1] not in (None, seed)]:
+            del _SHARED[key]
 
     def stage(self, name):
         self._open.append([name, time.perf_counter(), 0.0])
@@ -306,7 +312,7 @@ class _Run(AbstractContextManager):
             self.raised = (exc, name)
 
     def shared(self, build):
-        key = (build, None if build in _SEEDLESS else self.seed)
+        key = (build, None if build in _SEEDLESS else self.seed, self.data)
         name = build.__name__.lstrip("_")
         if key in _SHARED:
             self.report.timings_ms.setdefault(name, "cached")
@@ -404,8 +410,106 @@ def _w4_grid(run):
     return _grid(run.shared(_w4_class_action), run.shared(_w4_suborbits))
 
 
+# ---------------------------------------------------------------------------
+# shared stages of the small cases: the facts they quote that no seed
+# changes
+
+
+def _a6_flavour_names(run):
+    """Each A6 flavour's name as ``identify_extension_flavor`` finds it."""
+    groups = run.shared(_a6_flavours)
+    return {f: identify_extension_flavor(groups[f]) for f in FLAVORS}
+
+
+def _m12_group(run):
+    """The group of m12's generator file, ``--data`` or the packaged one,
+    with its chain built."""
+    G = parse_generators(run.data or data_path("m12.gens"))
+    G.order()
+    return G
+
+
+def _m12_orbit_sizes(run):
+    """Orbit sizes along the m12 group's first five point stabilizers."""
+    return stabilizer_orbit_sizes(run.shared(_m12_group), 5)
+
+
+def _psl2_tables(run):
+    """The factorization table's rows, PSL(2,q) with its chain for each q
+    in it, and whether the examples table cross-checks against it."""
+    rows = load_factorization_table(data_path("psl2_factorizations.txt"))
+    groups = {}
+    for q, _ in rows:
+        if q not in groups:
+            groups[q] = psl2_action(q)
+            groups[q].order()
+    examples = load_examples_table(data_path("liseress_examples.txt"))
+    return rows, groups, cross_check_examples(examples, rows)[0]
+
+
+def _product_squares(run):
+    """Per base graph of Proposition 3.5, K4 and the Petersen graph: the
+    order of its automorphism group, and of its square under Aut wr S2 in
+    product action whether the group is vertex-transitive, the largest
+    s <= 2 for which it is s-arc-transitive, and whether the neighborhood
+    product law holds at a diagonal vertex."""
+    k4 = Graph.from_edges(4, [(a, b) for a in range(4) for b in range(a + 1, 4)])
+    out = {}
+    for name, graph in (("K4", k4), ("Petersen", _petersen())):
+        aut = graph_automorphism_group(ColoredGraph(graph))
+        square = direct_power(graph, 2)
+        wreath = product_action_wreath(aut, 2, PermGroup.symmetric(2))
+        W = wreath.group
+        pts, _ = W.orbit(0)
+        s_max = s_arc_transitivity_max(W, square, s_cap=2)
+        v = 0
+        diag = wreath.encode((v, v))
+        got = {int(u) for u in square.neighbors(diag)}
+        want = {
+            wreath.encode((int(a), int(b)))
+            for a in graph.neighbors(v)
+            for b in graph.neighbors(v)
+        }
+        out[name] = (aut.order(), len(pts) == square.n, s_max, got == want)
+    return out
+
+
+def _a5wr2(run):
+    """A5 wr S2 in product action, its two coordinate copies of A5, and
+    the verdict on its inclusion with plinth A5 x A5."""
+    A5 = PermGroup.alternating(5)
+    wreath = product_action_wreath(A5, 2, PermGroup.symmetric(2))
+    W = wreath.group
+    n = W.degree
+    # the first 2 * k generators are the coordinatewise copies of A5's
+    k = len(A5.generators)
+    factors = [
+        PermGroup(W.generators[j * k:(j + 1) * k], degree=n) for j in range(2)
+    ]
+    M2 = PermGroup(W.generators[:2 * k], degree=n)
+    return W, factors, classify_inclusion(W, M2, wreath.decomposition, factors=factors)
+
+
+def _a5wr2_blowup(run):
+    """The blow-up certificate of A5 wr S2 along its coordinate copies."""
+    W, factors, _ = run.shared(_a5wr2)
+    return blowup_embedding(W, factors)
+
+
 # the stages that read no seed, neither directly nor through another stage
-_SEEDLESS = frozenset({_a6_flavours, _w4_geometry, _w4_aut, _w4_sp4_image})
+_SEEDLESS = frozenset({
+    _a6_flavours,
+    _a6_flavour_names,
+    _w4_geometry,
+    _w4_aut,
+    _w4_sp4_image,
+    _m12_group,
+    _m12_orbit_sizes,
+    _psl2_tables,
+    _product_squares,
+    _a5wr2,
+    _a5wr2_blowup,
+})
 
 
 def _grid(act, od):
@@ -466,6 +570,7 @@ ANCHOR_CONNECTED = 'Section 1, "undirected, simple, and connected"'
 def _case_sylvester(run, opts):
     report = run.report
     groups = run.shared(_a6_flavours)
+    names = run.shared(_a6_flavour_names)
     # per flavour: its order, and whether it is 2-arc-transitive on the graph
     expected = {
         "PSL": (360, False),
@@ -474,20 +579,14 @@ def _case_sylvester(run, opts):
         "M10": (720, True),
         "PGammaL": (1440, True),
     }
-    with run.stage("identify_flavours"):
-        for f in FLAVORS:
-            report.add(
-                f"order_{f}",
-                expected[f][0],
-                groups[f].order(),
-                'Theorem 4.1 proof, "is Aut A6 = PGammaL(2,9)"',
-            )
-            report.add(
-                f"flavor_identified_{f}",
-                f,
-                identify_extension_flavor(groups[f]),
-                ANCHOR_FLAVOR,
-            )
+    for f in FLAVORS:
+        report.add(
+            f"order_{f}",
+            expected[f][0],
+            groups[f].order(),
+            'Theorem 4.1 proof, "is Aut A6 = PGammaL(2,9)"',
+        )
+        report.add(f"flavor_identified_{f}", f, names[f], ANCHOR_FLAVOR)
     G = run.shared(_a6_class_action).group
     report.add(
         "class_action_degree",
@@ -653,28 +752,26 @@ def _regular_on_neighborhood(act, z, nbrs):
 
 def _case_m12(run, opts):
     report = run.report
-    with run.stage("parse"):
-        G = parse_generators(opts.get("data") or data_path("m12.gens"))
-        report.add(
-            "degree",
-            12,
-            G.degree,
-            'Theorem 4.1 proof, "T = M12 and |Omega| = 144"',
-        )
-        report.add(
-            "order",
-            95040,
-            G.order(),
-            'Theorem 4.1 proof, "T = M12 and |Omega| = 144"',
-        )
-    with run.stage("validate"):
-        # sharp 5-transitivity: iterated stabilizer orbit sizes 12..8
-        report.add(
-            "five_transitive_orbit_sizes",
-            [12, 11, 10, 9, 8],
-            stabilizer_orbit_sizes(G, 5),
-            'Theorem 4.1 proof, "T = M12 and |Omega| = 144"',
-        )
+    G = run.shared(_m12_group)
+    report.add(
+        "degree",
+        12,
+        G.degree,
+        'Theorem 4.1 proof, "T = M12 and |Omega| = 144"',
+    )
+    report.add(
+        "order",
+        95040,
+        G.order(),
+        'Theorem 4.1 proof, "T = M12 and |Omega| = 144"',
+    )
+    # sharp 5-transitivity: iterated stabilizer orbit sizes 12..8
+    report.add(
+        "five_transitive_orbit_sizes",
+        [12, 11, 10, 9, 8],
+        run.shared(_m12_orbit_sizes),
+        'Theorem 4.1 proof, "T = M12 and |Omega| = 144"',
+    )
     with run.stage("coset_action"):
         H = random_subgroup_of_order(G, 660, profile=(11, 2), seed=opts["seed"])
         if not report.add(
@@ -775,11 +872,11 @@ def _case_o8plus2(run, opts):
 
 def _case_factorizations(run, opts):
     report = run.report
+    rows, groups, examples_ok = run.shared(_psl2_tables)
     with run.stage("rows"):
-        rows = load_factorization_table(data_path("psl2_factorizations.txt"))
         for idx, (q, row) in enumerate(rows):
             try:
-                rec = verify_psl2_factorization_row(q, row, seed=opts["seed"])
+                rec = verify_psl2_factorization_row(groups[q], row, seed=opts["seed"])
                 actual = rec.meet_order if rec.verified else None
             except PlinthError as exc:
                 actual = f"error: {exc}"
@@ -789,15 +886,12 @@ def _case_factorizations(run, opts):
                 actual,
                 row[5],
             )
-    with run.stage("cross_check"):
-        examples = load_examples_table(data_path("liseress_examples.txt"))
-        ok, collisions = cross_check_examples(examples, rows)
-        report.add(
-            "examples_cross_check",
-            True,
-            ok,
-            'Corollary 6.4, "Comparing the possibilities in Tables"',
-        )
+    report.add(
+        "examples_cross_check",
+        True,
+        examples_ok,
+        'Corollary 6.4, "Comparing the possibilities in Tables"',
+    )
 
 
 def _petersen():
@@ -819,56 +913,39 @@ def _petersen():
 
 def _case_products(run, opts):
     report = run.report
-    with run.stage("base_graphs"):
-        k4 = Graph.from_edges(4, [(a, b) for a in range(4) for b in range(a + 1, 4)])
-        bases = [("K4", k4, 24), ("Petersen", _petersen(), 120)]
-    for name, graph, aut_order in bases:
-        with run.stage(name):
-            aut = graph_automorphism_group(ColoredGraph(graph))
-            report.add(
-                f"{name}_aut_order",
-                aut_order,
-                aut.order(),
-                'Proposition 3.5, "whose vertex set is Delta"',
-            )
-            square = direct_power(graph, 2)
-            wreath = product_action_wreath(aut, 2, PermGroup.symmetric(2))
-            W = wreath.group
-            pts, _ = W.orbit(0)
-            report.add(
-                f"{name}2_vertex_transitive",
-                True,
-                len(pts) == square.n,
-                'Proposition 3.5, "is not (G,2)-arc-transitive"',
-            )
-            s_max = s_arc_transitivity_max(W, square, s_cap=2)
-            report.add(
-                f"{name}2_arc_transitive",
-                True,
-                s_max >= 1,
-                'Proposition 3.5, "is not (G,2)-arc-transitive"',
-            )
-            report.add(
-                f"{name}2_two_arc_transitive",
-                False,
-                s_max == 2,
-                'Proposition 3.5, "Hence G_alpha is not 2-transitive"',
-            )
-            # neighborhood product law at a diagonal vertex
-            v = 0
-            diag = wreath.encode((v, v))
-            got = {int(u) for u in square.neighbors(diag)}
-            want = {
-                wreath.encode((int(a), int(b)))
-                for a in graph.neighbors(v)
-                for b in graph.neighbors(v)
-            }
-            report.add(
-                f"{name}2_neighborhood_product_law",
-                True,
-                got == want,
-                'Section 3 remark, "the neighborhood (Gamma_1)^l(alpha)"',
-            )
+    squares = run.shared(_product_squares)
+    for name, aut_order in (("K4", 24), ("Petersen", 120)):
+        order, transitive, s_max, law = squares[name]
+        report.add(
+            f"{name}_aut_order",
+            aut_order,
+            order,
+            'Proposition 3.5, "whose vertex set is Delta"',
+        )
+        report.add(
+            f"{name}2_vertex_transitive",
+            True,
+            transitive,
+            'Proposition 3.5, "is not (G,2)-arc-transitive"',
+        )
+        report.add(
+            f"{name}2_arc_transitive",
+            True,
+            s_max >= 1,
+            'Proposition 3.5, "is not (G,2)-arc-transitive"',
+        )
+        report.add(
+            f"{name}2_two_arc_transitive",
+            False,
+            s_max == 2,
+            'Proposition 3.5, "Hence G_alpha is not 2-transitive"',
+        )
+        report.add(
+            f"{name}2_neighborhood_product_law",
+            True,
+            law,
+            'Section 3 remark, "the neighborhood (Gamma_1)^l(alpha)"',
+        )
 
 
 def _has_dihedral_subgroup(stab, order, seed):
@@ -940,38 +1017,26 @@ def _case_classify_a6(run, opts):
             stab.order() == 10 and _has_dihedral_subgroup(stab, 10, opts["seed"]),
             'Table 1, "Table for Theorem" (A6 row: dihedral stabilizer)',
         )
-    with run.stage("a5wr2"):
-        A5 = PermGroup.alternating(5)
-        wreath = product_action_wreath(A5, 2, PermGroup.symmetric(2))
-        W = wreath.group
-        n = W.degree
-        # the first 2 * k generators are the coordinatewise copies of A5's
-        k = len(A5.generators)
-        factors = [
-            PermGroup(W.generators[j * k:(j + 1) * k], degree=n) for j in range(2)
-        ]
-        M2 = PermGroup(W.generators[:2 * k], degree=n)
-        verdict2 = classify_inclusion(W, M2, wreath.decomposition, factors=factors)
-        report.add(
-            "a5wr2_inclusion_type",
-            "Normal",
-            verdict2.tag,
-            'Lemma 2.2 context (plinth in base group, one component per factor)',
-        )
-        report.add(
-            "a5wr2_product_formula",
-            True,
-            verdict2.details.get("stabilizer_product_formula_holds"),
-            'Proposition 2.5 product formula',
-        )
-    with run.stage("blowup"):
-        cert = blowup_embedding(W, factors)
-        report.add(
-            "blowup_certificate",
-            True,
-            len(cert["top_images"]) == len(W.generators) and cert["xi_size"] == 5,
-            'Theorem 2.6, "Let Xi be the right coset space"',
-        )
+    W, _, verdict2 = run.shared(_a5wr2)
+    report.add(
+        "a5wr2_inclusion_type",
+        "Normal",
+        verdict2.tag,
+        'Lemma 2.2 context (plinth in base group, one component per factor)',
+    )
+    report.add(
+        "a5wr2_product_formula",
+        True,
+        verdict2.details.get("stabilizer_product_formula_holds"),
+        'Proposition 2.5 product formula',
+    )
+    cert = run.shared(_a5wr2_blowup)
+    report.add(
+        "blowup_certificate",
+        True,
+        len(cert["top_images"]) == len(W.generators) and cert["xi_size"] == 5,
+        'Theorem 2.6, "Let Xi be the right coset space"',
+    )
 
 
 def _case_classify_sp44(run, opts):
@@ -1033,7 +1098,7 @@ def run_case(name, options=None):
     opts = {"seed": 1, "data": None}
     if options:
         opts.update(options)
-    run = _Run(name, opts["seed"])
+    run = _Run(name, opts["seed"], opts["data"])
     try:
         _CASE_RUNNERS[name](run, opts)
     except Exception as exc:

@@ -568,14 +568,14 @@ def test_dihedral_subgroup_of_order_0_is_out_of_range():
 
 def test_verify_generic_even_row():
     rec = verify_psl2_factorization_row(
-        4, ("P1", 12, "D10", 10, 2, "x"), seed=1
+        psl2_action(4), ("P1", 12, "D10", 10, 2, "x"), seed=1
     )
     assert rec.verified and rec.meet_order == 2
 
 
 def test_verify_generic_odd_row():
     rec = verify_psl2_factorization_row(
-        7, ("P1", 21, "D8", 8, 1, "x"), seed=1
+        psl2_action(7), ("P1", 21, "D8", 8, 1, "x"), seed=1
     )
     assert rec.verified and rec.meet_order == 1
 
@@ -586,7 +586,7 @@ def test_verify_exceptional_q9_rows():
         (("P1", 36, "A5", 60, 6, "x"), 6),
         (("A5", 60, "A5", 60, 10, "x"), 10),
     ]:
-        rec = verify_psl2_factorization_row(9, row, seed=1)
+        rec = verify_psl2_factorization_row(psl2_action(9), row, seed=1)
         assert rec.verified and rec.meet_order == meet
 
 
@@ -594,7 +594,23 @@ def test_row_with_wrong_meet_fails():
     from plinth.errors import PlinthError
 
     with pytest.raises(PlinthError):
-        verify_psl2_factorization_row(4, ("P1", 12, "D10", 10, 5, "x"), seed=1)
+        verify_psl2_factorization_row(
+            psl2_action(4), ("P1", 12, "D10", 10, 5, "x"), seed=1
+        )
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        ("P1", 12, "D10", 10, 0, "x"),
+        ("P1", 0, "D10", 10, 2, "x"),
+        ("P1", 12, "D10", -10, 2, "x"),
+    ],
+)
+def test_row_with_an_order_below_1_raises_parse_error(row):
+    # the loader's rule: a meet of 0 once raised ZeroDivisionError
+    with pytest.raises(ParseError, match="below 1"):
+        verify_psl2_factorization_row(psl2_action(4), row, seed=1)
 
 
 def test_parabolic_order():

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import plinth.cli as cli_module
 from plinth.cli import (
     VerificationReport,
     data_path,
@@ -439,7 +440,7 @@ def test_stage_timings_add_up_and_mark_reused_stages(monkeypatch):
     for order in (("sp44", "classify-sp44"), ("classify-sp44", "sp44")):
         monkeypatch.setattr(cli, "_SHARED", {})
         for case in order:
-            built = {build.__name__.lstrip("_") for build, _ in cli._SHARED}
+            built = {build.__name__.lstrip("_") for build, *_ in cli._SHARED}
             start = time.perf_counter()
             report = run_case(case)
             wall_ms = (time.perf_counter() - start) * 1000.0
@@ -454,18 +455,100 @@ def test_stage_timings_add_up_and_mark_reused_stages(monkeypatch):
                 assert times["w4_class_action"] > 0
 
 
+# the seedless stages each case reads
+SEEDLESS_READ = {
+    "sp44": {"w4_geometry", "w4_aut", "w4_sp4_image"},
+    "sylvester": {"a6_flavours", "a6_flavour_names"},
+    "m12": {"m12_group", "m12_orbit_sizes"},
+    "factorizations": {"psl2_tables"},
+    "products": {"product_squares"},
+    "classify-a6": {"a6_flavours", "a5wr2", "a5wr2_blowup"},
+}
+
+
 def test_seedless_stages_are_built_once_per_process(monkeypatch):
-    # sp44 at seed 2 after seed 1 reuses exactly the stages that read no
-    # seed, and still gives seed 2's certificate
-    import plinth.cli as cli
+    # each case at seed 2 after seed 1 reuses exactly the stages that
+    # read no seed, and still gives seed 2's certificate
     from test_acceptance import GOLDEN_HASHES
 
-    monkeypatch.setattr(cli, "_SHARED", {})
-    assert run_case("sp44", {"seed": 1}).status == "PASS"
-    report = run_case("sp44", {"seed": 2})
+    for case, seedless in SEEDLESS_READ.items():
+        monkeypatch.setattr(cli_module, "_SHARED", {})
+        assert run_case(case, {"seed": 1}).status == "PASS"
+        report = run_case(case, {"seed": 2})
+        cached = {name for name, v in report.timings_ms.items() if v == "cached"}
+        assert cached == seedless, case
+        assert report.determinism_hash() == GOLDEN_HASHES[case, 2]
+
+
+def test_shared_stages_keep_only_the_latest_seed(monkeypatch):
+    # sp44 at seed 2 drops the stages seed 1 built and keeps the seedless
+    # ones; classify-sp44 at seed 2 reuses seed 2's W(4) pipeline
+    from test_acceptance import GOLDEN_HASHES
+
+    monkeypatch.setattr(cli_module, "_SHARED", {})
+    run_case("sp44", {"seed": 1})
+    run_case("sp44", {"seed": 2})
+    assert {seed for _, seed, _ in cli_module._SHARED} == {None, 2}
+    report = run_case("classify-sp44", {"seed": 2})
     cached = {name for name, v in report.timings_ms.items() if v == "cached"}
-    assert cached == {"w4_geometry", "w4_aut", "w4_sp4_image"}
-    assert report.determinism_hash() == GOLDEN_HASHES["sp44", 2]
+    assert cached == {"w4_grid", "w4_class_action"}
+    assert report.determinism_hash() == GOLDEN_HASHES["classify-sp44", 2]
+
+
+class _SeedlessRun(cli_module._Run):
+    """A run whose seed raises when read."""
+
+    @property
+    def seed(self):
+        raise AssertionError("a seedless stage read the seed")
+
+    @seed.setter
+    def seed(self, value):
+        pass
+
+
+def test_seedless_stages_read_no_seed(monkeypatch):
+    monkeypatch.setattr(cli_module, "_SHARED", {})
+    run = _SeedlessRun("seedless", 1)
+    for build in cli_module._SEEDLESS:
+        run.shared(build)
+    assert len(cli_module._SHARED) == len(cli_module._SEEDLESS)
+
+
+def test_shared_psl2_groups_keep_a_fresh_chain(monkeypatch):
+    # the seeded subgroup searches draw from T.chain(): after two seeds of
+    # row checks each shared PSL(2,q) still has the chain a fresh build
+    # gives it
+    from plinth.algebra import psl2_action
+
+    monkeypatch.setattr(cli_module, "_SHARED", {})
+    for seed in (1, 2):
+        assert run_case("factorizations", {"seed": seed}).status == "PASS"
+    _, groups, _ = cli_module._Run("factorizations", 2).shared(
+        cli_module._psl2_tables
+    )
+    assert len(groups) == 11
+    for q, T in groups.items():
+        assert T.chain().base == psl2_action(q).chain().base == [0, 1, 2]
+
+
+def test_shared_stage_key_holds_the_data_path(tmp_path, monkeypatch):
+    # a group parsed from one --data file is never read for another
+    from test_acceptance import GOLDEN_HASHES
+
+    monkeypatch.setattr(cli_module, "_SHARED", {})
+    s12 = tmp_path / "s12.gens"
+    s12.write_text(
+        "degree 12\ngen (1,2)\ngen (1,2,3,4,5,6,7,8,9,10,11,12)\n",
+        encoding="utf-8",
+    )
+    assert run_case("m12").status == "PASS"
+    report = run_case("m12", {"data": str(s12)})
+    order = next(c for c in report.checks if c["name"] == "order")
+    assert order["actual"] == 479001600 and not order["pass"]
+    report = run_case("m12")
+    assert report.timings_ms["m12_group"] == "cached"
+    assert report.determinism_hash() == GOLDEN_HASHES["m12", 1]
 
 
 def _reference_sp4_image(geom, ma):

@@ -258,14 +258,20 @@ def test_orbital_graph_valency_matches_suborbit_length():
 
 
 @pytest.mark.parametrize(
-    "beta,error", [(-1, OutOfRange), (8, OutOfRange), (0, NotSimple)]
+    "group,beta,error",
+    [
+        pytest.param(psl2_action(7), -1, OutOfRange, id="-1-OutOfRange"),
+        pytest.param(psl2_action(7), 8, OutOfRange, id="8-OutOfRange"),
+        pytest.param(psl2_action(7), 0, NotSimple, id="0-NotSimple"),
+        pytest.param(PermGroup.symmetric(4), -1, OutOfRange, id="S4--1-OutOfRange"),
+        pytest.param(PermGroup.symmetric(4), 4, OutOfRange, id="S4-4-OutOfRange"),
+    ],
 )
-def test_orbital_graph_rejects_a_bad_beta(beta, error):
-    # -1 once wrapped round to point 7, 0 gave a loop at every vertex
-    # and 8 an IndexError
-    G = psl2_action(7)
+def test_orbital_graph_rejects_a_bad_beta(group, beta, error):
+    # on PSL(2,7), -1 once wrapped round to point 7, 0 gave a loop at
+    # every vertex and 8 an IndexError
     with pytest.raises(error):
-        orbital_graph(G, beta, suborbits(G))
+        orbital_graph(group, beta, suborbits(group))
 
 
 # ---------------------------------------------------------------------------
@@ -512,14 +518,6 @@ def test_from_edges_of_no_vertices():
 def test_graph_rejects_a_vertex_out_of_range(edge):
     with pytest.raises(OutOfRange):
         Graph.from_edges(3, [(0, 1), edge])
-
-
-@pytest.mark.parametrize("edge", [(0, -1), (0, 4)])
-def test_edge_orbit_graph_rejects_a_pair_out_of_range(edge):
-    # the pair {0, beta} with beta outside 0..3
-    K = PermGroup.symmetric(4)
-    with pytest.raises(OutOfRange):
-        orbital_graph(K, edge[1], suborbits(K))
 
 
 # ---------------------------------------------------------------------------
