@@ -43,7 +43,6 @@ from .graphs import (
 from .autgq import ColoredGraph, graph_automorphism_group, incidence_graph
 from .cartesian import (
     CartesianDecomposition,
-    FactorizationRecord,
     InclusionType,
     blowup_embedding,
     classify_inclusion,

@@ -45,9 +45,8 @@ class EncodedProductAction:
     Coordinate 1 is most significant, so certificates are byte-stable.
     """
 
-    def __init__(self, base_degree, arity, group, decomposition):
+    def __init__(self, base_degree, group, decomposition):
         self.base_degree = base_degree
-        self.arity = arity
         self.group = group
         self.decomposition = decomposition
 
@@ -56,13 +55,6 @@ class EncodedProductAction:
         for c in coords:
             point = point * self.base_degree + int(c)
         return point
-
-    def decode(self, point):
-        out = []
-        for _ in range(self.arity):
-            out.append(point % self.base_degree)
-            point //= self.base_degree
-        return tuple(reversed(out))
 
 
 def product_action_wreath(K, ell, top):
@@ -101,7 +93,7 @@ def product_action_wreath(K, ell, top):
 
     partitions = [coords[j].copy() for j in range(ell)]
     decomposition = CartesianDecomposition(partitions)
-    return EncodedProductAction(d, ell, group, decomposition)
+    return EncodedProductAction(d, group, decomposition)
 
 
 # ---------------------------------------------------------------------------

@@ -74,12 +74,14 @@ def check_field_order(q):
 
 
 class Field:
-    """GF(p^k) with exp/log tables and addition, multiplication and
-    inverse tables.
+    """GF(p^k) as lookup tables, which callers index directly.
 
     Elements are integers in [0, q): for prime fields the residues
     themselves, for extension fields base-p digit strings of polynomial
-    coefficients (constant term least significant).
+    coefficients (constant term least significant).  ``add[a, b]`` and
+    ``mul[a, b]`` are q x q tables, ``inv[a]`` is the inverse of a
+    nonzero a, ``exp[i]`` is the i-th power of the primitive element and
+    ``log`` inverts ``exp`` (-1 at 0).
     """
 
     def __init__(self, q):
@@ -87,28 +89,28 @@ class Field:
         self.q = q
         self.p = p
         self.k = k
-        self._exp = np.zeros(q - 1, dtype=np.int64)
-        self._log = np.full(q, -1, dtype=np.int64)
+        self.exp = np.zeros(q - 1, dtype=np.int64)
+        self.log = np.full(q, -1, dtype=np.int64)
         # GF(p) is GF(p)[x]/(x - g) for a primitive root g
         poly = (self._find_primitive_root(p),) if k == 1 else _PRIMITIVE_POLYS[(p, k)]
         x = 1
         for i in range(q - 1):
-            self._exp[i] = x
-            if self._log[x] != -1:
+            self.exp[i] = x
+            if self.log[x] != -1:
                 raise ConstructionFailed("polynomial is not primitive")
-            self._log[x] = i
+            self.log[x] = i
             x = self._mul_by_x(x, poly)
-        if (self._log[1:] == -1).any():
+        if (self.log[1:] == -1).any():
             raise ConstructionFailed("multiplicative group not cyclic of full order")
         # addition table digitwise mod p, vectorized over digit planes
-        self._add_table = self._build_add_table()
-        nonzero = self._log[1:]
-        self._mul_table = np.zeros((q, q), dtype=np.int64)
-        self._mul_table[1:, 1:] = self._exp[
+        self.add = self._build_add_table()
+        nonzero = self.log[1:]
+        self.mul = np.zeros((q, q), dtype=np.int64)
+        self.mul[1:, 1:] = self.exp[
             (nonzero[:, None] + nonzero[None, :]) % (q - 1)
         ]
-        self._inv_table = np.zeros(q, dtype=np.int64)
-        self._inv_table[1:] = self._exp[-nonzero % (q - 1)]
+        self.inv = np.zeros(q, dtype=np.int64)
+        self.inv[1:] = self.exp[-nonzero % (q - 1)]
 
     @staticmethod
     def _find_primitive_root(p):
@@ -152,35 +154,8 @@ class Field:
             pw *= self.p
         return table
 
-    # -- arithmetic -----------------------------------------------------
-
-    def add(self, a, b):
-        return int(self._add_table[a, b])
-
-    def neg(self, a):
-        return int(self._add_table[a].argmin())  # the b with a + b = 0
-
-    def mul(self, a, b):
-        return int(self._mul_table[a, b])
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return int(self._inv_table[a])
-
-    def pow(self, a, e):
-        if a == 0:
-            return 0 if e else 1
-        return int(self._exp[(self._log[a] * e) % (self.q - 1)])
-
-    def frobenius(self, a):
-        return self.pow(a, self.p)
-
     def primitive_element(self):
-        return int(self._exp[1]) if self.q > 2 else 1
-
-    def elements(self):
-        return range(self.q)
+        return int(self.exp[1]) if self.q > 2 else 1
 
     def __repr__(self):
         return f"Field(GF({self.q}))"
@@ -199,19 +174,19 @@ def psl2_action(q, flavor="PSL"):
     if q < 4:
         raise UnsupportedField(f"PSL(2,{q}) on PG(1,q) needs q >= 4")
     F = Field(q)
-    add, mul = F._add_table, F._mul_table
+    add, mul = F.add, F.mul
     nu = F.primitive_element()
     frob = np.zeros(q, dtype=np.int64)  # x -> x^p
-    frob[1:] = F._exp[F._log[1:] * F.p % (q - 1)]
+    frob[1:] = F.exp[F.log[1:] * F.p % (q - 1)]
 
     def fixing_infinity(images):
         # field point x goes to images[x]
         return Permutation(np.append(images, q))
 
-    # x -> -1/x, swapping 0 and infinity
+    # x -> -1/x, swapping 0 and infinity; -1 is p - 1 as a digit string
     inversion = np.empty(q + 1, dtype=np.int64)
     inversion[0], inversion[q] = q, 0
-    inversion[1:q] = mul[F.neg(1), F._inv_table[1:]]
+    inversion[1:q] = mul[F.p - 1, F.inv[1:]]
     # translations over a field basis plus inversion generate PSL(2,q)
     # (the GF(p)-basis 1, x, ..., x^(k-1) is p^i as a digit string)
     gens = [fixing_infinity(add[F.p**i]) for i in range(F.k)]
@@ -285,9 +260,9 @@ class _PG3:
 
     def __init__(self, F):
         q = F.q
-        self.add = F._add_table
-        self.mul = F._mul_table
-        self._inv = F._inv_table
+        self.add = F.add
+        self.mul = F.mul
+        self._inv = F.inv
         self._digits = q ** np.arange(3, -1, -1)
         rows = np.arange(q**4)[:, None] // self._digits % q
         self.points = rows[self._lead(rows) == 1]
@@ -328,7 +303,7 @@ class _PG3:
 def preserves_form(F, m):
     """Whether m^T J m = J for the fixed alternating form."""
     rows = np.asarray(m, dtype=np.int64)  # row i is e_i m
-    form = _form(F._add_table, F._mul_table, rows[:, None], rows[None, :])
+    form = _form(F.add, F.mul, rows[:, None], rows[None, :])
     return bool((form == _J).all())
 
 

@@ -409,19 +409,6 @@ def blowup_embedding(G, factors):
 # factorization checks
 
 
-@dataclass
-class FactorizationRecord:
-    q: int
-    a_label: str
-    a_order: int
-    b_label: str
-    b_order: int
-    meet_order: int
-    anchor: str
-    verified: bool
-    attempts: int = 1
-
-
 #: Random draws per element of the cyclic half in ``dihedral_subgroup``.
 INVOLUTION_TRIES = 400
 
@@ -500,9 +487,10 @@ def verify_psl2_factorization_row(T, row, seed=1):
     ``FACTORIZATION_ATTEMPTS`` times, until the expected intersection
     appears.  An order field below 1 raises ParseError, as in the
     table loader.  An intersection below the forced minimum
-    |A||B|/|T| would contradict the table and raises Mismatch.
+    |A||B|/|T| would contradict the table and raises Mismatch.  Returns
+    the intersection order found, the row's own.
     """
-    a_label, a_order, b_label, b_order, meet_order, anchor = row
+    a_label, a_order, b_label, b_order, meet_order, _ = row
     _check_table_orders(a_order, b_order, meet_order)
     q = T.degree - 1
     t_order = T.order()
@@ -520,17 +508,7 @@ def verify_psl2_factorization_row(T, row, seed=1):
         meet = intersection_small(A, B)
         last = meet.order()
         if last == meet_order:
-            return FactorizationRecord(
-                q,
-                a_label,
-                a_order,
-                b_label,
-                b_order,
-                meet_order,
-                anchor,
-                verified=True,
-                attempts=attempt + 1,
-            )
+            return last
     raise ConstructionFailed(
         f"q={q}: no ({a_label},{b_label}) pair met in order {meet_order} "
         f"after {FACTORIZATION_ATTEMPTS} attempts (last {last})"

@@ -451,8 +451,9 @@ def _product_squares(run):
     """Per base graph of Proposition 3.5, K4 and the Petersen graph: the
     order of its automorphism group, and of its square under Aut wr S2 in
     product action whether the group is vertex-transitive, the largest
-    s <= 2 for which it is s-arc-transitive, and whether the neighborhood
-    product law holds at a diagonal vertex."""
+    s <= 2 for which it is s-arc-transitive (0 when it is not
+    vertex-transitive), and whether the neighborhood product law holds at
+    a diagonal vertex."""
     k4 = Graph.from_edges(4, [(a, b) for a in range(4) for b in range(a + 1, 4)])
     out = {}
     for name, graph in (("K4", k4), ("Petersen", _petersen())):
@@ -460,8 +461,8 @@ def _product_squares(run):
         square = direct_power(graph, 2)
         wreath = product_action_wreath(aut, 2, PermGroup.symmetric(2))
         W = wreath.group
-        pts, _ = W.orbit(0)
-        s_max = s_arc_transitivity_max(W, square, s_cap=2)
+        transitive = W.is_transitive()
+        s_max = s_arc_transitivity_max(W, square, s_cap=2) if transitive else 0
         v = 0
         diag = wreath.encode((v, v))
         got = {int(u) for u in square.neighbors(diag)}
@@ -470,7 +471,7 @@ def _product_squares(run):
             for a in graph.neighbors(v)
             for b in graph.neighbors(v)
         }
-        out[name] = (aut.order(), len(pts) == square.n, s_max, got == want)
+        out[name] = (aut.order(), transitive, s_max, got == want)
     return out
 
 
@@ -753,12 +754,13 @@ def _regular_on_neighborhood(act, z, nbrs):
 def _case_m12(run, opts):
     report = run.report
     G = run.shared(_m12_group)
-    report.add(
+    if not report.add(
         "degree",
         12,
         G.degree,
         'Theorem 4.1 proof, "T = M12 and |Omega| = 144"',
-    )
+    ):
+        return
     report.add(
         "order",
         95040,
@@ -876,8 +878,9 @@ def _case_factorizations(run, opts):
     with run.stage("rows"):
         for idx, (q, row) in enumerate(rows):
             try:
-                rec = verify_psl2_factorization_row(groups[q], row, seed=opts["seed"])
-                actual = rec.meet_order if rec.verified else None
+                actual = verify_psl2_factorization_row(
+                    groups[q], row, seed=opts["seed"]
+                )
             except PlinthError as exc:
                 actual = f"error: {exc}"
             report.add(

@@ -1,6 +1,7 @@
 """Tests for coset actions, class actions, and product actions."""
 
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -551,10 +552,12 @@ def test_product_action_wreath_degree_and_order():
 
 
 def test_product_action_codec_round_trip():
+    # encode is a bijection from all tuples onto 0..n-1, coordinate 1
+    # most significant
     K = PermGroup.symmetric(4)
     wreath = product_action_wreath(K, 2, PermGroup.symmetric(2))
-    for p in range(16):
-        assert wreath.encode(wreath.decode(p)) == p
+    tuples = itertools.product(range(4), repeat=2)
+    assert [wreath.encode(t) for t in tuples] == list(range(16))
 
 
 def test_product_action_base_acts_coordinatewise():

@@ -21,7 +21,7 @@ from plinth.perm import PermGroup, Permutation, is_k_transitive
 
 
 # ---------------------------------------------------------------------------
-# scalar reference for PG(3,q) arithmetic, one field operation at a time
+# scalar reference for PG(3,q) arithmetic, one table lookup at a time
 
 _J = ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))
 
@@ -29,7 +29,7 @@ _J = ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))
 def _dot(F, u, v):
     total = 0
     for x, y in zip(u, v):
-        total = F.add(total, F.mul(x, y))
+        total = int(F.add[total, F.mul[x, y]])
     return total
 
 
@@ -44,8 +44,8 @@ def _vec_mat(F, v, m):
 
 def _normalize(F, v):
     lead = next(x for x in v if x)
-    c = F.inv(lead)
-    return tuple(F.mul(c, x) for x in v)
+    c = F.inv[lead]
+    return tuple(int(F.mul[c, x]) for x in v)
 
 
 def _reference_preserves_form(F, m):
@@ -80,7 +80,7 @@ def _reference_gq(q):
                 continue
             span = {i, j}
             for c in range(1, q):
-                w = tuple(F.add(u[t], F.mul(c, v[t])) for t in range(4))
+                w = tuple(int(F.add[u[t], F.mul[c, v[t]]]) for t in range(4))
                 span.add(index[_normalize(F, w)])
             lines.add(tuple(sorted(span)))
     lines = sorted(lines)
@@ -96,32 +96,32 @@ FIELD_SIZES = [2, 3, 4, 5, 7, 8, 9, 11, 16, 25, 27, 32]
 
 @pytest.mark.parametrize("q", FIELD_SIZES)
 def test_field_axioms(q):
+    # over whole tables: every a, b and c of GF(q)
     F = Field(q)
-    elems = list(F.elements())
-    assert len(elems) == q
-    sample = elems if q <= 9 else elems[:6] + elems[-3:]
-    for a in sample:
-        assert F.add(a, 0) == a
-        assert F.mul(a, 1) == a
-        assert F.add(a, F.neg(a)) == 0
-        if a != 0:
-            assert F.mul(a, F.inv(a)) == 1
-    for a in sample:
-        for b in sample:
-            assert F.add(a, b) == F.add(b, a)
-            assert F.mul(a, b) == F.mul(b, a)
-            for c in sample[:4]:
-                assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
-                assert F.add(a, F.add(b, c)) == F.add(F.add(a, b), c)
+    add, mul = F.add, F.mul
+    elems = np.arange(q)
+    assert add.shape == mul.shape == (q, q)
+    assert (add[:, 0] == elems).all()
+    assert (mul[:, 1] == elems).all()
+    assert ((add == 0).sum(axis=1) == 1).all()  # each a has one negative
+    assert (mul[elems[1:], F.inv[1:]] == 1).all()
+    assert (add == add.T).all()
+    assert (mul == mul.T).all()
+    a, b, c = np.ix_(elems, elems, elems)
+    assert (mul[a, add[b, c]] == add[mul[a, b], mul[a, c]]).all()
+    assert (add[a, add[b, c]] == add[add[a, b], c]).all()
 
 
 @pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27])
 def test_frobenius_is_field_automorphism(q):
+    # the package's Frobenius map: PSigmaL(2,q)'s last generator on the
+    # field points
     F = Field(q)
-    for a in F.elements():
-        for b in F.elements():
-            assert F.frobenius(F.add(a, b)) == F.add(F.frobenius(a), F.frobenius(b))
-            assert F.frobenius(F.mul(a, b)) == F.mul(F.frobenius(a), F.frobenius(b))
+    frob = psl2_action(q, "PSigmaL").generators[-1].images[:q]
+    assert sorted(frob.tolist()) == list(range(q))
+    a, b = np.ix_(np.arange(q), np.arange(q))
+    assert (frob[F.add[a, b]] == F.add[frob[a], frob[b]]).all()
+    assert (frob[F.mul[a, b]] == F.mul[frob[a], frob[b]]).all()
 
 
 def test_field_rejects_non_prime_power():
@@ -154,10 +154,10 @@ def test_mul_and_inv_tables_agree_with_exp_log(q):
         for b in range(q):
             want = 0
             if a and b:
-                want = int(F._exp[(F._log[a] + F._log[b]) % (q - 1)])
-            assert F.mul(a, b) == want
+                want = int(F.exp[(F.log[a] + F.log[b]) % (q - 1)])
+            assert F.mul[a, b] == want
         if a:
-            assert F.inv(a) == int(F._exp[-F._log[a] % (q - 1)])
+            assert F.inv[a] == F.exp[-F.log[a] % (q - 1)]
 
 
 def test_field_rejects_q_whose_add_table_exceeds_the_bound():
@@ -201,7 +201,7 @@ def test_prime_field_tables_match_the_residue_loop():
     for p in primes:
         exp, log = _reference_prime_tables(p)
         F = Field(p)
-        assert (F._exp == exp).all() and (F._log == log).all(), p
+        assert (F.exp == exp).all() and (F.log == log).all(), p
 
 
 PSL2_ORDERS = {
@@ -231,7 +231,8 @@ def test_psl2_sharply_3_transitive_when_pgl():
 
 
 def _reference_psl2_generators(q, flavor):
-    """psl2_action's generators point by point, infinity being point q."""
+    """psl2_action's generators point by point, infinity being point q:
+    one table lookup at a time, with x^p as p - 1 products."""
     F = Field(q)
     inf = q
     nu = F.primitive_element()
@@ -239,22 +240,31 @@ def _reference_psl2_generators(q, flavor):
     def fixing_infinity(fn):
         return Permutation([inf if x == inf else fn(x) for x in range(q + 1)])
 
+    def neg(x):
+        return F.add[x].tolist().index(0)  # the y with x + y = 0
+
+    def frobenius(x):
+        y = x
+        for _ in range(F.p - 1):
+            y = int(F.mul[y, x])
+        return y
+
     def inversion(x):
         if x == inf:
             return 0
         if x == 0:
             return inf
-        return F.neg(F.inv(x))
+        return neg(int(F.inv[x]))
 
     gens = [
-        fixing_infinity(lambda x, a=F.p**i: F.add(x, a)) for i in range(F.k)
+        fixing_infinity(lambda x, a=F.p**i: int(F.add[x, a])) for i in range(F.k)
     ] + [Permutation([inversion(x) for x in range(q + 1)])]
     extra = {
         "PSL": [],
-        "PGL": [lambda x: F.mul(nu, x)],
-        "PSigmaL": [F.frobenius],
-        "PGammaL": [lambda x: F.mul(nu, x), F.frobenius],
-        "M10": [lambda x: F.mul(nu, F.frobenius(x))],
+        "PGL": [lambda x: int(F.mul[nu, x])],
+        "PSigmaL": [frobenius],
+        "PGammaL": [lambda x: int(F.mul[nu, x]), frobenius],
+        "M10": [lambda x: int(F.mul[nu, frobenius(x)])],
     }[flavor]
     return gens + [fixing_infinity(fn) for fn in extra]
 
@@ -377,7 +387,7 @@ def _reference_transvection(F, v, lam):
     """x -> x + lam B(x,v) v: entry (i, j) is [i = j] + lam (Jv)_i v_j."""
     jv = [_dot(F, row, v) for row in _J]
     return [
-        [F.add(int(i == j), F.mul(F.mul(lam, jv[i]), v[j])) for j in range(4)]
+        [int(F.add[int(i == j), F.mul[F.mul[lam, jv[i]], v[j]]]) for j in range(4)]
         for i in range(4)
     ]
 

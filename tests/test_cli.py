@@ -551,6 +551,45 @@ def test_shared_stage_key_holds_the_data_path(tmp_path, monkeypatch):
     assert report.determinism_hash() == GOLDEN_HASHES["m12", 1]
 
 
+def test_cli_m12_below_degree_5_fails_not_errors(tmp_path, monkeypatch, capsys):
+    # the five-point stabilizer chain needs 5 points; a failed degree
+    # check ends the case before it is asked for
+    monkeypatch.setattr(cli_module, "_SHARED", {})
+    gens = tmp_path / "c3.gens"
+    gens.write_text("degree 3\ngen (1,2,3)\n", encoding="utf-8")
+    out = tmp_path / "r.json"
+    assert main(["verify", "m12", "--data", str(gens), "--json", str(out)]) == 1
+    capsys.readouterr()
+    data = json.loads(out.read_text())
+    assert data["status"] == "FAIL"
+    assert "error" not in data
+    assert [c["name"] for c in data["checks"]] == ["degree"]
+
+
+def test_cli_products_with_an_intransitive_square_group_fails(monkeypatch):
+    # W cut down to the first coordinate's copy of Aut is not
+    # vertex-transitive: the check reads False instead of the arc test
+    # raising NotVertexTransitive
+    build = cli_module.product_action_wreath
+
+    def first_coordinate(K, ell, top):
+        wreath = build(K, ell, top)
+        gens = wreath.group.generators[:len(K.generators)]
+        wreath.group = cli_module.PermGroup(gens, degree=wreath.group.degree)
+        return wreath
+
+    monkeypatch.setattr(cli_module, "_SHARED", {})
+    monkeypatch.setattr(cli_module, "product_action_wreath", first_coordinate)
+    report = run_case("products")
+    assert report.status == "FAIL"
+    assert report.error is None
+    checks = {c["name"]: c for c in report.checks}
+    for name in ("K4", "Petersen"):
+        assert checks[f"{name}2_vertex_transitive"]["actual"] is False
+        assert checks[f"{name}2_arc_transitive"]["actual"] is False
+        assert checks[f"{name}2_neighborhood_product_law"]["pass"]
+
+
 def _reference_sp4_image(geom, ma):
     """The per-line loop _w4_sp4_image replaced: each Sp(4,4) generator's
     images on the points, then on the lines, by one tuple and one dict

@@ -1,16 +1,24 @@
-"""Every public function of the package has a caller in the package.
+"""Every public function and method of the package has a caller in the
+package.
 
 A public module-level function of ``src/plinth/<module>.py`` must be
 named somewhere in ``src/plinth`` other than its own ``def`` and the
 re-exports of ``__init__.py``, or be a span that a per-layer metric of
-BENCHMARK.json reads.  A function only the tests call belongs in the
-tests, as an oracle.  No signature of ``plinth.perm`` takes an order
-claim: a bound is the package's own knowledge (``PermGroup._bounded``).
+BENCHMARK.json reads.  A public method of a package class must be read
+by name somewhere in ``src/plinth`` outside its own ``def``; a sibling
+method's read counts (``Permutation.order`` reads ``cycles``).  A
+function only the tests call belongs in the tests, as an oracle.  No
+signature of ``plinth.perm`` takes an order claim: a bound is the
+package's own knowledge (``PermGroup._bounded``).
+
+The checks match names only, so any read of the same name counts:
+``report.add`` is a use of ``Field``'s ``add`` as much as ``F.add``.
 """
 
 import ast
 import inspect
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -32,31 +40,54 @@ def _benchmark_functions():
     return out
 
 
+_TREES = {
+    path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES
+}
+
+
 def _public_functions():
     out = []
-    for path in MODULES:
-        tree = ast.parse(path.read_text(encoding="utf-8"))
+    for module, tree in _TREES.items():
         for node in tree.body:
             if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-                out.append(f"{path.stem}.{node.name}")
+                out.append(f"{module}.{node.name}")
     return out
 
 
-def _names_used():
-    """Every name read or imported in the package, ``__init__`` aside."""
-    used = set()
-    for path in MODULES:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+def _name_reads(*roots):
+    """How often each name is read or imported under the given nodes."""
+    reads = Counter()
+    for root in roots:
+        for node in ast.walk(root):
             if isinstance(node, ast.Name):
-                used.add(node.id)
+                reads[node.id] += 1
             elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+                reads[node.attr] += 1
             elif isinstance(node, ast.alias):
-                used.add(node.name)
-    return used
+                reads[node.name] += 1
+    return reads
 
 
-_USED = _names_used()
+def _public_methods():
+    """``module.Class.method`` and its ``def`` node, for each public
+    method (a name without a leading underscore) of each class."""
+    out = {}
+    for module, tree in _TREES.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                    out[f"{module}.{cls.name}.{node.name}"] = node
+    return out
+
+
+# every name read or imported in the package, ``__init__`` aside
+_READS = _name_reads(*_TREES.values())
+_USED = set(_READS)
+_METHODS = _public_methods()
+# a constructor of a standard group, kept beside symmetric and alternating
+_UNCALLED_METHODS = {"perm.PermGroup.cyclic"}
 _BENCHMARKED = _benchmark_functions()
 
 
@@ -78,6 +109,27 @@ def test_benchmark_is_the_only_reason_left():
     # benchmark alone; name each one here so a new one is a decision
     public = {f.split(".")[1] for f in _public_functions()}
     assert (public & _BENCHMARKED) - _USED == {"is_connected"}
+
+
+def test_public_methods_are_found():
+    assert "perm.PermGroup.order" in _METHODS
+    assert "algebra.Field.primitive_element" in _METHODS
+    assert _UNCALLED_METHODS <= set(_METHODS)
+
+
+@pytest.mark.parametrize("method", sorted(set(_METHODS) - _UNCALLED_METHODS))
+def test_public_method_has_a_package_reader(method):
+    name = method.rsplit(".", 1)[1]
+    assert _READS[name] > _name_reads(_METHODS[method])[name], (
+        f"{method} is read by no package code; move it into the tests"
+    )
+
+
+def test_uncalled_methods_are_still_uncalled():
+    # an exception that gains a reader leaves the list
+    for method in _UNCALLED_METHODS:
+        name = method.rsplit(".", 1)[1]
+        assert _READS[name] == _name_reads(_METHODS[method])[name], method
 
 
 def _value_error_sites():
