@@ -36,6 +36,7 @@ _PRIMITIVE_POLYS = {
     (3, 2): (1, 1),            # x^2 = x + 1 over GF(3)
     (3, 3): (2, 1, 0),         # x^3 = x + 2
     (5, 2): (3, 1),            # x^2 = x + 3
+    (7, 2): (2, 2),            # x^2 = 2x + 2
 }
 
 

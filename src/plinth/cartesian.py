@@ -25,7 +25,7 @@ from .actions import (
     coset_action,
     top_projection,
 )
-from .algebra import _factorize, check_field_order
+from .algebra import _factorize, check_field_order, psl2_action
 from .errors import (
     ConstructionFailed,
     Mismatch,
@@ -412,9 +412,6 @@ def blowup_embedding(G, factors):
 #: Random draws per element of the cyclic half in ``dihedral_subgroup``.
 INVOLUTION_TRIES = 400
 
-#: Seed-shifted (A, B) rebuilds made by ``verify_psl2_factorization_row``.
-FACTORIZATION_ATTEMPTS = 40
-
 
 def dihedral_subgroup(T, order, seed=1):
     """A dihedral subgroup of the given (even) order: a cyclic half
@@ -476,19 +473,24 @@ def _build_labeled_subgroup(T, label, order, seed):
     raise ParseError(f"unknown subgroup label {label}")
 
 
-def verify_psl2_factorization_row(T, row, seed=1):
-    """Verify one factorization row A * B = T with the expected
-    intersection order, T being ``psl2_action(q)`` on the q + 1 points
-    of PG(1,q).
+def verify_psl2_factorization_row(T, row):
+    """The order in which a factorization row's A and B meet, T being
+    ``psl2_action(q)`` on the q + 1 points of PG(1,q); T = AB exactly
+    when that order is |A||B|/|T|, the row's meet.
 
-    A and B are rebuilt from their labels; because subgroup searches
-    can land on a conjugate with a different intersection, the B (and
-    A) construction is retried with shifted seeds, up to
-    ``FACTORIZATION_ATTEMPTS`` times, until the expected intersection
-    appears.  An order field below 1 raises ParseError, as in the
-    table loader.  An intersection below the forced minimum
-    |A||B|/|T| would contradict the table and raises Mismatch.  Returns
-    the intersection order found, the row's own.
+    Whether T = AB depends only on the classes of A and B: if T = AB,
+    then A^g B^h = g^-1 (A gh^-1 B) h = T for all g, h, since gh^-1 is
+    in AB.  By Dickson's list (Huppert, Endliche Gruppen I, 1967,
+    II.8.27) each label names at most two PSL classes, and conjugation
+    by t: x -> nu x, the element PGL(2,q) adds, swaps the two where
+    there are two.  So the pairs (A, B) and (A, B^t), each built once
+    at one fixed search seed, cover every pair of classes up to
+    automorphism: the row needs at most two intersections, and a row
+    that holds for no pair gives another order, not an error.
+
+    An order field below 1 raises ParseError, as in the table loader.
+    A row whose orders do not multiply to |T|, or whose meet is below
+    the forced minimum |A||B|/|T|, raises Mismatch.
     """
     a_label, a_order, b_label, b_order, meet_order, _ = row
     _check_table_orders(a_order, b_order, meet_order)
@@ -501,18 +503,14 @@ def verify_psl2_factorization_row(T, row, seed=1):
     forced_min = a_order * b_order // t_order
     if meet_order < forced_min:
         raise Mismatch(f"q={q}: table meet {meet_order} below forced {forced_min}")
-    last = None
-    for attempt in range(FACTORIZATION_ATTEMPTS):
-        A = _build_labeled_subgroup(T, a_label, a_order, seed + attempt)
-        B = _build_labeled_subgroup(T, b_label, b_order, seed + 10007 * (attempt + 1))
-        meet = intersection_small(A, B)
-        last = meet.order()
-        if last == meet_order:
-            return last
-    raise ConstructionFailed(
-        f"q={q}: no ({a_label},{b_label}) pair met in order {meet_order} "
-        f"after {FACTORIZATION_ATTEMPTS} attempts (last {last})"
-    )
+    A = _build_labeled_subgroup(T, a_label, a_order, seed=1)
+    B = _build_labeled_subgroup(T, b_label, b_order, seed=1)
+    meet = intersection_small(A, B).order()
+    if meet == meet_order:
+        return meet
+    t = psl2_action(q, "PGL").generators[-1]
+    B_t = PermGroup([g.conjugate(t) for g in B.generators], T.degree)
+    return intersection_small(A, B_t).order()
 
 
 # ---------------------------------------------------------------------------

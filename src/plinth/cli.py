@@ -447,6 +447,19 @@ def _psl2_tables(run):
     return rows, groups, cross_check_examples(examples, rows)[0]
 
 
+def _psl2_row_meets(run):
+    """Per factorization row, the order in which its A and B meet, or
+    the error that ended its check."""
+    rows, groups, _ = run.shared(_psl2_tables)
+    meets = []
+    for q, row in rows:
+        try:
+            meets.append(verify_psl2_factorization_row(groups[q], row))
+        except PlinthError as exc:
+            meets.append(f"error: {exc}")
+    return meets
+
+
 def _product_squares(run):
     """Per base graph of Proposition 3.5, K4 and the Petersen graph: the
     order of its automorphism group, and of its square under Aut wr S2 in
@@ -507,6 +520,7 @@ _SEEDLESS = frozenset({
     _m12_group,
     _m12_orbit_sizes,
     _psl2_tables,
+    _psl2_row_meets,
     _product_squares,
     _a5wr2,
     _a5wr2_blowup,
@@ -874,21 +888,10 @@ def _case_o8plus2(run, opts):
 
 def _case_factorizations(run, opts):
     report = run.report
-    rows, groups, examples_ok = run.shared(_psl2_tables)
-    with run.stage("rows"):
-        for idx, (q, row) in enumerate(rows):
-            try:
-                actual = verify_psl2_factorization_row(
-                    groups[q], row, seed=opts["seed"]
-                )
-            except PlinthError as exc:
-                actual = f"error: {exc}"
-            report.add(
-                f"row{idx:02d}_q{q}_{row[0]}_{row[2]}",
-                row[4],
-                actual,
-                row[5],
-            )
+    rows, _, examples_ok = run.shared(_psl2_tables)
+    meets = run.shared(_psl2_row_meets)
+    for idx, ((q, row), actual) in enumerate(zip(rows, meets)):
+        report.add(f"row{idx:02d}_q{q}_{row[0]}_{row[2]}", row[4], actual, row[5])
     report.add(
         "examples_cross_check",
         True,

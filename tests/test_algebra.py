@@ -91,7 +91,7 @@ def _reference_gq(q):
     return points, lines, point_lines
 
 
-FIELD_SIZES = [2, 3, 4, 5, 7, 8, 9, 11, 16, 25, 27, 32]
+FIELD_SIZES = [2, 3, 4, 5, 7, 8, 9, 11, 16, 25, 27, 32, 49]
 
 
 @pytest.mark.parametrize("q", FIELD_SIZES)
@@ -112,7 +112,7 @@ def test_field_axioms(q):
     assert (add[a, add[b, c]] == add[add[a, b], c]).all()
 
 
-@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27])
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 49])
 def test_frobenius_is_field_automorphism(q):
     # the package's Frobenius map: PSigmaL(2,q)'s last generator on the
     # field points
@@ -132,14 +132,14 @@ def test_field_rejects_non_prime_power():
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: Field(49),  # no primitive polynomial on file
+        lambda: Field(121),  # no primitive polynomial on file
         lambda: Field(64),
         lambda: Field(1),
         lambda: psl2_action(3),
         lambda: sp4(3),
         lambda: symplectic_gq(9),
     ],
-    ids=["Field(49)", "Field(64)", "Field(1)", "psl2_action(3)", "sp4(3)",
+    ids=["Field(121)", "Field(64)", "Field(1)", "psl2_action(3)", "sp4(3)",
          "symplectic_gq(9)"],
 )
 def test_unsupported_q_raises_a_typed_error(build):
@@ -212,6 +212,7 @@ PSL2_ORDERS = {
     9: 360,
     11: 660,
     13: 1092,
+    49: 58800,
 }
 
 
@@ -279,8 +280,8 @@ def test_psl2_generators_match_the_per_point_reference():
                 continue
             assert G.generators == _reference_psl2_generators(q, flavor), (q, flavor)
             built += 1
-    # 44 primes and 7 proper prime powers from 4 to 200, and M10 at q = 9
-    assert built == 2 * 51 + 2 * 7 + 1
+    # 44 primes and 8 proper prime powers from 4 to 200, and M10 at q = 9
+    assert built == 2 * 52 + 2 * 8 + 1
 
 
 FLAVOR_ORDERS = {

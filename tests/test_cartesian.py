@@ -568,16 +568,12 @@ def test_dihedral_subgroup_of_order_0_is_out_of_range():
 
 
 def test_verify_generic_even_row():
-    meet = verify_psl2_factorization_row(
-        psl2_action(4), ("P1", 12, "D10", 10, 2, "x"), seed=1
-    )
+    meet = verify_psl2_factorization_row(psl2_action(4), ("P1", 12, "D10", 10, 2, "x"))
     assert meet == 2
 
 
 def test_verify_generic_odd_row():
-    meet = verify_psl2_factorization_row(
-        psl2_action(7), ("P1", 21, "D8", 8, 1, "x"), seed=1
-    )
+    meet = verify_psl2_factorization_row(psl2_action(7), ("P1", 21, "D8", 8, 1, "x"))
     assert meet == 1
 
 
@@ -587,16 +583,14 @@ def test_verify_exceptional_q9_rows():
         (("P1", 36, "A5", 60, 6, "x"), 6),
         (("A5", 60, "A5", 60, 10, "x"), 10),
     ]:
-        assert verify_psl2_factorization_row(psl2_action(9), row, seed=1) == meet
+        assert verify_psl2_factorization_row(psl2_action(9), row) == meet
 
 
 def test_row_with_wrong_meet_fails():
     from plinth.errors import PlinthError
 
     with pytest.raises(PlinthError):
-        verify_psl2_factorization_row(
-            psl2_action(4), ("P1", 12, "D10", 10, 5, "x"), seed=1
-        )
+        verify_psl2_factorization_row(psl2_action(4), ("P1", 12, "D10", 10, 5, "x"))
 
 
 @pytest.mark.parametrize(
@@ -610,7 +604,91 @@ def test_row_with_wrong_meet_fails():
 def test_row_with_an_order_below_1_raises_parse_error(row):
     # the loader's rule: a meet of 0 once raised ZeroDivisionError
     with pytest.raises(ParseError, match="below 1"):
-        verify_psl2_factorization_row(psl2_action(4), row, seed=1)
+        verify_psl2_factorization_row(psl2_action(4), row)
+
+
+def _row_intersections(monkeypatch, T, row):
+    """The row check's meet order and its (A, B, meet order) per call of
+    ``intersection_small``, in order."""
+    import plinth.cartesian as cartesian
+
+    calls = []
+
+    def spy(a, b):
+        meet = intersection_small(a, b)
+        calls.append((a, b, meet.order()))
+        return meet
+
+    monkeypatch.setattr(cartesian, "intersection_small", spy)
+    return verify_psl2_factorization_row(T, row), calls
+
+
+def _shipped_rows():
+    rows = load_factorization_table(data_path("psl2_factorizations.txt"))
+    groups = {q: psl2_action(q) for q in {q for q, _ in rows}}
+    return [(groups[q], row) for q, row in rows]
+
+
+def test_each_shipped_row_needs_at_most_two_intersections(monkeypatch):
+    # the classes of A and B decide T = AB, and PGL's x -> nu x swaps the
+    # two PSL classes of a label that has two: only q = 9 A5 * A5, whose
+    # one seed builds A = B, is decided by B^t
+    for T, row in _shipped_rows():
+        meet, calls = _row_intersections(monkeypatch, T, row)
+        assert meet == row[4], row
+        assert 1 <= len(calls) <= 2, row
+        assert calls[-1][2] == meet
+        if (T.degree - 1, row[0], row[2]) == (9, "A5", "A5"):
+            (A, B, first), (_, B_t, _) = calls
+            assert first == 60 and same_subgroup(A, B)
+            t = psl2_action(9, "PGL").generators[-1]
+            assert B_t.generators == [g.conjugate(t) for g in B.generators]
+        else:
+            assert len(calls) == 1, row
+
+
+def test_false_row_gives_its_meet_after_two_intersections(monkeypatch):
+    # 36 * 10 / 1 = 360 = |PSL(2,9)|, but Lemma 6.1(2)'s P1 * D_(q+1)
+    # needs q not 1 mod 4: P1 meets either class of D10 in order 2
+    row = ("P1", 36, "D10", 10, 1, "x")
+    meet, calls = _row_intersections(monkeypatch, psl2_action(9), row)
+    assert meet == 2
+    assert [order for _, _, order in calls] == [2, 2]
+
+
+def _closure(group):
+    """Every element of a group as rows of images, by closing the
+    generators under composition (no chain)."""
+    n = group.degree
+    gens = np.array([g.images for g in group.generators], dtype=np.int64)
+    seen = {bytes(np.arange(n, dtype=np.int64))}
+    elements = frontier = np.arange(n, dtype=np.int64)[None, :]
+    while len(frontier):
+        images = gens[:, frontier].reshape(-1, n)  # x -> g(f(x))
+        fresh = {}
+        for row in images:
+            key = row.tobytes()
+            if key not in seen:
+                seen.add(key)
+                fresh[key] = row
+        frontier = np.array(list(fresh.values()), dtype=np.int64).reshape(-1, n)
+        elements = np.concatenate([elements, frontier])
+    return elements
+
+
+def test_deciding_pairs_factorize_by_brute_force(monkeypatch):
+    # an oracle for T = AB: compose all |A||B| pairs of the pair that
+    # decided each row and count the distinct products; no chain and no
+    # intersection_small.  The largest is q = 59: 1,711 * 60 products
+    for T, row in _shipped_rows():
+        q = T.degree - 1
+        _, calls = _row_intersections(monkeypatch, T, row)
+        A, B, _ = calls[-1]
+        a, b = _closure(A).astype(np.uint8), _closure(B).astype(np.uint8)
+        assert (len(a), len(b)) == (row[1], row[3]), row
+        products = b[:, a].reshape(-1, q + 1)  # x -> b(a(x))
+        distinct = np.unique(products.view(f"V{q + 1}"))
+        assert len(distinct) == q * (q * q - 1) // (2 if q % 2 else 1), row
 
 
 def test_parabolic_order():
@@ -647,7 +725,7 @@ _EXAMPLE_ROW = "ex | prime+-1mod5 | D5 | 10 | Table 4 row"
         (_FACTORIZATION_ROW.replace("4 |", "6 |", 1), 1),
         (_FACTORIZATION_ROW.replace("4 |", "1024 |", 1), 1),
         # a prime power with no primitive polynomial on file
-        ("#\n\n" + _FACTORIZATION_ROW.replace("4 |", "49 |", 1), 3),
+        ("#\n\n" + _FACTORIZATION_ROW.replace("4 |", "121 |", 1), 3),
         # an order field below 1 (a zero meet divided by zero in the row check)
         (_FACTORIZATION_ROW.replace("| 2 |", "| 0 |"), 1),
         (_FACTORIZATION_ROW.replace("| 12 |", "| 0 |"), 1),
@@ -689,7 +767,7 @@ def test_cross_check_rejects_bad_hand_built_rows():
             cross_check_examples([example], rows)
 
 
-@pytest.mark.parametrize("q", [100000000000031, 3, 6, 1024, 49])
+@pytest.mark.parametrize("q", [100000000000031, 3, 6, 1024, 121])
 def test_cross_check_applies_the_loader_q_rule(monkeypatch, q):
     # the bound is checked before q is factorised, so a huge q is
     # rejected at once; the rule is algebra.check_field_order's

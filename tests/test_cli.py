@@ -460,7 +460,7 @@ SEEDLESS_READ = {
     "sp44": {"w4_geometry", "w4_aut", "w4_sp4_image"},
     "sylvester": {"a6_flavours", "a6_flavour_names"},
     "m12": {"m12_group", "m12_orbit_sizes"},
-    "factorizations": {"psl2_tables"},
+    "factorizations": {"psl2_tables", "psl2_row_meets"},
     "products": {"product_squares"},
     "classify-a6": {"a6_flavours", "a5wr2", "a5wr2_blowup"},
 }
@@ -478,6 +478,18 @@ def test_seedless_stages_are_built_once_per_process(monkeypatch):
         cached = {name for name, v in report.timings_ms.items() if v == "cached"}
         assert cached == seedless, case
         assert report.determinism_hash() == GOLDEN_HASHES[case, 2]
+
+
+def test_factorizations_at_a_second_seed_builds_no_stage(monkeypatch):
+    # the rows are decided once per process: seed 2 after seed 1 reads
+    # both of its stages from the cache and gives seed 2's certificate
+    from test_acceptance import GOLDEN_HASHES
+
+    monkeypatch.setattr(cli_module, "_SHARED", {})
+    run_case("factorizations", {"seed": 1})
+    report = run_case("factorizations", {"seed": 2})
+    assert report.timings_ms == {"psl2_tables": "cached", "psl2_row_meets": "cached"}
+    assert report.determinism_hash() == GOLDEN_HASHES["factorizations", 2]
 
 
 def test_shared_stages_keep_only_the_latest_seed(monkeypatch):
