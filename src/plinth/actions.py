@@ -303,7 +303,7 @@ class SubgroupClassAction:
         return Permutation(images, _checked=True)
 
 
-def cyclic_class_action(G, socle, p, seed=1):
+def cyclic_class_action(G, socle, p):
     """Conjugation action of G on the order-p subgroups of its socle.
 
     Requires p to be a prime dividing the socle order exactly once, so
@@ -317,7 +317,7 @@ def cyclic_class_action(G, socle, p, seed=1):
     order = socle.order()
     if order % p or (order // p) % p == 0:
         raise OutOfRange(f"{p} must divide the socle order exactly once")
-    z = element_of_order(socle, p, seed=seed)
+    z = element_of_order(socle, p)
     if z is None:
         raise ConstructionFailed(f"no element of order {p} found")
 

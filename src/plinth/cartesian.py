@@ -413,17 +413,18 @@ def blowup_embedding(G, factors):
 INVOLUTION_TRIES = 400
 
 
-def dihedral_subgroup(T, order, seed=1):
+def dihedral_subgroup(T, order):
     """A dihedral subgroup of the given (even) order: a cyclic half
-    plus a seeded-random search for an inverting involution."""
+    plus a random search for an inverting involution, both drawn from
+    stream 1, the default of ``perm``'s seeded searches."""
     if order % 2:
         raise ConstructionFailed(f"no dihedral group has odd order {order}")
     half = order // 2
-    a = element_of_order(T, half, seed=seed)
+    a = element_of_order(T, half)
     if a is None:
         raise ConstructionFailed(f"no element of order {half}")
     a_inv = a.inverse()
-    rng = Random(seed)
+    rng = Random(1)
     chain = T.chain()
     for _ in range(INVOLUTION_TRIES * max(4, half)):
         t = _power_of_order(chain, rng, 2, 1)
@@ -441,7 +442,7 @@ _SUBGROUP_PROFILES = {
 }
 
 
-def _build_labeled_subgroup(T, label, order, seed):
+def _build_labeled_subgroup(T, label, order):
     """Construct a subgroup of T named by a table label."""
     if label == "P1":
         sub = point_stabilizer(T, 0)
@@ -454,10 +455,10 @@ def _build_labeled_subgroup(T, label, order, seed):
         want = int(label[1:])
         if want != order:
             raise ParseError(f"dihedral label {label} disagrees with order {order}")
-        return dihedral_subgroup(T, order, seed=seed)
+        return dihedral_subgroup(T, order)
     if label.startswith("C"):
         want = int(label[1:])
-        z = element_of_order(T, want, seed=seed)
+        z = element_of_order(T, want)
         if z is None:
             raise ConstructionFailed(f"no element of order {want}")
         # a subgroup whose order was just computed: <z> has order |z|
@@ -466,7 +467,7 @@ def _build_labeled_subgroup(T, label, order, seed):
         expect, profile = _SUBGROUP_PROFILES[label]
         if expect != order:
             raise ParseError(f"label {label} disagrees with order {order}")
-        sub = random_subgroup_of_order(T, order, profile=profile, seed=seed)
+        sub = random_subgroup_of_order(T, order, profile=profile)
         if sub is None:
             raise ConstructionFailed(f"no {label} subgroup found")
         return sub
@@ -484,7 +485,7 @@ def verify_psl2_factorization_row(T, row):
     II.8.27) each label names at most two PSL classes, and conjugation
     by t: x -> nu x, the element PGL(2,q) adds, swaps the two where
     there are two.  So the pairs (A, B) and (A, B^t), each built once
-    at one fixed search seed, cover every pair of classes up to
+    by a search on the default stream, cover every pair of classes up to
     automorphism: the row needs at most two intersections, and a row
     that holds for no pair gives another order, not an error.
 
@@ -503,8 +504,8 @@ def verify_psl2_factorization_row(T, row):
     forced_min = a_order * b_order // t_order
     if meet_order < forced_min:
         raise Mismatch(f"q={q}: table meet {meet_order} below forced {forced_min}")
-    A = _build_labeled_subgroup(T, a_label, a_order, seed=1)
-    B = _build_labeled_subgroup(T, b_label, b_order, seed=1)
+    A = _build_labeled_subgroup(T, a_label, a_order)
+    B = _build_labeled_subgroup(T, b_label, b_order)
     meet = intersection_small(A, B).order()
     if meet == meet_order:
         return meet

@@ -1,17 +1,18 @@
 """Command-line verification suite.
 
 Runs the case pipelines end to end and emits structured certificates;
-each check carries its source anchor, and reports are deterministic for
-a fixed seed (timings and errors excluded from the determinism hash).
+each check carries its source anchor.  Every randomized search draws
+from one fixed stream, so a case's checks are the same at every seed:
+the seed only labels the certificate, in its ``seed`` field and its
+determinism hash (timings and errors are excluded from the hash).
 
 A case is a function of one ``_Run``: it reads the stages it needs and
 adds its checks to the run's report.  ``timings_ms`` holds each stage's
 own time, less the stages nested in it.  Shared stages (the A6 and W(4)
 pipelines, and the facts the small cases quote) are computed once per
-process, or once per seed when they read it; a run that reuses one
-records "cached" for it.  An exception
-inside a case ends it with status ERROR, an ``error`` entry naming the
-stage and exception type, and exit code 3.
+``--data`` path and process; a run that reuses one records "cached" for
+it.  An exception inside a case ends it with status ERROR, an ``error``
+entry naming the stage and exception type, and exit code 3.
 """
 
 from __future__ import annotations
@@ -270,9 +271,8 @@ def emit_report(report, fmt="text", path=None):
 # ---------------------------------------------------------------------------
 # runs and stages
 
-# (stage function, seed or None, --data path) -> value of every shared
-# stage built in this process; the key holds the seed of a stage that
-# reads it, and only the latest run's seed is kept
+# (stage function, --data path) -> value of every shared stage built in
+# this process
 _SHARED = {}
 
 
@@ -282,20 +282,15 @@ class _Run(AbstractContextManager):
     ``with run.stage(name):`` adds the block's own time, less the stages
     nested in it, to ``timings_ms[name]``; the run's ``__exit__`` closes
     the stage.  ``run.shared(build)`` is ``build(run)``, a stage named
-    after ``build``, computed once per seed, ``--data`` path and process,
-    or once per path and process when it is in ``_SEEDLESS``; a run that
-    reuses it records "cached" for it.  A run drops the shared stages
-    built at any other seed.
+    after ``build``, computed once per ``--data`` path and process; a run
+    that reuses it records "cached" for it.
     """
 
     def __init__(self, case, seed, data=None):
         self.report = VerificationReport(case, seed)
-        self.seed = seed
         self.data = data
         self._open = []  # per open stage: name, start, time of nested stages
         self.raised = (None, None)  # an exception and the first stage it left
-        for key in [k for k in _SHARED if k[1] not in (None, seed)]:
-            del _SHARED[key]
 
     def stage(self, name):
         self._open.append([name, time.perf_counter(), 0.0])
@@ -312,7 +307,7 @@ class _Run(AbstractContextManager):
             self.raised = (exc, name)
 
     def shared(self, build):
-        key = (build, None if build in _SEEDLESS else self.seed, self.data)
+        key = (build, self.data)
         name = build.__name__.lstrip("_")
         if key in _SHARED:
             self.report.timings_ms.setdefault(name, "cached")
@@ -334,7 +329,7 @@ def _a6_flavours(run):
 
 def _a6_class_action(run):
     groups = run.shared(_a6_flavours)
-    return cyclic_class_action(groups["PGammaL"], groups["PSL"], 5, seed=run.seed)
+    return cyclic_class_action(groups["PGammaL"], groups["PSL"], 5)
 
 
 def _a6_suborbits(run):
@@ -369,14 +364,14 @@ def _w4_aut(run):
 
 def _w4_aut_gens(run):
     """A small generating set of Aut W(4)."""
-    return small_generating_set(run.shared(_w4_aut), seed=run.seed)
+    return small_generating_set(run.shared(_w4_aut))
 
 
 def _w4_socle(run):
     """Sp(4,4) as the derived subgroup of Aut W(4), and a small
     generating set of it."""
     socle = derived_subgroup(run.shared(_w4_aut_gens))
-    return socle, small_generating_set(socle, seed=run.seed)
+    return socle, small_generating_set(socle)
 
 
 def _w4_sp4_image(run):
@@ -399,7 +394,7 @@ def _w4_sp4_image(run):
 def _w4_class_action(run):
     aut_small = run.shared(_w4_aut_gens)
     socle_small = run.shared(_w4_socle)[1]
-    return cyclic_class_action(aut_small, socle_small, 17, seed=run.seed)
+    return cyclic_class_action(aut_small, socle_small, 17)
 
 
 def _w4_suborbits(run):
@@ -411,8 +406,7 @@ def _w4_grid(run):
 
 
 # ---------------------------------------------------------------------------
-# shared stages of the small cases: the facts they quote that no seed
-# changes
+# shared stages of the small cases: the facts they quote
 
 
 def _a6_flavour_names(run):
@@ -510,23 +504,6 @@ def _a5wr2_blowup(run):
     return blowup_embedding(W, factors)
 
 
-# the stages that read no seed, neither directly nor through another stage
-_SEEDLESS = frozenset({
-    _a6_flavours,
-    _a6_flavour_names,
-    _w4_geometry,
-    _w4_aut,
-    _w4_sp4_image,
-    _m12_group,
-    _m12_orbit_sizes,
-    _psl2_tables,
-    _psl2_row_meets,
-    _product_squares,
-    _a5wr2,
-    _a5wr2_blowup,
-})
-
-
 def _grid(act, od):
     """Grids of a class action's group found through its plinth, the
     socle's action, with their inclusion verdicts; ``od`` holds the
@@ -582,7 +559,7 @@ ANCHOR_FLAVOR = (
 ANCHOR_CONNECTED = 'Section 1, "undirected, simple, and connected"'
 
 
-def _case_sylvester(run, opts):
+def _case_sylvester(run):
     report = run.report
     groups = run.shared(_a6_flavours)
     names = run.shared(_a6_flavour_names)
@@ -645,7 +622,7 @@ def _case_sylvester(run, opts):
         _add_inclusion_type(report, verdicts[0])
 
 
-def _case_sp44(run, opts):
+def _case_sp44(run):
     report = run.report
     geom = run.shared(_w4_geometry)
     report.add(
@@ -765,7 +742,7 @@ def _regular_on_neighborhood(act, z, nbrs):
     )
 
 
-def _case_m12(run, opts):
+def _case_m12(run):
     report = run.report
     G = run.shared(_m12_group)
     if not report.add(
@@ -789,7 +766,7 @@ def _case_m12(run, opts):
         'Theorem 4.1 proof, "T = M12 and |Omega| = 144"',
     )
     with run.stage("coset_action"):
-        H = random_subgroup_of_order(G, 660, profile=(11, 2), seed=opts["seed"])
+        H = random_subgroup_of_order(G, 660, profile=(11, 2))
         if not report.add(
             "subgroup_order",
             660,
@@ -835,9 +812,9 @@ def _case_m12(run, opts):
         )
 
 
-def _case_o8plus2(run, opts):
+def _case_o8plus2(run):
     report = run.report
-    data = opts.get("data") or ""
+    data = run.data or ""
     group_file = os.path.join(data, "o8plus2.gens")
     sub_file = os.path.join(data, "g2_2.gens")
     if not (data and os.path.exists(group_file) and os.path.exists(sub_file)):
@@ -886,7 +863,7 @@ def _case_o8plus2(run, opts):
         )
 
 
-def _case_factorizations(run, opts):
+def _case_factorizations(run):
     report = run.report
     rows, _, examples_ok = run.shared(_psl2_tables)
     meets = run.shared(_psl2_row_meets)
@@ -917,7 +894,7 @@ def _petersen():
     return orbital_graph(K, index[(2, 3)], suborbits(K))
 
 
-def _case_products(run, opts):
+def _case_products(run):
     report = run.report
     squares = run.shared(_product_squares)
     for name, aut_order in (("K4", 24), ("Petersen", 120)):
@@ -954,11 +931,11 @@ def _case_products(run, opts):
         )
 
 
-def _has_dihedral_subgroup(stab, order, seed):
-    """Whether a seeded search finds a dihedral subgroup of the given
+def _has_dihedral_subgroup(stab, order):
+    """Whether a randomized search finds a dihedral subgroup of the given
     order whose generators lie in ``stab``."""
     try:
-        dih = dihedral_subgroup(stab, order, seed=seed)
+        dih = dihedral_subgroup(stab, order)
     except ConstructionFailed:
         return False
     return dih.order() == order and all(stab.contains(g) for g in dih.generators)
@@ -996,7 +973,7 @@ def _grid_checks(report, grid, blocks, grid_anchor, projection, projection_ancho
     return grids[0]
 
 
-def _case_classify_a6(run, opts):
+def _case_classify_a6(run):
     report = run.report
     if _grid_checks(
         report,
@@ -1020,7 +997,7 @@ def _case_classify_a6(run, opts):
         report.add(
             "plinth_stabilizer_dihedral",
             True,
-            stab.order() == 10 and _has_dihedral_subgroup(stab, 10, opts["seed"]),
+            stab.order() == 10 and _has_dihedral_subgroup(stab, 10),
             'Table 1, "Table for Theorem" (A6 row: dihedral stabilizer)',
         )
     W, _, verdict2 = run.shared(_a5wr2)
@@ -1045,7 +1022,7 @@ def _case_classify_a6(run, opts):
     )
 
 
-def _case_classify_sp44(run, opts):
+def _case_classify_sp44(run):
     report = run.report
     E = _grid_checks(
         report,
@@ -1078,7 +1055,7 @@ def _case_classify_sp44(run, opts):
         report.add(
             "dihedral_34_index_2",
             True,
-            stab.order() == 68 and _has_dihedral_subgroup(stab, 34, opts["seed"]),
+            stab.order() == 68 and _has_dihedral_subgroup(stab, 34),
             'Table 1, "Table for Theorem" column 2 (X = D_(2^a+1), Y = X.2)',
         )
 
@@ -1106,7 +1083,7 @@ def run_case(name, options=None):
         opts.update(options)
     run = _Run(name, opts["seed"], opts["data"])
     try:
-        _CASE_RUNNERS[name](run, opts)
+        _CASE_RUNNERS[name](run)
     except Exception as exc:
         # the case boundary, and the package's one blanket handler: any
         # exception, a bug included, ends the case as an ERROR report that

@@ -7,6 +7,11 @@ permutations, deterministic Schreier-Sims chains with one early exit
 handful of subgroup utilities (derived subgroups, small intersections,
 seeded random subgroup search).
 
+The three randomized routines, ``element_of_order``,
+``small_generating_set`` and ``random_subgroup_of_order``, take the
+stream they draw from as ``seed``.  The package's pipelines all run on
+the default stream 1; tests draw other streams to widen their corpora.
+
 Points are 0-based integers internally; file formats and reports are
 1-based.
 """

@@ -273,9 +273,8 @@ GOLDEN_HASHES = {
     # seed 1 only: these share the cached reports of criteria 2 and 6
     ("sp44", 1): "f2fb9583402d9ec33bc5c304cc8707d873faf45833cbdcc1c0c26ee207f50dc7",
     ("classify-sp44", 1): "588fdde92aacf11f5c6f88e4cd24069e969d2885606e45a4e75b6fb052540351",
-    # a second sp44 seed builds its own context (a few seconds)
+    # later seeds read the W(4) stages the first one built
     ("sp44", 2): "c3825b0ee8fecf6770e3cf1f852c52cd52dd9ab63f30e95aece235dcd238a95a",
-    # shares the sp44 seed-2 context and pins its class action
     ("classify-sp44", 2): "027c19c81c4dfdebf25126ec2f718c477614bf0c5cae78afafc584fe8dc9d816",
     # the rest of the 66-hash sweep: the five small cases at seeds 4-12
     ("sylvester", 4): "339124b16f0315a0b18f069bc4475ec8c4a581b53926abb7694bd032b3d91b02",
@@ -323,7 +322,6 @@ GOLDEN_HASHES = {
     ("classify-a6", 10): "ad710e55e808329ea38b1963d065e378fecf00c05a09a234834854bf5ca800e2",
     ("classify-a6", 11): "decbd18f9c6a19ec93d449526a587232856a2555eb2c31eed704142e780f6956",
     ("classify-a6", 12): "3362300ccf7b0a0a185adddacc393e1279b32b6d768a82fe4c25aad00bce7526",
-    # a third sp44 seed builds its own context; classify-sp44 shares it
     ("sp44", 3): "fab0dd6628ab7dbb42565c61b6bc0fcff58f3180b56713bd2e764b080a4c3aa2",
     ("classify-sp44", 3): "924d2329a1ce66bbcf32fb62d6b2c3f966927ebc6698c72ad1cabef18246e118",
 }

@@ -1,6 +1,6 @@
 """Every order bound the package passes to ``PermGroup._bounded`` is true.
 
-One seed-1 run of the seven runnable cases records each bounded group;
+One run of the seven runnable cases records each bounded group;
 the ``C<m>`` subgroup label, which no shipped table row uses, is built
 once directly.  A bound is true when it is at least the order of the
 group's complete chain, built here without any bound.
@@ -47,7 +47,7 @@ def bounded_calls():
         mp.setattr(cli, "_SHARED", {})  # build every stage in this run
         for case in RUNNABLE:
             assert cli.run_case(case).status == "PASS", case
-        _build_labeled_subgroup(psl2_action(7, "PSL"), "C4", 4, seed=1)
+        _build_labeled_subgroup(psl2_action(7, "PSL"), "C4", 4)
     return calls
 
 

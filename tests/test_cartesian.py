@@ -548,19 +548,19 @@ def test_a6_stabilizer_dihedral_order_10():
     _, M = a6_setup()
     stab = point_stabilizer(M, 0)
     assert stab.order() == 10
-    dih = dihedral_subgroup(stab, 10, seed=1)
+    dih = dihedral_subgroup(stab, 10)
     assert dih is not None and dih.order() == 10
 
 
 def test_dihedral_subgroup_of_odd_order_is_a_failed_construction():
     _, M = a6_setup()
     with pytest.raises(ConstructionFailed, match="odd order 5"):
-        dihedral_subgroup(point_stabilizer(M, 0), 5, seed=1)
+        dihedral_subgroup(point_stabilizer(M, 0), 5)
 
 
 def test_dihedral_subgroup_of_order_0_is_out_of_range():
     with pytest.raises(OutOfRange):
-        dihedral_subgroup(PermGroup.symmetric(4), 0, seed=1)
+        dihedral_subgroup(PermGroup.symmetric(4), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -632,7 +632,7 @@ def _shipped_rows():
 def test_each_shipped_row_needs_at_most_two_intersections(monkeypatch):
     # the classes of A and B decide T = AB, and PGL's x -> nu x swaps the
     # two PSL classes of a label that has two: only q = 9 A5 * A5, whose
-    # one seed builds A = B, is decided by B^t
+    # search builds A = B, is decided by B^t
     for T, row in _shipped_rows():
         meet, calls = _row_intersections(monkeypatch, T, row)
         assert meet == row[4], row
@@ -866,8 +866,8 @@ def test_strong_factorization_check_positive():
     T = psl2_action(4)
     from plinth.cartesian import _build_labeled_subgroup
 
-    A = _build_labeled_subgroup(T, "P1", 12, seed=1)
-    B = _build_labeled_subgroup(T, "D10", 10, seed=1)
+    A = _build_labeled_subgroup(T, "P1", 12)
+    B = _build_labeled_subgroup(T, "D10", 10)
     ok, detail = strong_factorization_check(T, [A, B])
     assert ok, detail
     # |A|^2 = 144 < 60 |A|: a subgroup does not factorize T with itself
