@@ -455,7 +455,7 @@ def test_stage_timings_add_up_and_mark_reused_stages(monkeypatch):
                 assert times["w4_class_action"] > 0
 
 
-def test_a_second_seed_builds_no_stage(monkeypatch):
+def test_seedless_stages_are_built_once_per_process(monkeypatch):
     # no stage reads the seed: each runnable case at seed 2 after seed 1
     # reads every shared stage from the cache, and still gives seed 2's
     # certificate
@@ -469,6 +469,17 @@ def test_a_second_seed_builds_no_stage(monkeypatch):
         assert set(cli_module._SHARED) == built, case
         assert report.determinism_hash() == GOLDEN_HASHES[case, 2], case
 
+
+def test_factorizations_at_a_second_seed_builds_no_stage(monkeypatch):
+    # the rows are decided once per process: seed 2 after seed 1 reads
+    # both of its stages from the cache and gives seed 2's certificate
+    from test_acceptance import GOLDEN_HASHES
+
+    monkeypatch.setattr(cli_module, "_SHARED", {})
+    run_case("factorizations", {"seed": 1})
+    report = run_case("factorizations", {"seed": 2})
+    assert report.timings_ms == {"psl2_tables": "cached", "psl2_row_meets": "cached"}
+    assert report.determinism_hash() == GOLDEN_HASHES["factorizations", 2]
 
 def test_shared_psl2_groups_keep_a_fresh_chain(monkeypatch):
     # the seeded subgroup searches draw from T.chain(): after two seeds of
