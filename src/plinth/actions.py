@@ -357,12 +357,17 @@ def _top_images(G, E):
     """For each generator of G, its permutation of E's partitions.
 
     E's partitions are normalized, so a permuted partition is matched
-    by the bytes of its normalized labels.
+    by the bytes of its normalized labels.  Raises NotCartesian when E
+    lists a partition twice, DegreeMismatch when E's degree is not G's,
+    and NotDecompositionPreserving when a generator moves a partition
+    off E.
     """
     sigs = [lab.tobytes() for lab in E.partitions]
     sig_index = {s: j for j, s in enumerate(sigs)}
     if len(sig_index) != len(sigs):
         raise NotCartesian("decomposition lists a partition twice")
+    if E.degree != G.degree:
+        raise DegreeMismatch(f"decomposition of degree {E.degree}, group {G.degree}")
     out = []
     n = G.degree
     for g in G.generators:
@@ -390,11 +395,14 @@ def component(M, E, j):
 
     A generator g keeps the partition iff the block of x.g is a function
     of the block of x, read off the blocks' least points.  Raises
-    OutOfRange for j outside 0..ell-1 and NotDecompositionPreserving
-    when a generator moves the partition.
+    OutOfRange for j outside 0..ell-1, DegreeMismatch when E's degree
+    is not M's, and NotDecompositionPreserving when a generator moves
+    the partition.
     """
     if not 0 <= j < len(E.partitions):
         raise OutOfRange(f"partition {j} is outside 0..{len(E.partitions) - 1}")
+    if E.degree != M.degree:
+        raise DegreeMismatch(f"decomposition of degree {E.degree}, group {M.degree}")
     lab = E.partitions[j]
     first = _block_reps(E, j)
     block_gens = []

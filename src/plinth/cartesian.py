@@ -46,7 +46,6 @@ from .perm import (
     _orbit_labels,
     _power_of_order,
     _schreier_path_images,
-    derived_subgroup,
     element_of_order,
     fast_orbit,
     intersection_small,
@@ -72,6 +71,8 @@ class CartesianDecomposition:
             raise NotCartesian("a decomposition needs at least two partitions")
         self.partitions = [_normalize_labels(lab) for lab in partitions]
         n = len(self.partitions[0])
+        if any(len(lab) != n for lab in self.partitions):
+            raise NotCartesian("partitions of different lengths")
         self.degree = n
         self.block_counts = [int(lab.max()) + 1 for lab in self.partitions]
         total = 1
@@ -106,20 +107,15 @@ class CartesianDecomposition:
 INDEX2_QUOTIENT_CAP = 512
 
 
-def index2_subgroups(G, derived=None):
-    """Kernels of the homomorphisms from G onto C2.
+def index2_subgroups(G, D):
+    """Kernels of the homomorphisms from G onto C2 that contain D.
 
-    Every index-2 subgroup contains the derived subgroup D, so the
+    D must be a normal subgroup of G: the derived subgroup, which every
+    index-2 subgroup contains, or any other, such as the plinth.  The
     quotient G/D is enumerated explicitly (G acts regularly on the
     cosets of the normal subgroup D), its index-2 subgroups are read
     off the signs of its generators, and each is lifted back.
-    ``derived`` may supply a normal subgroup known to lie in every
-    index-2 subgroup (for example a simple normal subgroup), skipping
-    the derived-subgroup computation.
     """
-    if G.order() % 2:
-        return []
-    D = derived if derived is not None else derived_subgroup(G)
     index = G.order() // D.order()
     if index % 2:
         return []
@@ -166,24 +162,25 @@ def _index2_point_sets(Q):
     return out
 
 
-def find_grid_decompositions(G, extra_groups=None, frame=None):
+def find_grid_decompositions(G, M, frame):
     """G-invariant cartesian decompositions into two partitions, built
-    from minimal block systems of G and of its index-2 subgroups.
+    from minimal block systems of G and of its index-2 subgroups that
+    contain M; ``frame`` is G's ``suborbit_frame(G)``.
 
-    ``extra_groups`` may supply precomputed index-2 subgroups (as
-    PermGroups on the same points) to skip the derived-subgroup route,
-    and ``frame`` G's ``suborbit_frame(G)`` when it is built.
+    G must be innately transitive of degree above 2, with plinth M.
+    G permutes the two partitions of a G-invariant grid, so the kernel
+    K of that action has index at most 2, and K contains M: K meets M
+    in a normal subgroup of G, so in M or in 1 by minimality, and
+    meeting it in 1 would embed M in G/K, forcing |M| <= 2 and so, M
+    being transitive, degree at most 2.  So the index-2 subgroups that
+    may keep a grid's partitions are those containing M, and every
+    group searched is transitive.  A pair of systems is skipped when it
+    is no grid (``NotCartesian``) or G does not permute it
+    (``NotDecompositionPreserving``); any other error propagates.
     """
-    if not G.is_transitive():
-        raise NotTransitive("grid search needs a transitive group")
-    sources = [G]
-    if extra_groups is not None:
-        sources.extend(extra_groups)
-    else:
-        sources.extend(index2_subgroups(G))
     systems = []
     seen = set()
-    for H in sources:
+    for H in [G, *index2_subgroups(G, M)]:
         for lab in minimal_block_systems(H, frame if H is G else None):
             lab = _normalize_labels(lab)
             key = lab.tobytes()
@@ -195,23 +192,14 @@ def find_grid_decompositions(G, extra_groups=None, frame=None):
     for pair in combinations(systems, 2):
         try:
             E = CartesianDecomposition(list(pair))
-        except NotCartesian:
-            continue
-        if not _group_permutes_partitions(G, E):
+            _top_images(G, E)
+        except (NotCartesian, NotDecompositionPreserving):
             continue
         key = E.signature()
         if key not in out_keys:
             out_keys.add(key)
             out.append(E)
     return out
-
-
-def _group_permutes_partitions(G, E):
-    try:
-        _top_images(G, E)
-    except NotDecompositionPreserving:
-        return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -456,13 +444,6 @@ def _build_labeled_subgroup(T, label, order):
         if want != order:
             raise ParseError(f"dihedral label {label} disagrees with order {order}")
         return dihedral_subgroup(T, order)
-    if label.startswith("C"):
-        want = int(label[1:])
-        z = element_of_order(T, want)
-        if z is None:
-            raise ConstructionFailed(f"no element of order {want}")
-        # a subgroup whose order was just computed: <z> has order |z|
-        return PermGroup._bounded([z], T.degree, z.order())
     if label in _SUBGROUP_PROFILES:
         expect, profile = _SUBGROUP_PROFILES[label]
         if expect != order:

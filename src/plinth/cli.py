@@ -44,7 +44,6 @@ from .cartesian import (
     cross_check_examples,
     dihedral_subgroup,
     find_grid_decompositions,
-    index2_subgroups,
     load_examples_table,
     load_factorization_table,
     verify_psl2_factorization_row,
@@ -509,8 +508,7 @@ def _grid(act, od):
     socle's action, with their inclusion verdicts; ``od`` holds the
     group's suborbits."""
     G, M = act.group, act.socle_group
-    subs = index2_subgroups(G, derived=M)
-    grids = find_grid_decompositions(G, extra_groups=subs, frame=od.frame())
+    grids = find_grid_decompositions(G, M, od.frame())
     return grids, [classify_inclusion(G, M, E) for E in grids]
 
 

@@ -1,9 +1,8 @@
 """Every order bound the package passes to ``PermGroup._bounded`` is true.
 
-One run of the seven runnable cases records each bounded group;
-the ``C<m>`` subgroup label, which no shipped table row uses, is built
-once directly.  A bound is true when it is at least the order of the
-group's complete chain, built here without any bound.
+One run of the seven runnable cases records each bounded group.  A
+bound is true when it is at least the order of the group's complete
+chain, built here without any bound.
 """
 
 import sys
@@ -12,8 +11,6 @@ from collections import Counter
 import pytest
 
 import plinth.cli as cli
-from plinth.algebra import psl2_action
-from plinth.cartesian import _build_labeled_subgroup
 from plinth.perm import PermGroup, StabChain
 
 RUNNABLE = (
@@ -47,7 +44,6 @@ def bounded_calls():
         mp.setattr(cli, "_SHARED", {})  # build every stage in this run
         for case in RUNNABLE:
             assert cli.run_case(case).status == "PASS", case
-        _build_labeled_subgroup(psl2_action(7, "PSL"), "C4", 4)
     return calls
 
 
@@ -55,8 +51,7 @@ def test_every_bounded_site_is_seen(bounded_calls):
     assert {site for site, *_ in bounded_calls} == {
         "point_stabilizer", "small_generating_set", "product_action_wreath",
         "coset_action", "cyclic_class_action", "index2_subgroups",
-        "_build_labeled_subgroup", "_a6_flavour_groups", "_w4_sp4_image",
-        "component",
+        "_a6_flavour_groups", "_w4_sp4_image", "component",
     }
 
 

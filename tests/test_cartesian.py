@@ -34,6 +34,7 @@ from plinth.cartesian import (
 from plinth.cli import _Run, _a6_class_action, _w4_class_action, _w4_grid, data_path
 from plinth.errors import (
     ConstructionFailed,
+    DegreeMismatch,
     IoError,
     Mismatch,
     NotCartesian,
@@ -49,9 +50,11 @@ from plinth.perm import (
     Permutation,
     _orbit_labels,
     _schreier_path_images,
+    derived_subgroup,
     intersection_small,
     point_stabilizer,
     reduce_generators,
+    suborbit_frame,
 )
 from test_actions import _plinth_quotient
 from test_perm import same_subgroup
@@ -78,6 +81,22 @@ def test_cartesian_decomposition_rejects_non_grid():
         CartesianDecomposition([a])
     with pytest.raises(NotCartesian):
         CartesianDecomposition([a, np.array([0, 1, 2, 2], dtype=np.int64)])
+
+
+def test_cartesian_decomposition_rejects_partitions_of_different_lengths():
+    with pytest.raises(NotCartesian, match="different lengths"):
+        CartesianDecomposition([[0, 0, 1, 1], [0, 1]])
+
+
+def test_a_decomposition_of_another_degree_raises_degree_mismatch():
+    E = CartesianDecomposition([[0, 0, 1, 1], [0, 1, 0, 1]])
+    S6 = PermGroup.symmetric(6)
+    with pytest.raises(DegreeMismatch):
+        top_projection(S6, E)
+    with pytest.raises(DegreeMismatch):
+        classify_inclusion(S6, S6, E)
+    with pytest.raises(DegreeMismatch):
+        component(S6, E, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +217,7 @@ ORACLE_GROUPS = [
 
 @pytest.mark.parametrize("G", ORACLE_GROUPS)
 def test_index2_subgroups_match_brute_oracle(G):
-    got = index2_subgroups(G)
+    got = index2_subgroups(G, derived_subgroup(G))
     want = brute_index2(G)
     assert len(got) == len(want)
     want_keys = set(want)
@@ -206,6 +225,42 @@ def test_index2_subgroups_match_brute_oracle(G):
         assert K.order() * 2 == G.order()
         key = frozenset(g.tobytes() for g in K.elements())
         assert key in want_keys
+
+
+def _group(degree, *cycle_lists):
+    return PermGroup(
+        [Permutation.from_cycles(degree, c) for c in cycle_lists], degree=degree
+    )
+
+
+def _regular_v4():
+    return _group(4, [(0, 1), (2, 3)], [(0, 2), (1, 3)])
+
+
+# (G, D) with D normal in G but not its derived subgroup; in each, D has
+# index 2 and is the one index-2 subgroup containing it
+OVER_NORMAL_SUBGROUP = {
+    "D8 on 4 over C4": lambda: (
+        _group(4, [(0, 1, 2, 3)], [(1, 3)]),
+        _group(4, [(0, 1, 2, 3)]),
+    ),
+    "regular V4 over <a>": lambda: (
+        _regular_v4(),
+        _group(4, [(0, 1), (2, 3)]),
+    ),
+    "S5 over A5": lambda: (PermGroup.symmetric(5), PermGroup.alternating(5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVER_NORMAL_SUBGROUP))
+def test_index2_subgroups_over_a_normal_subgroup_match_brute_oracle(name):
+    G, D = OVER_NORMAL_SUBGROUP[name]()
+    inside = {g.tobytes() for g in D.elements()}
+    want = [k for k in brute_index2(G) if inside <= k]
+    got = [
+        frozenset(g.tobytes() for g in K.elements()) for K in index2_subgroups(G, D)
+    ]
+    assert got == want == [frozenset(inside)]
 
 
 def test_index2_subgroups_distinct():
@@ -216,7 +271,7 @@ def test_index2_subgroups_distinct():
         ],
         degree=4,
     )
-    subs = index2_subgroups(V4)
+    subs = index2_subgroups(V4, derived_subgroup(V4))
     assert len(subs) == 3
     for a, b in itertools.combinations(subs, 2):
         assert not same_subgroup(a, b)
@@ -288,8 +343,8 @@ def test_index2_point_sets_match_parity_search(name):
 
 
 def test_index2_subgroups_odd_order():
-    assert index2_subgroups(PermGroup.cyclic(5)) == []
-    assert index2_subgroups(PermGroup.alternating(5)) == []
+    for G in (PermGroup.cyclic(5), PermGroup.alternating(5)):
+        assert index2_subgroups(G, derived_subgroup(G)) == []
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +362,7 @@ def a6_setup():
 
 def test_find_grid_decompositions_a6():
     G, M = a6_setup()
-    grids = find_grid_decompositions(G)
+    grids = find_grid_decompositions(G, M, suborbit_frame(G))
     assert len(grids) == 1
     assert grids[0].block_counts == [6, 6]
 
@@ -315,7 +370,7 @@ def test_find_grid_decompositions_a6():
 def test_grid_search_skips_only_non_grids(monkeypatch):
     import plinth.cartesian as cartesian
 
-    G, _ = a6_setup()
+    G, M = a6_setup()
 
     def rejects(error):
         def build(partitions):
@@ -324,16 +379,35 @@ def test_grid_search_skips_only_non_grids(monkeypatch):
         return build
 
     monkeypatch.setattr(cartesian, "CartesianDecomposition", rejects(NotCartesian()))
-    assert find_grid_decompositions(G) == []
+    assert find_grid_decompositions(G, M, suborbit_frame(G)) == []
     # any other error from the constructor is a fault, not "no grid"
     monkeypatch.setattr(cartesian, "CartesianDecomposition", rejects(ValueError("boom")))
     with pytest.raises(ValueError, match="boom"):
-        find_grid_decompositions(G)
+        find_grid_decompositions(G, M, suborbit_frame(G))
+
+
+def test_grid_search_on_the_regular_klein_four_group():
+    # its index-2 subgroups are intransitive; with M the whole group none
+    # is searched, and each pair of its three block systems is a 2 x 2 grid
+    V4 = _regular_v4()
+    grids = find_grid_decompositions(V4, V4, suborbit_frame(V4))
+    assert len({E.signature() for E in grids}) == len(grids) == 3
+    assert all(E.block_counts == [2, 2] for E in grids)
+
+
+def test_grid_search_finds_the_product_grid_of_a5_wr_2():
+    # W is primitive on 25 points; its plinth A5 x A5, of index 2, keeps
+    # the rows and the columns of the 5 x 5 grid
+    W, M, _, E = _a5_wr_2_setup()
+    assert M.order() == 3600 and M.is_transitive()
+    grids = find_grid_decompositions(W, M, suborbit_frame(W))
+    assert [F.signature() for F in grids] == [E.signature()]
+    assert grids[0].block_counts == [5, 5]
 
 
 def test_classify_inclusion_a6_cd2sim():
     G, M = a6_setup()
-    grids = find_grid_decompositions(G)
+    grids = find_grid_decompositions(G, M, suborbit_frame(G))
     verdict = classify_inclusion(G, M, grids[0])
     assert verdict.tag == "CD2Sim"
     assert list(verdict.projection_orders) == [60, 60]
@@ -344,7 +418,7 @@ def _a6_grid_projections():
     """The A6 setup, its grid, the verdict, and the block-stabilizer
     projections P_j1 and P_j2 of the plinth."""
     G, M = a6_setup()
-    E = find_grid_decompositions(G)[0]
+    E = find_grid_decompositions(G, M, suborbit_frame(G))[0]
     verdict = classify_inclusion(G, M, E)
     j1, j2 = verdict.details["moved_partitions"][0]
     a, b = (
@@ -356,8 +430,8 @@ def _a6_grid_projections():
 def test_block_reps_are_block_minima():
     from plinth.actions import _block_reps
 
-    G, _ = a6_setup()
-    E = find_grid_decompositions(G)[0]
+    G, M = a6_setup()
+    E = find_grid_decompositions(G, M, suborbit_frame(G))[0]
     for j, lab in enumerate(E.partitions):
         minima = {}
         for p in range(E.degree):
@@ -398,7 +472,7 @@ def test_classify_inclusion_rejects_a_block_map_that_is_no_bijection(
     import plinth.cartesian as cartesian
 
     G, M = a6_setup()
-    E = find_grid_decompositions(G)[0]
+    E = find_grid_decompositions(G, M, suborbit_frame(G))[0]
     # the identity leaves partition j1 in place instead of carrying it to
     # j2, so the block map it induces is not a bijection
     monkeypatch.setattr(
@@ -414,7 +488,7 @@ def test_classify_inclusion_rejects_a_shifted_block_bijection(monkeypatch):
     import plinth.cartesian as cartesian
 
     G, M = a6_setup()
-    E = find_grid_decompositions(G)[0]
+    E = find_grid_decompositions(G, M, suborbit_frame(G))[0]
     j2 = classify_inclusion(G, M, E).details["moved_partitions"][0][1]
     labels = E.partitions[j2]
     first = np.unique(labels, return_index=True)[1]
@@ -432,15 +506,15 @@ def test_classify_inclusion_rejects_a_shifted_block_bijection(monkeypatch):
 
 
 def test_classify_inclusion_rejects_a_non_normal_plinth():
-    G, _ = a6_setup()
-    E = find_grid_decompositions(G)[0]
+    G, M = a6_setup()
+    E = find_grid_decompositions(G, M, suborbit_frame(G))[0]
     with pytest.raises(NotInvariant):
         classify_inclusion(G, point_stabilizer(G, 0), E)
 
 
 def test_classify_inclusion_rejects_factors_meeting_different_counts():
     G, M = a6_setup()
-    E = find_grid_decompositions(G)[0]
+    E = find_grid_decompositions(G, M, suborbit_frame(G))[0]
     with pytest.raises(Mismatch):
         classify_inclusion(G, M, E, factors=[M, PermGroup.trivial(36)])
 
@@ -449,7 +523,7 @@ def test_classify_inclusion_rejects_overlapping_factor_supports():
     # s = 2 for each copy of the plinth, and the two copies move the
     # same points
     G, M = a6_setup()
-    E = find_grid_decompositions(G)[0]
+    E = find_grid_decompositions(G, M, suborbit_frame(G))[0]
     with pytest.raises(ProjectionUnsupported, match="overlapping"):
         classify_inclusion(G, M, E, factors=[M, M])
 
@@ -504,7 +578,7 @@ def _reference_component(G, E, j):
 
 def _a6_plinth_grid():
     G, M = a6_setup()
-    return M, find_grid_decompositions(G)[0]
+    return M, find_grid_decompositions(G, M, suborbit_frame(G))[0]
 
 
 def _w4_plinth_grid():
@@ -859,6 +933,18 @@ def strong_factorization_check(T, subgroups):
         )
         ok = ok and holds
     return ok, detail
+
+
+def test_a_cyclic_label_is_unknown():
+    # the table defines P1, D<n>, A4, S4 and A5 only: PSL(2,7) = C7 S4
+    # holds, but its row names an unknown label
+    from plinth.cartesian import _build_labeled_subgroup
+
+    T = psl2_action(7)
+    with pytest.raises(ParseError, match="C4"):
+        _build_labeled_subgroup(T, "C4", 4)
+    with pytest.raises(ParseError, match="C7"):
+        verify_psl2_factorization_row(T, ("C7", 7, "S4", 24, 1, "x"))
 
 
 def test_strong_factorization_check_positive():
