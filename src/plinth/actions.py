@@ -26,6 +26,7 @@ from .errors import (
 )
 from .perm import (
     _DTYPE,
+    _distinct,
     Permutation,
     PermGroup,
     element_of_order,
@@ -176,7 +177,7 @@ def _canonical_coset_images(chain, rows):
     for i, lev in enumerate(chain.levels):
         orbit = np.array(lev.orbit_list, dtype=_DTYPE)
         best = orbit[np.argmin(rows[:, orbit], axis=1)]
-        for p in np.unique(best[best != lev.beta]).tolist():
+        for p in _distinct(best[best != lev.beta]).tolist():
             at = best == p
             rows[at] = rows[at][:, chain._transversal_images(i, p)]
     return rows

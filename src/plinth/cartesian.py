@@ -43,6 +43,7 @@ from .errors import (
 from .perm import (
     PermGroup,
     Permutation,
+    _distinct,
     _orbit_labels,
     _power_of_order,
     _schreier_path_images,
@@ -83,7 +84,7 @@ class CartesianDecomposition:
         code = self.partitions[0].astype(np.int64)
         for lab, b in zip(self.partitions[1:], self.block_counts[1:]):
             code = code * b + lab
-        if len(np.unique(code)) != n:
+        if len(_distinct(code)) != n:
             raise NotCartesian("blocks do not intersect in singletons")
         self.grid_code = code
 

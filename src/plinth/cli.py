@@ -6,13 +6,14 @@ from one fixed stream, so a case's checks are the same at every seed:
 the seed only labels the certificate, in its ``seed`` field and its
 determinism hash (timings and errors are excluded from the hash).
 
-A case is a function of one ``_Run``: it reads the stages it needs and
-adds its checks to the run's report.  ``timings_ms`` holds each stage's
-own time, less the stages nested in it.  Shared stages (the A6 and W(4)
-pipelines, and the facts the small cases quote) are computed once per
-``--data`` path and process; a run that reuses one records "cached" for
-it.  An exception inside a case ends it with status ERROR, an ``error``
-entry naming the stage and exception type, and exit code 3.
+A case is a function of one ``_Run``: it reads the shared stages it
+needs and adds its checks to the run's report.  Every stage (the A6 and
+W(4) pipelines, and the facts each case checks) is computed once per
+``--data`` path and process; ``timings_ms`` holds the own time of each
+stage a run builds, less the stages nested in it, and "cached" for each
+one it reuses, so a run at a second seed reads every stage as "cached".
+An exception inside a case ends it with status ERROR, an ``error`` entry
+naming the stage and exception type, and exit code 3.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import json
 import os
 import sys
 import time
-from contextlib import AbstractContextManager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -275,44 +275,42 @@ def emit_report(report, fmt="text", path=None):
 _SHARED = {}
 
 
-class _Run(AbstractContextManager):
-    """One run of a case: its report, and the stages that time its work.
+class _Run:
+    """One run of a case: its report, and the shared stages it reads.
 
-    ``with run.stage(name):`` adds the block's own time, less the stages
-    nested in it, to ``timings_ms[name]``; the run's ``__exit__`` closes
-    the stage.  ``run.shared(build)`` is ``build(run)``, a stage named
-    after ``build``, computed once per ``--data`` path and process; a run
-    that reuses it records "cached" for it.
+    ``run.shared(build)`` is ``build(run)``, a stage named after
+    ``build``, computed once per ``--data`` path and process.  A run that
+    builds it adds the build's own time, less the stages nested in it, to
+    ``timings_ms[name]``; a run that reuses it records "cached" for it.
     """
 
     def __init__(self, case, seed, data=None):
         self.report = VerificationReport(case, seed)
         self.data = data
-        self._open = []  # per open stage: name, start, time of nested stages
+        self._nested = []  # per stage being built: time of the stages nested in it
         self.raised = (None, None)  # an exception and the first stage it left
-
-    def stage(self, name):
-        self._open.append([name, time.perf_counter(), 0.0])
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        name, start, nested = self._open.pop()
-        elapsed = time.perf_counter() - start
-        if self._open:
-            self._open[-1][2] += elapsed
-        timings = self.report.timings_ms
-        timings[name] = round(timings.get(name, 0.0) + (elapsed - nested) * 1e3, 1)
-        if exc is not None and self.raised[0] is not exc:
-            self.raised = (exc, name)
 
     def shared(self, build):
         key = (build, self.data)
         name = build.__name__.lstrip("_")
+        timings = self.report.timings_ms
         if key in _SHARED:
-            self.report.timings_ms.setdefault(name, "cached")
-        else:
-            with self.stage(name):
-                _SHARED[key] = build(self)
+            timings.setdefault(name, "cached")
+            return _SHARED[key]
+        self._nested.append(0.0)
+        start = time.perf_counter()
+        try:
+            _SHARED[key] = build(self)
+        except BaseException as exc:
+            if self.raised[0] is not exc:
+                self.raised = (exc, name)
+            raise
+        finally:
+            elapsed = time.perf_counter() - start
+            nested = self._nested.pop()
+            if self._nested:
+                self._nested[-1] += elapsed
+            timings[name] = round((elapsed - nested) * 1e3, 1)
         return _SHARED[key]
 
 
@@ -405,13 +403,93 @@ def _w4_grid(run):
 
 
 # ---------------------------------------------------------------------------
-# shared stages of the small cases: the facts they quote
+# shared stages of the cases: the facts their checks read
 
 
 def _a6_flavour_names(run):
     """Each A6 flavour's name as ``identify_extension_flavor`` finds it."""
     groups = run.shared(_a6_flavours)
     return {f: identify_extension_flavor(groups[f]) for f in FLAVORS}
+
+
+def _a6_suborbit_scan(run):
+    """The scanned self-paired suborbits of length 5 of the A6 class
+    action."""
+    scan = _scan_suborbits(run.shared(_a6_suborbits))
+    return [r for r in scan if r["length"] == 5]
+
+
+def _a6_orbital_graph(run):
+    """The orbital graph of the first of those suborbits."""
+    hit = run.shared(_a6_suborbit_scan)[0]
+    G = run.shared(_a6_class_action).group
+    return orbital_graph(G, hit["representative"], run.shared(_a6_suborbits))
+
+
+def _a6_two_arc(run):
+    """Per flavour, whether its action on the class is 2-arc-transitive
+    on that orbital graph."""
+    graph = run.shared(_a6_orbital_graph)
+    groups = run.shared(_a6_flavour_groups)
+    return {f: two_arc_transitive(groups[f], graph) for f in FLAVORS}
+
+
+def _a6_stabilizer(run):
+    """The order of the A6 plinth's point stabilizer, and whether it is
+    dihedral: order 10 and a witnessed dihedral subgroup of order 10."""
+    stab = point_stabilizer(run.shared(_a6_class_action).socle_group, 0)
+    return stab.order(), stab.order() == 10 and _has_dihedral_subgroup(stab, 10)
+
+
+def _w4_automorphisms(run):
+    """The orders of Aut W(4) and of its socle, and whether the Sp(4,4)
+    image lies in both and has the socle's order."""
+    aut = run.shared(_w4_aut)
+    socle = run.shared(_w4_socle)[0]
+    image = run.shared(_w4_sp4_image)
+    inside = all(aut.contains(g) for g in image.generators) and all(
+        socle.contains(g) for g in image.generators
+    )
+    return aut.order(), socle.order(), inside and image.order() == socle.order()
+
+
+def _w4_suborbit_scan(run):
+    """The scanned self-paired suborbits of the W(4) class action."""
+    return _scan_suborbits(run.shared(_w4_suborbits))
+
+
+def _w4_neighborhood(run):
+    """For the first scanned suborbit of length 17, N(0) of its orbital
+    graph: whether the graph is connected, whether the class generator z
+    at point 0 is regular on N(0), and the order of the meet of <z> with
+    the group of the generator at a neighbour."""
+    act = run.shared(_w4_class_action)
+    od = run.shared(_w4_suborbits)
+    hit = next(r for r in run.shared(_w4_suborbit_scan) if r["length"] == 17)
+    nbrs = [int(v) for v in od.points_of(od.labels[hit["representative"]])]
+    z_parent = Permutation(act.reps[0], _checked=True)
+    regular = _regular_on_neighborhood(act, z_parent, nbrs)
+    z_at_neighbor = Permutation(act.reps[nbrs[0]], _checked=True)
+    meet = intersection_small(
+        PermGroup([z_parent], degree=z_parent.degree),
+        PermGroup([z_at_neighbor], degree=z_parent.degree),
+    )
+    return hit["connected"], regular, meet.order()
+
+
+def _w4_top_projection(run):
+    """Whether the W(4) class action's group permutes the two partitions
+    of its first grid as a transitive group of order 2."""
+    E = run.shared(_w4_grid)[0][0]
+    top = top_projection(run.shared(_w4_class_action).group, E)
+    return top.is_transitive() and top.order() == 2
+
+
+def _w4_stabilizer(run):
+    """The order of the W(4) plinth's point stabilizer, and whether it has
+    order 68 and a witnessed dihedral subgroup of order 34."""
+    stab = point_stabilizer(run.shared(_w4_class_action).socle_group, 0)
+    return stab.order(), stab.order() == 68 and _has_dihedral_subgroup(stab, 34)
 
 
 def _m12_group(run):
@@ -425,6 +503,54 @@ def _m12_group(run):
 def _m12_orbit_sizes(run):
     """Orbit sizes along the m12 group's first five point stabilizers."""
     return stabilizer_orbit_sizes(run.shared(_m12_group), 5)
+
+
+def _m12_subgroup(run):
+    """A subgroup of order 660 of the m12 group, from a randomized search
+    steered by the element orders (11, 2), or None when it finds none."""
+    return random_subgroup_of_order(run.shared(_m12_group), 660, profile=(11, 2))
+
+
+def _m12_coset_action(run):
+    """The m12 group on the cosets of that subgroup, with its chain built."""
+    M = coset_action(run.shared(_m12_group), run.shared(_m12_subgroup)).group
+    M.order()
+    return M
+
+
+def _m12_suborbit_scan(run):
+    """The sum of the coset action's suborbit lengths, and its scanned
+    self-paired suborbits."""
+    od = suborbits(run.shared(_m12_coset_action))
+    return sum(od.lengths()), _scan_suborbits(od)
+
+
+def _o8plus2_files(data):
+    """The group and subgroup generator files of o8plus2 under ``data``."""
+    return [os.path.join(data, name) for name in ("o8plus2.gens", "g2_2.gens")]
+
+
+def _o8plus2_parse(run):
+    """The o8plus2 group and subgroup of the ``--data`` directory, and
+    whether every subgroup generator lies in the group; the group's chain
+    is built, and the subgroup's when they do."""
+    G, H = (parse_generators(path) for path in _o8plus2_files(run.data))
+    G.order()
+    inside = H.degree == G.degree and all(G.contains(g) for g in H.generators)
+    if inside:
+        H.order()
+    return G, H, inside
+
+
+def _o8plus2_coset_action(run):
+    """The o8plus2 group on the cosets of its subgroup."""
+    G, H, _ = run.shared(_o8plus2_parse)
+    return coset_action(G, H).group
+
+
+def _o8plus2_suborbits(run):
+    """The suborbit lengths of that coset action."""
+    return suborbits(run.shared(_o8plus2_coset_action)).lengths()
 
 
 def _psl2_tables(run):
@@ -577,16 +703,13 @@ def _case_sylvester(run):
             'Theorem 4.1 proof, "is Aut A6 = PGammaL(2,9)"',
         )
         report.add(f"flavor_identified_{f}", f, names[f], ANCHOR_FLAVOR)
-    G = run.shared(_a6_class_action).group
     report.add(
         "class_action_degree",
         36,
-        G.degree,
+        run.shared(_a6_class_action).group.degree,
         'Theorem 1.1(1), "|Omega| = 6^2"',
     )
-    od = run.shared(_a6_suborbits)
-    with run.stage("suborbit_scan"):
-        hits = [r for r in _scan_suborbits(od) if r["length"] == 5]
+    hits = run.shared(_a6_suborbit_scan)
     if not report.add(
         "self_paired_length5_suborbits",
         1,
@@ -594,21 +717,14 @@ def _case_sylvester(run):
         ANCHOR_SYLVESTER,
     ):
         return
-    with run.stage("orbital_graph"):
-        graph = orbital_graph(G, hits[0]["representative"], od)
-        report.add("vertices", 36, graph.n, ANCHOR_SYLVESTER)
-        report.add("valency", 5, graph.valency(), ANCHOR_SYLVESTER)
+    graph = run.shared(_a6_orbital_graph)
+    report.add("vertices", 36, graph.n, ANCHOR_SYLVESTER)
+    report.add("valency", 5, graph.valency(), ANCHOR_SYLVESTER)
     report.add("connected", True, hits[0]["connected"], ANCHOR_CONNECTED)
-    flavour_groups = run.shared(_a6_flavour_groups)
-    with run.stage("two_arc"):
-        for f in FLAVORS:
-            anchor = ANCHOR_IFF_S6 if f in ("PSL", "PSigmaL") else ANCHOR_FLAVOR
-            report.add(
-                f"two_arc_transitive_{f}",
-                expected[f][1],
-                two_arc_transitive(flavour_groups[f], graph),
-                anchor,
-            )
+    two_arc = run.shared(_a6_two_arc)
+    for f in FLAVORS:
+        anchor = ANCHOR_IFF_S6 if f in ("PSL", "PSigmaL") else ANCHOR_FLAVOR
+        report.add(f"two_arc_transitive_{f}", expected[f][1], two_arc[f], anchor)
     grids, verdicts = run.shared(_a6_grid)
     report.add(
         "grid_count",
@@ -637,42 +753,32 @@ def _case_sp44(run):
         'Section 1, "the generalized quadrangle associated with the '
         'non-degenerate alternating bilinear form"',
     )
-    aut = run.shared(_w4_aut)
-    socle = run.shared(_w4_socle)[0]
-    sp4_image = run.shared(_w4_sp4_image)
-    with run.stage("automorphisms"):
-        report.add(
-            "aut_order",
-            3916800,
-            aut.order(),
-            'Theorem 4.1 proof, "Aut T = Sp4(q).Ca.C2"',
-        )
-        report.add(
-            "socle_order",
-            979200,
-            socle.order(),
-            'Theorem 4.1(2), "T = Sp4(q) with q = 2^a and a >= 2"',
-        )
-        sp4_in_aut = all(aut.contains(g) for g in sp4_image.generators) and all(
-            socle.contains(g) for g in sp4_image.generators
-        )
-        report.add(
-            "sp4_image_in_socle",
-            True,
-            sp4_in_aut and sp4_image.order() == socle.order(),
-            'Theorem 4.1 proof, "Aut T = Sp4(q).Ca.C2"',
-        )
-    act = run.shared(_w4_class_action)
-    G = act.group
+    aut_order, socle_order, sp4_in_socle = run.shared(_w4_automorphisms)
+    report.add(
+        "aut_order",
+        3916800,
+        aut_order,
+        'Theorem 4.1 proof, "Aut T = Sp4(q).Ca.C2"',
+    )
+    report.add(
+        "socle_order",
+        979200,
+        socle_order,
+        'Theorem 4.1(2), "T = Sp4(q) with q = 2^a and a >= 2"',
+    )
+    report.add(
+        "sp4_image_in_socle",
+        True,
+        sp4_in_socle,
+        'Theorem 4.1 proof, "Aut T = Sp4(q).Ca.C2"',
+    )
     report.add(
         "class_action_degree",
         14400,
-        G.degree,
+        run.shared(_w4_class_action).group.degree,
         'Theorem 4.1(2), "|ver Gamma| = 14,400 = 120^2"',
     )
-    od = run.shared(_w4_suborbits)
-    with run.stage("suborbit_scan"):
-        scan = _scan_suborbits(od)
+    scan = run.shared(_w4_suborbit_scan)
     winners = [r for r in scan if r["connected"] and r["two_at"]]
     report.add(
         "graph_yielding_suborbits",
@@ -687,29 +793,20 @@ def _case_sp44(run):
         'Theorem 4.1(2), "a graph of valency 17"',
     ):
         return
-    with run.stage("neighborhood"):
-        # the scanned valency-17 orbital graph: N(0) is its suborbit
-        hit = next(r for r in scan if r["length"] == 17)
-        report.add("connected", True, hit["connected"], ANCHOR_CONNECTED)
-        nbrs = [int(v) for v in od.points_of(od.labels[hit["representative"]])]
-        z_parent = Permutation(act.reps[0], _checked=True)
-        report.add(
-            "Z_regular_on_neighborhood",
-            True,
-            _regular_on_neighborhood(act, z_parent, nbrs),
-            'Theorem 4.1 proof, "a subgroup of order q^2+1"',
-        )
-        z_at_neighbor = Permutation(act.reps[nbrs[0]], _checked=True)
-        meet = intersection_small(
-            PermGroup([z_parent], degree=z_parent.degree),
-            PermGroup([z_at_neighbor], degree=z_parent.degree),
-        )
-        report.add(
-            "Z_meet_conjugate_trivial",
-            1,
-            meet.order(),
-            'Theorem 4.1 proof, "Z meet Z^x = 1 as claimed"',
-        )
+    connected, regular, meet_order = run.shared(_w4_neighborhood)
+    report.add("connected", True, connected, ANCHOR_CONNECTED)
+    report.add(
+        "Z_regular_on_neighborhood",
+        True,
+        regular,
+        'Theorem 4.1 proof, "a subgroup of order q^2+1"',
+    )
+    report.add(
+        "Z_meet_conjugate_trivial",
+        1,
+        meet_order,
+        'Theorem 4.1 proof, "Z meet Z^x = 1 as claimed"',
+    )
     grids, verdicts = run.shared(_w4_grid)
     report.add(
         "grid_count",
@@ -763,102 +860,87 @@ def _case_m12(run):
         run.shared(_m12_orbit_sizes),
         'Theorem 4.1 proof, "T = M12 and |Omega| = 144"',
     )
-    with run.stage("coset_action"):
-        H = random_subgroup_of_order(G, 660, profile=(11, 2))
-        if not report.add(
-            "subgroup_order",
-            660,
-            H.order() if H else None,
-            'Theorem 4.1 proof, "T = M12 and |Omega| = 144"',
-        ):
-            return
-        action = coset_action(G, H)
-        report.add(
-            "coset_degree",
-            144,
-            action.group.degree,
-            'Theorem 4.1 proof, "T = M12 and |Omega| = 144"',
-        )
-        report.add(
-            "faithful",
-            95040,
-            action.group.order(),
-            'Theorem 4.1 proof, "T = M12 and |Omega| = 144"',
-        )
-    with run.stage("suborbit_scan"):
-        od = suborbits(action.group)
-        report.add(
-            "suborbit_lengths_sum",
-            144,
-            sum(od.lengths()),
-            'Theorem 4.1 proof, "no graph arises in this case"',
-        )
-        scan = _scan_suborbits(od)
-        winners = [r for r in scan if r["connected"] and r["two_at"]]
-        report.add(
-            "graph_yielding_suborbits",
-            0,
-            len(winners),
-            'Theorem 4.1 proof, "no graph arises in this case"',
-        )
-        report.add(
-            "m12_2_extension",
-            "unevaluated",
-            "unevaluated",
-            'Theorem 4.1 proof, "no graph arises in this case" '
-            "(whether the check covers M12.2 is undetermined by the text)",
-        )
+    H = run.shared(_m12_subgroup)
+    if not report.add(
+        "subgroup_order",
+        660,
+        H.order() if H else None,
+        'Theorem 4.1 proof, "T = M12 and |Omega| = 144"',
+    ):
+        return
+    M = run.shared(_m12_coset_action)
+    report.add(
+        "coset_degree",
+        144,
+        M.degree,
+        'Theorem 4.1 proof, "T = M12 and |Omega| = 144"',
+    )
+    report.add(
+        "faithful",
+        95040,
+        M.order(),
+        'Theorem 4.1 proof, "T = M12 and |Omega| = 144"',
+    )
+    lengths_sum, scan = run.shared(_m12_suborbit_scan)
+    report.add(
+        "suborbit_lengths_sum",
+        144,
+        lengths_sum,
+        'Theorem 4.1 proof, "no graph arises in this case"',
+    )
+    winners = [r for r in scan if r["connected"] and r["two_at"]]
+    report.add(
+        "graph_yielding_suborbits",
+        0,
+        len(winners),
+        'Theorem 4.1 proof, "no graph arises in this case"',
+    )
+    report.add(
+        "m12_2_extension",
+        "unevaluated",
+        "unevaluated",
+        'Theorem 4.1 proof, "no graph arises in this case" '
+        "(whether the check covers M12.2 is undetermined by the text)",
+    )
 
 
 def _case_o8plus2(run):
     report = run.report
-    data = run.data or ""
-    group_file = os.path.join(data, "o8plus2.gens")
-    sub_file = os.path.join(data, "g2_2.gens")
-    if not (data and os.path.exists(group_file) and os.path.exists(sub_file)):
+    if not (run.data and all(map(os.path.exists, _o8plus2_files(run.data)))):
         report.skipped = True
         return
-    with run.stage("parse"):
-        G = parse_generators(group_file)
-        H = parse_generators(sub_file)
-        report.add(
-            "group_order",
-            174182400,
-            G.order(),
-            'Theorem 4.1 proof, "has no suborbit of size 28"',
-        )
-        in_parent = H.degree == G.degree and all(
-            G.contains(g) for g in H.generators
-        )
-        if not report.add(
-            "subgroup_contained",
-            True,
-            in_parent,
-            'Theorem 4.1 proof, "has no suborbit of size 28"',
-        ):
-            return
-        report.add(
-            "subgroup_order",
-            12096,
-            H.order(),
-            'Theorem 4.1 proof, "has no suborbit of size 28"',
-        )
-    with run.stage("coset_action"):
-        action = coset_action(G, H)
-        report.add(
-            "coset_degree",
-            14400,
-            action.group.degree,
-            'Theorem 4.1 proof, "has no suborbit of size 28"',
-        )
-    with run.stage("suborbits"):
-        od = suborbits(action.group)
-        report.add(
-            "no_suborbit_of_size_28",
-            False,
-            28 in od.lengths(),
-            'Theorem 4.1 proof, "has no suborbit of size 28"',
-        )
+    G, H, in_parent = run.shared(_o8plus2_parse)
+    report.add(
+        "group_order",
+        174182400,
+        G.order(),
+        'Theorem 4.1 proof, "has no suborbit of size 28"',
+    )
+    if not report.add(
+        "subgroup_contained",
+        True,
+        in_parent,
+        'Theorem 4.1 proof, "has no suborbit of size 28"',
+    ):
+        return
+    report.add(
+        "subgroup_order",
+        12096,
+        H.order(),
+        'Theorem 4.1 proof, "has no suborbit of size 28"',
+    )
+    report.add(
+        "coset_degree",
+        14400,
+        run.shared(_o8plus2_coset_action).degree,
+        'Theorem 4.1 proof, "has no suborbit of size 28"',
+    )
+    report.add(
+        "no_suborbit_of_size_28",
+        False,
+        28 in run.shared(_o8plus2_suborbits),
+        'Theorem 4.1 proof, "has no suborbit of size 28"',
+    )
 
 
 def _case_factorizations(run):
@@ -950,10 +1032,10 @@ def _add_inclusion_type(report, verdict):
 
 def _grid_checks(report, grid, blocks, grid_anchor, projection, projection_anchor):
     """The checks classify-a6 and classify-sp44 make on their pipeline's
-    grid stage; returns the first grid, or None when there is none."""
+    grid stage; returns whether there is a grid."""
     grids, verdicts = grid
     if not report.add("grid_count", 1, len(grids), grid_anchor):
-        return None
+        return False
     report.add("block_counts", [blocks] * 2, grids[0].block_counts, grid_anchor)
     _add_inclusion_type(report, verdicts[0])
     report.add(
@@ -968,36 +1050,33 @@ def _grid_checks(report, grid, blocks, grid_anchor, projection, projection_ancho
         verdicts[0].s <= 3,
         'Theorem 2.8, "The number s of components"',
     )
-    return grids[0]
+    return True
 
 
 def _case_classify_a6(run):
     report = run.report
-    if _grid_checks(
+    if not _grid_checks(
         report,
         run.shared(_a6_grid),
         6,
         'Theorem 1.1(1), "|Omega| = 6^2"',
         60,
         'Theorem 4.1 case T = A6 (components with point stabilizer A5)',
-    ) is None:
+    ):
         return
-    M = run.shared(_a6_class_action).socle_group
-    with run.stage("stabilizer"):
-        stab = point_stabilizer(M, 0)
-        report.add(
-            "plinth_stabilizer_order",
-            10,
-            stab.order(),
-            'Table 1, "Table for Theorem" (A6 row: dihedral stabilizer)',
-        )
-        # dihedral: order 10 and a witnessed dihedral subgroup of order 10
-        report.add(
-            "plinth_stabilizer_dihedral",
-            True,
-            stab.order() == 10 and _has_dihedral_subgroup(stab, 10),
-            'Table 1, "Table for Theorem" (A6 row: dihedral stabilizer)',
-        )
+    order, dihedral = run.shared(_a6_stabilizer)
+    report.add(
+        "plinth_stabilizer_order",
+        10,
+        order,
+        'Table 1, "Table for Theorem" (A6 row: dihedral stabilizer)',
+    )
+    report.add(
+        "plinth_stabilizer_dihedral",
+        True,
+        dihedral,
+        'Table 1, "Table for Theorem" (A6 row: dihedral stabilizer)',
+    )
     W, _, verdict2 = run.shared(_a5wr2)
     report.add(
         "a5wr2_inclusion_type",
@@ -1022,40 +1101,35 @@ def _case_classify_a6(run):
 
 def _case_classify_sp44(run):
     report = run.report
-    E = _grid_checks(
+    if not _grid_checks(
         report,
         run.shared(_w4_grid),
         120,
         'Theorem 1.1(2), "|Omega| = 120^2"',
         8160,
         'Theorem 1.1(1) context (projections of order 979,200/120)',
-    )
-    if E is None:
+    ):
         return
-    act = run.shared(_w4_class_action)
-    with run.stage("top_projection"):
-        top = top_projection(act.group, E)
-        report.add(
-            "top_projection_transitive",
-            True,
-            top.is_transitive() and top.order() == 2,
-            'Theorem 1.1(2) context (G pi transitive on the two partitions)',
-        )
-    with run.stage("stabilizer"):
-        stab = point_stabilizer(act.socle_group, 0)
-        report.add(
-            "plinth_stabilizer_order",
-            68,
-            stab.order(),
-            'Theorem 4.1 proof, "a subgroup of order q^2+1" '
-            "(stabilizer Z<sigma> of order 4(q^2+1))",
-        )
-        report.add(
-            "dihedral_34_index_2",
-            True,
-            stab.order() == 68 and _has_dihedral_subgroup(stab, 34),
-            'Table 1, "Table for Theorem" column 2 (X = D_(2^a+1), Y = X.2)',
-        )
+    report.add(
+        "top_projection_transitive",
+        True,
+        run.shared(_w4_top_projection),
+        'Theorem 1.1(2) context (G pi transitive on the two partitions)',
+    )
+    order, dihedral = run.shared(_w4_stabilizer)
+    report.add(
+        "plinth_stabilizer_order",
+        68,
+        order,
+        'Theorem 4.1 proof, "a subgroup of order q^2+1" '
+        "(stabilizer Z<sigma> of order 4(q^2+1))",
+    )
+    report.add(
+        "dihedral_34_index_2",
+        True,
+        dihedral,
+        'Table 1, "Table for Theorem" column 2 (X = D_(2^a+1), Y = X.2)',
+    )
 
 
 _CASE_RUNNERS = {

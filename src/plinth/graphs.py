@@ -25,7 +25,7 @@ from .errors import (
     OutOfRange,
 )
 from .actions import PRODUCT_DEGREE_CAP
-from .perm import _DTYPE, point_stabilizer, suborbit_frame
+from .perm import _DTYPE, _distinct, point_stabilizer, suborbit_frame
 
 
 def _check_vertices(n, vertices):
@@ -50,10 +50,12 @@ class Graph:
         loops = pairs[:, 0] == pairs[:, 1]
         if loops.any():
             raise NotSimple(f"loop at vertex {pairs[loops][0, 0]}")
-        arcs = np.unique(np.concatenate([pairs, pairs[:, ::-1]]), axis=0)
+        u, v = pairs.T
+        # arc (u, v) as u * n + v: sorted keys are arcs in lexicographic order
+        arcs = _distinct(np.concatenate([u * n + v, v * n + u]))
         indptr = np.zeros(n + 1, dtype=_DTYPE)
-        np.cumsum(np.bincount(arcs[:, 0], minlength=n), out=indptr[1:])
-        return cls(n, indptr, np.ascontiguousarray(arcs[:, 1]))
+        np.cumsum(np.bincount(arcs // n, minlength=n), out=indptr[1:])
+        return cls(n, indptr, arcs % n)
 
     @classmethod
     def from_neighbor_matrix(cls, nbrs):

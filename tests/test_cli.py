@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -321,7 +323,9 @@ def test_cli_o8plus2_subgroup_of_another_degree_fails(tmp_path, capsys):
 
 
 def test_cli_m12_subgroup_search_failure_fails(monkeypatch, capsys):
-    # a subgroup search that finds nothing gives a FAIL report, not a crash
+    # a subgroup search that finds nothing gives a FAIL report, not a
+    # crash; fresh shared stages, because m12_subgroup holds the subgroup
+    monkeypatch.setattr("plinth.cli._SHARED", {})
     monkeypatch.setattr(
         "plinth.cli.random_subgroup_of_order", lambda *args, **kwargs: None
     )
@@ -341,6 +345,9 @@ def test_cli_classify_sp44_dihedral_search_failure_fails(monkeypatch, capsys):
     def fail(*args, **kwargs):
         raise ConstructionFailed("no inverting involution found")
 
+    # fresh shared stages, because the cached w4_stabilizer stage holds the
+    # dihedral search's verdict
+    monkeypatch.setattr("plinth.cli._SHARED", {})
     monkeypatch.setattr("plinth.cli.dihedral_subgroup", fail)
     code = main(["verify", "classify-sp44"])
     assert code == 1
@@ -382,7 +389,9 @@ def test_cli_sylvester_without_length5_suborbit_fails(monkeypatch, capsys):
 
 def test_cli_sp44_without_valency17_suborbit_fails(monkeypatch):
     # an empty suborbit scan gives a FAIL report, not a crash looking for
-    # the valency-17 suborbit (no shared stage holds the scan)
+    # the valency-17 suborbit; fresh shared stages, because the cached
+    # w4_suborbit_scan stage holds the real scan
+    monkeypatch.setattr("plinth.cli._SHARED", {})
     monkeypatch.setattr("plinth.cli._scan_suborbits", lambda od: [])
     report = run_case("sp44")
     assert report.status == "FAIL"
@@ -480,6 +489,46 @@ def test_factorizations_at_a_second_seed_builds_no_stage(monkeypatch):
     report = run_case("factorizations", {"seed": 2})
     assert report.timings_ms == {"psl2_tables": "cached", "psl2_row_meets": "cached"}
     assert report.determinism_hash() == GOLDEN_HASHES["factorizations", 2]
+
+
+@pytest.mark.parametrize("case", [c for c in cli_module.CASES if c != "o8plus2"])
+def test_a_second_seed_does_no_work(case, monkeypatch):
+    # every stage is shared: from an empty cache, seed 2 after seed 1
+    # builds nothing, reads each stage it lists as "cached", and still
+    # gives seed 2's certificate
+    from test_acceptance import GOLDEN_HASHES
+
+    monkeypatch.setattr(cli_module, "_SHARED", {})
+    assert run_case(case, {"seed": 1}).status == "PASS"
+    built = set(cli_module._SHARED)
+    report = run_case(case, {"seed": 2})
+    assert set(cli_module._SHARED) == built
+    assert report.timings_ms
+    assert set(report.timings_ms.values()) == {"cached"}
+    assert report.determinism_hash() == GOLDEN_HASHES[case, 2]
+
+
+def test_small_cases_leave_numpy_ma_unimported():
+    # a bare np.unique imports numpy.ma on its first call, about 15 ms of
+    # a fresh process; the five small cases make no such call
+    src = str(Path(cli_module.__file__).resolve().parents[1])
+    code = (
+        "import sys\n"
+        "from plinth.cli import run_case\n"
+        "for case in ('sylvester', 'm12', 'factorizations', 'products',"
+        " 'classify-a6'):\n"
+        "    assert run_case(case).status == 'PASS', case\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        check=True,
+    )
+    assert done.stdout == "False\n"
 
 def test_shared_psl2_groups_keep_a_fresh_chain(monkeypatch):
     # the row checks' subgroup searches draw from T.chain(): after one
