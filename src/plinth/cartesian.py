@@ -403,15 +403,18 @@ INVOLUTION_TRIES = 400
 
 
 def dihedral_subgroup(T, order):
-    """A dihedral subgroup of the given (even) order: a cyclic half
-    plus a random search for an inverting involution, both drawn from
-    stream 1, the default of ``perm``'s seeded searches."""
+    """A dihedral subgroup of the given (even) order, or None when the
+    search finds none: a cyclic half from ``element_of_order``, then a
+    random search for an inverting involution, both drawn from stream 1,
+    the default of ``perm``'s seeded searches.  A returned group has
+    exactly that order and is generated by elements of T's chain.
+    Raises ConstructionFailed for an odd order."""
     if order % 2:
         raise ConstructionFailed(f"no dihedral group has odd order {order}")
     half = order // 2
     a = element_of_order(T, half)
     if a is None:
-        raise ConstructionFailed(f"no element of order {half}")
+        return None
     a_inv = a.inverse()
     rng = Random(1)
     chain = T.chain()
@@ -421,7 +424,7 @@ def dihedral_subgroup(T, order):
             sub = PermGroup([a, t], degree=T.degree)
             if sub.order() == order:
                 return sub
-    raise ConstructionFailed(f"no inverting involution found for order {order}")
+    return None
 
 
 _SUBGROUP_PROFILES = {
@@ -444,16 +447,17 @@ def _build_labeled_subgroup(T, label, order):
         want = int(label[1:])
         if want != order:
             raise ParseError(f"dihedral label {label} disagrees with order {order}")
-        return dihedral_subgroup(T, order)
-    if label in _SUBGROUP_PROFILES:
+        sub = dihedral_subgroup(T, order)
+    elif label in _SUBGROUP_PROFILES:
         expect, profile = _SUBGROUP_PROFILES[label]
         if expect != order:
             raise ParseError(f"label {label} disagrees with order {order}")
         sub = random_subgroup_of_order(T, order, profile=profile)
-        if sub is None:
-            raise ConstructionFailed(f"no {label} subgroup found")
-        return sub
-    raise ParseError(f"unknown subgroup label {label}")
+    else:
+        raise ParseError(f"unknown subgroup label {label}")
+    if sub is None:
+        raise ConstructionFailed(f"no {label} subgroup found")
+    return sub
 
 
 def verify_psl2_factorization_row(T, row):

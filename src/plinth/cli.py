@@ -49,7 +49,6 @@ from .cartesian import (
     verify_psl2_factorization_row,
 )
 from .errors import (
-    ConstructionFailed,
     IoError,
     NotBijection,
     ParseError,
@@ -438,7 +437,7 @@ def _a6_stabilizer(run):
     """The order of the A6 plinth's point stabilizer, and whether it is
     dihedral: order 10 and a witnessed dihedral subgroup of order 10."""
     stab = point_stabilizer(run.shared(_a6_class_action).socle_group, 0)
-    return stab.order(), stab.order() == 10 and _has_dihedral_subgroup(stab, 10)
+    return stab.order(), stab.order() == 10 and dihedral_subgroup(stab, 10) is not None
 
 
 def _w4_automorphisms(run):
@@ -489,7 +488,7 @@ def _w4_stabilizer(run):
     """The order of the W(4) plinth's point stabilizer, and whether it has
     order 68 and a witnessed dihedral subgroup of order 34."""
     stab = point_stabilizer(run.shared(_w4_class_action).socle_group, 0)
-    return stab.order(), stab.order() == 68 and _has_dihedral_subgroup(stab, 34)
+    return stab.order(), stab.order() == 68 and dihedral_subgroup(stab, 34) is not None
 
 
 def _m12_group(run):
@@ -1009,16 +1008,6 @@ def _case_products(run):
             law,
             'Section 3 remark, "the neighborhood (Gamma_1)^l(alpha)"',
         )
-
-
-def _has_dihedral_subgroup(stab, order):
-    """Whether a randomized search finds a dihedral subgroup of the given
-    order whose generators lie in ``stab``."""
-    try:
-        dih = dihedral_subgroup(stab, order)
-    except ConstructionFailed:
-        return False
-    return dih.order() == order and all(stab.contains(g) for g in dih.generators)
 
 
 def _add_inclusion_type(report, verdict):

@@ -3,14 +3,16 @@
 Everything downstream (derived actions, orbital graphs, the inclusion
 classifier) is built on the primitives in this module: image-array
 permutations, deterministic Schreier-Sims chains with one early exit
-(``stop_at``), orbits with Schreier vectors, and a
-handful of subgroup utilities (derived subgroups, small intersections,
-seeded random subgroup search).
+(``stop_at``), orbits with Schreier vectors, suborbit transporters kept
+as generator words (``SchreierWord``), and a handful of subgroup
+utilities (derived subgroups, small intersections, seeded random
+subgroup search steered by a pair of element orders).
 
 The three randomized routines, ``element_of_order``,
 ``small_generating_set`` and ``random_subgroup_of_order``, take the
 stream they draw from as ``seed``.  The package's pipelines all run on
 the default stream 1; tests draw other streams to widen their corpora.
+The two searches return None when they find nothing within their caps.
 
 Points are 0-based integers internally; file formats and reports are
 1-based.
@@ -67,7 +69,7 @@ class Permutation:
     right: ``(g * h)(x) == h(g(x))``, so orbits read ``point . g . h``.
     """
 
-    __slots__ = ("images", "_hash")
+    __slots__ = ("images",)
 
     def __init__(self, images, _checked=False):
         arr = np.array(images, dtype=_DTYPE)
@@ -81,7 +83,6 @@ class Permutation:
                 raise NotBijection("images are not a bijection")
         arr.setflags(write=False)
         self.images = arr
-        self._hash = None
 
     @property
     def degree(self):
@@ -188,44 +189,23 @@ class Permutation:
             (self.images == other.images).all()
         )
 
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self.images.tobytes())
-        return self._hash
-
     def __repr__(self):
         return f"Permutation({self.cycle_string()}, degree={self.degree})"
 
 
-class SchreierWord(Permutation):
+class SchreierWord:
     """A permutation kept as a word in generators, as a Schreier vector
     gives it: ``gens[word[0]]`` first, then ``gens[word[1]]``, and so on
     (transversals held implicitly: Seress, *Permutation Group
     Algorithms*, 2003, section 4.1).  ``map`` and ``preimage`` follow
-    the word for the points asked for; the full image array is built
-    only when ``images`` is read, and then kept.
+    the word for the points asked for; no image array is built.
     """
 
-    __slots__ = ("_gens", "_word", "_degree", "_images")
+    __slots__ = ("_gens", "_word")
 
-    def __init__(self, gens, word, degree):
+    def __init__(self, gens, word):
         self._gens = gens
         self._word = tuple(word)
-        self._degree = degree
-        self._images = None
-        self._hash = None
-
-    @property
-    def degree(self):
-        return self._degree
-
-    @property
-    def images(self):
-        if self._images is None:
-            arr = self.map(np.arange(self._degree, dtype=_DTYPE))
-            arr.setflags(write=False)
-            self._images = arr
-        return self._images
 
     def map(self, points):
         """Images of a point array, along the word."""
@@ -234,10 +214,8 @@ class SchreierWord(Permutation):
             arr = self._gens[gi].images[arr]
         return arr
 
-    def __call__(self, point):
-        return int(self.map(point))
-
     def preimage(self, point):
+        """The point this word maps to ``point``."""
         for gi in reversed(self._word):
             point = self._gens[gi].preimage(point)
         return int(point)
@@ -870,10 +848,7 @@ def suborbit_frame(group):
         raise NotTransitive("suborbits and blocks need a transitive group")
     gens = [g.images for g in stab.generators]
     labels, reps = _orbit_labels(gens, group.degree)
-    moves = [
-        SchreierWord(chain.gens, _tree_word(top.tree, r), group.degree)
-        for r in reps
-    ]
+    moves = [SchreierWord(chain.gens, _tree_word(top.tree, r)) for r in reps]
     return stab, labels, reps, moves
 
 
@@ -1048,20 +1023,20 @@ def small_generating_set(group, seed=1):
     return reduce_generators(group)
 
 
-def random_subgroup_of_order(group, target, profile=None, seed=1):
+def random_subgroup_of_order(group, target, profile, seed=1):
     """Seeded search for a subgroup of exactly the target order.
 
-    ``profile`` optionally lists element orders to steer the generator
-    draw (e.g. (5, 2) to look for A5-style pairs).  Returns None after
-    ``SUBGROUP_SEARCH_TRIES`` pairs.
+    ``profile`` is a pair of element orders (e.g. (5, 2) to look for
+    A5-style pairs): each trial draws an element of each order and tests
+    the group they generate.  Returns None after
+    ``SUBGROUP_SEARCH_TRIES`` trials.
 
     Each trial pair's chain stops as soon as its orbit product, a lower
     bound on the order, passes ``target`` (``stop_at=target + 1``); the
     trial is then skipped, as it would be after a full build, since
-    neither ``order == target`` nor the ``order < target`` retry can
-    hold.  A returned group always carries a complete chain, and the
-    random draws, hence the returned generators, are those of a search
-    that builds every trial chain in full.
+    ``order == target`` cannot hold.  A returned group always carries a
+    complete chain, and the random draws, hence the returned generators,
+    are those of a search that builds every trial chain in full.
     """
     if group.order() % target:
         return None
@@ -1069,33 +1044,15 @@ def random_subgroup_of_order(group, target, profile=None, seed=1):
         return PermGroup.trivial(group.degree)
     rng = Random(seed)
     chain = group.chain()
-
-    def draw(want_order):
-        if want_order is not None:
-            return _power_of_order(chain, rng, want_order, 64)
-        for _ in range(64):
-            g = chain.random_element(rng)
-            if not g.is_identity():
-                return g
-        return None
-
-    want_a = profile[0] if profile else None
-    want_b = profile[1] if profile and len(profile) > 1 else None
-    for trial in range(SUBGROUP_SEARCH_TRIES):
-        a = draw(want_a)
-        b = draw(want_b)
+    want_a, want_b = profile
+    for _ in range(SUBGROUP_SEARCH_TRIES):
+        a = _power_of_order(chain, rng, want_a, 64)
+        b = _power_of_order(chain, rng, want_b, 64)
         if a is None or b is None:
             continue
         trial_chain = StabChain(group.degree, [a, b], stop_at=target + 1)
-        order = trial_chain.order()
-        if order > target:
-            continue  # <a, b> is too big; its chain stopped unfinished
-        sub = PermGroup([a, b], degree=group.degree)
-        sub._chain = trial_chain
-        if order == target:
+        if trial_chain.order() == target:
+            sub = PermGroup([a, b], degree=group.degree)
+            sub._chain = trial_chain
             return sub
-        if target % order == 0 and trial % 4 == 3:
-            c = draw(None)
-            if c is not None and sub.extend(c) and sub.order() == target:
-                return sub
     return None

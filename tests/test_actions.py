@@ -101,7 +101,7 @@ def test_coset_action_is_homomorphism():
     from plinth.actions import _canonical_coset_images
 
     G = PermGroup.alternating(5)
-    H = random_subgroup_of_order(G, 12, seed=1)
+    H = random_subgroup_of_order(G, 12, profile=(3, 2), seed=1)
     act = coset_action(G, H)
     assert act.group.degree == 5
     chain_H = H.chain()

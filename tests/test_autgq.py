@@ -201,6 +201,24 @@ def test_no_partition_is_refined_twice(monkeypatch, q, distinct):
     assert len(inputs) == len(set(inputs)) == distinct
 
 
+def _hexagon_and_two_triangles():
+    edges = [(i, (i + 1) % 6) for i in range(6)]
+    edges += [(6, 7), (7, 8), (8, 6), (9, 10), (10, 11), (11, 9)]
+    return edges
+
+
+def test_transporter_rejects_a_partition_of_another_shape_at_once():
+    # every vertex has degree 2, so refinement cannot tell a hexagon
+    # vertex from a triangle vertex until one is individualized; then
+    # the cell sizes differ and no search below that node is made
+    cg = ColoredGraph(Graph.from_edges(12, _hexagon_and_two_triangles()))
+    engine = _Engine(cg)
+    colors, (_, cell) = engine._left[0]
+    assert int(cell[0]) == 0 and 6 in cell.tolist()
+    assert engine.transporter(1, engine._individualize(colors, 6)) is None
+    assert engine.nodes == 1
+
+
 # -- an independent oracle -------------------------------------------------
 
 
@@ -222,3 +240,15 @@ def test_order_matches_networkx_isomorphism_count(seed):
     nxg.add_edges_from(edges)
     matcher = GraphMatcher(nxg, nxg, node_match=lambda a, b: a["c"] == b["c"])
     assert aut.order() == sum(1 for _ in matcher.isomorphisms_iter())
+
+
+def test_hexagon_and_two_triangles_order_matches_networkx():
+    # D12 x (S3 wr S2)
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    edges = _hexagon_and_two_triangles()
+    aut = graph_automorphism_group(ColoredGraph(Graph.from_edges(12, edges)))
+    nxg = nx.Graph(edges)
+    count = sum(1 for _ in GraphMatcher(nxg, nxg).isomorphisms_iter())
+    assert aut.order() == count == 864

@@ -558,6 +558,55 @@ def test_classify_inclusion_normal_for_a5_wr_2():
     assert verdict.s == 1
 
 
+def _diagonal_wreath(K, ell, top):
+    """The diagonal copy of K in the product action of K wr top (each
+    generator acting in every coordinate at once), the top generators,
+    and the wreath's decomposition."""
+    wreath = product_action_wreath(K, ell, top)
+    gens = wreath.group.generators
+    k = len(K.generators)
+    diagonal = []
+    for i in range(k):
+        g = gens[i]
+        for j in range(1, ell):
+            g = g * gens[j * k + i]
+        diagonal.append(g)
+    return diagonal, gens[ell * k:], wreath.decomposition
+
+
+def test_classify_inclusion_intransitive_top_for_a5_squared():
+    # the base group A5 x A5 keeps both partitions: its top is trivial
+    base = product_action_wreath(PermGroup.alternating(5), 2, PermGroup.trivial(2))
+    verdict = classify_inclusion(base.group, base.group, base.decomposition)
+    assert (verdict.tag, verdict.s) == ("IntransitiveTop", 0)
+
+
+def test_classify_inclusion_cd3_for_the_diagonal_a5_on_three_coordinates():
+    diagonal, tops, E = _diagonal_wreath(
+        PermGroup.alternating(5), 3, PermGroup.symmetric(3)
+    )
+    M = PermGroup(diagonal, degree=125)
+    G = PermGroup(diagonal + tops, degree=125)
+    assert (M.order(), G.order()) == (60, 360)
+    verdict = classify_inclusion(G, M, E)
+    assert (verdict.tag, verdict.s) == ("CD3", 3)
+    assert verdict.details["moved_partitions"] == [[0, 1, 2]]
+
+
+def test_classify_inclusion_cd1s_for_a_diagonal_fixing_a_block():
+    # A5 on points 1..5 fixes point 0, so each component's block
+    # stabilizer is the whole component
+    K = PermGroup(
+        [Permutation.from_cycles(6, [c]) for c in [(1, 2, 3, 4, 5), (1, 2, 3)]]
+    )
+    diagonal, tops, E = _diagonal_wreath(K, 2, PermGroup.symmetric(2))
+    M = PermGroup(diagonal, degree=36)
+    G = PermGroup(diagonal + tops, degree=36)
+    verdict = classify_inclusion(G, M, E)
+    assert (verdict.tag, verdict.s) == ("CD1S", 2)
+    assert verdict.projection_orders == (60, 60)
+
+
 def _reference_component(G, E, j):
     """The routine component replaced: Schreier generators of the
     stabilizer of partition j in G's top action, lifted to G through a
@@ -624,6 +673,13 @@ def test_a6_stabilizer_dihedral_order_10():
     assert stab.order() == 10
     dih = dihedral_subgroup(stab, 10)
     assert dih is not None and dih.order() == 10
+
+
+@pytest.mark.parametrize("order", [4, 20])
+def test_dihedral_subgroup_search_that_finds_none_returns_none(order):
+    # D10 has no Klein four-group and no element of order 10
+    _, M = a6_setup()
+    assert dihedral_subgroup(point_stabilizer(M, 0), order) is None
 
 
 def test_dihedral_subgroup_of_odd_order_is_a_failed_construction():
@@ -780,6 +836,16 @@ def test_shipped_tables_load_and_cross_check():
     assert len(examples) == 5
     ok, collisions = cross_check_examples(examples, rows)
     assert ok, collisions
+
+
+def test_cross_check_reports_each_row_whose_meet_an_example_order_hits():
+    rows = load_factorization_table(data_path("psl2_factorizations.txt"))
+    ok, collisions = cross_check_examples([("X1", "any", "A4", "2", "x")], rows)
+    assert ok is False
+    assert collisions == [
+        {"example": "X1", "q": q, "order": 2, "row": ("P1", label, 2)}
+        for q, label in [(4, "D10"), (8, "D18"), (16, "D34"), (5, "A4"), (29, "A5")]
+    ]
 
 
 _FACTORIZATION_ROW = "4 | P1 | 12 | D10 | 10 | 2 | Table 3 row"

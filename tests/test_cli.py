@@ -322,6 +322,41 @@ def test_cli_o8plus2_subgroup_of_another_degree_fails(tmp_path, capsys):
     assert contained["actual"] is False
 
 
+def test_cli_o8plus2_runs_every_stage_on_a_small_group(tmp_path):
+    # S4 in S5: every check is made, and the coset and suborbit stages run
+    (tmp_path / "o8plus2.gens").write_text("degree 5\ngen (1,2,3,4,5)\ngen (1,2)\n")
+    (tmp_path / "g2_2.gens").write_text("degree 5\ngen (1,2,3,4)\ngen (1,2)\n")
+    report = run_case("o8plus2", {"data": str(tmp_path)}).to_json_dict()
+    assert report["status"] == "FAIL" and "error" not in report
+    assert [(c["name"], c["actual"], c["pass"]) for c in report["checks"]] == [
+        ("group_order", 120, False),
+        ("subgroup_contained", True, True),
+        ("subgroup_order", 24, False),
+        ("coset_degree", 5, False),
+        ("no_suborbit_of_size_28", False, True),
+    ]
+    assert {"o8plus2_coset_action", "o8plus2_suborbits"} <= set(report["timings_ms"])
+
+
+def test_cli_factorization_row_error_fails_only_its_check(monkeypatch):
+    # a row check that raises is recorded as that row's actual value: a
+    # FAIL report, not an ERROR; fresh shared stages, because
+    # psl2_row_meets holds every row's meet
+    real = cli_module.verify_psl2_factorization_row
+
+    def fail_at_q4(T, row):
+        if T.degree == 5:
+            raise PlinthError("no meet at q=4")
+        return real(T, row)
+
+    monkeypatch.setattr("plinth.cli._SHARED", {})
+    monkeypatch.setattr("plinth.cli.verify_psl2_factorization_row", fail_at_q4)
+    report = run_case("factorizations").to_json_dict()
+    assert report["status"] == "FAIL" and "error" not in report
+    failed = [(c["name"], c["actual"]) for c in report["checks"] if not c["pass"]]
+    assert failed == [("row00_q4_P1_D10", "error: no meet at q=4")]
+
+
 def test_cli_m12_subgroup_search_failure_fails(monkeypatch, capsys):
     # a subgroup search that finds nothing gives a FAIL report, not a
     # crash; fresh shared stages, because m12_subgroup holds the subgroup
@@ -339,16 +374,13 @@ def test_cli_m12_subgroup_search_failure_fails(monkeypatch, capsys):
 
 
 def test_cli_classify_sp44_dihedral_search_failure_fails(monkeypatch, capsys):
-    # a dihedral search that finds nothing gives a FAIL report, not a crash
-    from plinth.errors import ConstructionFailed
-
-    def fail(*args, **kwargs):
-        raise ConstructionFailed("no inverting involution found")
-
-    # fresh shared stages, because the cached w4_stabilizer stage holds the
-    # dihedral search's verdict
+    # a dihedral search that finds nothing gives a FAIL report, not a
+    # crash; fresh shared stages, because the cached w4_stabilizer stage
+    # holds the dihedral search's verdict
     monkeypatch.setattr("plinth.cli._SHARED", {})
-    monkeypatch.setattr("plinth.cli.dihedral_subgroup", fail)
+    monkeypatch.setattr(
+        "plinth.cli.dihedral_subgroup", lambda *args, **kwargs: None
+    )
     code = main(["verify", "classify-sp44"])
     assert code == 1
     assert "status: FAIL" in capsys.readouterr().out

@@ -606,6 +606,7 @@ def test_suborbits_carry_stabilizer_and_transporters():
     od = suborbits(G)
     assert od.stabilizer.order() * G.degree == G.order()
     assert all(int(g.images[0]) == 0 for g in od.stabilizer.generators)
-    assert od.transporters[0].is_identity()
+    points = np.arange(G.degree)
+    assert np.array_equal(od.transporters[0].map(points), points)
     for s, u in zip(od.suborbits, od.transporters):
-        assert int(u.images[0]) == s.representative
+        assert int(u.map(points)[0]) == s.representative

@@ -759,7 +759,7 @@ def _reference_minimal_block_systems(group):
     candidates = {}
     block_of = {}
     for beta, u in zip(reps, transporters[1:]):
-        block = fast_orbit(stab_images + [u.images], 0, n)
+        block = fast_orbit(stab_images + [u.map(np.arange(n))], 0, n)
         if block.size == n:
             block_of[beta] = None
             continue
@@ -790,7 +790,7 @@ def test_suborbit_blocks_match_point_orbits(name):
     blocks = _suborbit_blocks(labels, transporters)
     assert len(blocks) == len(transporters)
     for u, block in zip(transporters, blocks):
-        orbit = fast_orbit(gens + [u.images], 0, n)
+        orbit = fast_orbit(gens + [u.map(np.arange(n))], 0, n)
         if orbit.size == n:
             assert block is None
         else:
@@ -874,23 +874,21 @@ def test_orbit_labels_match_the_per_point_loop_on_sp44s_point_stabilizer():
 @pytest.mark.parametrize("name", sorted(BLOCK_CORPUS))
 def test_transporter_words_map_as_their_image_arrays(name):
     G = BLOCK_CORPUS[name]()
+    points = np.arange(G.degree)
     _, labels, reps, transporters = suborbit_frame(G)
     suborbit_points = [
         np.flatnonzero(labels == i) for i in range(len(reps))
     ]
-    # every point read along the word before any image array exists
-    mapped = [[u.map(pts) for pts in suborbit_points] for u in transporters]
-    back = [u.preimage(0) for u in transporters]
-    starts = [u(0) for u in transporters]
-    assert starts == reps
-    for u, images, pre in zip(transporters, mapped, back):
+    assert [int(u.map(points)[0]) for u in transporters] == reps
+    for u in transporters:
         product = Permutation.identity(G.degree)
         for gi in u._word:
             product = product * u._gens[gi]
-        assert np.array_equal(u.images, product.images)
-        for pts, got in zip(suborbit_points, images):
-            assert got.tolist() == u.images[pts].tolist()
-        assert pre == int(u.inverse().images[0])
+        images = u.map(points)
+        assert np.array_equal(images, product.images)
+        for pts in suborbit_points:
+            assert u.map(pts).tolist() == images[pts].tolist()
+        assert u.preimage(0) == int(product.inverse().images[0])
 
 
 def test_frame_reads_the_orbit_of_0_from_the_chain(monkeypatch):
@@ -901,7 +899,8 @@ def test_frame_reads_the_orbit_of_0_from_the_chain(monkeypatch):
     monkeypatch.setattr(PermGroup, "orbit", refuse)
     _, labels, reps, transporters = suborbit_frame(G)
     assert labels[0] == 0 and reps[0] == 0
-    assert transporters[0].is_identity()
+    points = np.arange(G.degree)
+    assert np.array_equal(transporters[0].map(points), points)
     assert G.is_transitive()
 
 
@@ -914,17 +913,23 @@ def test_frame_reads_the_orbit_of_0_from_the_chain(monkeypatch):
     ids=["sp44's G", "D33 x D33"],
 )
 def test_large_frame_builds_no_full_transporter_array(monkeypatch, make):
-    def refuse(self):
-        raise AssertionError("a full transporter array was built")
+    mapped = []
+    word_map = perm_module.SchreierWord.map
+
+    def spy(self, points):
+        images = word_map(self, points)
+        mapped.append(images.size)
+        return images
 
     want = [s.tolist() for s in minimal_block_systems(make())]
     G = make()
     assert G.degree > 1000
-    monkeypatch.setattr(perm_module.SchreierWord, "images", property(refuse))
+    monkeypatch.setattr(perm_module.SchreierWord, "map", spy)
     od = suborbits(G)
     assert len(od.suborbits) == len(od.transporters) > 1
     got = minimal_block_systems(G, od.frame())
     assert [s.tolist() for s in got] == want
+    assert mapped and max(mapped) < G.degree
 
 
 # ---------------------------------------------------------------------------
@@ -991,12 +996,21 @@ def test_small_generating_set_preserves_group():
     assert all(fat.contains(g) for g in slim.generators)
 
 
+def test_small_generating_set_falls_back_to_the_greedy_reduction(monkeypatch):
+    G = PermGroup.symmetric(6)
+    fat = PermGroup(list(G.elements())[:30], degree=6)
+    monkeypatch.setattr(perm_module, "GENERATING_SET_TRIES", 0)
+    slim = small_generating_set(fat, seed=1)
+    assert slim.order() == fat.order()
+    assert slim.generators == reduce_generators(fat).generators
+
+
 def test_random_subgroup_of_order():
     A5 = PermGroup.alternating(5)
-    H = random_subgroup_of_order(A5, 12, seed=1)
+    H = random_subgroup_of_order(A5, 12, profile=(3, 2), seed=1)
     assert H is not None and H.order() == 12
     assert all(A5.contains(g) for g in H.generators)
-    assert random_subgroup_of_order(A5, 7, seed=1) is None
+    assert random_subgroup_of_order(A5, 7, profile=(7, 1), seed=1) is None
 
 
 @cache
@@ -1012,8 +1026,8 @@ def _search_group(name):
 # little-endian int64 image bytes, as returned by a search that builds
 # every trial chain in full
 SEARCH_PINS = {
-    ("A5", 12, None, 1):
-        "ff474232d4137754ed8fe5e05a2751a4e9f6999730b0af6799b471e95e062d7f",
+    ("A5", 12, (3, 2), 1):
+        "391d293d116e687f561c24b7086a4017141d45a990f535b1081aa04a575b4d67",
     ("PSL(2,59)", 60, (5, 3), 1):
         "0949725855153de357ec45a6c340d714bf3858b18658861506decb2afcb1a0a2",
     ("PSL(2,59)", 60, (5, 3), 2):
@@ -1077,7 +1091,7 @@ def test_trial_chain_stops_once_its_orbit_product_passes_the_target(
                 trials.append(self)
 
     monkeypatch.setattr(perm_module, "StabChain", Spy)
-    H = random_subgroup_of_order(S6, 60, seed=1)
+    H = random_subgroup_of_order(S6, 60, profile=(5, 2), seed=1)
     stopped = [c for c in trials if c.order() > 60]
     assert stopped and H is not None
     assert all(H.chain() is not c for c in stopped)
