@@ -15,6 +15,8 @@ from .perm import (
 )
 from .algebra import (
     Field,
+    extend_to_lines,
+    gq_automorphism_group,
     identify_extension_flavor,
     psl2_action,
     sp4,

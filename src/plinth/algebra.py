@@ -396,3 +396,84 @@ def symplectic_gq(q):
         for p in line:
             point_lines[p].append(li)
     return GQGeometry(F, points, lines, point_lines)
+
+
+# ---------------------------------------------------------------------------
+# Aut W(q), q even: Sp(4,q), the Frobenius and the Klein duality
+
+
+def _line_indices(lines, P, rows):
+    """Index of the line of W(q) whose points are each sorted row.
+
+    ``lines`` is the geometry's sorted line array on P points; two
+    points fix a line, so the codes of each line's first two points are
+    sorted and distinct.  ConstructionFailed when a row is not a line.
+    """
+    codes = lines[:, 0] * P + lines[:, 1]
+    at = np.searchsorted(codes, rows[:, 0] * P + rows[:, 1])
+    at = np.minimum(at, len(lines) - 1)
+    if not (lines[at] == rows).all():
+        raise ConstructionFailed("a set of points that should be a line is not one")
+    return at
+
+
+def extend_to_lines(geom, point_gens):
+    """Each collineation of W(q), given on the points, extended to the
+    lines: line i is vertex P + i, as in ``incidence_graph``, and goes
+    to the line through its points' images."""
+    lines = np.array(geom.lines, dtype=np.int64)
+    P = geom.num_points
+    out = []
+    for g in point_gens:
+        at = _line_indices(lines, P, np.sort(g.images[lines], axis=1))
+        # lines go to distinct lines, as g is a bijection on the points
+        out.append(Permutation(np.concatenate([g.images, P + at]), _checked=True))
+    return out
+
+
+def gq_automorphism_group(geom, sp_gens):
+    """The group generated by Sp(4,q), the Frobenius and a duality,
+    on the points and lines of W(q) for q = 2^a (vertices numbered as
+    in ``incidence_graph``).
+
+    ``sp_gens`` are Sp(4,q)'s generators on points and lines
+    (``extend_to_lines``).  The Frobenius phi squares each coordinate.
+    The duality delta is the Klein correspondence: the line <x, y> goes
+    to the point (p02, p13, p03, p12), p_ij = x_i y_j + x_j y_i, and a
+    point x to the line through the images of the q+1 lines on x; W(q)
+    is self-dual for even q (Payne and Thas, *Finite Generalized
+    Quadrangles*, 2nd ed., 2009).  Every generator is checked with
+    ``is_automorphism`` on the incidence graph; the order is left to
+    the chain, unclaimed.
+    """
+    # graphs, and autgq through it, import actions, which imports this
+    # module
+    from .autgq import incidence_graph
+    from .graphs import is_automorphism
+
+    F = geom.field
+    pg = _PG3(F)
+    add, mul = F.add, F.mul
+    lines = np.array(geom.lines, dtype=np.int64)
+    P, L = geom.num_points, geom.num_lines
+    (phi,) = extend_to_lines(
+        geom, [Permutation(pg.index_of(mul[pg.points, pg.points]))]
+    )
+    x, y = pg.points[lines[:, 0]], pg.points[lines[:, 1]]
+
+    def plucker(i, j):
+        return add[mul[x[:, i], y[:, j]], mul[x[:, j], y[:, i]]]
+
+    klein = np.stack(
+        [plucker(0, 2), plucker(1, 3), plucker(0, 3), plucker(1, 2)], axis=1
+    )
+    line_point = pg.index_of(klein)
+    point_lines = np.array(geom.point_lines, dtype=np.int64)
+    point_line = _line_indices(lines, P, np.sort(line_point[point_lines], axis=1))
+    delta = Permutation(np.concatenate([P + point_line, line_point]))
+    gens = list(sp_gens) + [phi, delta]
+    graph = incidence_graph(geom).graph
+    for g in gens:
+        if not is_automorphism(graph, g):
+            raise ConstructionFailed("a generator of Aut W(q) breaks incidence")
+    return PermGroup(gens, degree=P + L)

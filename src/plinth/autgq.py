@@ -9,8 +9,12 @@ left-hand path that every transporter search compares against is kept
 refined, so only right-hand candidates are refined as they are met.
 Completeness comes from exhaustive transporter searches at each level
 and is certified by |orbit| x |stabilizer| bookkeeping plus an
-independent chain-order check.  Built for graphs of a few hundred
-vertices, not as a general tool.
+independent chain-order check.  A search may be seeded with a
+``known`` group of automorphisms: its generators are verified, its
+orbits along the left path's base stand in for orbits found, and only
+the cell points outside them are searched, so the engine has only to
+rule out a larger group.  Built for graphs of a few hundred vertices,
+not as a general tool.
 """
 
 from __future__ import annotations
@@ -185,17 +189,29 @@ class _Engine:
 
     # -- orbit-stabilizer recursion ------------------------------------
 
-    def automorphisms(self, depth=0):
+    def automorphisms(self, depth=0, seeds=()):
         """(generators, order) of the automorphisms fixing the left
-        path's node at ``depth``."""
+        path's node at ``depth``.
+
+        ``seeds[d]``, where given, holds image arrays of known
+        automorphisms fixing the node at depth d: the orbit of that
+        node's first cell point starts from them, and only the
+        generators found by transporter searches are returned.
+        """
         colors, target = self._left[depth]
         if target is None:
             return [], 1
         _, cell = target
         v = int(cell[0])
-        stab_gens, stab_order = self.automorphisms(depth + 1)
+        stab_gens, stab_order = self.automorphisms(depth + 1, seeds)
         gens = list(stab_gens)
-        orbit = set(fast_orbit([h.images for h in gens], v, self.n).tolist())
+        known = list(seeds[depth]) if depth < len(seeds) else []
+
+        def orbit_of_v():
+            images = known + [h.images for h in gens]
+            return set(fast_orbit(images, v, self.n).tolist())
+
+        orbit = orbit_of_v()
         for w in cell[1:].tolist():
             if w in orbit:
                 continue
@@ -203,29 +219,61 @@ class _Engine:
             if g is None:
                 continue
             gens.append(g)
-            orbit = set(fast_orbit([h.images for h in gens], v, self.n).tolist())
+            orbit = orbit_of_v()
         return gens, len(orbit) * stab_order
 
+    @property
+    def base(self):
+        """The first cell point of each node of the left path."""
+        return [int(t[1][0]) for _, t in self._left if t is not None]
 
-def graph_automorphism_group(cg):
+
+def graph_automorphism_group(cg, known=None):
     """Full automorphism group of a colored graph.
 
     Every generator is verified to preserve colors and adjacency; the
     recursion's orbit-times-stabilizer order must match the order of
     the generated group, which the chain computes without a claim.
+
+    ``known``, a group of automorphisms already in hand, seeds the
+    search and is trusted for nothing: its generators are verified
+    first, its orbits along the left path's base are read from a chain
+    with that base, and transporter searches run only for the cell
+    points outside them (McKay and Piperno, "Practical graph
+    isomorphism, II", 2014).  The result is ``known`` with the found
+    generators added.
     """
     if cg.n > 10**4:
         raise TooLarge("engine is limited to 10^4 vertices")
     if cg.n == 0:
         return PermGroup.trivial(0)  # only the empty permutation
     engine = _Engine(cg)
-    gens, order = engine.automorphisms()
+    seeds = ()
+    if known is not None:
+        if known.degree != cg.n:
+            raise DegreeMismatch(
+                f"known group of degree {known.degree} on {cg.n} vertices"
+            )
+        if not all(engine._check(g) for g in known.generators):
+            raise GeneratorNotAutomorphism("a known generator is not an automorphism")
+        # a subgroup whose order was just computed, rebased on the left
+        # path; ``known`` keeps its own chain for the caller
+        based = PermGroup._bounded(known.generators, cg.n, known.order())
+        chain = based.chain(base_hint=engine.base)
+        seeds = [
+            [chain.gens[i].images for i in chain._effective_gen_ids(d)]
+            for d in range(len(chain.levels))
+        ]
+    gens, order = engine.automorphisms(seeds=seeds)
     for g in gens:
         if not engine._check(g):
             raise GeneratorNotAutomorphism("engine produced a bad generator")
-    if not gens:
+    if known is not None:
+        group = PermGroup(known.generators + gens, degree=cg.n) if gens else known
+    elif gens:
+        group = PermGroup(gens, degree=cg.n)
+    else:
         return PermGroup.trivial(cg.n)
-    group = PermGroup(gens, degree=cg.n)
     if group.order() != order:
         raise Mismatch(
             f"orbit-stabilizer order {order} != chain order {group.order()}"

@@ -30,13 +30,19 @@ import numpy as np
 
 from .actions import (
     PRODUCT_DEGREE_CAP,
-    _keyed,
     coset_action,
     cyclic_class_action,
     product_action_wreath,
     top_projection,
 )
-from .algebra import identify_extension_flavor, psl2_action, sp4, symplectic_gq
+from .algebra import (
+    extend_to_lines,
+    gq_automorphism_group,
+    identify_extension_flavor,
+    psl2_action,
+    sp4,
+    symplectic_gq,
+)
 from .autgq import ColoredGraph, graph_automorphism_group, incidence_graph
 from .cartesian import (
     classify_inclusion,
@@ -354,8 +360,11 @@ def _w4_geometry(run):
 
 
 def _w4_aut(run):
-    """Aut W(4), from the automorphism search on its incidence graph."""
-    return graph_automorphism_group(incidence_graph(run.shared(_w4_geometry)))
+    """Aut W(4), built from Sp(4,4), the Frobenius and the Klein duality,
+    and certified by the automorphism search seeded with that group."""
+    geom = run.shared(_w4_geometry)
+    known = gq_automorphism_group(geom, run.shared(_w4_sp4_image).generators)
+    return graph_automorphism_group(incidence_graph(geom), known=known)
 
 
 def _w4_aut_gens(run):
@@ -371,20 +380,14 @@ def _w4_socle(run):
 
 
 def _w4_sp4_image(run):
-    """Sp(4,4) from symplectic transvections, independently of Aut W(4),
-    on the points and lines of W(4)."""
+    """Sp(4,4) from symplectic transvections, on the points and lines of
+    W(4)."""
     geom = run.shared(_w4_geometry)
     ma = sp4(4)
-    P, n = geom.num_points, geom.num_points + geom.num_lines
-    lines, keys = _keyed(np.array(geom.lines, dtype=_DTYPE))
-    line_index = {key: P + i for i, key in enumerate(keys)}
-    image_gens = []
-    for g in ma.group.generators:
-        mapped = _keyed(np.sort(g.images[lines], axis=1))[1]
-        img = np.concatenate([g.images, [line_index[k] for k in mapped]])
-        image_gens.append(Permutation(img, _checked=True))
+    gens = extend_to_lines(geom, ma.group.generators)
+    n = geom.num_points + geom.num_lines
     # an image of Sp(4,4), a group of known order
-    return PermGroup._bounded(image_gens, n, ma.group.order())
+    return PermGroup._bounded(gens, n, ma.group.order())
 
 
 def _w4_class_action(run):
@@ -442,13 +445,13 @@ def _a6_stabilizer(run):
 
 def _w4_automorphisms(run):
     """The orders of Aut W(4) and of its socle, and whether the Sp(4,4)
-    image lies in both and has the socle's order."""
+    image lies in the socle and has the socle's order.  The image lies
+    in Aut W(4) by construction, its generators being among Aut's; that
+    it lies in the socle, with the socle's order, is computed."""
     aut = run.shared(_w4_aut)
     socle = run.shared(_w4_socle)[0]
     image = run.shared(_w4_sp4_image)
-    inside = all(aut.contains(g) for g in image.generators) and all(
-        socle.contains(g) for g in image.generators
-    )
+    inside = all(socle.contains(g) for g in image.generators)
     return aut.order(), socle.order(), inside and image.order() == socle.order()
 
 

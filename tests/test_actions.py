@@ -389,10 +389,12 @@ def test_action_of_matches_the_full_conjugation_path_on_sp44():
         assert act.action_of(g).images.tolist() == [index[k] for k in keys]
 
 
-# sha256 of reps, then each generator's images of group and socle_group
+# sha256 of reps, then each generator's images of group and socle_group;
+# sp44's class is enumerated from generators drawn from the chain of
+# Aut W(4) as generated by Sp(4,4), the Frobenius and the Klein duality
 CLASS_ACTION_PINS = {
     "a6": "76e5eaac082f913dafdfdaabf712559d01f5f9daf15fd4c00a815791f17ae4b0",
-    "sp44": "ed841be27e0287ad2e97fb9a69ea8e67e2113c8bffbeb7d59d85d7ef4c74525e",
+    "sp44": "ef299e4e86ed07fef101abcfe87000f8087a8fa5f12c5bf522efcbe70b414deb",
 }
 
 

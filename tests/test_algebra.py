@@ -10,13 +10,22 @@ import plinth.algebra
 from plinth.algebra import (
     Field,
     check_field_order,
+    extend_to_lines,
+    gq_automorphism_group,
     identify_extension_flavor,
     preserves_form,
     psl2_action,
     sp4,
     symplectic_gq,
 )
-from plinth.errors import TooLarge, UnsupportedField, UnsupportedFlavor
+from plinth.autgq import incidence_graph
+from plinth.errors import (
+    ConstructionFailed,
+    TooLarge,
+    UnsupportedField,
+    UnsupportedFlavor,
+)
+from plinth.graphs import is_automorphism
 from plinth.perm import PermGroup, Permutation, is_k_transitive
 
 
@@ -427,3 +436,98 @@ def test_symplectic_gq_axioms(q, lines_per_point):
     for i in range(0, len(geom.lines), 7):
         for j in range(i + 1, len(geom.lines), 11):
             assert len(set(geom.lines[i]) & set(geom.lines[j])) <= 1
+
+
+# ---------------------------------------------------------------------------
+# Aut W(q) from Sp(4,q), the Frobenius and the Klein duality
+
+
+def _built_aut(q):
+    geom = symplectic_gq(q)
+    sp_gens = extend_to_lines(geom, sp4(q).group.generators)
+    return geom, gq_automorphism_group(geom, sp_gens)
+
+
+def _reference_duality(q):
+    """delta's images on the points and lines of W(q): one scalar
+    Plucker computation per line, one set lookup per point."""
+    F = Field(q)
+    points, lines, point_lines = _reference_gq(q)
+    index = {v: i for i, v in enumerate(points)}
+    line_point = []
+    for line in lines:
+        x, y = points[line[0]], points[line[1]]
+
+        def p(i, j):
+            return int(F.add[F.mul[x[i], y[j]], F.mul[x[j], y[i]]])
+
+        klein = (p(0, 2), p(1, 3), p(0, 3), p(1, 2))
+        line_point.append(index[_normalize(F, klein)])
+    line_of = {frozenset(line): i for i, line in enumerate(lines)}
+    point_line = [
+        len(points) + line_of[frozenset(line_point[li] for li in ls)]
+        for ls in point_lines
+    ]
+    return point_line + line_point
+
+
+@pytest.mark.parametrize("q", [2, 4])
+def test_duality_matches_the_scalar_reference(q):
+    # without Sp(4,q) the builder still gives phi and delta
+    delta = gq_automorphism_group(symplectic_gq(q), []).generators[-1]
+    assert delta.images.tolist() == _reference_duality(q)
+
+
+@pytest.mark.parametrize("q", [2, 4])
+def test_frobenius_squares_each_coordinate(q):
+    geom, aut = _built_aut(q)
+    F = geom.field
+    index = {v: i for i, v in enumerate(geom.points)}
+    phi = aut.generators[-2]
+    squares = [index[tuple(int(F.mul[x, x]) for x in v)] for v in geom.points]
+    assert phi.images[: geom.num_points].tolist() == squares
+
+
+@pytest.mark.parametrize("q", [2, 4])
+def test_duality_swaps_points_and_lines(q):
+    geom, aut = _built_aut(q)
+    P = geom.num_points
+    delta = aut.generators[-1]
+    assert (delta.images[:P] >= P).all()
+    assert (delta.images[P:] < P).all()
+    # the other generators keep the two sides
+    for g in aut.generators[:-1]:
+        assert (g.images[:P] < P).all()
+
+
+@pytest.mark.parametrize("q", [2, 4])
+def test_duality_with_a_line_image_changed_breaks_incidence(q):
+    geom, aut = _built_aut(q)
+    P = geom.num_points
+    images = aut.generators[-1].images.copy()
+    # line 0 goes to line 1's point and back, so delta stays a bijection
+    images[[P, P + 1]] = images[[P + 1, P]]
+    assert not is_automorphism(incidence_graph(geom).graph, Permutation(images))
+
+
+@pytest.mark.parametrize(
+    "q,order", [(2, 1440), (4, 3916800), (8, 6340239360)]
+)
+def test_built_aut_order(q, order):
+    # Theorem 4.1's Aut T = Sp4(q).Ca.C2: |Sp(4,q)| = q^4 (q^2 - 1)(q^4 - 1)
+    # times a times 2; at q = 8, 1,056,706,560 times 3 times 2
+    assert _built_aut(q)[1].order() == order
+
+
+def test_a_point_map_that_is_no_collineation_has_no_line_images():
+    geom = symplectic_gq(4)
+    swap = Permutation.from_cycles(geom.num_points, [(0, 1)])
+    with pytest.raises(ConstructionFailed):
+        extend_to_lines(geom, [swap])
+
+
+def test_builder_rejects_a_generator_that_breaks_incidence():
+    geom = symplectic_gq(2)
+    n = geom.num_points + geom.num_lines
+    with pytest.raises(ConstructionFailed):
+        gq_automorphism_group(geom, [Permutation.from_cycles(n, [(0, 1)])])

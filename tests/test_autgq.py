@@ -10,8 +10,13 @@ from plinth.autgq import (
     graph_automorphism_group,
     incidence_graph,
 )
-from plinth.algebra import symplectic_gq
-from plinth.errors import DegreeMismatch
+from plinth.algebra import (
+    extend_to_lines,
+    gq_automorphism_group,
+    sp4,
+    symplectic_gq,
+)
+from plinth.errors import DegreeMismatch, GeneratorNotAutomorphism
 from plinth.graphs import Graph, is_automorphism
 from plinth.perm import PermGroup, Permutation
 
@@ -200,6 +205,91 @@ def test_no_partition_is_refined_twice(monkeypatch, q, distinct):
     graph_automorphism_group(incidence_graph(symplectic_gq(q)))
     assert len(inputs) == len(set(inputs)) == distinct
 
+
+
+# -- a search seeded with known automorphisms --------------------------------
+
+
+def _sp4_on_gq(q):
+    geom = symplectic_gq(q)
+    return geom, extend_to_lines(geom, sp4(q).group.generators)
+
+
+@pytest.mark.parametrize("q", [2, 4])
+def test_built_aut_is_the_engines(q):
+    geom, sp_gens = _sp4_on_gq(q)
+    built = gq_automorphism_group(geom, sp_gens)
+    found = graph_automorphism_group(incidence_graph(geom))
+    assert built.order() == found.order()
+    assert all(found.contains(g) for g in built.generators)
+    assert all(built.contains(g) for g in found.generators)
+
+
+def _counted_transporters(monkeypatch):
+    calls = []
+    transporter = _Engine.transporter
+
+    def counting(self, depth, right):
+        calls.append(depth)
+        return transporter(self, depth, right)
+
+    monkeypatch.setattr(_Engine, "transporter", counting)
+    return calls
+
+
+@pytest.mark.parametrize("q,unseeded,seeded", [(2, 27, 0), (4, 212, 21)])
+def test_seeded_search_only_rules_out_the_rest(monkeypatch, q, unseeded, seeded):
+    # seeded with all of Aut W(q), the search runs only for the cell
+    # points outside the known orbits, and finds nothing there
+    geom, sp_gens = _sp4_on_gq(q)
+    known = gq_automorphism_group(geom, sp_gens)
+    cg = incidence_graph(geom)
+    calls = _counted_transporters(monkeypatch)
+    assert graph_automorphism_group(cg).order() == known.order()
+    assert len(calls) == unseeded
+    del calls[:]
+    aut = graph_automorphism_group(cg, known=known)
+    assert len(calls) == seeded
+    assert aut is known
+
+
+def test_seeded_search_does_not_stop_at_the_known_group():
+    geom, sp_gens = _sp4_on_gq(4)
+    known = PermGroup(sp_gens)
+    assert known.order() == 979200
+    aut = graph_automorphism_group(incidence_graph(geom), known=known)
+    assert aut.order() == 3916800
+
+
+def test_known_generator_that_is_no_automorphism_raises():
+    geom, sp_gens = _sp4_on_gq(2)
+    n = geom.num_points + geom.num_lines
+    bad = Permutation.from_cycles(n, [(0, 1)])
+    known = PermGroup(sp_gens + [bad])
+    with pytest.raises(GeneratorNotAutomorphism):
+        graph_automorphism_group(incidence_graph(geom), known=known)
+
+
+def test_known_group_of_another_degree_raises_degree_mismatch():
+    with pytest.raises(DegreeMismatch):
+        graph_automorphism_group(
+            ColoredGraph(cycle_graph(6)), known=PermGroup.cyclic(5)
+        )
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_seeded_order_matches_the_unseeded_order(seed):
+    # seeded with one automorphism, or with none, the search still
+    # finds the whole group
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 10))
+    p = float(rng.choice([0.3, 0.5, 0.7]))
+    edges = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p]
+    colors = rng.integers(0, int(rng.integers(1, 3)), size=n)
+    cg = ColoredGraph(Graph.from_edges(n, edges), colors=colors)
+    full = graph_automorphism_group(cg)
+    known = PermGroup(full.generators[-1:], degree=n)
+    assert graph_automorphism_group(cg, known=known).order() == full.order()
 
 def _hexagon_and_two_triangles():
     edges = [(i, (i + 1) % 6) for i in range(6)]

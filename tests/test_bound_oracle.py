@@ -52,6 +52,7 @@ def test_every_bounded_site_is_seen(bounded_calls):
         "point_stabilizer", "small_generating_set", "product_action_wreath",
         "coset_action", "cyclic_class_action", "index2_subgroups",
         "_a6_flavour_groups", "_w4_sp4_image", "component",
+        "graph_automorphism_group",
     }
 
 
