@@ -431,6 +431,89 @@ def test_cli_sp44_without_valency17_suborbit_fails(monkeypatch):
     assert report.checks[-1]["actual"] == []
 
 
+def test_cli_sylvester_and_sp44_pipelines_without_grids_fail(monkeypatch):
+    # no grid found: sylvester and sp44 end on a failed grid count and make
+    # no inclusion-type check, and classify-sp44 ends at its grid count;
+    # fresh shared stages, because the cached ones hold the real grids
+    monkeypatch.setattr("plinth.cli._SHARED", {})
+    monkeypatch.setattr(
+        "plinth.cli.find_grid_decompositions", lambda *args, **kwargs: []
+    )
+    for case in ("sylvester", "sp44", "classify-sp44"):
+        report = run_case(case)
+        assert report.status == "FAIL" and report.error is None, case
+        last = report.checks[-1]
+        assert (last["name"], last["actual"], last["pass"]) == ("grid_count", 0, False)
+        assert "inclusion_type" not in {c["name"] for c in report.checks}, case
+    assert len(report.checks) == 1
+
+
+def test_data_is_refused_by_cases_that_read_none(tmp_path, monkeypatch, capsys):
+    # only m12 and o8plus2 read --data: any other case given a path is an
+    # error (exit 3) before it builds a stage, not a PASS that ignores it
+    monkeypatch.setattr(cli_module, "_SHARED", {})
+    missing = str(tmp_path / "missing")
+    assert main(["verify", "sylvester", "--data", missing]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
+    for case in ("sp44", "factorizations", "products", "classify-a6"):
+        with pytest.raises(Unrecognized, match="--data"):
+            run_case(case, {"data": missing})
+    assert cli_module._SHARED == {}
+    assert run_case("o8plus2", {"data": missing}).status == "SKIP"
+
+
+def _table_rows(run, table):
+    """A case table's rows in order, each group of rows read from the run."""
+    for entry in table:
+        yield from (entry,) if isinstance(entry, cli_module._Check) else entry(run)
+
+
+def test_every_check_comes_from_its_case_table():
+    # each seed-1 report of a runnable case makes its table's checks, all
+    # of them and in table order, with the rows' expected values and anchors
+    for case in (c for c in cli_module.CASES if c != "o8plus2"):
+        report = run_case(case)
+        assert report.status == "PASS", case
+        rows = _table_rows(cli_module._Run(case, 1), cli_module._CASES[case])
+        want = [(r.name, r.expected, r.anchor) for r in rows]
+        got = [(c["name"], c["expected"], c["anchor"]) for c in report.checks]
+        assert got == want, case
+
+
+def test_every_named_anchor_is_used_once():
+    # each distinct anchor is one named constant, and some row quotes it
+    anchors = {
+        name: value for name, value in vars(cli_module).items()
+        if name.startswith("ANCHOR_")
+    }
+    assert len(set(anchors.values())) == len(anchors)
+    used = {
+        row.anchor
+        for case, table in cli_module._CASES.items()
+        for row in _table_rows(cli_module._Run(case, 1), table)
+    }
+    assert {name for name, value in anchors.items() if value not in used} == set()
+
+
+def test_the_rows_that_end_a_case_are_the_early_returns():
+    stops = {
+        (case, row.name)
+        for case, table in cli_module._CASES.items()
+        for row in _table_rows(cli_module._Run(case, 1), table)
+        if row.stop
+    }
+    assert stops == {
+        ("sylvester", "self_paired_length5_suborbits"),
+        ("sp44", "winning_valency"),
+        ("m12", "degree"),
+        ("m12", "subgroup_order"),
+        ("o8plus2", "subgroup_contained"),
+        ("classify-a6", "grid_count"),
+        ("classify-sp44", "grid_count"),
+    }
+
+
 def test_cli_crash_exits_3_not_fail(tmp_path, capsys):
     # an unreadable input is a crash (exit 3), not a failed check (exit 1)
     code = main(["verify", "m12", "--data", str(tmp_path / "missing.gens")])
