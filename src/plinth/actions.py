@@ -1,9 +1,10 @@
 """Derived permutation actions.
 
-Coset actions with canonical coset representatives, conjugation actions
-on classes of cyclic subgroups, wreath products in product action, and
-the actions on a decomposition's partitions and blocks (top projection,
-components) used by the inclusion classifier.
+Coset actions with canonical coset representatives, group orders counted
+by index over a subgroup, conjugation actions on classes of cyclic
+subgroups, the action of Aut W(q) on ovoid-spread pairs, wreath products
+in product action, and the actions on a decomposition's partitions and
+blocks (top projection, components) used by the inclusion classifier.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .perm import (
     Permutation,
     PermGroup,
     element_of_order,
+    point_stabilizer,
 )
 
 COSET_INDEX_CAP = 10**5
@@ -109,12 +111,13 @@ def _keyed(rows):
 
 
 def _enumerate_orbit(first, step, k):
-    """Orbit of a row under k generators, one frontier at a time.
+    """Orbit of rows under k generators, one frontier at a time.
 
-    ``first`` is the canonical start row as a one-row array and its key
-    list.  ``step`` maps a frontier of rows to ``(keys, build)``: a key
-    for each of its k images per row, listed in (parent, generator)
-    order, and ``build(index)``, the canonical image rows at those
+    ``first`` is the canonical start rows as an array and their key
+    list; the orbit is the union of theirs, and start row i is row i.
+    ``step`` maps a frontier of rows to ``(keys, build)``: a key for
+    each of its k images per row, listed in (parent, generator) order,
+    and ``build(index)``, the canonical image rows at those
     positions of that list, so only rows that are new get built.  Each
     key is kept at its first occurrence, so row i is the i-th point a
     per-row queue would find (Seress, *Permutation Group Algorithms*,
@@ -122,7 +125,7 @@ def _enumerate_orbit(first, step, k):
     key -> row index and, per generator, the list of row images.
     """
     frontier, keys = first
-    key_index = {keys[0]: 0}
+    key_index = {key: i for i, key in enumerate(keys)}
     blocks = [frontier]
     images = [[] for _ in range(k)]
     while len(frontier) and k:
@@ -183,6 +186,37 @@ def _canonical_coset_images(chain, rows):
     return rows
 
 
+def _coset_orbit(gens, H):
+    """The right cosets Hg reached from H under ``gens``: their canonical
+    representatives, the key -> row index and each generator's images,
+    as ``_enumerate_orbit`` gives them."""
+    canon = partial(_canonical_coset_images, H.chain())
+    return _enumerate_orbit(
+        _keyed(canon(np.arange(H.degree, dtype=_DTYPE)[None, :])),
+        _canonical_step(gens, canon),
+        len(gens),
+    )
+
+
+def order_over(H, gens):
+    """The group generated by ``gens``, its order bounded by index over a
+    subgroup H whose order is known.
+
+    The cosets Hg reached from H under ``gens`` are enumerated as
+    ``coset_action`` enumerates them; H need not be normal.  They are
+    the orbit of the coset H under G = <gens>, so there are
+    |G : G meet H| of them, and |H| times their number bounds |G|,
+    exactly when H lies in G.  The returned group's chain stops as soon
+    as it reaches that bound.
+    """
+    gens = list(gens)
+    if any(g.degree != H.degree for g in gens):
+        raise DegreeMismatch(f"a generator's degree is not H's, {H.degree}")
+    cosets = len(_coset_orbit(gens, H)[0])
+    # a group whose cosets over a subgroup of known order were just counted
+    return PermGroup._bounded(gens, H.degree, H.order() * cosets)
+
+
 def coset_action(G, H):
     """Action of G on the right cosets of its subgroup H by right
     multiplication."""
@@ -193,12 +227,7 @@ def coset_action(G, H):
     index = G.order() // H.order()
     if index > COSET_INDEX_CAP:
         raise IndexTooLarge(f"index {index} exceeds cap {COSET_INDEX_CAP}")
-    canon = partial(_canonical_coset_images, H.chain())
-    reps, _, gen_images = _enumerate_orbit(
-        _keyed(canon(np.arange(G.degree, dtype=_DTYPE)[None, :])),
-        _canonical_step(G.generators, canon),
-        len(G.generators),
-    )
+    reps, _, gen_images = _coset_orbit(G.generators, H)
     if len(reps) != index:
         raise Mismatch(
             f"coset scan found {len(reps)} cosets, expected {index}"
@@ -340,13 +369,159 @@ def cyclic_class_action(G, socle, p):
 
 
 # ---------------------------------------------------------------------------
+# Aut W(q) on ovoid-spread pairs: the class of a cyclic subgroup Z of
+# order q^2+1 without its enumeration
+
+
+class OvoidSpreadAction:
+    """Aut W(q) and its socle on the pairs (ovoid, spread) of W(q).
+
+    ``sets`` holds the N ovoids and N spreads as sorted vertex rows, and
+    ``coords[r]`` is row r's number among the sets of its kind, so pair
+    (i, j) is point i * N + j.  ``z`` is the image of the Z generator the
+    builder was given; point 0 is the pair of Z's ovoid and spread.
+    """
+
+    def __init__(self, points, sets, key_index):
+        self.sets = sets
+        self.key_index = key_index
+        self.is_ovoid = sets[:, 0] < points
+        self.coords = np.empty(len(sets), dtype=_DTYPE)
+        for kind in (self.is_ovoid, ~self.is_ovoid):
+            self.coords[kind] = np.arange(int(kind.sum()))
+        self.size = int(self.is_ovoid.sum())
+        self.group = None
+        self.socle_group = None
+        self.z = None
+
+    def _pairs(self, rows):
+        """The images of the pairs under an element sending set r to set
+        rows[r]: (O, S) goes to (O^g, S^g), or to (S^g, O^g) when g is a
+        duality."""
+        ovoid_rows = np.flatnonzero(self.is_ovoid)
+        spread_rows = np.flatnonzero(~self.is_ovoid)
+        a = self.coords[rows[ovoid_rows]]
+        b = self.coords[rows[spread_rows]]
+        kept = self.is_ovoid[rows[ovoid_rows]]
+        if kept.all():
+            images = a[:, None] * self.size + b
+        elif not kept.any():
+            images = b * self.size + a[:, None]
+        else:
+            raise NotInvariant("an element sends ovoids to ovoids and to spreads")
+        return Permutation(images.ravel(), _checked=True)
+
+    def _rows_of(self, g):
+        """The row of each set's image under an element of Aut W(q)."""
+        keys = _keyed(np.sort(g.images[self.sets], axis=1))[1]
+        try:
+            return np.fromiter(map(self.key_index.__getitem__, keys), dtype=_DTYPE)
+        except KeyError:
+            raise NotInvariant("element moves an ovoid or spread off the orbit")
+
+    def action_of(self, g):
+        """Image of an element of Aut W(q) in the pair action."""
+        return self._pairs(self._rows_of(g))
+
+
+def _meets_each_once(orbits, blocks, what):
+    """The one orbit, a sorted vertex array, that holds exactly one vertex
+    of each block; ConstructionFailed when there is not exactly one."""
+    hits = [o for o in orbits if (np.isin(blocks, o).sum(axis=1) == 1).all()]
+    if len(hits) != 1:
+        raise ConstructionFailed(
+            f"{len(hits)} orbits of z, not one, meet every {what} once"
+        )
+    return hits[0]
+
+
+def ovoid_spread_action(geom, G, socle, z):
+    """G's action on the class of Z = <z>, as G on ovoid-spread pairs.
+
+    ``geom`` is W(q), its vertices numbered as in ``incidence_graph``
+    (points, then lines); G is generated by Aut W(q), ``socle`` by its
+    socle, and z, of order q^2+1, lies in the socle.  An ovoid is q^2+1
+    points meeting every line once, a spread q^2+1 lines covering every
+    point once.  Z fixes exactly one ovoid O_Z and one spread S_Z (Payne
+    and Thas, *Finite Generalized Quadrangles*, 2nd ed., 2009): among
+    z's orbits they are the one that meets every line once and the one
+    that meets every point once.  Their orbits under G, enumerated from
+    those two rows, give N ovoids and N spreads, each numbered in the
+    order found, so pair (O_Z, S_Z) is point 0; no class is enumerated.
+
+    The pairs are proved to be the class of Z as a G-set, and
+    ConstructionFailed is raised where a step fails:
+
+    - every orbit of z has length q^2+1;
+    - of the ovoids and spreads, only O_Z and S_Z are z-invariant, so
+      N_G(Z), which permutes the Z-invariant ones, fixes point 0;
+    - G's chain on the pairs reaches |G|, so the action is faithful;
+    - G is transitive on the pairs;
+    - the generators of G_0 normalise <z>, so G_0 = N_G(Z) and the
+      pairs are G / N_G(Z).
+    """
+    q = geom.field.q
+    P = geom.num_points
+    cycles = [np.sort(np.array(c, dtype=_DTYPE)) for c in z.cycles()]
+    if len(cycles) * (q * q + 1) != P + geom.num_lines or any(
+        len(c) != q * q + 1 for c in cycles
+    ):
+        raise ConstructionFailed(f"an orbit of z has length other than {q * q + 1}")
+    o_z = _meets_each_once(cycles, np.array(geom.lines), "line")
+    s_z = _meets_each_once(cycles, P + np.array(geom.point_lines), "point")
+
+    start = np.stack([o_z, s_z])
+    sets, key_index, images = _enumerate_orbit(
+        _keyed(start),
+        _canonical_step(G.generators, partial(np.sort, axis=1)),
+        len(G.generators),
+    )
+    act = OvoidSpreadAction(P, sets, key_index)
+    n = act.size
+    if 2 * n != len(sets):
+        raise ConstructionFailed(f"{n} ovoids but {len(sets) - n} spreads")
+    z_rows = act._rows_of(z)
+    fixed = np.flatnonzero(z_rows == np.arange(len(sets)))
+    if len(fixed) != 2:
+        raise ConstructionFailed(f"z fixes {len(fixed)} ovoids and spreads, not 2")
+    act.z = act._pairs(z_rows)
+    # images of G and of the socle, groups of known order
+    gens = [act._pairs(np.array(imgs, dtype=_DTYPE)) for imgs in images]
+    act.group = PermGroup._bounded(gens, n * n, G.order())
+    act.socle_group = PermGroup._bounded(
+        [act.action_of(s) for s in socle.generators], n * n, socle.order()
+    )
+    stab = point_stabilizer(act.group, 0)
+    if act.group.order() != G.order():
+        raise ConstructionFailed("G does not act faithfully on the pairs")
+    if not act.group.is_transitive():
+        raise ConstructionFailed("G is not transitive on the pairs")
+    Z = PermGroup([act.z], degree=n * n)
+    if not all(Z.contains(act.z.conjugate(h)) for h in stab.generators):
+        raise ConstructionFailed("the stabiliser of point 0 does not normalise <z>")
+    return act
+
+
+# ---------------------------------------------------------------------------
 # partitions preserved by a group: top projection and components
 
 
 def _normalize_labels(labels):
-    """Relabel blocks 0..b-1 in order of their minimum point."""
-    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
-    return np.argsort(np.argsort(first)).astype(_DTYPE)[inverse]
+    """Relabel blocks 0..b-1 in order of their minimum point.
+
+    The labels are non-negative block ids (OutOfRange otherwise).  One
+    pass finds each block's first point, in a table indexed by block id;
+    a block's new label is the number of first points before its own.
+    """
+    labels = np.asarray(labels)
+    if labels.min(initial=0) < 0:
+        raise OutOfRange("block ids must be non-negative")
+    n = len(labels)
+    first = np.full(labels.max(initial=-1) + 1, n)
+    np.minimum.at(first, labels, np.arange(n))
+    starts = np.zeros(n, dtype=bool)
+    starts[first[first < n]] = True
+    return (np.cumsum(starts) - 1)[first[labels]].astype(_DTYPE, copy=False)
 
 
 def _block_reps(E, j):

@@ -32,6 +32,8 @@ from .actions import (
     PRODUCT_DEGREE_CAP,
     coset_action,
     cyclic_class_action,
+    order_over,
+    ovoid_spread_action,
     product_action_wreath,
     top_projection,
 )
@@ -55,6 +57,7 @@ from .cartesian import (
     verify_psl2_factorization_row,
 )
 from .errors import (
+    ConstructionFailed,
     IoError,
     NotBijection,
     ParseError,
@@ -75,6 +78,7 @@ from .perm import (
     Permutation,
     _suborbit_blocks,
     derived_subgroup,
+    element_of_order,
     intersection_small,
     is_k_transitive,
     point_stabilizer,
@@ -333,8 +337,9 @@ _A5wr2 = namedtuple("_A5wr2", "group factors verdict")
 
 # ---------------------------------------------------------------------------
 # shared pipeline stages.  A6: PGammaL(2,9) on the 36 cyclic subgroups of
-# order 5 of PSL(2,9) = A6.  W(4): Aut W(4) on the 14,400 cyclic subgroups
-# of order 17 of its socle Sp(4,4).
+# order 5 of PSL(2,9) = A6.  W(4): Aut W(4) on the 120 x 120 ovoid-spread
+# pairs of W(4), proved to be its action on the 14,400 cyclic subgroups of
+# order 17 of its socle Sp(4,4).
 
 
 def _a6_flavours(run):
@@ -373,9 +378,11 @@ def _w4_geometry(run):
 
 def _w4_aut(run):
     """Aut W(4), built from Sp(4,4), the Frobenius and the Klein duality,
-    and certified by the automorphism search seeded with that group."""
+    its order counted by index over the Sp(4,4) image, and certified by
+    the automorphism search seeded with that group."""
     geom = run.shared(_w4_geometry)
-    known = gq_automorphism_group(geom, run.shared(_w4_sp4_image).generators)
+    image = run.shared(_w4_sp4_image)
+    known = order_over(image, gq_automorphism_group(geom, image.generators).generators)
     return graph_automorphism_group(incidence_graph(geom), known=known)
 
 
@@ -403,9 +410,14 @@ def _w4_sp4_image(run):
 
 
 def _w4_class_action(run):
+    """Aut W(4) and Sp(4,4) on the ovoid-spread pairs of W(4), proved to
+    be their actions on the class of a subgroup Z of order 17."""
     aut_small = run.shared(_w4_aut_gens)
     socle_small = run.shared(_w4_socle)[1]
-    return cyclic_class_action(aut_small, socle_small, 17)
+    z = element_of_order(socle_small, 17)
+    if z is None:
+        raise ConstructionFailed("no element of order 17 found")
+    return ovoid_spread_action(run.shared(_w4_geometry), aut_small, socle_small, z)
 
 
 def _w4_suborbits(run):
@@ -477,19 +489,21 @@ def _w4_suborbit_scan(run):
 
 def _w4_neighborhood(run):
     """For the first scanned suborbit of length 17, N(0) of its orbital
-    graph: whether the graph is connected, whether the class generator z
-    at point 0 is regular on N(0), and the order of the meet of <z> with
-    the group of the generator at a neighbour."""
+    graph: whether the graph is connected, whether z, the image of point
+    0's Z generator, is regular on N(0), and the order of the meet of <z>
+    with its conjugate by the frame's transporter u from 0 to the
+    suborbit's representative, which generates that point's Z."""
     act = run.shared(_w4_class_action)
     od = run.shared(_w4_suborbits)
     hit = next(r for r in run.shared(_w4_suborbit_scan) if r["length"] == 17)
-    nbrs = [int(v) for v in od.points_of(od.labels[hit["representative"]])]
-    z_parent = Permutation(act.reps[0], _checked=True)
-    regular = _regular_on_neighborhood(act, z_parent, nbrs)
-    z_at_neighbor = Permutation(act.reps[nbrs[0]], _checked=True)
+    idx = int(od.labels[hit["representative"]])
+    z = act.z
+    # |Z| = q^2 + 1 = 17, a prime
+    regular = _regular_on_neighborhood(z, od.points_of(idx).tolist(), 17)
+    u = od.transporters[idx].map(np.arange(z.degree))
     meet = intersection_small(
-        PermGroup([z_parent], degree=z_parent.degree),
-        PermGroup([z_at_neighbor], degree=z_parent.degree),
+        PermGroup([z], degree=z.degree),
+        PermGroup([z.conjugate(Permutation(u, _checked=True))], degree=z.degree),
     )
     return _Neighborhood(hit["connected"], regular, meet.order())
 
@@ -695,19 +709,16 @@ def _scan_suborbits(od):
     return results
 
 
-def _regular_on_neighborhood(act, z, nbrs):
-    """Whether <z> fixes class point 0 and is regular on the points nbrs.
+def _regular_on_neighborhood(z, nbrs, p):
+    """Whether <z> fixes point 0 and is regular on the points nbrs.
 
-    z is a socle element of the class's prime order p, so its image has
-    order p once it moves a point, and a group of order p that keeps a
-    set of p points and moves one of them is regular on it.  Only the
-    images of 0 and nbrs are read, keyed straight from their rows.
+    z has prime order p, or is the identity, and a group of order p that
+    keeps a set of p points and moves one of them is regular on it.
+    Only the images of 0 and nbrs are read.
     """
-    points = [0] + nbrs
-    keys = act.key_of(act.reps[points], z)
-    images = [act.key_index[k] for k in keys]
+    images = z.images[[0] + nbrs].tolist()
     return (
-        len(nbrs) == act.prime
+        len(nbrs) == p
         and images[0] == 0
         and sorted(images[1:]) == sorted(nbrs)
         and images[1:] != nbrs

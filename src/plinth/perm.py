@@ -578,9 +578,11 @@ class PermGroup:
         """A group whose order the caller knows to be at most ``bound``.
 
         Its chain has ``stop_at=bound`` (see ``StabChain``), so the bound
-        must be true; each caller names why it is, as one of three kinds:
+        must be true; each caller names why it is, as one of four kinds:
         an image of a group of known order, a subgroup whose order was
-        just computed, or a subset of a group of known order.  A false
+        just computed, a subset of a group of known order, or a group
+        whose cosets over a subgroup of known order were just counted
+        (``actions.order_over``).  A false
         bound that the orbit product passes is caught, and the chain is
         built in full; one the product reaches would be believed.
         """

@@ -1,10 +1,12 @@
 """Tests for coset actions, class actions, and product actions."""
 
+import functools
 import hashlib
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from random import Random
 from types import SimpleNamespace
 
@@ -13,23 +15,37 @@ from plinth.actions import (
     _canonical_step,
     _enumerate_orbit,
     _keyed,
+    _meets_each_once,
     _normalize_labels,
     component,
     coset_action,
     cyclic_class_action,
+    order_over,
+    ovoid_spread_action,
     product_action_wreath,
     top_projection,
 )
-from plinth.algebra import psl2_action
+from plinth.algebra import (
+    extend_to_lines,
+    gq_automorphism_group,
+    psl2_action,
+    sp4,
+    symplectic_gq,
+)
 from plinth.cartesian import CartesianDecomposition
 from plinth.cli import (
     _Run,
     _a6_class_action,
+    _a6_suborbits,
+    _w4_aut,
     _w4_aut_gens,
     _w4_class_action,
+    _w4_socle,
+    _w4_sp4_image,
     data_path,
     parse_generators,
 )
+from plinth.graphs import suborbits
 from plinth.errors import (
     ConstructionFailed,
     DegreeMismatch,
@@ -42,6 +58,7 @@ from plinth.errors import (
 from plinth.perm import (
     PermGroup,
     Permutation,
+    derived_subgroup,
     element_of_order,
     point_stabilizer,
     random_subgroup_of_order,
@@ -343,9 +360,13 @@ def test_key_of_a_conjugation_matches_the_conjugates_keys(q, flavor, p):
         assert act.key_of(act.reps, g) == want
 
 
+@functools.cache
 def _sp44_class():
+    """The class of a Sylow 17-subgroup of Sp(4,4) under Aut W(4), and
+    Aut W(4)'s generators."""
     run = _Run("stages", 1)
-    return run.shared(_w4_class_action), run.shared(_w4_aut_gens)
+    aut = run.shared(_w4_aut_gens)
+    return cyclic_class_action(aut, run.shared(_w4_socle)[1], 17), aut
 
 
 def test_key_of_a_conjugation_matches_the_conjugates_keys_on_sp44():
@@ -389,12 +410,13 @@ def test_action_of_matches_the_full_conjugation_path_on_sp44():
         assert act.action_of(g).images.tolist() == [index[k] for k in keys]
 
 
-# sha256 of reps, then each generator's images of group and socle_group;
-# sp44's class is enumerated from generators drawn from the chain of
+# sha256 of the rows naming the points (a6's class rows, sp44's ovoids
+# and spreads), then each generator's images of group and socle_group;
+# sp44's pairs are enumerated from generators drawn from the chain of
 # Aut W(4) as generated by Sp(4,4), the Frobenius and the Klein duality
 CLASS_ACTION_PINS = {
     "a6": "76e5eaac082f913dafdfdaabf712559d01f5f9daf15fd4c00a815791f17ae4b0",
-    "sp44": "ef299e4e86ed07fef101abcfe87000f8087a8fa5f12c5bf522efcbe70b414deb",
+    "sp44": "efb2511feaa26ad5b235012cd29eb0f701470555026e78ad436723d53a65c9f6",
 }
 
 
@@ -406,7 +428,7 @@ def test_class_action_rows_and_images_are_pinned(monkeypatch, case, seed):
     stage = {"a6": _a6_class_action, "sp44": _w4_class_action}[case]
     monkeypatch.setattr("plinth.cli._SHARED", {})
     act = _Run("stages", seed).shared(stage)
-    digest = hashlib.sha256(act.reps.tobytes())
+    digest = hashlib.sha256((act.reps if case == "a6" else act.sets).tobytes())
     for group in (act.group, act.socle_group):
         for g in group.generators:
             digest.update(g.images.tobytes())
@@ -542,6 +564,154 @@ def test_normalize_labels_numbers_blocks_by_their_least_point(seed):
         first_seen.setdefault(lab, len(first_seen))
     got = _normalize_labels(np.array(labels))
     assert got.tolist() == [first_seen[lab] for lab in labels]
+
+
+def _normalize_labels_by_sorting(labels):
+    """The sort-based relabelling the one-pass version replaced."""
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[inverse]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 300), max_size=60))
+def test_normalize_labels_matches_the_sort_based_relabelling(labels):
+    labels = np.array(labels, dtype=np.int64)
+    assert _normalize_labels(labels).tolist() == (
+        _normalize_labels_by_sorting(labels).tolist()
+    )
+
+
+def test_normalize_labels_refuses_a_negative_block_id():
+    # the first-point table is indexed by block id
+    with pytest.raises(OutOfRange):
+        _normalize_labels(np.array([0, -1, 0]))
+
+
+# ---------------------------------------------------------------------------
+# orders by index, and Aut W(q) on ovoid-spread pairs
+
+
+def _w2_over_sp():
+    geom, aut, _ = _w2()
+    sp = PermGroup(extend_to_lines(geom, sp4(2).group.generators), degree=aut.degree)
+    return sp, aut.generators
+
+
+def _m12_over_psl():
+    G, H = _m12_660(1)
+    return H, G.generators
+
+
+# (H, generators of a group G): H normal in G, not normal, and not in G
+ORDER_OVER_CASES = {
+    "Aut W(2) over Sp(4,2)": _w2_over_sp,
+    "S5 over A5": lambda: (PermGroup.alternating(5), PermGroup.symmetric(5).generators),
+    "S5 over S4": lambda: (
+        point_stabilizer(PermGroup.symmetric(5), 4),
+        PermGroup.symmetric(5).generators,
+    ),
+    "M12 over PSL(2,11)": _m12_over_psl,
+    "A5 over an S4 outside it": lambda: (
+        point_stabilizer(PermGroup.symmetric(5), 4),
+        PermGroup.alternating(5).generators,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORDER_OVER_CASES))
+def test_order_over_matches_the_unbounded_chain(case):
+    H, gens = ORDER_OVER_CASES[case]()
+    grown = order_over(H, gens)
+    order = PermGroup(list(gens), degree=H.degree).order()
+    assert grown.order() == order
+    # the bound is exact when H lies in G: A5 meets S4 in A4, so there
+    # it is |S4| * 5 = 120, loose, and the chain runs to completion
+    assert grown._bound == (120 if case == "A5 over an S4 outside it" else order)
+
+
+def test_order_over_gives_aut_w4_over_sp44():
+    run = _Run("stages", 1)
+    image = run.shared(_w4_sp4_image)
+    aut = run.shared(_w4_aut)
+    assert aut._bound == image.order() * 4 == 3916800
+    assert aut.order() == PermGroup(aut.generators, degree=aut.degree).order()
+
+
+@functools.cache
+def _w2():
+    """W(2), Aut W(2) of order 1,440 and its socle A6 of order 360."""
+    geom = symplectic_gq(2)
+    aut = gq_automorphism_group(geom, extend_to_lines(geom, sp4(2).group.generators))
+    return geom, aut, derived_subgroup(aut)
+
+
+def test_the_double_six_is_the_pair_action_of_w2():
+    geom, aut, socle = _w2()
+    assert (aut.order(), socle.order()) == (1440, 360)
+    act = ovoid_spread_action(geom, aut, socle, element_of_order(socle, 5))
+    assert (act.size, act.group.degree) == (6, 36)
+    assert (act.group.order(), act.socle_group.order()) == (1440, 360)
+    lengths = sorted(suborbits(act.group).lengths())
+    assert lengths == [1, 5, 10, 20]
+    assert lengths == sorted(_Run("stages", 1).shared(_a6_suborbits).lengths())
+
+
+def test_the_pair_builder_refuses_a_set_that_is_not_an_ovoid():
+    geom, _, socle = _w2()
+    orbits = [np.array(sorted(c)) for c in element_of_order(socle, 5).cycles()]
+    lines = np.array(geom.lines)
+    ovoid = _meets_each_once(orbits, lines, "line")
+    outside = next(v for v in range(geom.num_points) if v not in ovoid)
+    swapped = np.sort(np.append(ovoid[1:], outside))
+    with pytest.raises(ConstructionFailed, match="meet every line once"):
+        _meets_each_once([swapped], lines, "line")
+
+
+def test_the_pair_builder_refuses_z_of_the_wrong_order():
+    geom, aut, socle = _w2()
+    for z in (element_of_order(socle, 2), socle.identity()):
+        with pytest.raises(ConstructionFailed, match="orbit of z"):
+            ovoid_spread_action(geom, aut, socle, z)
+
+
+def test_the_pair_builder_refuses_a_stabilizer_outside_the_normalizer(monkeypatch):
+    geom, aut, socle = _w2()
+    # G itself stands in for the stabiliser of point 0
+    monkeypatch.setattr("plinth.actions.point_stabilizer", lambda group, alpha: group)
+    with pytest.raises(ConstructionFailed, match="normalise"):
+        ovoid_spread_action(geom, aut, socle, element_of_order(socle, 5))
+
+
+def _fixed_set_rows(rows, act, kind):
+    """For each class row y, the row of the one set of the given kind
+    among act.sets that y keeps."""
+    inside = np.zeros((len(act.sets), rows.shape[1]), dtype=bool)
+    inside[np.arange(len(act.sets))[:, None], act.sets] = True
+    found = np.full(len(rows), -1)
+    for r in np.flatnonzero(act.is_ovoid == kind):
+        kept = inside[r][rows[:, act.sets[r]]].all(axis=1)
+        assert (found[kept] == -1).all()
+        found[kept] = r
+    assert (found >= 0).all()
+    return found
+
+
+def test_the_w4_pair_action_is_the_class_action():
+    cls, _ = _sp44_class()
+    pairs = _Run("stages", 1).shared(_w4_class_action)
+    n = pairs.size
+    ovoid = pairs.coords[_fixed_set_rows(cls.reps, pairs, True)]
+    spread = pairs.coords[_fixed_set_rows(cls.reps, pairs, False)]
+    phi = ovoid * n + spread  # class point -> pair
+    assert sorted(phi.tolist()) == list(range(n * n))
+    assert phi[0] == 0  # both start from the same z
+    for a, b in ((cls.group, pairs.group), (cls.socle_group, pairs.socle_group)):
+        assert len(a.generators) == len(b.generators)
+        for g, h in zip(a.generators, b.generators):
+            assert (h.images[phi] == phi[g.images]).all()
+    assert sorted(suborbits(cls.group).lengths()) == sorted(
+        suborbits(pairs.group).lengths()
+    )
 
 
 def test_product_action_wreath_degree_and_order():

@@ -20,11 +20,12 @@ RUNNABLE = (
 
 # Each unbounded chain of these groups takes minutes, so their bounds
 # are checked by the certificates' own order checks, not here: the
-# point stabilizers of sp44's and classify-sp44's two class actions of
-# degree 14,400, the class actions of Aut W(4) and of its socle Sp(4,4),
-# and the plinth kernel that index2_subgroups lifts from the quotient.
+# point stabilizers of the degree-14,400 pair actions of Aut W(4) and of
+# its socle Sp(4,4) (the pair builder's G_0 among them), those two pair
+# actions, and the plinth kernel that index2_subgroups lifts from the
+# quotient.
 SKIPPED_ABOVE_1000 = Counter(
-    {"point_stabilizer": 4, "cyclic_class_action": 2, "index2_subgroups": 1}
+    {"point_stabilizer": 5, "ovoid_spread_action": 2, "index2_subgroups": 1}
 )
 
 
@@ -52,7 +53,7 @@ def test_every_bounded_site_is_seen(bounded_calls):
         "point_stabilizer", "small_generating_set", "product_action_wreath",
         "coset_action", "cyclic_class_action", "index2_subgroups",
         "_a6_flavour_groups", "_w4_sp4_image", "component",
-        "graph_automorphism_group",
+        "graph_automorphism_group", "ovoid_spread_action", "order_over",
     }
 
 

@@ -781,8 +781,9 @@ def test_cli_sylvester_deterministic(tmp_path, capsys):
 
 
 def _sp44_neighborhood():
-    """sp44's class action, its point 0's generator z and the
-    neighbourhood N(0), the first self-paired suborbit of length 17."""
+    """sp44's pair action, the image z of point 0's Z generator, the
+    neighbourhood N(0), the first self-paired suborbit of length 17, and
+    the frame's transporter from 0 to that suborbit's representative."""
     import plinth.cli as cli
 
     run = cli._Run("stages", 1)
@@ -793,19 +794,18 @@ def _sp44_neighborhood():
         for i, s in enumerate(od.suborbits)
         if i and s.self_paired and s.length == 17
     )
-    z = Permutation(act.reps[0], _checked=True)
-    return act, z, od.points_of(idx).tolist()
+    u = Permutation(od.transporters[idx].map(np.arange(act.z.degree)), _checked=True)
+    return act, act.z, od.points_of(idx).tolist(), u
 
 
-def _regular_on_neighborhood_by_group(act, z, nbrs):
+def _regular_on_neighborhood_by_group(z, nbrs):
     """The check as the 14,400-point group <z> computed it."""
     from plinth.perm import PermGroup
 
-    z_class = act.action_of(z)
-    Z = PermGroup([z_class], degree=z_class.degree)
+    Z = PermGroup([z], degree=z.degree)
     return (
         Z.order() == 17
-        and int(z_class.images[0]) == 0
+        and int(z.images[0]) == 0
         and set(Z.orbit(nbrs[0])[0]) == set(nbrs)
     )
 
@@ -813,33 +813,32 @@ def _regular_on_neighborhood_by_group(act, z, nbrs):
 def test_neighborhood_check_matches_the_group_it_generates():
     from plinth.cli import _regular_on_neighborhood
 
-    act, z, nbrs = _sp44_neighborhood()
-    assert _regular_on_neighborhood(act, z, nbrs)
-    assert _regular_on_neighborhood_by_group(act, z, nbrs)
-    n = len(act.reps)
-    # another Sylow 17 generator: a socle element moving point 0
-    other = Permutation(act.reps[nbrs[0]], _checked=True)
-    other_class, z_class = act.action_of(other), act.action_of(z)
-    assert int(other_class.images[0]) != 0
-    cycle_of_0 = _cycle(other_class, 0)
+    act, z, nbrs, u = _sp44_neighborhood()
+    assert _regular_on_neighborhood(z, nbrs, 17)
+    assert _regular_on_neighborhood_by_group(z, nbrs)
+    n = z.degree
+    # another Sylow 17 generator: z at the neighbour u takes 0 to
+    other = z.conjugate(u)
+    assert int(other.images[0]) != 0
+    cycle_of_0 = _cycle(other, 0)
     cycle = _cycle(
-        other_class,
-        next(v for v in range(n) if v not in cycle_of_0 and other_class.images[v] != v),
+        other,
+        next(v for v in range(n) if v not in cycle_of_0 and other.images[v] != v),
     )
     assert len(cycle) == 17
-    more = next(v for v in range(1, n) if v not in nbrs and z_class.images[v] != v)
+    more = next(v for v in range(1, n) if v not in nbrs and z.images[v] != v)
     outside = next(v for v in range(1, n) if v not in nbrs)
-    identity = Permutation(np.arange(z.degree), _checked=True)
+    identity = Permutation(np.arange(n), _checked=True)
     cases = [
         (other, nbrs),  # moves 0
         (identity, nbrs),  # fixes 0 and keeps N(0), but moves none of it
         (z, nbrs[:-1] + [outside]),  # fixes 0, but does not keep the set
         (other, cycle),  # keeps and moves one of its 17-point cycles, moves 0
-        (z, nbrs + _cycle(z_class, more)),  # fixes 0, keeps and moves 34 points
+        (z, nbrs + _cycle(z, more)),  # fixes 0, keeps and moves 34 points
     ]
     for g, points in cases:
-        assert not _regular_on_neighborhood(act, g, points)
-        assert not _regular_on_neighborhood_by_group(act, g, points)
+        assert not _regular_on_neighborhood(g, points, 17)
+        assert not _regular_on_neighborhood_by_group(g, points)
 
 
 def _cycle(perm, v):
