@@ -178,7 +178,7 @@ def _canonical_coset_images(chain, rows):
     """
     rows = rows.copy()
     for i, lev in enumerate(chain.levels):
-        orbit = np.array(lev.orbit_list, dtype=_DTYPE)
+        orbit = lev.orbit.view()
         best = orbit[np.argmin(rows[:, orbit], axis=1)]
         for p in _distinct(best[best != lev.beta]).tolist():
             at = best == p

@@ -305,10 +305,10 @@ def classify_inclusion(G, M, E, factors=None):
     # fixes omega, so the block map beta it induces is a permutational
     # isomorphism from P_j1 onto P_j2, which is checked here
     stab = point_stabilizer(G, omega)
-    _, tree = top_projection(stab, E).orbit(j1)
-    if j2 not in tree:
+    orbit = top_projection(stab, E).orbit(j1)
+    if j2 not in orbit:
         raise ProjectionUnsupported(f"G_omega never moves partition {j1} to {j2}")
-    h = _schreier_path_images(tree, j2, stab.generators, G.degree)
+    h = _schreier_path_images(orbit, j2, stab.generators, G.degree)
     beta = E.partitions[j2][h[_block_reps(E, j1)]]
     (_, a), (_, b) = projections
     if sorted(beta.tolist()) != list(range(b.degree)) or orders[0] != orders[1]:

@@ -79,7 +79,6 @@ from .perm import (
     _suborbit_blocks,
     derived_subgroup,
     element_of_order,
-    intersection_small,
     is_k_transitive,
     point_stabilizer,
     random_subgroup_of_order,
@@ -501,11 +500,8 @@ def _w4_neighborhood(run):
     # |Z| = q^2 + 1 = 17, a prime
     regular = _regular_on_neighborhood(z, od.points_of(idx).tolist(), 17)
     u = od.transporters[idx].map(np.arange(z.degree))
-    meet = intersection_small(
-        PermGroup([z], degree=z.degree),
-        PermGroup([z.conjugate(Permutation(u, _checked=True))], degree=z.degree),
-    )
-    return _Neighborhood(hit["connected"], regular, meet.order())
+    meet = _conjugate_meet_order(z, Permutation(u, _checked=True), 17)
+    return _Neighborhood(hit["connected"], regular, meet)
 
 
 def _w4_top_projection(run):
@@ -707,6 +703,24 @@ def _scan_suborbits(od):
             }
         )
     return results
+
+
+def _conjugate_meet_order(z, u, p):
+    """The order of the meet of <z> with <z^u>, for z of prime order p.
+
+    Both groups have order p, so their meet has order p when z^u is a
+    power of z and 1 otherwise.  A power z^k equals z^u only if z^u(x)
+    is z^k(x), k steps along the p-cycle of a point x that z moves, so
+    one k is compared.
+    """
+    c = z.conjugate(u)
+    x = int(np.flatnonzero(z.images != np.arange(z.degree))[0])
+    target, y = c(x), x
+    for k in range(p):
+        if y == target:
+            return p if c == z**k else 1
+        y = z(y)
+    return 1
 
 
 def _regular_on_neighborhood(z, nbrs, p):

@@ -178,10 +178,10 @@ def orbital_graph(G, beta, orbital_data):
     d = len(base)
     nbrs = np.empty((n, d), dtype=_DTYPE)
     nbrs[0] = base
-    points, tree = G.orbit(0)
-    for p in points[1:]:
-        parent, gi = tree[p]
-        nbrs[p] = G.generators[gi].images[nbrs[parent]]
+    orbit = G.orbit(0)
+    parent, gen = orbit.parent, orbit.gen
+    for p in orbit.points[1 : len(orbit)]:
+        nbrs[p] = G.generators[gen[p]].images[nbrs[parent[p]]]
     return Graph.from_neighbor_matrix(nbrs)
 
 
@@ -221,14 +221,13 @@ def s_arc_transitivity_max(G, graph, s_cap=3):
     for g in G.generators:
         if not is_automorphism(graph, g):
             raise GeneratorNotAutomorphism("a generator breaks adjacency")
-    pts, _ = G.orbit(0)
-    if len(pts) != graph.n:
+    if len(G.orbit(0)) != graph.n:
         raise NotVertexTransitive("group is not vertex-transitive")
     stab, prev, cur = G, -1, 0
     for s in range(s_cap):
         stab = point_stabilizer(stab, cur)
         ahead = [int(w) for w in graph.neighbors(cur) if w != prev]
-        if not ahead or len(stab.orbit(ahead[0])[0]) != len(ahead):
+        if not ahead or len(stab.orbit(ahead[0])) != len(ahead):
             return s
         prev, cur = cur, ahead[0]
     return s_cap

@@ -21,6 +21,7 @@ Points are 0-based integers internally; file formats and reports are
 from __future__ import annotations
 
 import math
+from array import array
 from collections import deque
 from random import Random
 
@@ -38,8 +39,9 @@ from .errors import (
 
 _DTYPE = np.int64
 
-#: Cap on the elements ``elements`` enumerates (so on ``intersection_small``)
-#: and on the image entries a chain level caches for its transversal.
+#: Cap on the elements ``elements`` enumerates (so on ``intersection_small``),
+#: and on degree squared for per-point orbits and cached transversals
+#: (``_small_degree``).
 ENUMERATION_BOUND = 10**6
 
 #: Random draws made by ``element_of_order`` before it gives up.
@@ -118,7 +120,7 @@ class Permutation:
         return Permutation(h.images[self.images[hinv.images]], _checked=True)
 
     def __call__(self, point):
-        return int(self.images[point])
+        return self.images.item(point)
 
     def preimage(self, point):
         """The point this permutation maps to ``point``."""
@@ -221,31 +223,67 @@ class SchreierWord:
         return int(point)
 
 
-def _tree_word(tree, point):
-    """Generator indices along a Schreier tree, root first, to ``point``.
+def _small_degree(degree):
+    """Whether a degree is small enough for per-point orbit growth and
+    cached transversals: a full-length chain level's transversal, degree
+    squared image entries, fits in ``ENUMERATION_BOUND``."""
+    return degree * degree <= ENUMERATION_BOUND
 
-    ``tree`` maps each point to (parent, generator index) and the root
-    to (-1, -1).
+
+class Orbit:
+    """An orbit with its Schreier vector, in int32 buffers sized to the
+    degree (Seress, *Permutation Group Algorithms*, 2003, section 4.1).
+
+    ``points[:size]`` lists the orbit in discovery order.  A point p of
+    it other than the root was first reached from ``parent[p]`` by the
+    generator numbered ``gen[p]``; the root is its own parent, with
+    ``gen`` -1.  A point outside the orbit has ``parent`` -1.
     """
+
+    __slots__ = ("points", "size", "parent", "gen")
+
+    def __init__(self, root, degree):
+        self.points = array("i", [root]) * degree
+        self.size = 1
+        self.parent = array("i", [-1]) * degree
+        self.gen = array("i", [-1]) * degree
+        self.parent[root] = root
+
+    def __len__(self):
+        return self.size
+
+    def __contains__(self, point):
+        return self.parent[point] >= 0
+
+    def __iter__(self):
+        return iter(self.points[: self.size])
+
+    def view(self):
+        """The orbit's points in discovery order, as an int32 numpy view
+        of ``points``."""
+        return np.frombuffer(self.points, dtype=np.intc, count=self.size)
+
+
+def _tree_word(orbit, point):
+    """Generator indices along an orbit's Schreier tree, root first, to
+    ``point``."""
+    parent, gen = orbit.parent, orbit.gen
     path = []
-    while True:
-        parent, gi = tree[point]
-        if parent < 0:
-            break
+    while (gi := gen[point]) >= 0:
         path.append(gi)
-        point = parent
+        point = parent[point]
     path.reverse()
     return path
 
 
-def _schreier_path_images(tree, point, gens, degree):
+def _schreier_path_images(orbit, point, gens, degree):
     """Image array of the generator product along a Schreier tree.
 
-    The product of ``gens`` along ``_tree_word(tree, point)`` maps the
+    The product of ``gens`` along ``_tree_word(orbit, point)`` maps the
     root to ``point``.  The result may be a generator's own (read-only)
     image array.
     """
-    word = _tree_word(tree, point)
+    word = _tree_word(orbit, point)
     if not word:
         return np.arange(degree, dtype=_DTYPE)
     arr = gens[word[0]].images
@@ -254,73 +292,88 @@ def _schreier_path_images(tree, point, gens, degree):
     return arr
 
 
-def _grow_orbit(points, tree, gens, gen_ids, degree, first_ids=None):
-    """Extend an orbit and its Schreier vector.
+def _grow_orbit(orbit, gens, gen_ids, first_ids=None):
+    """Extend an ``Orbit`` and its Schreier vector.
 
-    Maps ``points`` by the generators ``gens[gid]`` with gid in
+    Maps the orbit's points by the generators ``gens[gid]`` with gid in
     ``first_ids`` (default ``gen_ids``), then each new point by those
-    with gid in ``gen_ids``.  New points are appended to ``points`` and
-    entered in ``tree`` as (parent, gid), each at its first occurrence
-    in (point, generator) order: the order of a per-point queue.  At a
-    degree whose full-length chain level cannot cache its transversal,
-    the orbit grows one frontier per numpy step, in the same order.
+    with gid in ``gen_ids``.  New points are appended to the orbit and
+    entered in its Schreier vector as (parent, gid), each at its first
+    occurrence in (point, generator) order: the order of a per-point
+    queue.  At a small degree (``_small_degree``) that queue runs point
+    by point on the int32 buffers; above it the orbit grows one frontier
+    per numpy step, written through numpy views of the same buffers, in
+    the same order.
     """
     gen_ids = list(gen_ids)
     ids = gen_ids if first_ids is None else list(first_ids)
-    if degree * degree <= ENUMERATION_BOUND:
-        old = len(points)
+    size = orbit.size
+    if _small_degree(len(orbit.parent)):
+        points, parent, gen = orbit.points, orbit.parent, orbit.gen
+        rows = [(gid, gens[gid].images) for gid in gen_ids]
+        first_rows = [(gid, gens[gid].images) for gid in ids]
+        old = size
         cursor = 0
-        while cursor < len(points):
+        while cursor < size:
             p = points[cursor]
-            for gid in gen_ids if cursor >= old else ids:
-                q = int(gens[gid].images[p])
-                if q not in tree:
-                    tree[q] = (p, gid)
-                    points.append(q)
+            for gid, images in rows if cursor >= old else first_rows:
+                q = images.item(p)
+                if parent[q] < 0:
+                    parent[q] = p
+                    gen[q] = gid
+                    points[size] = q
+                    size += 1
             cursor += 1
+        orbit.size = size
         return
-    seen = np.zeros(degree, dtype=bool)
-    frontier = np.asarray(points, dtype=_DTYPE)
-    seen[frontier] = True
+    points, parent, gen = (
+        np.frombuffer(buf, dtype=np.intc)
+        for buf in (orbit.points, orbit.parent, orbit.gen)
+    )
+    frontier = points[:size]
     while frontier.size and ids:
         k = len(ids)
         imgs = np.stack([gens[g].images[frontier] for g in ids], axis=1).ravel()
-        fresh = np.flatnonzero(~seen[imgs])
+        fresh = np.flatnonzero(parent[imgs] < 0)
         _, first = np.unique(imgs[fresh], return_index=True)
         at = fresh[np.sort(first)]
-        parents = frontier[at // k].tolist()
-        frontier = imgs[at]
-        seen[frontier] = True
-        new = frontier.tolist()
-        points.extend(new)
-        tree.update(zip(new, zip(parents, np.take(ids, at % k).tolist())))
+        new = imgs[at]
+        parent[new] = frontier[at // k]
+        gen[new] = np.take(ids, at % k)
+        points[size : size + len(new)] = new
+        frontier = points[size : size + len(new)]
+        size += len(new)
         ids = gen_ids
+    orbit.size = size
 
 
 class _ChainLevel:
     """One level of a stabilizer chain: a base point, the generators
-    assigned at this level, and the fundamental orbit with its Schreier
-    vector (parent point, generator index into the chain's gen table).
+    assigned at this level, and the fundamental ``Orbit`` with its
+    Schreier vector (generator numbers index the chain's gen table).
 
     The Schreier pairs still to sift are kept as ranges
     ``[start, stop, gen_ids, cursor]``: every point of
-    ``orbit_list[start:stop]`` with every generator of ``gen_ids``, of
-    which ``cursor`` pairs are taken.  ``orbit_list`` only grows, so a
-    range stays valid, and a chain that stops early never builds the
-    pairs it does not read.
+    ``orbit.points[start:stop]`` with every generator of ``gen_ids``, of
+    which ``cursor`` pairs are taken.  The orbit only grows, so a range
+    stays valid, and a chain that stops early never builds the pairs it
+    does not read.
+
+    At a small degree (``_small_degree``) ``cache`` maps the base point,
+    and each orbit point whose transversal element has been built, to
+    that element's read-only image array; above it ``cache`` is None and
+    the level caches nothing.
     """
 
-    __slots__ = (
-        "beta", "gen_ids", "orbit_list", "tree", "pending", "cache"
-    )
+    __slots__ = ("beta", "gen_ids", "orbit", "pending", "cache")
 
-    def __init__(self, beta):
+    def __init__(self, beta, identity):
+        degree = len(identity)
         self.beta = beta
         self.gen_ids = []  # indices into StabChain.gens assigned here
-        self.orbit_list = [beta]
-        self.tree = {beta: (-1, -1)}
+        self.orbit = Orbit(beta, degree)
         self.pending = deque()  # nonempty pair ranges, oldest first
-        self.cache = None  # point -> read-only transversal image array
+        self.cache = {beta: identity} if _small_degree(degree) else None
 
     def pop_pair(self):
         """The next pending (point, generator) pair: the ranges in turn,
@@ -332,7 +385,7 @@ class _ChainLevel:
             self.pending.popleft()
         else:
             span[3] = cursor + 1
-        return self.orbit_list[start + point], gids[g]
+        return self.orbit.points[start + point], gids[g]
 
 
 class StabChain:
@@ -396,11 +449,11 @@ class StabChain:
         """
         while len(self.levels) < len(self._base_hint):
             hint = self._base_hint[len(self.levels)]
-            self.levels.append(_ChainLevel(hint))
+            self.levels.append(_ChainLevel(hint, self._identity))
             if g(hint) != hint:
                 return
         moved = int(np.nonzero(g.images != self._identity)[0][0])
-        self.levels.append(_ChainLevel(moved))
+        self.levels.append(_ChainLevel(moved, self._identity))
 
     def _assign(self, g):
         """Insert a new strong generator, extending orbits above it."""
@@ -416,7 +469,7 @@ class StabChain:
         # points it adds
         for j in range(i + 1):
             lev = self.levels[j]
-            lev.pending.append([0, len(lev.orbit_list), (gid,), 0])
+            lev.pending.append([0, len(lev.orbit), (gid,), 0])
             self._extend_orbit(j, gid)
 
     def _effective_gen_ids(self, i):
@@ -432,18 +485,15 @@ class StabChain:
         """
         lev = self.levels[i]
         gids = tuple(self._effective_gen_ids(i))
-        old = len(lev.orbit_list)
-        _grow_orbit(
-            lev.orbit_list, lev.tree, self.gens, gids, self.degree,
-            first_ids=(new_gid,),
-        )
-        if len(lev.orbit_list) > old:
-            lev.pending.append([old, len(lev.orbit_list), gids, 0])
+        old = len(lev.orbit)
+        _grow_orbit(lev.orbit, self.gens, gids, first_ids=(new_gid,))
+        if len(lev.orbit) > old:
+            lev.pending.append([old, len(lev.orbit), gids, 0])
 
     def order(self):
         result = 1
         for lev in self.levels:
-            result *= len(lev.orbit_list)
+            result *= lev.orbit.size
         return result
 
     def _process(self):
@@ -459,8 +509,8 @@ class StabChain:
             p, gid = lev.pop_pair()
             # Schreier generator u_p * s * u_{p.s}^-1
             s = self.gens[gid]
-            q = int(s.images[p])
-            if lev.tree[q] == (p, gid):
+            q = s.images.item(p)
+            if lev.orbit.gen[q] == gid and lev.orbit.parent[q] == p:
                 continue  # a tree edge: u_q is u_p * s, so this is 1
             up = self._transversal_images(target, p)
             uq = self._transversal_images(target, q)
@@ -476,25 +526,24 @@ class StabChain:
     def _transversal_images(self, i, point):
         """Image array of the transversal element mapping base[i] to point.
 
-        A level whose whole transversal fits in ``ENUMERATION_BOUND``
-        entries caches each element (read-only) and builds a new one from
-        its nearest cached ancestor with one gather per tree edge.
+        At a small degree (``_small_degree``), where even a full-length
+        orbit's transversal fits in ``ENUMERATION_BOUND`` entries, a level
+        caches each element (read-only) and builds a new one from its
+        nearest cached ancestor with one gather per tree edge.  Above it
+        every element is a fresh walk along the Schreier tree.
         """
         lev = self.levels[i]
-        if self.degree * len(lev.orbit_list) > ENUMERATION_BOUND:
-            lev.cache = None  # the orbit may have outgrown the bound
-            return _schreier_path_images(
-                lev.tree, point, self.gens, self.degree
-            )
-        if lev.cache is None:
-            lev.cache = {lev.beta: self._identity}
         cache = lev.cache
+        if cache is None:
+            return _schreier_path_images(
+                lev.orbit, point, self.gens, self.degree
+            )
+        parent, gen = lev.orbit.parent, lev.orbit.gen
         path = []
         p = point
         while p not in cache:
-            parent, gi = lev.tree[p]
-            path.append((p, gi))
-            p = parent
+            path.append((p, gen[p]))
+            p = parent[p]
         arr = cache[p]
         for q, gi in reversed(path):
             arr = self.gens[gi].images[arr]
@@ -507,10 +556,10 @@ class StabChain:
         arr = images
         for i in range(start, len(self.levels)):
             lev = self.levels[i]
-            p = int(arr[lev.beta])
+            p = arr.item(lev.beta)
             if p == lev.beta:
                 continue
-            if p not in lev.tree:
+            if lev.orbit.parent[p] < 0:  # p is not in the orbit
                 return arr
             u = self._transversal_images(i, p)
             uinv = np.empty(self.degree, dtype=_DTYPE)
@@ -531,7 +580,7 @@ class StabChain:
         """Uniform random element (product of random transversal elements)."""
         arr = self._identity
         for i, lev in enumerate(self.levels):
-            p = lev.orbit_list[rng.randrange(len(lev.orbit_list))]
+            p = lev.orbit.points[rng.randrange(len(lev.orbit))]
             arr = arr[self._transversal_images(i, p)]
         return Permutation(arr, _checked=True)
 
@@ -544,7 +593,7 @@ class StabChain:
             stack = [
                 arr[self._transversal_images(i, p)]
                 for arr in stack
-                for p in lev.orbit_list
+                for p in lev.orbit
             ]
         for arr in stack:
             yield Permutation(arr, _checked=True)
@@ -665,19 +714,13 @@ class PermGroup:
         return self.chain().elements()
 
     def orbit(self, alpha):
-        """Orbit of alpha with a Schreier vector.
-
-        Returns (points, tree) where points lists the orbit in
-        first-discovery order and tree maps each point to
-        (parent, generator index) with the root mapped to (-1, -1).
-        """
+        """Orbit of alpha with a Schreier vector, as an ``Orbit`` whose
+        generator numbers index ``generators``."""
         if not 0 <= alpha < self.degree:
             raise OutOfRange(f"point {alpha} not in 0..{self.degree - 1}")
-        points = [alpha]
-        tree = {alpha: (-1, -1)}
-        gens = self.generators
-        _grow_orbit(points, tree, gens, range(len(gens)), self.degree)
-        return points, tree
+        orbit = Orbit(alpha, self.degree)
+        _grow_orbit(orbit, self.generators, range(len(self.generators)))
+        return orbit
 
     def is_transitive(self):
         gens = [g.images for g in self.generators]
@@ -702,7 +745,7 @@ def point_stabilizer(group, alpha):
     gens = [chain.gens[gid] for lev in chain.levels[1:] for gid in lev.gen_ids]
     sub_order = 1
     for lev in chain.levels[1:]:
-        sub_order *= len(lev.orbit_list)
+        sub_order *= len(lev.orbit)
     # a subgroup whose order was just computed, from a complete chain
     return PermGroup._bounded(gens, group.degree, sub_order)
 
@@ -751,8 +794,7 @@ def stabilizer_orbit_sizes(group, k):
     """
     sizes = []
     for i in range(k):
-        pts, _ = group.orbit(i)
-        sizes.append(len(pts))
+        sizes.append(len(group.orbit(i)))
         if i + 1 < k:
             group = point_stabilizer(group, i)
     return sizes
@@ -845,12 +887,12 @@ def suborbit_frame(group):
     stab = point_stabilizer(group, 0)
     chain = group.chain(base_hint=[0])
     # a chain with no levels is the trivial group's: 0 is fixed
-    top = chain.levels[0] if chain.levels else _ChainLevel(0)
-    if len(top.orbit_list) != group.degree:
+    top = chain.levels[0].orbit if chain.levels else Orbit(0, group.degree)
+    if len(top) != group.degree:
         raise NotTransitive("suborbits and blocks need a transitive group")
     gens = [g.images for g in stab.generators]
     labels, reps = _orbit_labels(gens, group.degree)
-    moves = [SchreierWord(chain.gens, _tree_word(top.tree, r)) for r in reps]
+    moves = [SchreierWord(chain.gens, _tree_word(top, r)) for r in reps]
     return stab, labels, reps, moves
 
 

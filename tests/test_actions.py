@@ -144,7 +144,7 @@ def _reference_coset_action(G, H):
 
     def canonical(arr):
         for i, lev in enumerate(chain.levels):
-            best_p = min(lev.orbit_list, key=lambda p: int(arr[p]))
+            best_p = min(lev.orbit, key=lambda p: int(arr[p]))
             if best_p != lev.beta:
                 arr = arr[chain._transversal_images(i, best_p)]
         return arr

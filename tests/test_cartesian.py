@@ -612,9 +612,9 @@ def _reference_component(G, E, j):
     stabilizer of partition j in G's top action, lifted to G through a
     Schreier tree, read on the blocks of j, in an unbounded chain."""
     top = top_projection(G, E)
-    order, tree = top.orbit(j)
+    order = top.orbit(j)
     n = G.degree
-    lift = {p: _schreier_path_images(tree, p, G.generators, n) for p in order}
+    lift = {p: _schreier_path_images(order, p, G.generators, n) for p in order}
     lab = E.partitions[j]
     first = np.unique(lab, return_index=True)[1]
     gens = []

@@ -806,17 +806,25 @@ def _regular_on_neighborhood_by_group(z, nbrs):
     return (
         Z.order() == 17
         and int(z.images[0]) == 0
-        and set(Z.orbit(nbrs[0])[0]) == set(nbrs)
+        and set(Z.orbit(nbrs[0])) == set(nbrs)
     )
 
 
 def test_neighborhood_check_matches_the_group_it_generates():
-    from plinth.cli import _regular_on_neighborhood
+    from plinth.cli import _conjugate_meet_order, _regular_on_neighborhood
+    from plinth.perm import PermGroup, intersection_small
 
     act, z, nbrs, u = _sp44_neighborhood()
     assert _regular_on_neighborhood(z, nbrs, 17)
     assert _regular_on_neighborhood_by_group(z, nbrs)
     n = z.degree
+    # the meet of <z> and <z^u>: trivial at the frame's transporter, all
+    # of <z> at u = z, each as the meet of the two groups computes it
+    for conj, want in [(u, 1), (z, 17)]:
+        meet = intersection_small(
+            PermGroup([z], degree=n), PermGroup([z.conjugate(conj)], degree=n)
+        )
+        assert _conjugate_meet_order(z, conj, 17) == meet.order() == want
     # another Sylow 17 generator: z at the neighbour u takes 0 to
     other = z.conjugate(u)
     assert int(other.images[0]) != 0

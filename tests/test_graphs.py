@@ -470,7 +470,7 @@ def test_edge_orbit_graph_matches_pair_search(name, edge):
         with pytest.raises(NotTransitive):
             suborbits(K)
         return
-    u = _schreier_path_images(K.orbit(0)[1], a, K.generators, K.degree)
+    u = _schreier_path_images(K.orbit(0), a, K.generators, K.degree)
     beta = int(np.argsort(u)[b])
     got = orbital_graph(K, beta, suborbits(K))
     assert _same_graph(got, _reference_edge_orbit_graph(K, edge))

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 from functools import cache
 from random import Random
 
@@ -234,16 +235,14 @@ def test_random_element_uniform_on_s4():
 @settings(max_examples=30)
 @given(small_groups())
 def test_orbit_stabilizer_theorem(G):
-    pts, _ = G.orbit(0)
     stab = point_stabilizer(G, 0)
-    assert len(pts) * stab.order() == G.order()
+    assert len(G.orbit(0)) * stab.order() == G.order()
 
 
 @settings(max_examples=30)
 @given(small_groups())
 def test_orbit_closed_under_generators(G):
-    pts, _ = G.orbit(0)
-    pset = set(pts)
+    pset = set(G.orbit(0))
     for g in G.generators:
         assert {int(g.images[p]) for p in pset} == pset
 
@@ -251,7 +250,7 @@ def test_orbit_closed_under_generators(G):
 @settings(max_examples=30)
 @given(small_groups())
 def test_is_transitive_is_an_orbit_of_0_covering_every_point(G):
-    assert G.is_transitive() == (len(G.orbit(0)[0]) == G.degree)
+    assert G.is_transitive() == (len(G.orbit(0)) == G.degree)
     assert not _padded(G, G.degree + 1).is_transitive()
 
 
@@ -263,13 +262,13 @@ def test_orbit_rejects_a_point_out_of_range(alpha):
 
 def test_transporter_maps_correctly():
     G = PermGroup.symmetric(6)
-    pts, tree = G.orbit(0)
+    orbit = G.orbit(0)
 
     def transporter(beta):
-        images = _schreier_path_images(tree, beta, G.generators, G.degree)
+        images = _schreier_path_images(orbit, beta, G.generators, G.degree)
         return Permutation(images, _checked=True)
 
-    for beta in pts:
+    for beta in orbit:
         assert transporter(beta)(0) == beta
 
 
@@ -295,20 +294,20 @@ def test_cached_transversals_match_schreier_paths(make):
 
     def check_every_level():
         for i, lev in enumerate(chain.levels):
-            for p in reversed(lev.orbit_list):
+            for p in reversed(list(lev.orbit)):
                 got = chain._transversal_images(i, p)
                 want = _schreier_path_images(
-                    lev.tree, p, chain.gens, chain.degree
+                    lev.orbit, p, chain.gens, chain.degree
                 )
                 assert np.array_equal(got, want)
-            assert set(lev.cache) == set(lev.orbit_list)
+            assert set(lev.cache) == set(lev.orbit)
             for arr in lev.cache.values():
                 with pytest.raises(ValueError):
                     arr[0] = arr[0]
 
     check_every_level()  # caches filled while the chain was built
     for lev in chain.levels:
-        lev.cache = None
+        lev.cache = {lev.beta: chain._identity}
     check_every_level()  # filled from the deepest point upwards
 
 
@@ -319,9 +318,46 @@ def test_transversal_cache_skips_levels_above_the_bound():
     for p in (1099, 550, 1):
         got = chain._transversal_images(0, p)
         assert np.array_equal(
-            got, _schreier_path_images(lev.tree, p, chain.gens, 1100)
+            got, _schreier_path_images(lev.orbit, p, chain.gens, 1100)
         )
-    assert set(lev.cache or ()) <= {lev.beta}
+    assert lev.cache is None
+
+
+def test_transversal_cache_skips_short_orbits_above_the_degree_bound():
+    # 1100^2 > ENUMERATION_BOUND, though each level's transversal, at
+    # most 8 x 1100 entries, would fit
+    G = _padded(psl2_action(7, "PSL"), 1100)
+    chain = G.chain()
+    assert chain.order() == 168
+    for i, lev in enumerate(chain.levels):
+        assert len(lev.orbit) <= 8
+        for p in lev.orbit:
+            got = chain._transversal_images(i, p)
+            assert np.array_equal(
+                got, _schreier_path_images(lev.orbit, p, chain.gens, 1100)
+            )
+    assert G.contains(G.generators[0] * G.generators[1])
+    assert all(lev.cache is None for lev in chain.levels)
+
+
+def test_chain_level_memory_is_int32_buffers():
+    # the orbit, parent and generator buffers take 12 bytes a point; a
+    # dict of (parent, generator) tuples and a list of ints took about 160
+    n = 14400
+    g = Permutation.from_cycles(n, [tuple(range(n))])
+    # g^120 first keeps the frontier steps to about 240, and the chain
+    # stops at its order, one full orbit, before it sifts anything
+    gens = [g**120, g]
+    tracemalloc.start()
+    try:
+        chain = StabChain(n, gens, stop_at=n)
+        assert [len(lev.orbit) for lev in chain.levels] == [n]
+        held = tracemalloc.get_traced_memory()[0]
+        chain.levels.clear()
+        level = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert 12 * n <= level <= 16 * n
 
 
 class FullRescanChain(StabChain):
@@ -339,23 +375,26 @@ class FullRescanChain(StabChain):
         self.levels[i].gen_ids.append(gid)
         for j in range(i + 1):
             lev = self.levels[j]
-            for k in range(len(lev.orbit_list)):
+            for k in range(len(lev.orbit)):
                 lev.pending.append([k, k + 1, (gid,), 0])
             self._extend_orbit(j, gid)
 
     def _extend_orbit(self, i, new_gid):
         lev = self.levels[i]
+        orbit = lev.orbit
         gids = self._effective_gen_ids(i)
         cursor = 0
-        while cursor < len(lev.orbit_list):
-            p = lev.orbit_list[cursor]
+        while cursor < len(orbit):
+            p = orbit.points[cursor]
             cursor += 1
             for gid in gids:
                 q = int(self.gens[gid].images[p])
-                if q not in lev.tree:
-                    lev.tree[q] = (p, gid)
-                    lev.orbit_list.append(q)
-                    end = len(lev.orbit_list)
+                if q not in orbit:
+                    orbit.parent[q] = p
+                    orbit.gen[q] = gid
+                    orbit.points[orbit.size] = q
+                    orbit.size += 1
+                    end = len(orbit)
                     lev.pending.append([end - 1, end, tuple(gids), 0])
 
 
@@ -364,17 +403,25 @@ def _pending_pairs(lev):
     in the order they come out."""
     pairs = []
     for start, stop, gids, cursor in lev.pending:
-        span = [(p, gid) for p in lev.orbit_list[start:stop] for gid in gids]
+        span = [(p, gid) for p in lev.orbit.points[start:stop] for gid in gids]
         pairs.extend(span[cursor:])
     return pairs
+
+
+def _tree_edges(orbit):
+    """An orbit's Schreier vector as (point, (parent, generator)) pairs in
+    the order the points joined; no point outside the orbit has a parent."""
+    edges = [(p, (orbit.parent[p], orbit.gen[p])) for p in orbit]
+    assert sum(parent >= 0 for parent in orbit.parent) == len(edges)
+    return edges
 
 
 def _level_state(lev):
     return (
         lev.beta,
         list(lev.gen_ids),
-        list(lev.orbit_list),
-        list(lev.tree.items()),
+        list(lev.orbit),
+        _tree_edges(lev.orbit),
         _pending_pairs(lev),
     )
 
@@ -474,7 +521,7 @@ def test_no_tree_edge_is_sifted(monkeypatch, build):
             lev = self.levels[start - 1]
             p, gid = popped[lev]
             q = int(self.gens[gid].images[p])
-            edges.append(lev.tree[q] == (p, gid))
+            edges.append((lev.orbit.parent[q], lev.orbit.gen[q]) == (p, gid))
         return sift(self, images, start)
 
     monkeypatch.setattr(perm_module._ChainLevel, "pop_pair", recording_pop_pair)
@@ -484,8 +531,9 @@ def test_no_tree_edge_is_sifted(monkeypatch, build):
 
 
 def _orbit_reference(group, alpha):
-    """The per-point orbit search: each point's generators in turn."""
-    points, tree = [alpha], {alpha: (-1, -1)}
+    """The per-point orbit search: each point's generators in turn, with
+    the tree as a dict; the root is its own parent, by generator -1."""
+    points, tree = [alpha], {alpha: (alpha, -1)}
     for p in points:  # the list grows while it is read
         for gi, g in enumerate(group.generators):
             q = int(g.images[p])
@@ -520,27 +568,25 @@ def _random_group(degree, ngens, seed):
 def test_orbit_matches_per_point_search(make):
     G = make()
     for alpha in (0, 1, 7, 8, 599, 600, 1099):
-        points, tree = G.orbit(alpha)
+        orbit = G.orbit(alpha)
         want_points, want_tree = _orbit_reference(G, alpha)
-        assert points == want_points
-        assert list(tree.items()) == list(want_tree.items())
+        assert list(orbit) == want_points
+        assert _tree_edges(orbit) == list(want_tree.items())
 
 
 def _grown(bound, gens, alpha, split):
     """``_grow_orbit`` under ``ENUMERATION_BOUND = bound``: the orbit of
     alpha under gens[:split], then its extension by the rest, whose
     first step maps the old points by the new generators only."""
-    degree = gens[0].degree
-    points, tree = [alpha], {alpha: (-1, -1)}
+    orbit = perm_module.Orbit(alpha, gens[0].degree)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(perm_module, "ENUMERATION_BOUND", bound)
-        perm_module._grow_orbit(points, tree, gens, range(split), degree)
-        first = (list(points), list(tree.items()))
+        perm_module._grow_orbit(orbit, gens, range(split))
+        first = (list(orbit), _tree_edges(orbit))
         perm_module._grow_orbit(
-            points, tree, gens, range(len(gens)), degree,
-            first_ids=range(split, len(gens)),
+            orbit, gens, range(len(gens)), first_ids=range(split, len(gens))
         )
-    return first, (points, list(tree.items()))
+    return first, (list(orbit), _tree_edges(orbit))
 
 
 @settings(max_examples=60, deadline=None)
@@ -565,15 +611,14 @@ def test_grow_orbit_paths_agree(data):
     (old_points, old_tree), (points, tree) = per_point
     assert points[: len(old_points)] == old_points
     assert tree[: len(old_tree)] == old_tree
-    whole = PermGroup(gens, degree=n).orbit(alpha)[0]
+    whole = PermGroup(gens, degree=n).orbit(alpha)
     assert sorted(points) == sorted(whole)
 
 
 def test_fast_orbit_matches_orbit():
     G = PermGroup.alternating(6)
     images = [g.images for g in G.generators]
-    pts, _ = G.orbit(2)
-    assert sorted(fast_orbit(images, 2, 6).tolist()) == sorted(int(p) for p in pts)
+    assert fast_orbit(images, 2, 6).tolist() == sorted(G.orbit(2))
 
 
 def test_point_stabilizer_fixes_point():
@@ -1105,8 +1150,8 @@ def test_trial_chain_below_the_target_is_the_full_chain():
         full = StabChain(5, A5.generators)
         assert not any(lev.pending for lev in trial.levels)
         assert trial.base == full.base
-        assert [lev.orbit_list for lev in trial.levels] == [
-            lev.orbit_list for lev in full.levels
+        assert [list(lev.orbit) for lev in trial.levels] == [
+            list(lev.orbit) for lev in full.levels
         ]
 
 
