@@ -341,6 +341,8 @@ def cyclic_class_action(G, socle, p):
     orbit is expanded under socle generators one breadth-first frontier
     at a time, keeping first occurrences in (parent, generator) order,
     which gives a point labeling that any overgroup of the socle shares.
+    No case builds it: it is the tests' oracle for
+    ``ovoid_spread_action`` at q = 2 and q = 4, and a benchmark span.
     """
     if _factorize(p) != {p: 1}:
         raise OutOfRange(f"{p} is not a prime")

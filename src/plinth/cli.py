@@ -7,8 +7,8 @@ the seed only labels the certificate, in its ``seed`` field and its
 determinism hash (timings and errors are excluded from the hash).
 
 A case is an ordered table of checks, each read from the run's shared
-stages by one runner (``_run_table``).  Every stage (the A6 and W(4)
-pipelines, and the facts the checks read) is computed once per
+stages by one runner (``_run_table``).  Every stage (the W(q) pipeline, read
+at q = 2 and q = 4, and the facts the checks read) is computed once per
 ``--data`` path and process; ``timings_ms`` holds the own time of each
 stage a run builds, less the stages nested in it, and "cached" for each
 one it reuses.  An exception inside a case ends it with status ERROR,
@@ -31,7 +31,6 @@ import numpy as np
 from .actions import (
     PRODUCT_DEGREE_CAP,
     coset_action,
-    cyclic_class_action,
     order_over,
     ovoid_spread_action,
     product_action_wreath,
@@ -52,6 +51,7 @@ from .cartesian import (
     cross_check_examples,
     dihedral_subgroup,
     find_grid_decompositions,
+    index2_subgroups,
     load_examples_table,
     load_factorization_table,
     verify_psl2_factorization_row,
@@ -278,17 +278,25 @@ def emit_report(report, fmt="text", path=None):
 # ---------------------------------------------------------------------------
 # runs and stages
 
-# (stage function, --data path) -> value of every shared stage built in
-# this process
+# (stage function, q, --data path) -> value of every shared stage built
+# in this process
 _SHARED = {}
+
+
+def _stage_name(build, q=None):
+    """A stage's name: its builder's less the leading underscore, and
+    ``w{q}_<job>`` for the W(q) builder ``_w_<job>``."""
+    name = build.__name__.lstrip("_")
+    return name if q is None else f"w{q}{name[1:]}"
 
 
 class _Run:
     """One run of a case: its report, and the shared stages it reads.
 
-    ``run.shared(build)`` is ``build(run)``, a stage named after
-    ``build``, computed once per ``--data`` path and process.  A run that
-    builds it adds the build's own time, less the stages nested in it, to
+    ``run.shared(build)`` is ``build(run)``, and ``run.shared(build, q)``
+    is the W(q) stage ``build(run, q)``: a stage named by ``_stage_name``,
+    computed once per ``--data`` path and process.  A run that builds it
+    adds the build's own time, less the stages nested in it, to
     ``timings_ms[name]``; a run that reuses it records "cached" for it.
     """
 
@@ -298,9 +306,9 @@ class _Run:
         self._nested = []  # per stage being built: time of the stages nested in it
         self.raised = (None, None)  # an exception and the first stage it left
 
-    def shared(self, build):
-        key = (build, self.data)
-        name = build.__name__.lstrip("_")
+    def shared(self, build, q=None):
+        key = (build, q, self.data)
+        name = _stage_name(build, q)
         timings = self.report.timings_ms
         if key in _SHARED:
             timings.setdefault(name, "cached")
@@ -308,7 +316,7 @@ class _Run:
         self._nested.append(0.0)
         start = time.perf_counter()
         try:
-            _SHARED[key] = build(self)
+            _SHARED[key] = build(self) if q is None else build(self, q)
         except BaseException as exc:
             if self.raised[0] is not exc:
                 self.raised = (exc, name)
@@ -335,100 +343,95 @@ _A5wr2 = namedtuple("_A5wr2", "group factors verdict")
 
 
 # ---------------------------------------------------------------------------
-# shared pipeline stages.  A6: PGammaL(2,9) on the 36 cyclic subgroups of
-# order 5 of PSL(2,9) = A6.  W(4): Aut W(4) on the 120 x 120 ovoid-spread
-# pairs of W(4), proved to be its action on the 14,400 cyclic subgroups of
-# order 17 of its socle Sp(4,4).
+# the W(q) pipeline, each stage a function of q: Aut W(q) and its socle on
+# the N x N ovoid-spread pairs of W(q), N = q^2(q^2-1)/2, proved to be
+# their actions on the class of a cyclic subgroup Z of order q^2+1 of the
+# socle.  sylvester and classify-a6 read q = 2, where Aut W(2) is
+# PGammaL(2,9), its socle Sp(4,2)' is A6 and the pairs are Sylvester's
+# double six; sp44 and classify-sp44 read q = 4.
 
 
-def _a6_flavours(run):
-    return {f: psl2_action(9, f) for f in FLAVORS}
+def _w_geometry(run, q):
+    return symplectic_gq(q)
 
 
-def _a6_class_action(run):
-    groups = run.shared(_a6_flavours)
-    return cyclic_class_action(groups["PGammaL"], groups["PSL"], 5)
+def _w_sp4_image(run, q):
+    """Sp(4,q) from symplectic transvections, on the points and lines of
+    W(q)."""
+    geom = run.shared(_w_geometry, q)
+    ma = sp4(q)
+    gens = extend_to_lines(geom, ma.group.generators)
+    # an image of Sp(4,q), a group of known order
+    return PermGroup._bounded(gens, geom.num_points + geom.num_lines, ma.group.order())
 
 
-def _a6_suborbits(run):
-    return suborbits(run.shared(_a6_class_action).group)
-
-
-def _a6_flavour_groups(run):
-    """Each flavour's action on the class."""
-    groups = run.shared(_a6_flavours)
-    act = run.shared(_a6_class_action)
-    # the class was enumerated under PSL: its action came with it
-    out = {"PSL": act.socle_group}
-    for f in FLAVORS[1:]:
-        gens = [act.action_of(g) for g in groups[f].generators]
-        # an image of the flavour, a group of known order
-        out[f] = PermGroup._bounded(gens, act.group.degree, groups[f].order())
-    return out
-
-
-def _a6_grid(run):
-    return _grid(run.shared(_a6_class_action), run.shared(_a6_suborbits))
-
-
-def _w4_geometry(run):
-    return symplectic_gq(4)
-
-
-def _w4_aut(run):
-    """Aut W(4), built from Sp(4,4), the Frobenius and the Klein duality,
-    its order counted by index over the Sp(4,4) image, and certified by
+def _w_aut(run, q):
+    """Aut W(q), built from Sp(4,q), the Frobenius and the Klein duality,
+    its order counted by index over the Sp(4,q) image, and certified by
     the automorphism search seeded with that group."""
-    geom = run.shared(_w4_geometry)
-    image = run.shared(_w4_sp4_image)
+    geom = run.shared(_w_geometry, q)
+    image = run.shared(_w_sp4_image, q)
     known = order_over(image, gq_automorphism_group(geom, image.generators).generators)
     return graph_automorphism_group(incidence_graph(geom), known=known)
 
 
-def _w4_aut_gens(run):
-    """A small generating set of Aut W(4)."""
-    return small_generating_set(run.shared(_w4_aut))
+def _w_aut_gens(run, q):
+    """A small generating set of Aut W(q)."""
+    return small_generating_set(run.shared(_w_aut, q))
 
 
-def _w4_socle(run):
-    """Sp(4,4) as the derived subgroup of Aut W(4), and a small
+def _w_socle(run, q):
+    """The socle as the derived subgroup of Aut W(q), and a small
     generating set of it."""
-    socle = derived_subgroup(run.shared(_w4_aut_gens))
+    socle = derived_subgroup(run.shared(_w_aut_gens, q))
     return socle, small_generating_set(socle)
 
 
-def _w4_sp4_image(run):
-    """Sp(4,4) from symplectic transvections, on the points and lines of
-    W(4)."""
-    geom = run.shared(_w4_geometry)
-    ma = sp4(4)
-    gens = extend_to_lines(geom, ma.group.generators)
-    n = geom.num_points + geom.num_lines
-    # an image of Sp(4,4), a group of known order
-    return PermGroup._bounded(gens, n, ma.group.order())
-
-
-def _w4_class_action(run):
-    """Aut W(4) and Sp(4,4) on the ovoid-spread pairs of W(4), proved to
-    be their actions on the class of a subgroup Z of order 17."""
-    aut_small = run.shared(_w4_aut_gens)
-    socle_small = run.shared(_w4_socle)[1]
-    z = element_of_order(socle_small, 17)
+def _w_class_action(run, q):
+    """Aut W(q) and its socle on the ovoid-spread pairs of W(q), proved to
+    be their actions on the class of a subgroup Z of order q^2+1."""
+    socle_small = run.shared(_w_socle, q)[1]
+    z = element_of_order(socle_small, q * q + 1)
     if z is None:
-        raise ConstructionFailed("no element of order 17 found")
-    return ovoid_spread_action(run.shared(_w4_geometry), aut_small, socle_small, z)
+        raise ConstructionFailed(f"no element of order {q * q + 1} found")
+    return ovoid_spread_action(
+        run.shared(_w_geometry, q), run.shared(_w_aut_gens, q), socle_small, z
+    )
 
 
-def _w4_suborbits(run):
-    return suborbits(run.shared(_w4_class_action).group)
+def _w_suborbits(run, q):
+    return suborbits(run.shared(_w_class_action, q).group)
 
 
-def _w4_grid(run):
-    return _grid(run.shared(_w4_class_action), run.shared(_w4_suborbits))
+def _w_suborbit_scan(run, q):
+    """The scanned self-paired suborbits of the pair action."""
+    return _scan_suborbits(run.shared(_w_suborbits, q))
+
+
+def _w_grid(run, q):
+    """Grids of the pair action's group found through its plinth, the
+    socle's action, with their inclusion verdicts."""
+    act = run.shared(_w_class_action, q)
+    G, M = act.group, act.socle_group
+    grids = find_grid_decompositions(G, M, run.shared(_w_suborbits, q).frame())
+    return _Grids(grids, [classify_inclusion(G, M, E) for E in grids])
+
+
+def _w_stabilizer(run, q):
+    """The order of the plinth's point stabilizer, and whether it has a
+    witnessed dihedral subgroup of order 2(q^2+1)."""
+    stab = point_stabilizer(run.shared(_w_class_action, q).socle_group, 0)
+    witness = dihedral_subgroup(stab, 2 * (q * q + 1))
+    return _Stabilizer(stab.order(), witness is not None)
 
 
 # ---------------------------------------------------------------------------
 # shared stages of the cases: the facts their checks read
+
+
+def _a6_flavours(run):
+    """The five A6 flavours on the 10 points of PG(1,9)."""
+    return {f: psl2_action(9, f) for f in FLAVORS}
 
 
 def _a6_flavour_names(run):
@@ -437,34 +440,44 @@ def _a6_flavour_names(run):
     return {f: identify_extension_flavor(groups[f]) for f in FLAVORS}
 
 
-def _a6_suborbit_scan(run):
-    """The scanned self-paired suborbits of length 5 of the A6 class
-    action."""
-    scan = _scan_suborbits(run.shared(_a6_suborbits))
-    return [r for r in scan if r["length"] == 5]
+def _a6_flavour_groups(run):
+    """Each flavour as a subgroup of Aut W(2) = PGammaL(2,9) on the double
+    six: PSL is the socle A6, PGammaL the whole group, and the three
+    index-2 subgroups over the socle are named by one exact rule.  A6 has
+    no element of order 6 or 10, so an element of order 10 lies in exactly
+    one of them, PGL(2,9), an element of order 6 only in PSigmaL(2,9) =
+    S6, and M10 is the third."""
+    act = run.shared(_w_class_action, 2)
+    G, M = act.group, act.socle_group
+    witnesses = [(f, element_of_order(G, m)) for f, m in (("PGL", 10), ("PSigmaL", 6))]
+    halves = index2_subgroups(G, M)
+    names = [
+        next((f for f, g in witnesses if g is not None and K.contains(g)), "M10")
+        for K in halves
+    ]
+    if sorted(names) != ["M10", "PGL", "PSigmaL"]:
+        raise ConstructionFailed(f"index-2 subgroups over A6 named {names}")
+    return {"PSL": M, **dict(zip(names, halves)), "PGammaL": G}
+
+
+def _a6_valency5(run):
+    """The scanned self-paired suborbits of length q^2+1 = 5 of W(2)."""
+    return [r for r in run.shared(_w_suborbit_scan, 2) if r["length"] == 5]
 
 
 def _a6_orbital_graph(run):
     """The orbital graph of the first of those suborbits."""
-    hit = run.shared(_a6_suborbit_scan)[0]
-    G = run.shared(_a6_class_action).group
-    return orbital_graph(G, hit["representative"], run.shared(_a6_suborbits))
+    hit = _a6_valency5(run)[0]
+    G = run.shared(_w_class_action, 2).group
+    return orbital_graph(G, hit["representative"], run.shared(_w_suborbits, 2))
 
 
 def _a6_two_arc(run):
-    """Per flavour, whether its action on the class is 2-arc-transitive
-    on that orbital graph."""
+    """Per flavour, whether it is 2-arc-transitive on that orbital
+    graph."""
     graph = run.shared(_a6_orbital_graph)
     groups = run.shared(_a6_flavour_groups)
     return {f: two_arc_transitive(groups[f], graph) for f in FLAVORS}
-
-
-def _a6_stabilizer(run):
-    """The order of the A6 plinth's point stabilizer, and whether it is
-    dihedral: order 10 and a witnessed dihedral subgroup of order 10."""
-    stab = point_stabilizer(run.shared(_a6_class_action).socle_group, 0)
-    order = stab.order()
-    return _Stabilizer(order, order == 10 and dihedral_subgroup(stab, 10) is not None)
 
 
 def _w4_automorphisms(run):
@@ -472,18 +485,13 @@ def _w4_automorphisms(run):
     image lies in the socle and has the socle's order.  The image lies
     in Aut W(4) by construction, its generators being among Aut's; that
     it lies in the socle, with the socle's order, is computed."""
-    aut = run.shared(_w4_aut)
-    socle = run.shared(_w4_socle)[0]
-    image = run.shared(_w4_sp4_image)
+    aut = run.shared(_w_aut, 4)
+    socle = run.shared(_w_socle, 4)[0]
+    image = run.shared(_w_sp4_image, 4)
     inside = all(socle.contains(g) for g in image.generators)
     return _Automorphisms(
         aut.order(), socle.order(), inside and image.order() == socle.order()
     )
-
-
-def _w4_suborbit_scan(run):
-    """The scanned self-paired suborbits of the W(4) class action."""
-    return _scan_suborbits(run.shared(_w4_suborbits))
 
 
 def _w4_neighborhood(run):
@@ -492,9 +500,9 @@ def _w4_neighborhood(run):
     0's Z generator, is regular on N(0), and the order of the meet of <z>
     with its conjugate by the frame's transporter u from 0 to the
     suborbit's representative, which generates that point's Z."""
-    act = run.shared(_w4_class_action)
-    od = run.shared(_w4_suborbits)
-    hit = next(r for r in run.shared(_w4_suborbit_scan) if r["length"] == 17)
+    act = run.shared(_w_class_action, 4)
+    od = run.shared(_w_suborbits, 4)
+    hit = next(r for r in run.shared(_w_suborbit_scan, 4) if r["length"] == 17)
     idx = int(od.labels[hit["representative"]])
     z = act.z
     # |Z| = q^2 + 1 = 17, a prime
@@ -507,17 +515,9 @@ def _w4_neighborhood(run):
 def _w4_top_projection(run):
     """Whether the W(4) class action's group permutes the two partitions
     of its first grid as a transitive group of order 2."""
-    E = run.shared(_w4_grid).grids[0]
-    top = top_projection(run.shared(_w4_class_action).group, E)
+    E = run.shared(_w_grid, 4).grids[0]
+    top = top_projection(run.shared(_w_class_action, 4).group, E)
     return top.is_transitive() and top.order() == 2
-
-
-def _w4_stabilizer(run):
-    """The order of the W(4) plinth's point stabilizer, and whether it has
-    order 68 and a witnessed dihedral subgroup of order 34."""
-    stab = point_stabilizer(run.shared(_w4_class_action).socle_group, 0)
-    order = stab.order()
-    return _Stabilizer(order, order == 68 and dihedral_subgroup(stab, 34) is not None)
 
 
 def _m12_group(run):
@@ -661,15 +661,6 @@ def _a5wr2_blowup(run):
     """The blow-up certificate of A5 wr S2 along its coordinate copies."""
     W, factors, _ = run.shared(_a5wr2)
     return blowup_embedding(W, factors)
-
-
-def _grid(act, od):
-    """Grids of a class action's group found through its plinth, the
-    socle's action, with their inclusion verdicts; ``od`` holds the
-    group's suborbits."""
-    G, M = act.group, act.socle_group
-    grids = find_grid_decompositions(G, M, od.frame())
-    return _Grids(grids, [classify_inclusion(G, M, E) for E in grids])
 
 
 def _scan_suborbits(od):
@@ -821,25 +812,27 @@ def _graph_valencies(scan):
     return [r["length"] for r in scan if r["connected"] and r["two_at"]]
 
 
-def _if_grid(grid):
-    """The inclusion type of the first grid, a row made only if one exists."""
+def _if_grid(q):
+    """The inclusion type of W(q)'s first grid, a row made only if one
+    exists."""
     row = _Check("inclusion_type", "CD2Sim", ANCHOR_CD2,
-                 lambda run: run.shared(grid).verdicts[0].tag)
-    return lambda run: (row,) if run.shared(grid).grids else ()
+                 lambda run: run.shared(_w_grid, q).verdicts[0].tag)
+    return lambda run: (row,) if run.shared(_w_grid, q).grids else ()
 
 
-def _grid_rows(grid, blocks, grid_anchor, projection, projection_anchor):
-    """The rows classify-a6 and classify-sp44 read from their grid stage."""
+def _grid_rows(q, blocks, grid_anchor, projection, projection_anchor):
+    """The rows classify-a6 and classify-sp44 read from W(q)'s grid
+    stage."""
     return (
         _Check("grid_count", 1, grid_anchor,
-               lambda run: len(run.shared(grid).grids), stop=True),
+               lambda run: len(run.shared(_w_grid, q).grids), stop=True),
         _Check("block_counts", [blocks] * 2, grid_anchor,
-               lambda run: run.shared(grid).grids[0].block_counts),
-        _if_grid(grid),
+               lambda run: run.shared(_w_grid, q).grids[0].block_counts),
+        _if_grid(q),
         _Check("projection_orders", [projection] * 2, projection_anchor,
-               lambda run: list(run.shared(grid).verdicts[0].projection_orders)),
+               lambda run: list(run.shared(_w_grid, q).verdicts[0].projection_orders)),
         _Check("s_at_most_3", True, ANCHOR_S_AT_MOST_3,
-               lambda run: run.shared(grid).verdicts[0].s <= 3),
+               lambda run: run.shared(_w_grid, q).verdicts[0].s <= 3),
     )
 
 
@@ -857,15 +850,15 @@ _CASES["sylvester"] = (
         )
     ),
     _Check("class_action_degree", 36, ANCHOR_OMEGA_36,
-           lambda run: run.shared(_a6_class_action).group.degree),
+           lambda run: run.shared(_w_class_action, 2).group.degree),
     _Check("self_paired_length5_suborbits", 1, ANCHOR_SYLVESTER,
-           lambda run: len(run.shared(_a6_suborbit_scan)), stop=True),
+           lambda run: len(_a6_valency5(run)), stop=True),
     _Check("vertices", 36, ANCHOR_SYLVESTER,
            lambda run: run.shared(_a6_orbital_graph).n),
     _Check("valency", 5, ANCHOR_SYLVESTER,
            lambda run: run.shared(_a6_orbital_graph).valency()),
     _Check("connected", True, ANCHOR_CONNECTED,
-           lambda run: run.shared(_a6_suborbit_scan)[0]["connected"]),
+           lambda run: _a6_valency5(run)[0]["connected"]),
     *(
         _Check(f"two_arc_transitive_{f}", two_arc,
                ANCHOR_IFF_S6 if f in ("PSL", "PSigmaL") else ANCHOR_FLAVOR,
@@ -873,14 +866,15 @@ _CASES["sylvester"] = (
         for f, two_arc in zip(FLAVORS, (False, False, True, True, True))
     ),
     _Check("grid_count", 1, ANCHOR_PRODUCT_ACTION,
-           lambda run: len(run.shared(_a6_grid).grids)),
-    _if_grid(_a6_grid),
+           lambda run: len(run.shared(_w_grid, 2).grids)),
+    _if_grid(2),
 )
 
 _CASES["sp44"] = (
-    _Check("gq_points", 85, ANCHOR_W4, lambda run: run.shared(_w4_geometry).num_points),
+    _Check("gq_points", 85, ANCHOR_W4,
+           lambda run: run.shared(_w_geometry, 4).num_points),
     _Check("gq_lines_per_point", [5] * 85, ANCHOR_W4,
-           lambda run: [len(ls) for ls in run.shared(_w4_geometry).point_lines]),
+           lambda run: [len(ls) for ls in run.shared(_w_geometry, 4).point_lines]),
     _Check("aut_order", 3916800, ANCHOR_AUT_SP4,
            lambda run: run.shared(_w4_automorphisms).aut_order),
     _Check("socle_order", 979200, ANCHOR_SP4,
@@ -888,11 +882,11 @@ _CASES["sp44"] = (
     _Check("sp4_image_in_socle", True, ANCHOR_AUT_SP4,
            lambda run: run.shared(_w4_automorphisms).sp4_in_socle),
     _Check("class_action_degree", 14400, ANCHOR_VERTICES,
-           lambda run: run.shared(_w4_class_action).group.degree),
+           lambda run: run.shared(_w_class_action, 4).group.degree),
     _Check("graph_yielding_suborbits", 1, ANCHOR_VALENCY_17,
-           lambda run: len(_graph_valencies(run.shared(_w4_suborbit_scan)))),
+           lambda run: len(_graph_valencies(run.shared(_w_suborbit_scan, 4)))),
     _Check("winning_valency", [17], ANCHOR_VALENCY_17,
-           lambda run: _graph_valencies(run.shared(_w4_suborbit_scan)), stop=True),
+           lambda run: _graph_valencies(run.shared(_w_suborbit_scan, 4)), stop=True),
     _Check("connected", True, ANCHOR_CONNECTED,
            lambda run: run.shared(_w4_neighborhood).connected),
     _Check("Z_regular_on_neighborhood", True, ANCHOR_Z,
@@ -900,8 +894,8 @@ _CASES["sp44"] = (
     _Check("Z_meet_conjugate_trivial", 1, ANCHOR_Z_MEET,
            lambda run: run.shared(_w4_neighborhood).meet_order),
     _Check("grid_count", 1, ANCHOR_OMEGA_120,
-           lambda run: len(run.shared(_w4_grid).grids)),
-    _if_grid(_w4_grid),
+           lambda run: len(run.shared(_w_grid, 4).grids)),
+    _if_grid(4),
 )
 
 
@@ -976,11 +970,11 @@ def _blowup_certified(run):
 
 
 _CASES["classify-a6"] = (
-    *_grid_rows(_a6_grid, 6, ANCHOR_OMEGA_36, 60, ANCHOR_A5_COMPONENTS),
+    *_grid_rows(2, 6, ANCHOR_OMEGA_36, 60, ANCHOR_A5_COMPONENTS),
     _Check("plinth_stabilizer_order", 10, ANCHOR_A6_STABILIZER,
-           lambda run: run.shared(_a6_stabilizer).order),
+           lambda run: run.shared(_w_stabilizer, 2).order),
     _Check("plinth_stabilizer_dihedral", True, ANCHOR_A6_STABILIZER,
-           lambda run: run.shared(_a6_stabilizer).dihedral),
+           lambda run: run.shared(_w_stabilizer, 2) == (10, True)),
     _Check("a5wr2_inclusion_type", "Normal", ANCHOR_A5WR2,
            lambda run: run.shared(_a5wr2).verdict.tag),
     _Check("a5wr2_product_formula", True, ANCHOR_PRODUCT_FORMULA,
@@ -990,13 +984,13 @@ _CASES["classify-a6"] = (
 )
 
 _CASES["classify-sp44"] = (
-    *_grid_rows(_w4_grid, 120, ANCHOR_OMEGA_120, 8160, ANCHOR_W4_PROJECTIONS),
+    *_grid_rows(4, 120, ANCHOR_OMEGA_120, 8160, ANCHOR_W4_PROJECTIONS),
     _Check("top_projection_transitive", True, ANCHOR_TOP,
            lambda run: run.shared(_w4_top_projection)),
     _Check("plinth_stabilizer_order", 68, ANCHOR_W4_STABILIZER,
-           lambda run: run.shared(_w4_stabilizer).order),
+           lambda run: run.shared(_w_stabilizer, 4).order),
     _Check("dihedral_34_index_2", True, ANCHOR_D34,
-           lambda run: run.shared(_w4_stabilizer).dihedral),
+           lambda run: run.shared(_w_stabilizer, 4) == (68, True)),
 )
 
 CASES = tuple(_CASES)

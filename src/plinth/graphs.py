@@ -200,10 +200,9 @@ def is_automorphism(graph, g):
 
 def two_arc_transitive(G, graph):
     """Whether G acts transitively on the 2-arcs of the graph."""
-    s = s_arc_transitivity_max(G, graph, s_cap=2)
     if graph.degree(0) < 2:
         raise OutOfRange("valency must be at least 2")
-    return s == 2
+    return s_arc_transitivity_max(G, graph, s_cap=2) == 2
 
 
 def s_arc_transitivity_max(G, graph, s_cap=3):

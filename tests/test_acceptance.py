@@ -60,18 +60,18 @@ def test_criterion_1_sylvester_s_arc_transitivity_max():
     # arc-orbit counting: 2 exactly for the 2-arc-transitive flavors
     from plinth.cli import (
         _Run,
-        _a6_class_action,
         _a6_flavour_groups,
-        _a6_suborbits,
         _scan_suborbits,
+        _w_class_action,
+        _w_suborbits,
     )
     from plinth.graphs import orbital_graph, s_arc_transitivity_max
     from test_graphs import brute_s_arc_max
 
     run = _Run("sylvester", 1)
-    od = run.shared(_a6_suborbits)
+    od = run.shared(_w_suborbits, 2)
     hit = next(r for r in _scan_suborbits(od) if r["length"] == 5)
-    G = run.shared(_a6_class_action).group
+    G = run.shared(_w_class_action, 2).group
     graph = orbital_graph(G, hit["representative"], od)
     flavour_groups = run.shared(_a6_flavour_groups)
     got = {
@@ -81,6 +81,33 @@ def test_criterion_1_sylvester_s_arc_transitivity_max():
     assert got == {"PSL": 1, "PGL": 1, "PSigmaL": 2, "M10": 2, "PGammaL": 2}
     for f, group in flavour_groups.items():
         assert brute_s_arc_max(group, graph) == got[f]
+
+
+# the order and the set of element orders of each A6 flavour, on the
+# degree-10 model and as named among the subgroups of Aut W(2)
+FLAVOUR_ELEMENT_ORDERS = {
+    "PSL": (360, {1, 2, 3, 4, 5}),
+    "PGL": (720, {1, 2, 3, 4, 5, 8, 10}),
+    "PSigmaL": (720, {1, 2, 3, 4, 5, 6}),
+    "M10": (720, {1, 2, 3, 4, 5, 8}),
+    "PGammaL": (1440, {1, 2, 3, 4, 5, 6, 8, 10}),
+}
+
+
+@pytest.mark.parametrize("flavour", sorted(FLAVOUR_ELEMENT_ORDERS))
+def test_each_w2_flavour_group_matches_its_degree_10_namesake(flavour):
+    # the naming rule for the index-2 subgroups of Aut W(2) over A6 gives
+    # each the order and element orders of psl2_action(9, flavour)
+    from plinth.algebra import psl2_action
+    from plinth.cli import _Run, _a6_flavour_groups
+
+    def spectrum(group):
+        return group.order(), {g.order() for g in group.elements()}
+
+    named = _Run("sylvester", 1).shared(_a6_flavour_groups)[flavour]
+    assert named.degree == 36
+    assert spectrum(named) == spectrum(psl2_action(9, flavour))
+    assert spectrum(named) == FLAVOUR_ELEMENT_ORDERS[flavour]
 
 
 # ---------------------------------------------------------------------------
@@ -162,12 +189,12 @@ def test_criterion_6_classifier():
 
 
 def test_criterion_6_cached_grid_verdicts_carry_block_bijections():
-    from plinth.cli import _Run, _a6_grid, _w4_grid
+    from plinth.cli import _Run, _w_grid
 
-    for case, blocks, grid in (("sylvester", 6, _a6_grid), ("sp44", 120, _w4_grid)):
+    for case, blocks, q in (("sylvester", 6, 2), ("sp44", 120, 4)):
         report, _ = report_for(case)
         assert check(report, "inclusion_type")["actual"] == "CD2Sim"
-        verdict = _Run(case, 1).shared(grid)[1][0]
+        verdict = _Run(case, 1).shared(_w_grid, q)[1][0]
         beta = verdict.details["block_bijection"]
         assert sorted(beta) == list(range(blocks))
 

@@ -35,13 +35,11 @@ from plinth.algebra import (
 from plinth.cartesian import CartesianDecomposition
 from plinth.cli import (
     _Run,
-    _a6_class_action,
-    _a6_suborbits,
-    _w4_aut,
-    _w4_aut_gens,
-    _w4_class_action,
-    _w4_socle,
-    _w4_sp4_image,
+    _w_aut,
+    _w_aut_gens,
+    _w_class_action,
+    _w_socle,
+    _w_sp4_image,
     data_path,
     parse_generators,
 )
@@ -174,9 +172,9 @@ def _m12_660(seed):
     return G, random_subgroup_of_order(G, 660, profile=(11, 2), seed=seed)
 
 
-def _plinth_quotient(class_action):
+def _plinth_quotient(q):
     # the G / plinth quotient that index2_subgroups enumerates
-    act = _Run("stages", 1).shared(class_action)
+    act = _Run("stages", 1).shared(_w_class_action, q)
     return act.group, act.socle_group
 
 
@@ -194,8 +192,8 @@ COSET_ACTION_CASES = {
         point_stabilizer(PermGroup.alternating(5), 0),
     ),
     "M12/1": lambda: (_m12(), PermGroup.trivial(12)),
-    "sylvester G/plinth": lambda: _plinth_quotient(_a6_class_action),
-    "sp44 G/plinth": lambda: _plinth_quotient(_w4_class_action),
+    "sylvester G/plinth": lambda: _plinth_quotient(2),
+    "sp44 G/plinth": lambda: _plinth_quotient(4),
 }
 
 
@@ -365,8 +363,8 @@ def _sp44_class():
     """The class of a Sylow 17-subgroup of Sp(4,4) under Aut W(4), and
     Aut W(4)'s generators."""
     run = _Run("stages", 1)
-    aut = run.shared(_w4_aut_gens)
-    return cyclic_class_action(aut, run.shared(_w4_socle)[1], 17), aut
+    aut = run.shared(_w_aut_gens, 4)
+    return cyclic_class_action(aut, run.shared(_w_socle, 4)[1], 17), aut
 
 
 def test_key_of_a_conjugation_matches_the_conjugates_keys_on_sp44():
@@ -410,12 +408,13 @@ def test_action_of_matches_the_full_conjugation_path_on_sp44():
         assert act.action_of(g).images.tolist() == [index[k] for k in keys]
 
 
-# sha256 of the rows naming the points (a6's class rows, sp44's ovoids
-# and spreads), then each generator's images of group and socle_group;
-# sp44's pairs are enumerated from generators drawn from the chain of
-# Aut W(4) as generated by Sp(4,4), the Frobenius and the Klein duality
+# sha256 of the ovoids and spreads naming the pairs, then each
+# generator's images of group and socle_group; the pairs are enumerated
+# from generators drawn from the chain of Aut W(q) as generated by
+# Sp(4,q), the Frobenius and the Klein duality, at q = 2 for a6 and
+# q = 4 for sp44
 CLASS_ACTION_PINS = {
-    "a6": "76e5eaac082f913dafdfdaabf712559d01f5f9daf15fd4c00a815791f17ae4b0",
+    "a6": "c8ff54c8a7d2e41a3474e868c0a037afa7ea74c02b2782f83486added669995b",
     "sp44": "efb2511feaa26ad5b235012cd29eb0f701470555026e78ad436723d53a65c9f6",
 }
 
@@ -425,10 +424,10 @@ CLASS_ACTION_PINS = {
 def test_class_action_rows_and_images_are_pinned(monkeypatch, case, seed):
     # the searches draw from one fixed stream: a run at any seed, from a
     # fresh stage cache, builds the same class action
-    stage = {"a6": _a6_class_action, "sp44": _w4_class_action}[case]
+    q = {"a6": 2, "sp44": 4}[case]
     monkeypatch.setattr("plinth.cli._SHARED", {})
-    act = _Run("stages", seed).shared(stage)
-    digest = hashlib.sha256((act.reps if case == "a6" else act.sets).tobytes())
+    act = _Run("stages", seed).shared(_w_class_action, q)
+    digest = hashlib.sha256(act.sets.tobytes())
     for group in (act.group, act.socle_group):
         for g in group.generators:
             digest.update(g.images.tobytes())
@@ -631,8 +630,8 @@ def test_order_over_matches_the_unbounded_chain(case):
 
 def test_order_over_gives_aut_w4_over_sp44():
     run = _Run("stages", 1)
-    image = run.shared(_w4_sp4_image)
-    aut = run.shared(_w4_aut)
+    image = run.shared(_w_sp4_image, 4)
+    aut = run.shared(_w_aut, 4)
     assert aut._bound == image.order() * 4 == 3916800
     assert aut.order() == PermGroup(aut.generators, degree=aut.degree).order()
 
@@ -653,7 +652,11 @@ def test_the_double_six_is_the_pair_action_of_w2():
     assert (act.group.order(), act.socle_group.order()) == (1440, 360)
     lengths = sorted(suborbits(act.group).lengths())
     assert lengths == [1, 5, 10, 20]
-    assert lengths == sorted(_Run("stages", 1).shared(_a6_suborbits).lengths())
+    # the oracle: PGammaL(2,9) on the class of a subgroup of order 5 of
+    # PSL(2,9) = A6, built on PG(1,9) with no W(2) in it
+    cls = cyclic_class_action(psl2_action(9, "PGammaL"), psl2_action(9, "PSL"), 5)
+    assert cls.group.degree == act.group.degree
+    assert lengths == sorted(suborbits(cls.group).lengths())
 
 
 def test_the_pair_builder_refuses_a_set_that_is_not_an_ovoid():
@@ -698,7 +701,7 @@ def _fixed_set_rows(rows, act, kind):
 
 def test_the_w4_pair_action_is_the_class_action():
     cls, _ = _sp44_class()
-    pairs = _Run("stages", 1).shared(_w4_class_action)
+    pairs = _Run("stages", 1).shared(_w_class_action, 4)
     n = pairs.size
     ovoid = pairs.coords[_fixed_set_rows(cls.reps, pairs, True)]
     spread = pairs.coords[_fixed_set_rows(cls.reps, pairs, False)]

@@ -51,8 +51,7 @@ def bounded_calls():
 def test_every_bounded_site_is_seen(bounded_calls):
     assert {site for site, *_ in bounded_calls} == {
         "point_stabilizer", "small_generating_set", "product_action_wreath",
-        "coset_action", "cyclic_class_action", "index2_subgroups",
-        "_a6_flavour_groups", "_w4_sp4_image", "component",
+        "coset_action", "index2_subgroups", "_w_sp4_image", "component",
         "graph_automorphism_group", "ovoid_spread_action", "order_over",
     }
 
@@ -74,6 +73,12 @@ def test_every_small_bound_is_at_least_the_order(bounded_calls):
         loose[site] += bound > order
     assert checked == len(bounded_calls) - sum(SKIPPED_ABOVE_1000.values())
     # true but loose: index2_subgroups' degree-4 quotient coset actions,
-    # bounded by |G|, and the two degree-5 components of A5 x A5 in
-    # A5 wr S2, bounded by |A5 x A5| while each is A5
-    assert +loose == Counter({"coset_action": 2, "component": 2})
+    # bounded by |G| (the grids' of Aut W(2) and Aut W(4) over their
+    # socles, and the A6 flavour naming's of Aut W(2) over A6), the two
+    # degree-5 components of A5 x A5 in A5 wr S2, bounded by |A5 x A5|
+    # while each is A5, and the two trial pairs that small_generating_set
+    # rejects on Aut W(2), bounded by its order 1,440 while each
+    # generates a subgroup of order 720
+    assert +loose == Counter(
+        {"coset_action": 3, "component": 2, "small_generating_set": 2}
+    )

@@ -31,7 +31,7 @@ from plinth.cartesian import (
     parabolic_order,
     verify_psl2_factorization_row,
 )
-from plinth.cli import _Run, _a6_class_action, _w4_class_action, _w4_grid, data_path
+from plinth.cli import _Run, _w_class_action, _w_grid, data_path
 from plinth.errors import (
     ConstructionFailed,
     DegreeMismatch,
@@ -328,8 +328,8 @@ REGULAR_GROUPS = {
     ),
     "D8 on 8": lambda: _regular([(0, 1, 2, 3)], [(0, 2)], degree=4),
     "S3 on 6": lambda: _regular([(0, 1, 2)], [(0, 1)], degree=3),
-    "sylvester G/M": lambda: coset_action(*_plinth_quotient(_a6_class_action)).group,
-    "sp44 G/M": lambda: coset_action(*_plinth_quotient(_w4_class_action)).group,
+    "sylvester G/M": lambda: coset_action(*_plinth_quotient(2)).group,
+    "sp44 G/M": lambda: coset_action(*_plinth_quotient(4)).group,
 }
 
 
@@ -632,7 +632,7 @@ def _a6_plinth_grid():
 
 def _w4_plinth_grid():
     run = _Run("stages", 1)
-    return run.shared(_w4_class_action).socle_group, run.shared(_w4_grid)[0][0]
+    return run.shared(_w_class_action, 4).socle_group, run.shared(_w_grid, 4)[0][0]
 
 
 def _a5_wr_2_base_grid():

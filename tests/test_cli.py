@@ -542,7 +542,7 @@ def test_cli_exception_in_a_stage_is_an_error_report(tmp_path, monkeypatch, caps
     data = json.loads(path.read_text())
     assert data["status"] == "ERROR"
     assert data["error"] == {
-        "stage": "a6_suborbits",
+        "stage": "w2_suborbits",
         "type": "RuntimeError",
         "message": "suborbits failed",
     }
@@ -551,7 +551,7 @@ def test_cli_exception_in_a_stage_is_an_error_report(tmp_path, monkeypatch, caps
     # nested in the grid stage, the innermost stage is named
     report = run_case("classify-a6")
     assert report.status == "ERROR" and report.exit_code() == 3
-    assert report.error["stage"] == "a6_suborbits"
+    assert report.error["stage"] == "w2_suborbits"
     assert "error" not in run_case("factorizations").to_json_dict()
 
 
@@ -564,7 +564,7 @@ def test_stage_timings_add_up_and_mark_reused_stages(monkeypatch):
     for order in (("sp44", "classify-sp44"), ("classify-sp44", "sp44")):
         monkeypatch.setattr(cli, "_SHARED", {})
         for case in order:
-            built = {build.__name__.lstrip("_") for build, *_ in cli._SHARED}
+            built = {cli._stage_name(build, q) for build, q, _ in cli._SHARED}
             start = time.perf_counter()
             report = run_case(case)
             wall_ms = (time.perf_counter() - start) * 1000.0
@@ -720,7 +720,7 @@ def test_cli_products_with_an_intransitive_square_group_fails(monkeypatch):
 
 
 def _reference_sp4_image(geom, ma):
-    """The per-line loop _w4_sp4_image replaced: each Sp(4,4) generator's
+    """The per-line loop _w_sp4_image replaced: each Sp(4,4) generator's
     images on the points, then on the lines, by one tuple and one dict
     lookup per line."""
     P, n = geom.num_points, geom.num_points + geom.num_lines
@@ -740,7 +740,7 @@ def test_sp4_image_matches_per_line_loop():
     import plinth.cli as cli
     from plinth.algebra import sp4, symplectic_gq
 
-    image = cli._Run("stages", 1).shared(cli._w4_sp4_image)
+    image = cli._Run("stages", 1).shared(cli._w_sp4_image, 4)
     want = _reference_sp4_image(symplectic_gq(4), sp4(4))
     assert [g.images.tolist() for g in image.generators] == want
 
@@ -762,8 +762,8 @@ def test_grid_stage_reuses_the_suborbits_frame(monkeypatch):
     monkeypatch.setattr(perm, "suborbit_frame", counted)
     monkeypatch.setattr("plinth.graphs.suborbit_frame", counted)
     run = cli._Run("sylvester", 1)
-    G = run.shared(cli._a6_class_action).group
-    grids, _ = run.shared(cli._a6_grid)
+    G = run.shared(cli._w_class_action, 2).group
+    grids, _ = run.shared(cli._w_grid, 2)
     assert len(grids) == 1
     assert sum(H is G for H in frames) == 1
 
@@ -787,8 +787,8 @@ def _sp44_neighborhood():
     import plinth.cli as cli
 
     run = cli._Run("stages", 1)
-    act = run.shared(cli._w4_class_action)
-    od = run.shared(cli._w4_suborbits)
+    act = run.shared(cli._w_class_action, 4)
+    od = run.shared(cli._w_suborbits, 4)
     idx = next(
         i
         for i, s in enumerate(od.suborbits)

@@ -351,6 +351,21 @@ def test_s_arc_transitivity_max_perfect_matching():
         two_arc_transitive(G, matching)
 
 
+def test_two_arc_test_refuses_valency_1_before_building_a_stabilizer(monkeypatch):
+    built = []
+
+    def spy(group, alpha):
+        built.append(alpha)
+        raise AssertionError("a stabilizer was built")
+
+    monkeypatch.setattr("plinth.graphs.point_stabilizer", spy)
+    matching = Graph.from_edges(4, [(0, 1), (2, 3)])
+    G = _perm_group(4, [(0, 1), (2, 3)], [(0, 2), (1, 3)])
+    with pytest.raises(OutOfRange, match="valency"):
+        two_arc_transitive(G, matching)
+    assert built == []
+
+
 def test_s_arc_transitivity_max_rejects_a_negative_cap():
     # -2 was once returned as the verdict
     with pytest.raises(OutOfRange, match="s_cap"):

@@ -17,8 +17,8 @@ from plinth.actions import coset_action, cyclic_class_action
 from plinth.cli import (
     _Run,
     _scan_suborbits,
-    _w4_class_action,
-    _w4_suborbits,
+    _w_class_action,
+    _w_suborbits,
     data_path,
     parse_generators,
     run_case,
@@ -912,7 +912,7 @@ def test_orbit_labels_match_the_per_point_loop_on_random_groups(seed):
 
 
 def test_orbit_labels_match_the_per_point_loop_on_sp44s_point_stabilizer():
-    stab = _Run("stages", 1).shared(_w4_suborbits).stabilizer
+    stab = _Run("stages", 1).shared(_w_suborbits, 4).stabilizer
     _assert_labels_match([g.images for g in stab.generators], stab.degree)
 
 
@@ -952,7 +952,7 @@ def test_frame_reads_the_orbit_of_0_from_the_chain(monkeypatch):
 @pytest.mark.parametrize(
     "make",
     [
-        lambda: _Run("stages", 1).shared(_w4_class_action).group,
+        lambda: _Run("stages", 1).shared(_w_class_action, 4).group,
         lambda: _dihedral_square(33),
     ],
     ids=["sp44's G", "D33 x D33"],
