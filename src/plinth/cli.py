@@ -731,20 +731,17 @@ def _regular_on_neighborhood(z, nbrs, p):
 
 
 def _petersen():
-    """Petersen graph with its vertex group: S5 on 2-subsets."""
+    """The Petersen graph: the 2-subsets of {0, ..., 4} in lexicographic
+    order, adjacent when disjoint."""
     from itertools import combinations
 
     pairs = list(combinations(range(5), 2))
-    index = {p: i for i, p in enumerate(pairs)}
-    gens = []
-    for g in PermGroup.symmetric(5).generators:
-        images = np.empty(10, dtype=_DTYPE)
-        for i, (a, b) in enumerate(pairs):
-            images[i] = index[tuple(sorted((int(g.images[a]), int(g.images[b]))))]
-        gens.append(Permutation(images, _checked=True))
-    K = PermGroup(gens, degree=10)
-    # the pair {0, 1} is point 0; its disjoint pairs are its neighbours
-    return orbital_graph(K, index[(2, 3)], suborbits(K))
+    edges = [
+        (i, j)
+        for (i, a), (j, b) in combinations(enumerate(pairs), 2)
+        if not set(a) & set(b)
+    ]
+    return Graph.from_edges(10, edges)
 
 
 # ---------------------------------------------------------------------------

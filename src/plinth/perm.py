@@ -804,37 +804,24 @@ def minimal_block_systems(group, frame=None):
     """All minimal nontrivial block systems of a transitive group.
 
     Each system is returned as a point -> block-id array.  The empty
-    list means the group is primitive.  Blocks are found as orbits of
-    <G_0, u> for transporters u to stabilizer-suborbit representatives,
-    which gives exactly the minimal blocks through the base point 0.
+    list means the group is primitive.  The principal blocks are the
+    orbits <G_0, u> . 0 for transporters u to the nontrivial suborbit
+    representatives.  One is minimal exactly when no other principal
+    block lies strictly inside it: a smaller block through 0 holds, for
+    each of its points beta, the least block through 0 and beta, which is
+    the principal block of beta's suborbit.
     ``frame`` may supply ``suborbit_frame(group)`` when it is built.
     """
-    _, labels, reps, transporters = frame or suborbit_frame(group)
-    reps = reps[1:]  # skip the trivial suborbit {0}
-    candidates = {}
-    block_of = {}
-    for beta, block in zip(reps, _suborbit_blocks(labels, transporters[1:])):
-        if block is None:
-            block_of[beta] = None
-            continue
-        block = block.tolist()
-        key = frozenset(block)
-        block_of[beta] = key
-        if len(block) > 1:
-            candidates.setdefault(key, block)
+    _, labels, _, transporters = frame or suborbit_frame(group)
+    found = _suborbit_blocks(labels, transporters[1:])
+    blocks = list({b.tobytes(): b for b in found if b is not None}.values())
     systems = []
-    for key, block in candidates.items():
-        # minimal iff every other point of the block regenerates it
-        minimal = True
-        for beta in reps:
-            if beta in key and block_of.get(beta) is not None:
-                if block_of[beta] < key:
-                    minimal = False
-                    break
-        if minimal:
-            system = _block_system_labels(group, block)
-            if system is not None:
-                systems.append(system)
+    for block in blocks:
+        if any(len(c) < len(block) and np.isin(c, block).all() for c in blocks):
+            continue
+        system = _block_system_labels(group, block)
+        if system is not None:
+            systems.append(system)
     systems.sort(key=lambda lab: (int((lab == lab[0]).sum()), lab.tobytes()))
     return systems
 

@@ -20,6 +20,7 @@ from plinth.graphs import (
 from plinth.algebra import psl2_action
 from plinth.actions import cyclic_class_action
 from plinth.autgq import ColoredGraph, graph_automorphism_group
+from plinth.cli import _petersen
 from plinth.errors import (
     DegreeMismatch,
     NotRegular,
@@ -349,6 +350,21 @@ def test_s_arc_transitivity_max_perfect_matching():
     assert s_arc_transitivity_max(G, matching) == 1 == brute_s_arc_max(G, matching)
     with pytest.raises(OutOfRange, match="valency"):
         two_arc_transitive(G, matching)
+
+
+def test_two_arc_test_refuses_a_graph_with_no_vertex():
+    # graph.degree(0) once raised a bare IndexError here
+    with pytest.raises(OutOfRange, match="valency"):
+        two_arc_transitive(PermGroup.trivial(0), Graph.from_edges(0, []))
+
+
+def test_products_petersen_is_the_s5_orbital_graph():
+    # the edge-list construction against the S5-on-pairs orbital graph
+    graph, (_, oracle) = _petersen(), petersen()
+    assert graph.n == oracle.n == 10
+    for got, want in ((graph.indptr, oracle.indptr), (graph.indices, oracle.indices)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
 
 def test_two_arc_test_refuses_valency_1_before_building_a_stabilizer(monkeypatch):

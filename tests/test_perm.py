@@ -720,6 +720,17 @@ def test_minimal_block_systems_vs_exhaustive_degree_leq_12():
             degree=6,
         ),
         BLOCK_CORPUS["S3 wr S2"](),
+        # minimal blocks {0, 6} and {0, 4, 8}, incomparable, under the
+        # principal blocks {0, 3, 6, 9} and {0, 2, ..., 10}
+        PermGroup.cyclic(12),
+        # S2 wr S2 wr S2: principal blocks {0, 1} inside {0, 1, 2, 3}
+        PermGroup(
+            [
+                Permutation.from_cycles(8, [(0, 1)]),
+                Permutation.from_cycles(8, [(0, 2), (1, 3)]),
+                Permutation.from_cycles(8, [(0, 4), (1, 5), (2, 6), (3, 7)]),
+            ]
+        ),
     ]:
         expected = brute_minimal_blocks(G)
         got = set()
